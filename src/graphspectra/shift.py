@@ -4,8 +4,9 @@ An :class:`SFTData` wraps a 0/1 transition matrix A over a finite
 alphabet.  Words are tuples of letter indices, admissible when every
 consecutive pair (a, b) has A[a][b] = 1.  The level-n filtration space
 V_n is spanned by indicator functions of cylinders of length n+1, so
-dim V_n equals the number of admissible words of length n+1; these
-dimensions are always computed with exact integer matrix powers.
+dim V_n equals the number of admissible words of length n+1.  Every
+such count reads from one engine, :func:`word_count_vectors`, which
+steps the exact integer row vector 1^T A^(n-1) one level at a time.
 
 The conformal measure on the boundary is realized as the Parry measure:
 with left/right Perron eigenvectors l, r (normalized to sum 1) and
@@ -27,8 +28,9 @@ reports the enumerated value.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations
 
 from .errors import (
     EnumerationBudgetExceeded,
@@ -110,15 +112,25 @@ def full_schottky_sft(g: int) -> SFTData:
     return SFTData(em.matrix, em.labels, inv)
 
 
+def word_count_vectors(s: SFTData) -> Iterator[tuple]:
+    """Yield v_1, v_2, ...: v_n[j] counts admissible words of length n
+    ending in letter j, so v_n = 1^T A^(n-1) in exact integers.
+
+    v_1 is all ones and v_{n+1}[j] sums v_n over the predecessors of j.
+    """
+    size = s.alphabet_size
+    preds = [[i for i in range(size) if s.matrix[i][j]] for j in range(size)]
+    vec = (1,) * size
+    while True:
+        yield vec
+        vec = tuple(sum(vec[i] for i in pred) for pred in preds)
+
+
 def count_words(s: SFTData, n: int) -> int:
-    """Number of admissible words of length n, by exact matrix powers."""
+    """Number of admissible words of length n."""
     if n < 1:
         return 0
-    size = s.alphabet_size
-    vec = [1] * size
-    for _ in range(n - 1):
-        vec = [sum(s.matrix[i][j] * vec[j] for j in range(size)) for i in range(size)]
-    return sum(vec)
+    return sum(next(islice(word_count_vectors(s), n - 1, None)))
 
 
 def enumerate_words(s: SFTData, n: int, budget: int | None = None) -> list[tuple]:
@@ -166,7 +178,8 @@ class FiltrationDims:
 def filtration_dims(s: SFTData, max_level: int) -> FiltrationDims:
     if max_level < 0:
         raise InvalidTransitionMatrix("level must be >= 0", witness=max_level)
-    return FiltrationDims(tuple(count_words(s, n + 1) for n in range(max_level + 1)))
+    return FiltrationDims(tuple(
+        sum(v) for v in islice(word_count_vectors(s), max_level + 1)))
 
 
 @dataclass(frozen=True)
@@ -287,9 +300,10 @@ def cohomology_filtration_dims(s: SFTData, max_level: int,
     from .ktheory import exact_rank
     if max_level < 1:
         raise InvalidTransitionMatrix("level must be >= 1", witness=max_level)
+    # dim V_n = sum of v_{n+1}, for n = 1..max_level
+    dims_vn = [sum(v) for v in islice(word_count_vectors(s), 1, max_level + 1)]
     out = []
-    for n in range(1, max_level + 1):
-        dim_vn = count_words(s, n + 1)
+    for n, dim_vn in enumerate(dims_vn, start=1):
         rank = exact_rank(coboundary_matrix(s, n, budget))
         out.append(dim_vn - rank)
     return tuple(out)

@@ -55,6 +55,7 @@ from .shift import (
     filtration_dims,
     perron_data,
     word_budget,
+    word_count_vectors,
 )
 
 DENSE_NORM_CUTOFF = 1200
@@ -162,13 +163,12 @@ class SpectralTruncation:
         defining relations, compressed to levels <= N-1."""
         p = self.projection(self.level - 1)
         eye = sp.identity(self.dimension, format="csr")
-        total = sum(s @ s.T for s in self._isometries)
-        unit = frobenius_norm(p @ (total - eye) @ p)
-        a = self.sft.matrix
         ranges = [s @ s.T for s in self._isometries]
+        total = sum(ranges)
+        unit = frobenius_norm(p @ (total - eye) @ p)
         per_letter = []
         for i, s in enumerate(self._isometries):
-            rhs = sum(a[i][j] * ranges[j] for j in range(len(ranges)))
+            rhs = sum(ranges[j] for j in self.sft.successors(i))
             per_letter.append(frobenius_norm(p @ (s.T @ s - rhs) @ p))
         return {"unit_sum": unit, "range_relation": per_letter}
 
@@ -344,8 +344,21 @@ def theta_trace(d: GradingOperator, t: float, tol: float = 1e-12) -> ThetaTrace:
     """
     if t <= 0:
         raise InvalidParameter("heat parameter must be positive", witness=t)
-    partial = float(sum(m * math.exp(-t * abs(lam) ** 2)
-                        for m, lam in zip(d.new_dims, d.eigenvalues)))
+
+    def term(m, lam):
+        try:
+            return m * math.exp(-t * abs(lam) ** 2)
+        except OverflowError:  # m itself is past float range
+            return math.exp(math.log(m) - t * abs(lam) ** 2)
+
+    try:
+        partial = float(sum(term(m, lam)
+                            for m, lam in zip(d.new_dims, d.eigenvalues)))
+    except OverflowError:
+        partial = math.inf
+    if math.isinf(partial):
+        raise InvalidParameter("heat-trace partial sum exceeds float range",
+                               witness=t)
     tail = 0.0
     if d.growth_ratio is not None and d.growth_const is not None:
         n = d.levels  # first uncomputed level index
@@ -462,24 +475,20 @@ def af_core_dims(s: SFTData, max_level: int,
 
     Level n has one block per letter i of size
     c_i(n) = #{admissible words of length n that i can follow}, and total
-    dimension sum_i c_i(n)^2; the empty word gives c_i(0) = 1.
+    dimension sum_i c_i(n)^2; the empty word gives c_i(0) = 1.  The
+    blocks are the column sums of A^n, i.e. the word-count vector v_{n+1}.
     """
     if not s.is_irreducible():
         raise RequiresIrreducible("core dimensions need an irreducible matrix")
     cap = budget if budget is not None else word_budget()
-    n_letters = s.alphabet_size
-    vec = [1] * n_letters  # column sums of A^n, starting at n = 0
     out = []
-    for n in range(max_level + 1):
-        if n > 0:
-            vec = [sum(vec[k] * s.matrix[k][i] for k in range(n_letters))
-                   for i in range(n_letters)]
+    for n, vec in zip(range(max_level + 1), word_count_vectors(s)):
         total = sum(c * c for c in vec)
         if total > cap:
             raise EnumerationBudgetExceeded(
                 f"core dimension {total} at level {n} exceeds budget {cap}",
                 witness=total)
-        out.append(AFLevel(tuple(vec), total))
+        out.append(AFLevel(vec, total))
     return out
 
 
@@ -629,17 +638,9 @@ def jlo_phi0(triple, scale: float) -> float:
     if scale <= 0:
         raise InvalidParameter("scale must be positive", witness=scale)
     if isinstance(triple, CrossedProductTriple):
-        squares = [(lam * lam + k * k, mult)
-                   for lam, mult in triple.base
-                   for k in range(triple.cutoff + 1)]
-        plus = sum(m * math.exp(-scale * v) for v, m in squares)
-        minus = sum(m * math.exp(-scale * v) for v, m in squares)
-        return float(plus - minus)
+        return 0.0  # the folded spectrum is symmetric: both halves are equal
     if isinstance(triple, EvenBlock):
-        coupled = sum(math.exp(-scale * s * s) for s in triple.coupling)
-        plus = coupled + (triple.plus_dim - len(triple.coupling))
-        minus = coupled + (triple.minus_dim - len(triple.coupling))
-        return float(plus - minus)
+        return float(triple.plus_dim - triple.minus_dim)
     raise RequiresEvenTriple(
         "no grading: pass an EvenBlock (e.g. even_double of a truncation) "
         "or a crossed-product triple", witness=type(triple).__name__)

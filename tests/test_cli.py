@@ -210,3 +210,18 @@ def test_execute_matches_cli(capsysbinary):
     plan = parse_invocation(["cohomology", "--genus", "2", "--levels", "1"])
     report, _ = execute(plan)
     assert report == {"dims": [9]}
+
+
+def test_spectra_heat_trace_past_float_range(capsysbinary):
+    # rank 3 climbs to 512 levels, whose multiplicities leave float range
+    argv = ["spectra", "--genus", "3", "--levels", "2", "--t"]
+    code = main(argv + ["0.001"])
+    captured = capsysbinary.readouterr()
+    assert code == 0 and captured.err == b""
+    theta = json.loads(captured.out)["theta"]
+    assert 0 < theta["partial"] < float("inf")
+    code = main(argv + ["0.00001"])
+    captured = capsysbinary.readouterr()
+    assert code == 2 and captured.err == b""
+    assert json.loads(captured.out)["error"] == {"code": "InvalidParameter",
+                                                 "witness": "1e-05"}

@@ -65,6 +65,13 @@ def test_filtration_dims(schottky2):
         assert fd.new_dims()[n] == 2 * g * (2 * g - 1) ** (n - 1) * (2 * g - 2)
 
 
+@pytest.mark.parametrize("g", [2, 3])
+def test_filtration_dims_closed_form_to_level_512(g):
+    new = filtration_dims(full_schottky_sft(g), 512).new_dims()
+    assert new == (2 * g,) + tuple(2 * g * (2 * g - 1) ** (n - 1) * (2 * g - 2)
+                                   for n in range(1, 513))
+
+
 def test_filtration_telescopes(theta_sft):
     fd = filtration_dims(theta_sft, 5)
     for n in range(6):

@@ -10,7 +10,7 @@ from graphspectra.errors import (
     SummabilityViolation,
     TruncationTooSmall,
 )
-from graphspectra.shift import enumerate_words, full_schottky_sft
+from graphspectra.shift import SFTData, enumerate_words, full_schottky_sft
 from graphspectra.triples import (
     AFTriple,
     CrossedProductTriple,
@@ -160,6 +160,16 @@ def test_theta_trace_rank3():
     assert res.converged and res.tail_bound < 1e-12
 
 
+def test_theta_trace_multiplicities_past_float_range():
+    # at level 511 the rank-3 multiplicities reach ~1e357, past float range
+    g = grading_from_sft(full_schottky_sft(3), 511)
+    assert g.new_dims[-1] > 10 ** 309
+    res = theta_trace(g, 0.001)
+    assert math.isfinite(res.partial) and res.partial > 0
+    with pytest.raises(InvalidParameter):
+        theta_trace(g, 0.00001)  # the partial sum itself leaves float range
+
+
 def test_zeta_divergent_for_schottky(schottky2):
     g = grading_from_sft(schottky2, 48)
     for s in (0.5, 2.0, 20.0):
@@ -191,16 +201,24 @@ def test_af_core_dims(schottky2):
     ]
 
 
-def test_af_core_dims_enumeration_oracle(schottky2):
+# Row sums of A^2 are (3, 1, 2) but column sums are (3, 2, 1): counting
+# by first letter instead of last letter fails on this matrix.
+NONSYMMETRIC = SFTData(((1, 1, 0), (0, 0, 1), (1, 0, 0)), ("a", "b", "c"))
+
+
+@pytest.mark.parametrize("s", [full_schottky_sft(2), NONSYMMETRIC],
+                         ids=["schottky2", "nonsymmetric"])
+def test_af_core_dims_enumeration_oracle(s):
     # block c_i(n) counts length-n words the letter i can follow
-    a = schottky2.matrix
+    a = s.matrix
+    letters = s.alphabet_size
     for n in (1, 2, 3):
-        counts = [0] * 4
-        for w in enumerate_words(schottky2, n):
-            for i in range(4):
+        counts = [0] * letters
+        for w in enumerate_words(s, n):
+            for i in range(letters):
                 if a[w[-1]][i]:
                     counts[i] += 1
-        assert tuple(counts) == af_core_dims(schottky2, n)[n].blocks
+        assert tuple(counts) == af_core_dims(s, n)[n].blocks
 
 
 def test_af_triple_validation():
