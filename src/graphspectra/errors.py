@@ -68,6 +68,11 @@ class RequiresEvenTriple(GraphSpectraError):
     pass
 
 
+class NormNotConverged(GraphSpectraError):
+    """Lanczos iteration for an operator norm did not converge; the
+    witness is the operator's shape."""
+
+
 # buildings
 class PresentationInvalid(GraphSpectraError):
     pass

@@ -5,7 +5,9 @@ matrices as row-major 0/1 arrays with an optional index labeling (or as
 CSV rows of integers), SFTs as a matrix plus an optional involution pair
 list, and presentations as alphabet / lambda / words.  Reports are
 emitted with stable field ordering and every float rounded to 12
-significant digits, so identical inputs produce identical bytes.
+significant digits, so identical inputs produce identical bytes.  JSON
+output is strict RFC 8259: a non-finite float is written as the string
+"Infinity", "-Infinity" or "NaN".
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import csv
 import io as _stdio
 import json
+import math
 from pathlib import Path
 
 from .buildings import PolygonalPresentation, make_presentation
@@ -116,6 +119,18 @@ def round_floats(obj, significant: int = 12):
     return obj
 
 
+def _strict_json(obj):
+    """Non-finite floats replaced by their names, which JSON can carry only
+    as strings."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
+    if isinstance(obj, dict):
+        return {k: _strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_strict_json(v) for v in obj]
+    return obj
+
+
 def emit(report: dict, fmt: str, rows: list[dict] | None = None) -> bytes:
     """Render a report deterministically.
 
@@ -125,7 +140,11 @@ def emit(report: dict, fmt: str, rows: list[dict] | None = None) -> bytes:
     """
     report = round_floats(report)
     if fmt == "json":
-        return (json.dumps(report, indent=2) + "\n").encode()
+        try:
+            text = json.dumps(report, indent=2, allow_nan=False)
+        except ValueError:  # a non-finite float: write it by name
+            text = json.dumps(_strict_json(report), indent=2, allow_nan=False)
+        return (text + "\n").encode()
     if fmt == "csv":
         if rows is None:
             rows = _flatten_to_rows(report)

@@ -4,7 +4,10 @@ The central object is :class:`SpectralTruncation`: the span of cylinder
 indicators of length N+1 of an irreducible SFT, carrying
 
 * the grading operator D = sum_n n (P_n - P_{n-1}), where P_n projects
-  onto functions of the first n+1 coordinates;
+  onto functions of the first n+1 coordinates.  P_n = Q_n Q_n^T for the
+  prefix factor Q_n, a dim x #prefixes matrix with orthonormal columns
+  and nnz = dim; only the Q_n are stored, and D = N - sum_{n<N} P_n is
+  applied in O(N dim) per vector;
 * one partial isometry per letter, acting on mu^(1/2)-normalized
   cylinder indicators by prepending the letter with a conformal weight
   drawn from the Parry measure.
@@ -17,7 +20,9 @@ chop) that satisfy the defining relations
 exactly on levels <= N-1 of the truncation; their adjoints lower the
 level by one.  Commutators [D, S_i] are bounded because the conformal
 weight of a letter depends on finitely many leading coordinates (k_i of
-them), and their restricted norms stabilize once N >= k_i + 2.
+them), and their restricted norms stabilize once N >= k_i + 2.  The
+restricted commutator is a LinearOperator, and its norm comes from
+Lanczos on the normal operator.
 
 Cylinder indicators are normalized to unit vectors; commutator norms
 depend on this normalization choice.
@@ -43,6 +48,7 @@ from .errors import (
     EnumerationBudgetExceeded,
     InsufficientSpectrum,
     InvalidParameter,
+    NormNotConverged,
     RequiresEvenTriple,
     RequiresIrreducible,
     SummabilityViolation,
@@ -50,6 +56,7 @@ from .errors import (
 )
 from .shift import (
     ParryMeasure,
+    PerronData,
     SFTData,
     enumerate_words,
     filtration_dims,
@@ -58,73 +65,107 @@ from .shift import (
     word_count_vectors,
 )
 
-DENSE_NORM_CUTOFF = 1200
+# Largest side decomposed densely by spectral_norm; above it, Lanczos.
+# Timed per letter on truncation commutators: on shifts with few letters
+# Lanczos wins from dim ~150, on subdivided theta graphs (many letters,
+# mostly one successor) dense wins up to dim ~280, and there a wrong
+# branch costs once per letter of a large alphabet.
+DENSE_NORM_CUTOFF = 256
+# Lanczos vectors per ARPACK restart cycle.  Few, because the top singular
+# value is found in one or two short cycles: over the commutators of the
+# rank-2/3, theta and subdivided theta shifts, 6 took 1.3-3.3x fewer
+# operator applications than ARPACK's default of 20, at equal norms.
+LANCZOS_NCV = 6
+# Entries per identity chunk when an operator's Frobenius norm is summed.
+_FROBENIUS_CHUNK = 1 << 20
 
 
 def spectral_norm(mat) -> float:
-    """Largest singular value; dense decomposition below a size cutoff,
-    Lanczos on the normal operator above it."""
-    if sp.issparse(mat):
-        n, m = mat.shape
-        if max(n, m) <= DENSE_NORM_CUTOFF:
-            return _dense_norm(mat.toarray())
-        return _lanczos_norm(mat)
-    arr = np.asarray(mat, dtype=float)
-    if max(arr.shape) <= DENSE_NORM_CUTOFF:
-        return _dense_norm(arr)
-    return _lanczos_norm(sp.csr_matrix(arr))
+    """Largest singular value of an ndarray, sparse matrix or
+    LinearOperator: dense ``svdvals`` when no side exceeds
+    DENSE_NORM_CUTOFF, Lanczos on the normal operator otherwise."""
+    op = spla.aslinearoperator(mat)
+    if max(op.shape) <= DENSE_NORM_CUTOFF:
+        dense = op @ np.eye(op.shape[1])
+        return float(svdvals(dense)[0]) if dense.size else 0.0
+    return _lanczos_norm(op)
 
 
-def _dense_norm(arr: np.ndarray) -> float:
-    if arr.size == 0:
-        return 0.0
-    vals = svdvals(arr)
-    return float(vals[0]) if len(vals) else 0.0
+def _lanczos_norm(op) -> float:
+    """sqrt of the top eigenvalue of op^T op by ARPACK (eigsh, tol=0).
 
-
-def _lanczos_norm(mat) -> float:
-    csr = mat.tocsr()
-    csc = csr.tocsc()
-    gram = spla.LinearOperator(
-        shape=(csr.shape[1], csr.shape[1]),
-        matvec=lambda x: csc.T @ (csr @ x),
-        dtype=float,
-    )
+    The start vector is fixed, so equal operators give equal bits.  A
+    zero operator breaks ARPACK down (its Krylov space is empty); then
+    the certified bound ||op|| <= ||op||_F is returned, which is 0 for a
+    zero operator.  Raises NormNotConverged (witness: operator shape) if
+    the iteration does not converge.
+    """
+    n = op.shape[1]
+    gram = spla.LinearOperator((n, n), matvec=lambda x: op.rmatvec(op.matvec(x)),
+                               dtype=float)
     try:
-        vals = spla.eigsh(gram, k=1, which="LA", tol=0,
-                          maxiter=csr.shape[1] * 40,
+        vals = spla.eigsh(gram, k=1, which="LA", tol=0, ncv=LANCZOS_NCV,
+                          maxiter=n * 40,
+                          v0=np.random.default_rng(0).standard_normal(n),
                           return_eigenvectors=False)
-        return float(math.sqrt(max(vals[0], 0.0)))
-    except (spla.ArpackNoConvergence, RuntimeError):
-        return _dense_norm(csr.toarray())
+    except spla.ArpackNoConvergence:
+        raise NormNotConverged("Lanczos norm did not converge",
+                               witness=op.shape) from None
+    except spla.ArpackError:
+        return frobenius_norm(op)
+    return float(math.sqrt(max(vals[0], 0.0)))
 
 
 def frobenius_norm(mat) -> float:
+    """Frobenius norm of a sparse matrix, or of a LinearOperator from its
+    action on column chunks of the identity."""
     if sp.issparse(mat):
         return float(np.sqrt((mat.multiply(mat)).sum()))
-    return float(np.linalg.norm(np.asarray(mat)))
+    rows, cols = mat.shape
+    step = max(1, _FROBENIUS_CHUNK // max(rows, 1))
+    total = 0.0
+    for start in range(0, cols, step):
+        chunk = np.eye(cols, min(step, cols - start), -start)
+        total += float(np.square(mat @ chunk).sum())
+    return math.sqrt(total)
 
 
 class SpectralTruncation:
     """Level-N truncation of the cylinder representation of an SFT.
 
     Built through :func:`build_truncation`.  The orthonormal basis is
-    indexed by the admissible words of length N+1; coarser cylinders are
-    sums over their refinements.
+    indexed by the admissible words of length N+1 (``words``), in
+    lexicographic order, so each length-(n+1) prefix u owns a contiguous
+    block of basis vectors; coarser cylinders are sums over their
+    refinements.  The column of Q_n for u holds sqrt(mu(w) / mu(u)) on
+    u's block.  For each n < N only the block starts and these weights
+    are stored, O(N dim) in all, next to one sparse isometry
+    (nnz <= dim) per letter.  P_n X = Q_n (Q_n^T X) is a block sum and a
+    broadcast, and D = lambda_N - sum_{n<N} (lambda_{n+1} - lambda_n) P_n.
+    ``projection`` and ``grading_matrix`` assemble sparse reference
+    views on demand.  The hot path uses them only on a basis of at most
+    DENSE_NORM_CUTOFF vectors, where spectral_norm decomposes each
+    commutator densely: there P_{N-1} and the default D are assembled
+    once and held.
     """
 
     def __init__(self, sft: SFTData, level: int, words: list, mu: np.ndarray,
-                 isometries: list, projections: list, twist: tuple | None,
-                 perron):
+                 isometries: list, starts: list, weights: list,
+                 twist: tuple | None, perron: PerronData):
         self.sft = sft
         self.level = level
         self.words = words
         self.mu = mu
         self._isometries = isometries
-        self._projections = projections  # P_0 .. P_N (P_N = identity)
+        self._starts = starts  # block starts of the length-(n+1) prefixes
+        self._weights = weights  # column (dim, 1) of sqrt(mu / mu(prefix))
+        self._sizes = [np.diff(s, append=len(words)) for s in starts]
         self.twist = twist
         self.dimension = len(words)
         self._perron = perron
+        self._held = None
+        if self.dimension <= DENSE_NORM_CUTOFF:
+            self._held = (self.projection(level - 1), self.grading_matrix())
 
     def isometry(self, letter: int):
         return self._isometries[letter]
@@ -136,50 +177,94 @@ class SpectralTruncation:
             range(self.sft.alphabet_size))
         return self._isometries[sigma[letter]]
 
+    def prefix_factor(self, n: int):
+        """Q_n as a sparse dim x #prefixes matrix with orthonormal columns."""
+        sizes = self._sizes[n]
+        rows = np.arange(self.dimension)
+        cols = np.repeat(np.arange(len(sizes)), sizes)
+        return sp.csr_matrix((self._weights[n][:, 0], (rows, cols)),
+                             shape=(self.dimension, len(sizes)))
+
     def projection(self, n: int):
+        """P_n = Q_n Q_n^T as a sparse matrix (a reference view)."""
         if n < 0:
             return sp.csr_matrix((self.dimension, self.dimension))
-        return self._projections[min(n, self.level)]
+        if n >= self.level:
+            return sp.identity(self.dimension, format="csr")
+        q = self.prefix_factor(n)
+        return (q @ q.T).tocsr()
 
-    def level_projection(self, n: int):
-        """Orthogonal projection onto the new part of level n."""
-        return self.projection(n) - self.projection(n - 1)
-
-    def grading_matrix(self, eigenvalues=None):
-        """D = sum_n lambda_n (P_n - P_{n-1}); default schedule lambda_n = n."""
+    def _schedule(self, eigenvalues) -> list:
         if eigenvalues is None:
-            eigenvalues = list(range(self.level + 1))
+            return list(range(self.level + 1))
         if len(eigenvalues) != self.level + 1:
             raise InvalidParameter("need one eigenvalue per level",
                                    witness=len(eigenvalues))
-        d = sp.csr_matrix((self.dimension, self.dimension))
-        for n, lam in enumerate(eigenvalues):
-            if lam:
-                d = d + lam * self.level_projection(n)
+        return list(eigenvalues)
+
+    def grading_matrix(self, eigenvalues=None):
+        """D = sum_n lambda_n (P_n - P_{n-1}) as a sparse matrix (a reference
+        view); default schedule lambda_n = n."""
+        lam = self._schedule(eigenvalues)
+        d = lam[-1] * sp.identity(self.dimension, format="csr")
+        for n in range(self.level):
+            if lam[n + 1] != lam[n]:
+                d = d - (lam[n + 1] - lam[n]) * self.projection(n)
         return d
+
+    def _project(self, n: int, x: np.ndarray) -> np.ndarray:
+        """P_n x for a (dim, k) block x."""
+        g = self._weights[n]
+        sums = np.add.reduceat(g * x, self._starts[n], axis=0)
+        return g * np.repeat(sums, self._sizes[n], axis=0)
+
+    def _grading(self, eigenvalues):
+        """The map x -> D x on (dim, k) blocks."""
+        lam = self._schedule(eigenvalues)
+        if self._held is not None:
+            d = self._held[1] if eigenvalues is None else self.grading_matrix(lam)
+            return d.__matmul__
+        steps = [(n, lam[n + 1] - lam[n]) for n in range(self.level)
+                 if lam[n + 1] != lam[n]]
+
+        def grade(x):
+            out = lam[-1] * x
+            for n, step in steps:
+                out -= step * self._project(n, x)
+            return out
+        return grade
 
     def ck_residuals(self) -> dict:
         """Frobenius norms (upper bounds for the operator norm) of both
-        defining relations, compressed to levels <= N-1."""
-        p = self.projection(self.level - 1)
+        defining relations, compressed to levels <= N-1.
+
+        ||P X P||_F = ||Q^T X Q||_F for Q = Q_{N-1}, whose columns are
+        orthonormal, so the compression never forms P_{N-1}.
+        """
+        q = self.prefix_factor(self.level - 1)
+        qt = q.T.tocsr()
         eye = sp.identity(self.dimension, format="csr")
         ranges = [s @ s.T for s in self._isometries]
         total = sum(ranges)
-        unit = frobenius_norm(p @ (total - eye) @ p)
+        unit = frobenius_norm(qt @ (total - eye) @ q)
         per_letter = []
         for i, s in enumerate(self._isometries):
             rhs = sum(ranges[j] for j in self.sft.successors(i))
-            per_letter.append(frobenius_norm(p @ (s.T @ s - rhs) @ p))
+            per_letter.append(frobenius_norm(qt @ (s.T @ s - rhs) @ q))
         return {"unit_sum": unit, "range_relation": per_letter}
 
     def weight_depth(self, letter: int) -> int:
         """Number of leading coordinates the conformal weight of the letter
-        depends on (the stabilization level k_i); 1 for Parry weights."""
+        depends on (the stabilization level k_i); 1 for Parry weights.
+
+        The words of length depth+1 are the depth-level prefixes of the
+        basis, shared by every letter."""
         pm = ParryMeasure(self.sft, self._perron)
         for depth in range(1, self.level):
             ratios = {}
             stable = True
-            for w in enumerate_words(self.sft, depth + 1):
+            for start in self._starts[depth]:
+                w = self.words[start][:depth + 1]
                 if not self.sft.matrix[letter][w[0]]:
                     continue
                 ratio = pm.weight((letter,) + w) / pm.weight(w)
@@ -192,12 +277,29 @@ class SpectralTruncation:
                 return depth
         return self.level - 1
 
-    def commutator(self, letter: int, eigenvalues=None):
-        """[D, S_i] compressed to levels <= N-1."""
-        d = self.grading_matrix(eigenvalues)
+    def commutator(self, letter: int, eigenvalues=None) -> spla.LinearOperator:
+        """P_{N-1}(D S_i - S_i D)P_{N-1} as a LinearOperator (with adjoint)
+        acting on (dim, k) blocks."""
+        grade = self._grading(eigenvalues)
+        if self._held is not None:
+            top = self._held[0].__matmul__
+        else:
+            def top(x):
+                return self._project(self.level - 1, x)
         s = self._isometries[letter]
-        p = self.projection(self.level - 1)
-        return p @ (d @ s - s @ d) @ p
+        st = s.T.tocsr()
+
+        def forward(x):
+            y = top(x)
+            return top(grade(s @ y) - s @ grade(y))
+
+        def adjoint(x):
+            y = top(x)
+            return top(st @ grade(y) - grade(st @ y))
+        return spla.LinearOperator(
+            (self.dimension, self.dimension), dtype=float,
+            matvec=lambda x: forward(x.reshape(-1, 1)), matmat=forward,
+            rmatvec=lambda x: adjoint(x.reshape(-1, 1)), rmatmat=adjoint)
 
     def commutator_norm(self, letter: int, eigenvalues=None) -> tuple[float, int]:
         """Operator norm of the restricted commutator and the weight depth."""
@@ -206,8 +308,12 @@ class SpectralTruncation:
 
 
 def build_truncation(s: SFTData, level: int, twist: tuple | None = None,
-                     budget: int | None = None) -> SpectralTruncation:
-    """Assemble the level-N cylinder basis, projections and isometries."""
+                     budget: int | None = None,
+                     perron: PerronData | None = None) -> SpectralTruncation:
+    """Assemble the level-N cylinder basis, prefix factors and isometries.
+
+    ``perron`` is the SFT's Perron data when the caller already holds it.
+    """
     if level < 2:
         raise TruncationTooSmall("truncation level must be >= 2", witness=level)
     if twist is not None:
@@ -219,69 +325,50 @@ def build_truncation(s: SFTData, level: int, twist: tuple | None = None,
             raise InvalidParameter("twist must preserve the transition matrix",
                                    witness=twist)
         twist = tuple(twist)
-    perron = perron_data(s)
-    pm = ParryMeasure(s, perron)
+    if perron is None:
+        perron = perron_data(s)
     words = enumerate_words(s, level + 1, budget)
     dim = len(words)
     index = {w: i for i, w in enumerate(words)}
+    table = np.array(words)
     left = np.array(perron.left)
     right = np.array(perron.right)
     lam = perron.value
     norm = float(left @ right)
 
-    first = np.array([w[0] for w in words])
-    last = np.array([w[-1] for w in words])
-    second_last = np.array([w[-2] for w in words])
+    first = table[:, 0]
+    last = table[:, -1]
+    second_last = table[:, -2]
     mu = left[first] * right[last] * lam ** (-level) / norm
 
-    # orthogonal projections onto V_n, block per length-(n+1) prefix
-    projections = []
+    # lexicographic order: a prefix block starts where any of its letters changes
+    starts, weights = [], []
+    changed = np.zeros(dim, dtype=bool)
+    changed[0] = True
     for n in range(level):
-        plen = n + 1
-        rows_idx: list[np.ndarray] = []
-        cols_idx: list[np.ndarray] = []
-        vals: list[np.ndarray] = []
-        start = 0
-        while start < dim:
-            stop = start
-            prefix = words[start][:plen]
-            while stop < dim and words[stop][:plen] == prefix:
-                stop += 1
-            block = np.arange(start, stop)
-            g = np.sqrt(mu[block] / mu[block].sum())
-            outer = np.outer(g, g)
-            rr, cc = np.meshgrid(block, block, indexing="ij")
-            rows_idx.append(rr.ravel())
-            cols_idx.append(cc.ravel())
-            vals.append(outer.ravel())
-            start = stop
-        proj = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows_idx), np.concatenate(cols_idx))),
-            shape=(dim, dim)).tocsr()
-        projections.append(proj)
-    projections.append(sp.identity(dim, format="csr"))
+        changed[1:] |= table[1:, n] != table[:-1, n]
+        block = np.flatnonzero(changed)
+        block_mu = np.repeat(np.add.reduceat(mu, block),
+                             np.diff(block, append=dim))
+        starts.append(block)
+        weights.append(np.sqrt(mu / block_mu)[:, None])
 
     # On mu^(1/2)-normalized cylinders the conformal weight cancels the
     # measure ratio, so the raising isometry prepends the letter with
     # coefficient 1; compressing the top level to its length-(N+1) prefix
     # contributes sqrt(mu(iw) / mu(i w_0..w_{N-1})).
-    a = s.matrix
+    follows = np.array(s.matrix, dtype=bool)
     isometries = []
     for i in range(s.alphabet_size):
-        cols = np.nonzero([a[i][f] for f in first])[0]
-        rows = np.empty(len(cols), dtype=int)
-        vals = np.empty(len(cols))
+        cols = np.flatnonzero(follows[i][first])
+        rows = [index[(i,) + words[c][:-1]] for c in cols]
         li = left[i]
-        for pos, c in enumerate(cols):
-            w = words[c]
-            target = (i,) + w[:-1]
-            rows[pos] = index[target]
-            mu_iw = li * right[last[c]] * lam ** (-(level + 1)) / norm
-            mu_tgt = li * right[second_last[c]] * lam ** (-level) / norm
-            vals[pos] = math.sqrt(mu_iw / mu_tgt)
-        isometries.append(sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim)))
+        mu_iw = li * right[last[cols]] * lam ** (-(level + 1)) / norm
+        mu_tgt = li * right[second_last[cols]] * lam ** (-level) / norm
+        isometries.append(sp.csr_matrix((np.sqrt(mu_iw / mu_tgt), (rows, cols)),
+                                        shape=(dim, dim)))
 
-    return SpectralTruncation(s, level, words, mu, isometries, projections,
+    return SpectralTruncation(s, level, words, mu, isometries, starts, weights,
                               twist, perron)
 
 
@@ -312,11 +399,14 @@ class GradingOperator:
         return len(self.new_dims)
 
 
-def grading_from_sft(s: SFTData, max_level: int) -> GradingOperator:
+def grading_from_sft(s: SFTData, max_level: int,
+                     perron: PerronData | None = None) -> GradingOperator:
     """Grading of the cylinder filtration, lambda_n = n, with a certified
-    geometric bound on the eigenspace dimensions."""
+    geometric bound on the eigenspace dimensions; ``perron`` is the SFT's
+    Perron data when the caller already holds it."""
     dims = filtration_dims(s, max_level).new_dims()
-    perron = perron_data(s)
+    if perron is None:
+        perron = perron_data(s)
     r = np.array(perron.right)
     a = np.array(s.matrix, dtype=float)
     rho = perron.value * (1 + 1e-9)

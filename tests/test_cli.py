@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from graphspectra import graphs, shift, triples
 from graphspectra.cli import execute, main, parse_invocation, render_plan
 from graphspectra.io import emit
 
@@ -225,3 +226,60 @@ def test_spectra_heat_trace_past_float_range(capsysbinary):
     assert code == 2 and captured.err == b""
     assert json.loads(captured.out)["error"] == {"code": "InvalidParameter",
                                                  "witness": "1e-05"}
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_spectra_json_is_strict_when_the_tail_diverges(capsysbinary):
+    code, out = run_cli(["spectra", "--genus", "2", "--levels", "3", "--t", "0.001"],
+                        capsysbinary)
+    assert code == 0
+    theta = json.loads(out, parse_constant=_reject_constant)["theta"]
+    assert theta["tail_bound"] == "Infinity"
+
+
+def test_emit_names_every_non_finite_float():
+    out = emit({"values": [float("inf"), float("-inf"), float("nan"), 1.5]}, "json")
+    assert json.loads(out, parse_constant=_reject_constant) == {
+        "values": ["Infinity", "-Infinity", "NaN", 1.5]}
+
+
+def _count_calls(monkeypatch, name, *modules) -> list:
+    """Record every call of shift.<name>, as seen from each module."""
+    calls = []
+    fn = getattr(shift, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_spectra_computes_perron_data_once(monkeypatch, capsysbinary):
+    calls = _count_calls(monkeypatch, "perron_data", shift, triples)
+    code, _ = run_cli(["spectra", "--genus", "2", "--levels", "3",
+                       "--t", "0.01,0.05,0.2,1.0"], capsysbinary)
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_spectra_word_enumerations_do_not_grow_with_the_alphabet(
+        tmp_path, monkeypatch, capsysbinary):
+    calls = _count_calls(monkeypatch, "enumerate_words", shift, triples)
+    counts = {}
+    for r in (1, 5):
+        em = graphs.directed_edge_matrix(graphs.kato_graph(r))
+        path = tmp_path / f"kato{r}.json"
+        path.write_text(json.dumps({"matrix": [list(row) for row in em.matrix],
+                                    "labels": list(em.labels)}))
+        before = len(calls)
+        code, _ = run_cli(["spectra", "--matrix", str(path), "--levels", "6"],
+                          capsysbinary)
+        assert code == 0
+        counts[em.size] = len(calls) - before
+    assert sorted(counts) == [24, 72]
+    assert counts[72] == counts[24]

@@ -2,16 +2,30 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graphspectra import triples
 from graphspectra.errors import (
     InsufficientSpectrum,
     InvalidParameter,
+    NormNotConverged,
     RequiresEvenTriple,
     SummabilityViolation,
     TruncationTooSmall,
 )
-from graphspectra.shift import SFTData, enumerate_words, full_schottky_sft
+from graphspectra.graphs import directed_edge_matrix, genus2_catalog
+from graphspectra.shift import (
+    SFTData,
+    alphabet_automorphisms,
+    enumerate_words,
+    from_edge_matrix,
+    full_schottky_sft,
+)
 from graphspectra.triples import (
+    DENSE_NORM_CUTOFF,
     AFTriple,
     CrossedProductTriple,
     EvenBlock,
@@ -64,6 +78,116 @@ def test_projections_are_nested_orthogonal(schottky2):
         q = t.projection(n + 1)
         assert abs((p @ p - p)).max() < 1e-12
         assert abs((q @ p - p)).max() < 1e-12
+
+
+def reference_projection(t, n):
+    """P_n assembled block by block from the basis words and measure: one
+    dense block sqrt(mu_a mu_b) / mu(prefix) per length-(n+1) prefix."""
+    if n >= t.level:
+        return sp.identity(t.dimension, format="csr")
+    blocks: dict = {}
+    for k, w in enumerate(t.words):
+        blocks.setdefault(w[:n + 1], []).append(k)
+    rows, cols, vals = [], [], []
+    for block in blocks.values():
+        g = np.sqrt(t.mu[block] / t.mu[block].sum())
+        rows.extend(np.repeat(block, len(block)))
+        cols.extend(np.tile(block, len(block)))
+        vals.extend(np.outer(g, g).ravel())
+    return sp.csr_matrix((vals, (rows, cols)), shape=(t.dimension, t.dimension))
+
+
+def reference_grading(t, eigenvalues):
+    d = sp.csr_matrix((t.dimension, t.dimension))
+    previous = sp.csr_matrix((t.dimension, t.dimension))
+    for n, lam in enumerate(eigenvalues):
+        current = reference_projection(t, n)
+        d = d + lam * (current - previous)
+        previous = current
+    return d
+
+
+def reference_ck_residuals(t):
+    p = reference_projection(t, t.level - 1)
+    isometries = [t.isometry(i) for i in range(t.sft.alphabet_size)]
+    ranges = [s @ s.T for s in isometries]
+    unit = sum(ranges) - sp.identity(t.dimension)
+    per_letter = [s.T @ s - sum(ranges[j] for j in t.sft.successors(i))
+                  for i, s in enumerate(isometries)]
+    return [sp.linalg.norm(p @ x @ p) for x in (unit, *per_letter)]
+
+
+AGREEMENT_SHIFTS = {
+    "schottky2": full_schottky_sft(2),
+    "theta": from_edge_matrix(directed_edge_matrix(genus2_catalog()[1])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AGREEMENT_SHIFTS))
+@pytest.mark.parametrize("level", [2, 3, 4])  # schottky2 N=4: past the dense cutoff
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_factored_truncation_matches_assembled(name, level, data):
+    s = AGREEMENT_SHIFTS[name]
+    twist = data.draw(st.sampled_from([None, *alphabet_automorphisms(s)]))
+    letter = data.draw(st.integers(0, s.alphabet_size - 1))
+    schedule = data.draw(st.lists(st.floats(-4, 4), min_size=level + 1,
+                                  max_size=level + 1))
+    t = build_truncation(s, level, twist=twist)
+    for n in range(level + 1):
+        assert abs(t.projection(n) - reference_projection(t, n)).max() < 1e-15
+    p = reference_projection(t, level - 1)
+    d = reference_grading(t, schedule)
+    s_hat = t.twisted_isometry(letter)
+    assembled = (p @ (d @ s_hat - s_hat @ d) @ p).toarray()
+    image = letter if twist is None else twist[letter]
+    op = t.commutator(image, schedule)
+    eye = np.eye(t.dimension)
+    assert np.abs(op @ eye - assembled).max() < 1e-12
+    assert np.abs(op.rmatmat(eye) - assembled.T).max() < 1e-12
+    assert spectral_norm(op) == pytest.approx(np.linalg.norm(assembled, 2),
+                                              rel=1e-12, abs=1e-12)
+    res = t.ck_residuals()
+    assert [res["unit_sum"], *res["range_relation"]] == pytest.approx(
+        reference_ck_residuals(t), abs=1e-12)
+
+
+def test_zero_schedule_on_the_lanczos_branch_is_exactly_zero(schottky2):
+    t = build_truncation(schottky2, 5)
+    assert t.dimension > DENSE_NORM_CUTOFF
+    norm, _ = t.commutator_norm(0, eigenvalues=[0] * 6)
+    assert norm == 0.0
+
+
+def test_truncation_stores_order_n_dim_entries(schottky2):
+    """Prefix factors, isometries and words only: no dim x dim projection."""
+    t = build_truncation(schottky2, 7)
+    dim, level = t.dimension, t.level
+
+    def entries(value):
+        if isinstance(value, np.ndarray):
+            assert value.size <= (level + 1) * dim
+            return value.size
+        if sp.issparse(value):
+            assert value.nnz <= dim
+            return value.nnz
+        if isinstance(value, (list, tuple)):
+            return sum(entries(v) for v in value)
+        return 1
+
+    assert dim == 8748
+    assert sum(entries(v) for v in vars(t).values()) <= 4 * (level + 1) * dim
+
+
+def test_lanczos_non_convergence_is_a_documented_error(monkeypatch):
+    def stalled(*args, **kwargs):
+        raise spla.ArpackNoConvergence("stalled", [], [])
+    monkeypatch.setattr(triples.spla, "eigsh", stalled)
+    m = np.random.default_rng(3).normal(size=(DENSE_NORM_CUTOFF + 1, 8))
+    with pytest.raises(NormNotConverged) as err:
+        spectral_norm(m)
+    assert err.value.code == "NormNotConverged"
+    assert err.value.witness == (DENSE_NORM_CUTOFF + 1, 8)
 
 
 def test_identity_twist_is_noop(schottky2):
