@@ -140,10 +140,7 @@ def emit(report: dict, fmt: str, rows: list[dict] | None = None) -> bytes:
     """
     report = round_floats(report)
     if fmt == "json":
-        try:
-            text = json.dumps(report, indent=2, allow_nan=False)
-        except ValueError:  # a non-finite float: write it by name
-            text = json.dumps(_strict_json(report), indent=2, allow_nan=False)
+        text = json.dumps(_strict_json(report), indent=2, allow_nan=False)
         return (text + "\n").encode()
     if fmt == "csv":
         if rows is None:

@@ -65,40 +65,42 @@ from .shift import (
     word_count_vectors,
 )
 
-# Largest side decomposed densely by spectral_norm; above it, Lanczos.
-# Timed per letter on truncation commutators: on shifts with few letters
-# Lanczos wins from dim ~150, on subdivided theta graphs (many letters,
-# mostly one successor) dense wins up to dim ~280, and there a wrong
-# branch costs once per letter of a large alphabet.
+# Largest smaller side decomposed densely by spectral_norm; above it,
+# Lanczos.  Timed per letter on truncation commutators: on shifts with few
+# letters Lanczos wins from dim ~150, on subdivided theta graphs (many
+# letters, mostly one successor) dense wins up to dim ~280, and there a
+# wrong branch costs once per letter of a large alphabet.
 DENSE_NORM_CUTOFF = 256
 # Lanczos vectors per ARPACK restart cycle.  Few, because the top singular
 # value is found in one or two short cycles: over the commutators of the
 # rank-2/3, theta and subdivided theta shifts, 6 took 1.3-3.3x fewer
 # operator applications than ARPACK's default of 20, at equal norms.
 LANCZOS_NCV = 6
-# Entries per identity chunk when an operator's Frobenius norm is summed.
-_FROBENIUS_CHUNK = 1 << 20
 
 
 def spectral_norm(mat) -> float:
     """Largest singular value of an ndarray, sparse matrix or
-    LinearOperator: dense ``svdvals`` when no side exceeds
-    DENSE_NORM_CUTOFF, Lanczos on the normal operator otherwise."""
+    LinearOperator, taken on its smaller side n (through the adjoint of a
+    wide operator): dense ``svdvals`` of its n columns when n <=
+    DENSE_NORM_CUTOFF, Lanczos on the n x n normal operator otherwise."""
     op = spla.aslinearoperator(mat)
-    if max(op.shape) <= DENSE_NORM_CUTOFF:
-        dense = op @ np.eye(op.shape[1])
+    tall = op if op.shape[0] >= op.shape[1] else op.H
+    n = tall.shape[1]
+    if n <= DENSE_NORM_CUTOFF:
+        dense = tall @ np.eye(n)
         return float(svdvals(dense)[0]) if dense.size else 0.0
-    return _lanczos_norm(op)
+    return _lanczos_norm(tall, witness=op.shape)
 
 
-def _lanczos_norm(op) -> float:
+def _lanczos_norm(op, witness) -> float:
     """sqrt of the top eigenvalue of op^T op by ARPACK (eigsh, tol=0).
 
-    The start vector is fixed, so equal operators give equal bits.  A
-    zero operator breaks ARPACK down (its Krylov space is empty); then
-    the certified bound ||op|| <= ||op||_F is returned, which is 0 for a
-    zero operator.  Raises NormNotConverged (witness: operator shape) if
-    the iteration does not converge.
+    The start vector is fixed, so equal operators give equal bits.
+    ARPACK breaks down when the range of op is tiny (a zero operator, or a
+    commutator that is zero up to round-off); then the norm is taken on
+    that range by _small_range_norm.  Raises NormNotConverged (with the
+    given witness, the operator's shape) if the iteration does not
+    converge.
     """
     n = op.shape[1]
     gram = spla.LinearOperator((n, n), matvec=lambda x: op.rmatvec(op.matvec(x)),
@@ -110,24 +112,33 @@ def _lanczos_norm(op) -> float:
                           return_eigenvectors=False)
     except spla.ArpackNoConvergence:
         raise NormNotConverged("Lanczos norm did not converge",
-                               witness=op.shape) from None
+                               witness=witness) from None
     except spla.ArpackError:
-        return frobenius_norm(op)
+        return _small_range_norm(op, witness)
     return float(math.sqrt(max(vals[0], 0.0)))
 
 
+def _small_range_norm(op, witness) -> float:
+    """Norm of an operator whose range has dimension below LANCZOS_NCV.
+
+    The image Y of LANCZOS_NCV seeded Gaussian vectors then has numerical
+    rank r < LANCZOS_NCV and spans the whole range (almost surely), so
+    ||op|| = ||op^T U|| for the r leading left singular vectors U of Y; a
+    zero operator gives exactly 0.0.  If Y has full rank the range is not
+    small, and NormNotConverged is raised.
+    """
+    y = op @ np.random.default_rng(0).standard_normal((op.shape[1], LANCZOS_NCV))
+    u, s, _ = np.linalg.svd(y, full_matrices=False)
+    rank = int(np.count_nonzero(s > s[0] * max(y.shape) * np.finfo(float).eps))
+    if rank == LANCZOS_NCV:
+        raise NormNotConverged("Lanczos norm broke down", witness=witness)
+    return float(svdvals(op.H @ u[:, :rank])[0]) if rank else 0.0
+
+
 def frobenius_norm(mat) -> float:
-    """Frobenius norm of a sparse matrix, or of a LinearOperator from its
-    action on column chunks of the identity."""
     if sp.issparse(mat):
         return float(np.sqrt((mat.multiply(mat)).sum()))
-    rows, cols = mat.shape
-    step = max(1, _FROBENIUS_CHUNK // max(rows, 1))
-    total = 0.0
-    for start in range(0, cols, step):
-        chunk = np.eye(cols, min(step, cols - start), -start)
-        total += float(np.square(mat @ chunk).sum())
-    return math.sqrt(total)
+    return float(np.linalg.norm(np.asarray(mat)))
 
 
 class SpectralTruncation:

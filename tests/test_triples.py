@@ -183,11 +183,39 @@ def test_lanczos_non_convergence_is_a_documented_error(monkeypatch):
     def stalled(*args, **kwargs):
         raise spla.ArpackNoConvergence("stalled", [], [])
     monkeypatch.setattr(triples.spla, "eigsh", stalled)
-    m = np.random.default_rng(3).normal(size=(DENSE_NORM_CUTOFF + 1, 8))
+    shape = (DENSE_NORM_CUTOFF + 1, DENSE_NORM_CUTOFF + 8)
+    m = np.random.default_rng(3).normal(size=shape)
     with pytest.raises(NormNotConverged) as err:
         spectral_norm(m)
     assert err.value.code == "NormNotConverged"
-    assert err.value.witness == (DENSE_NORM_CUTOFF + 1, 8)
+    assert err.value.witness == shape
+
+
+@pytest.mark.parametrize("shape", [
+    (DENSE_NORM_CUTOFF + 1, 1), (DENSE_NORM_CUTOFF + 1, 3),
+    (3, DENSE_NORM_CUTOFF + 1),
+    (DENSE_NORM_CUTOFF + 40, DENSE_NORM_CUTOFF + 1),
+    (DENSE_NORM_CUTOFF + 1, DENSE_NORM_CUTOFF + 40),
+], ids=["column", "tall-skinny", "wide-skinny", "tall", "wide"])
+def test_spectral_norm_of_non_square_input(shape):
+    m = np.random.default_rng(5).normal(size=shape)
+    expected = np.linalg.norm(m, 2)
+    for form in (m, sp.csr_matrix(m), spla.aslinearoperator(m)):
+        assert spectral_norm(form) == pytest.approx(expected, rel=1e-12)
+
+
+def test_arpack_breakdown_takes_the_norm_on_the_small_range(monkeypatch):
+    def broken(*args, **kwargs):
+        raise spla.ArpackError(-9)
+    monkeypatch.setattr(triples.spla, "eigsh", broken)
+    n = DENSE_NORM_CUTOFF + 1
+    m = np.zeros((n, n))
+    m[10, 20], m[11, 21] = 3.0, 4.0  # Frobenius bound 5, norm 4
+    assert spectral_norm(m) == pytest.approx(4.0, rel=1e-12)
+    assert spectral_norm(np.zeros((n, n))) == 0.0
+    with pytest.raises(NormNotConverged) as err:
+        spectral_norm(np.random.default_rng(3).normal(size=(n, n)))
+    assert err.value.witness == (n, n)
 
 
 def test_identity_twist_is_noop(schottky2):
