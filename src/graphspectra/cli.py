@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from . import buildings, graphs, io, ktheory, shift, triples
-from .errors import GraphSpectraError, UsageError
+from .errors import GraphSpectraError, InvalidInput, UsageError
 
 TRACE_TAIL_TOL = 1e-12
 
@@ -103,6 +103,16 @@ def parse_invocation(argv) -> RunPlan:
                if k not in ("subcommand", "format", "out")
                and v is not None and v is not False}
     return RunPlan(ns.subcommand, tuple(sorted(options.items())), ns.format, ns.out)
+
+
+def _number_list(plan: RunPlan, key: str, kind, default=None) -> list:
+    """A comma-separated option value as a list of ``kind`` numbers."""
+    raw = str(plan.option(key, default))
+    try:
+        return [kind(x) for x in raw.split(",")]
+    except ValueError:
+        raise InvalidInput(f"--{key} must list {kind.__name__} values separated "
+                           "by commas", witness=raw) from None
 
 
 def render_plan(plan: RunPlan) -> list[str]:
@@ -195,10 +205,9 @@ def _run_ktheory(plan: RunPlan):
 def _run_spectra(plan: RunPlan):
     s = _sft_from_options(plan)
     levels = int(plan.option("levels", 6))
-    ts = [float(x) for x in str(plan.option("t", "1.0")).split(",")]
+    ts = _number_list(plan, "t", float, "1.0")
     zeta_s = float(plan.option("s", 2.0))
-    twist = plan.option("twist")
-    twist = tuple(int(x) for x in twist.split(",")) if twist else None
+    twist = tuple(_number_list(plan, "twist", int)) if plan.option("twist") else None
 
     perron = shift.perron_data(s)
     trunc = triples.build_truncation(s, levels, twist=twist, perron=perron)
@@ -322,7 +331,7 @@ def _run_building(plan: RunPlan):
 
 
 def _run_tau(plan: RunPlan):
-    weights = [int(x) for x in str(plan.option("weights")).split(",")]
+    weights = _number_list(plan, "weights", int)
     x = buildings.solve_tau(weights)
     report = {"x": x, "residual": abs(buildings.tau_lhs(weights, x) - 2)}
     return report, [report]

@@ -102,6 +102,12 @@ class InvalidTable(GraphSpectraError):
     pass
 
 
+# io, cli options, environment
+class InvalidInput(GraphSpectraError):
+    """A file, option value or environment variable that does not parse:
+    unreadable, not JSON, missing a field, or a non-numeric cell."""
+
+
 # cli
 class UsageError(GraphSpectraError):
     pass

@@ -7,7 +7,8 @@ list, and presentations as alphabet / lambda / words.  Reports are
 emitted with stable field ordering and every float rounded to 12
 significant digits, so identical inputs produce identical bytes.  JSON
 output is strict RFC 8259: a non-finite float is written as the string
-"Infinity", "-Infinity" or "NaN".
+"Infinity", "-Infinity" or "NaN".  A file that cannot be read or parsed
+raises InvalidInput.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from pathlib import Path
 
 from .buildings import PolygonalPresentation, make_presentation
-from .errors import UsageError
+from .errors import InvalidInput, UsageError
 from .graphs import EdgeMatrix, FiniteGraph
 from .ktheory import AbelianGroup
 from .shift import SFTData
@@ -27,8 +28,8 @@ from .shift import SFTData
 
 def load_graph(source) -> FiniteGraph:
     data = _load_json(source)
-    edges = tuple((e["id"], e["src"], e["dst"]) for e in data["edges"])
-    return FiniteGraph(tuple(data["vertices"]), edges)
+    edges = tuple((e["id"], e["src"], e["dst"]) for e in _field(data, "edges"))
+    return FiniteGraph(tuple(_field(data, "vertices")), edges)
 
 
 def graph_to_dict(g: FiniteGraph) -> dict:
@@ -47,12 +48,11 @@ def load_matrix_rows(source) -> tuple:
     optional}) or CSV rows of integers; no shape validation."""
     path = Path(source) if not isinstance(source, dict) else None
     if path is not None and path.suffix.lower() == ".csv":
-        with open(path, newline="") as handle:
-            rows = tuple(tuple(int(x) for x in row)
-                         for row in csv.reader(handle) if row)
+        reader = csv.reader(_stdio.StringIO(_read(path), newline=""))
+        rows = _int_rows(row for row in reader if row)
         return rows, tuple(str(i) for i in range(len(rows)))
     data = _load_json(source)
-    rows = tuple(tuple(int(x) for x in row) for row in data["matrix"])
+    rows = _int_rows(_field(data, "matrix"))
     labels = tuple(data.get("labels") or [str(i) for i in range(len(rows))])
     return rows, labels
 
@@ -65,12 +65,17 @@ def load_matrix(source) -> EdgeMatrix:
 
 def load_sft(source) -> SFTData:
     data = _load_json(source)
-    rows = tuple(tuple(int(x) for x in row) for row in data["matrix"])
+    rows = _int_rows(_field(data, "matrix"))
     labels = tuple(data.get("labels") or [str(i) for i in range(len(rows))])
     involution = None
     if data.get("involution"):
         involution = [None] * len(rows)
-        for i, j in data["involution"]:
+        for pair in data["involution"]:
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(
+                    type(k) is int and 0 <= k < len(rows) for k in pair)):
+                raise InvalidInput("involution pairs must be two letter indices",
+                                   witness=pair)
+            i, j = pair
             involution[i] = j
             involution[j] = i
         involution = tuple(involution)
@@ -88,9 +93,9 @@ def presentation_to_dict(p: PolygonalPresentation) -> dict:
 def load_presentation(source) -> PolygonalPresentation:
     data = _load_json(source)
     return make_presentation(
-        tuple(data["alphabet"]),
-        tuple((a, b) for a, b in data["lambda"]),
-        [tuple(w) for w in data["words"]],
+        tuple(_field(data, "alphabet")),
+        tuple((a, b) for a, b in _field(data, "lambda")),
+        [tuple(w) for w in _field(data, "words")],
     )
 
 
@@ -101,11 +106,42 @@ def k_theory_to_dict(k0: AbelianGroup, k1: AbelianGroup) -> dict:
     }
 
 
-def _load_json(source):
+def _read(path) -> str:
+    try:
+        with open(path, newline="") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInput(f"cannot read {path}: {exc}", witness=str(path)) from None
+
+
+def _load_json(source) -> dict:
     if isinstance(source, dict):
         return source
-    with open(source) as handle:
-        return json.load(handle)
+    try:
+        data = json.loads(_read(source))
+    except ValueError as exc:
+        raise InvalidInput(f"{source} is not JSON: {exc}", witness=str(source)) from None
+    if not isinstance(data, dict):
+        raise InvalidInput(f"{source} must hold a JSON object", witness=str(source))
+    return data
+
+
+def _field(data: dict, key: str):
+    if key not in data:
+        raise InvalidInput(f"missing field {key!r}", witness=key)
+    return data[key]
+
+
+def _int_rows(rows) -> tuple:
+    """Rows of integers; a row that is not a list of integers is
+    InvalidInput with the row as witness."""
+    out = []
+    for row in rows:
+        try:
+            out.append(tuple(int(x) for x in row))
+        except (TypeError, ValueError):
+            raise InvalidInput("matrix rows must hold integers", witness=row) from None
+    return tuple(out)
 
 
 def round_floats(obj, significant: int = 12):

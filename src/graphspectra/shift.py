@@ -34,6 +34,7 @@ from itertools import islice, permutations
 
 from .errors import (
     EnumerationBudgetExceeded,
+    InvalidInput,
     InvalidTransitionMatrix,
     NotAdmissible,
     RequiresIrreducible,
@@ -47,7 +48,12 @@ BUDGET_ENV_VAR = "GRAPHSPECTRA_WORD_BUDGET"
 
 def word_budget() -> int:
     raw = os.environ.get(BUDGET_ENV_VAR)
-    return int(raw) if raw else DEFAULT_WORD_BUDGET
+    if not raw:
+        return DEFAULT_WORD_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidInput(f"{BUDGET_ENV_VAR} must be an integer", witness=raw) from None
 
 
 @dataclass(frozen=True)

@@ -32,17 +32,18 @@ sums with certified geometric tail bounds, zeta-type partial sums with a
 divergence diagnosis, eigenvalue schedules for filtered AF algebras with
 the termwise summability comparison, and the folded spectrum of the
 crossed product by Z with its counting-function slope fit.
+
+numpy and scipy are imported inside the functions that compute with
+them, so that importing the package loads neither: the truncation and
+the Perron-data grading load both, the slope fit loads numpy only, and
+the other dimension-sequence functions load neither.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import svdvals
+from itertools import accumulate
 
 from .errors import (
     EnumerationBudgetExceeded,
@@ -83,6 +84,10 @@ def spectral_norm(mat) -> float:
     LinearOperator, taken on its smaller side n (through the adjoint of a
     wide operator): dense ``svdvals`` of its n columns when n <=
     DENSE_NORM_CUTOFF, Lanczos on the n x n normal operator otherwise."""
+    import numpy as np
+    import scipy.sparse.linalg as spla
+    from scipy.linalg import svdvals
+
     op = spla.aslinearoperator(mat)
     tall = op if op.shape[0] >= op.shape[1] else op.H
     n = tall.shape[1]
@@ -102,6 +107,9 @@ def _lanczos_norm(op, witness) -> float:
     given witness, the operator's shape) if the iteration does not
     converge.
     """
+    import numpy as np
+    import scipy.sparse.linalg as spla
+
     n = op.shape[1]
     gram = spla.LinearOperator((n, n), matvec=lambda x: op.rmatvec(op.matvec(x)),
                                dtype=float)
@@ -127,6 +135,9 @@ def _small_range_norm(op, witness) -> float:
     zero operator gives exactly 0.0.  If Y has full rank the range is not
     small, and NormNotConverged is raised.
     """
+    import numpy as np
+    from scipy.linalg import svdvals
+
     y = op @ np.random.default_rng(0).standard_normal((op.shape[1], LANCZOS_NCV))
     u, s, _ = np.linalg.svd(y, full_matrices=False)
     rank = int(np.count_nonzero(s > s[0] * max(y.shape) * np.finfo(float).eps))
@@ -136,6 +147,9 @@ def _small_range_norm(op, witness) -> float:
 
 
 def frobenius_norm(mat) -> float:
+    import numpy as np
+    import scipy.sparse as sp
+
     if sp.issparse(mat):
         return float(np.sqrt((mat.multiply(mat)).sum()))
     return float(np.linalg.norm(np.asarray(mat)))
@@ -163,6 +177,8 @@ class SpectralTruncation:
     def __init__(self, sft: SFTData, level: int, words: list, mu: np.ndarray,
                  isometries: list, starts: list, weights: list,
                  twist: tuple | None, perron: PerronData):
+        import numpy as np
+
         self.sft = sft
         self.level = level
         self.words = words
@@ -190,6 +206,9 @@ class SpectralTruncation:
 
     def prefix_factor(self, n: int):
         """Q_n as a sparse dim x #prefixes matrix with orthonormal columns."""
+        import numpy as np
+        import scipy.sparse as sp
+
         sizes = self._sizes[n]
         rows = np.arange(self.dimension)
         cols = np.repeat(np.arange(len(sizes)), sizes)
@@ -198,6 +217,8 @@ class SpectralTruncation:
 
     def projection(self, n: int):
         """P_n = Q_n Q_n^T as a sparse matrix (a reference view)."""
+        import scipy.sparse as sp
+
         if n < 0:
             return sp.csr_matrix((self.dimension, self.dimension))
         if n >= self.level:
@@ -216,6 +237,8 @@ class SpectralTruncation:
     def grading_matrix(self, eigenvalues=None):
         """D = sum_n lambda_n (P_n - P_{n-1}) as a sparse matrix (a reference
         view); default schedule lambda_n = n."""
+        import scipy.sparse as sp
+
         lam = self._schedule(eigenvalues)
         d = lam[-1] * sp.identity(self.dimension, format="csr")
         for n in range(self.level):
@@ -225,6 +248,8 @@ class SpectralTruncation:
 
     def _project(self, n: int, x: np.ndarray) -> np.ndarray:
         """P_n x for a (dim, k) block x."""
+        import numpy as np
+
         g = self._weights[n]
         sums = np.add.reduceat(g * x, self._starts[n], axis=0)
         return g * np.repeat(sums, self._sizes[n], axis=0)
@@ -252,6 +277,8 @@ class SpectralTruncation:
         ||P X P||_F = ||Q^T X Q||_F for Q = Q_{N-1}, whose columns are
         orthonormal, so the compression never forms P_{N-1}.
         """
+        import scipy.sparse as sp
+
         q = self.prefix_factor(self.level - 1)
         qt = q.T.tocsr()
         eye = sp.identity(self.dimension, format="csr")
@@ -291,6 +318,8 @@ class SpectralTruncation:
     def commutator(self, letter: int, eigenvalues=None) -> spla.LinearOperator:
         """P_{N-1}(D S_i - S_i D)P_{N-1} as a LinearOperator (with adjoint)
         acting on (dim, k) blocks."""
+        import scipy.sparse.linalg as spla
+
         grade = self._grading(eigenvalues)
         if self._held is not None:
             top = self._held[0].__matmul__
@@ -325,6 +354,9 @@ def build_truncation(s: SFTData, level: int, twist: tuple | None = None,
 
     ``perron`` is the SFT's Perron data when the caller already holds it.
     """
+    import numpy as np
+    import scipy.sparse as sp
+
     if level < 2:
         raise TruncationTooSmall("truncation level must be >= 2", witness=level)
     if twist is not None:
@@ -415,6 +447,8 @@ def grading_from_sft(s: SFTData, max_level: int,
     """Grading of the cylinder filtration, lambda_n = n, with a certified
     geometric bound on the eigenspace dimensions; ``perron`` is the SFT's
     Perron data when the caller already holds it."""
+    import numpy as np
+
     dims = filtration_dims(s, max_level).new_dims()
     if perron is None:
         perron = perron_data(s)
@@ -626,8 +660,8 @@ def af_summability_report(a: AFTriple) -> AFSummabilityReport:
         prev = d
         terms.append((1 + abs(lam) ** 2) ** (-a.p / 2) * mult)
         majorants.append(float(n) ** (1 - a.p * a.q))
-    partials = tuple(np.cumsum(terms).tolist())
-    majorant_partials = tuple(np.cumsum(majorants).tolist())
+    partials = tuple(accumulate(terms))
+    majorant_partials = tuple(accumulate(majorants))
     return AFSummabilityReport(a.p, a.q, tuple(terms), partials,
                                tuple(majorants), majorant_partials)
 
@@ -683,6 +717,8 @@ def summability_exponent_fit(spectrum, min_distinct: int = 50) -> SlopeFit:
     quartiles of the distinct positive values; the slope estimates the
     summability degree.
     """
+    import numpy as np
+
     pairs: dict = {}
     for item in spectrum:
         v, m = item if isinstance(item, tuple) else (item, 1)

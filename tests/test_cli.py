@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ from graphspectra.io import emit
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parents[1] / "src"
 
 
 def run_cli(argv, capsysbinary):
@@ -283,3 +287,84 @@ def test_spectra_word_enumerations_do_not_grow_with_the_alphabet(
         counts[em.size] = len(calls) - before
     assert sorted(counts) == [24, 72]
     assert counts[72] == counts[24]
+
+
+# Runs the CLI on argv[2:] (or only imports it when there are none) and
+# writes the numpy/scipy top-level modules loaded by then to argv[1].
+_PROBE = """
+import json, sys
+import graphspectra.cli
+code = graphspectra.cli.main(sys.argv[2:]) if sys.argv[2:] else 0
+with open(sys.argv[1], "w") as handle:
+    json.dump(sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"}),
+              handle)
+sys.exit(code)
+"""
+
+
+def _fresh_run(tmp_path, argv, env=None):
+    """(exit code, stdout, stderr, loaded numpy/scipy) of the CLI in a fresh
+    interpreter, since this process has imported numpy already; loaded is
+    None when the CLI died before reporting it."""
+    loaded = tmp_path / "loaded.json"
+    environ = dict(os.environ, **(env or {}))
+    environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", _PROBE, str(loaded), *argv],
+                            cwd=tmp_path, env=environ, capture_output=True)
+    return (result.returncode, result.stdout, result.stderr,
+            json.loads(loaded.read_text()) if loaded.exists() else None)
+
+
+@pytest.mark.parametrize("argv, code, libraries", [
+    ([], 0, []),
+    (["catalog"], 0, []),
+    (["ktheory", "--matrix", str(DATA / "a1.json")], 0, []),
+    (["af", "--genus", "2", "--levels", "6"], 0, []),
+    (["af", "--genus", "2", "--levels", "7"], 2, []),  # word budget exceeded
+    (["cohomology", "--genus", "2", "--levels", "3"], 0, []),
+    (["building", "--q", "1", "--cover", "--bm"], 0, []),
+    (["tau", "--weights", "2,2,2,2,2"], 0, []),
+    (["crossed"], 0, ["numpy"]),
+    (["spectra", "--genus", "2", "--levels", "3"], 0, ["numpy", "scipy"]),
+], ids=["import", "catalog", "ktheory", "af", "af-budget", "cohomology",
+        "building", "tau", "crossed", "spectra"])
+def test_cold_start_loads_numpy_and_scipy_only_where_used(tmp_path, argv, code,
+                                                          libraries):
+    got_code, _, stderr, loaded = _fresh_run(tmp_path, argv)
+    assert (got_code, stderr) == (code, b"")
+    assert loaded == libraries
+
+
+BAD_FILES = {
+    "nomatrix.json": '{"labels": ["a"]}',
+    "cell.csv": "0,1\nx,0\n",
+    "noalpha.json": '{"lambda": [], "words": []}',
+    "broken.json": '{"matrix": ',
+    "badinv.json": '{"matrix": [[1, 1], [1, 1]], "involution": [[0, 5]]}',
+}
+
+
+@pytest.mark.parametrize("argv, env, witness", [
+    (["ktheory", "--matrix", "nomatrix.json"], {}, "'matrix'"),
+    (["ktheory", "--matrix", "cell.csv"], {}, "['x', '0']"),
+    (["ktheory", "--matrix", "missing.json"], {}, "'missing.json'"),
+    (["ktheory", "--matrix", "missing.csv"], {}, "'missing.csv'"),
+    (["ktheory", "--matrix", "broken.json"], {}, "'broken.json'"),
+    (["cohomology", "--matrix", "badinv.json"], {}, "[0, 5]"),
+    (["building", "--file", "noalpha.json"], {}, "'alphabet'"),
+    (["tau", "--weights", "2,x"], {}, "'2,x'"),
+    (["spectra", "--genus", "2", "--t", "abc"], {}, "'abc'"),
+    (["spectra", "--genus", "2", "--twist", "0,a"], {}, "'0,a'"),
+    (["af", "--genus", "2", "--levels", "6"], {"GRAPHSPECTRA_WORD_BUDGET": "abc"},
+     "'abc'"),
+], ids=["json-without-matrix", "csv-cell", "missing-json", "missing-csv",
+        "not-json", "involution-out-of-range", "presentation-without-alphabet",
+        "tau-weights", "spectra-t", "spectra-twist", "word-budget-env"])
+def test_bad_input_is_a_documented_error(tmp_path, argv, env, witness):
+    for name, text in BAD_FILES.items():
+        (tmp_path / name).write_text(text)
+    code, out, stderr, loaded = _fresh_run(tmp_path, argv, env)
+    assert (code, stderr) == (2, b"")
+    assert json.loads(out) == {"error": {"code": "InvalidInput", "witness": witness}}
+    assert loaded == []

@@ -182,7 +182,7 @@ def test_truncation_stores_order_n_dim_entries(schottky2):
 def test_lanczos_non_convergence_is_a_documented_error(monkeypatch):
     def stalled(*args, **kwargs):
         raise spla.ArpackNoConvergence("stalled", [], [])
-    monkeypatch.setattr(triples.spla, "eigsh", stalled)
+    monkeypatch.setattr(spla, "eigsh", stalled)
     shape = (DENSE_NORM_CUTOFF + 1, DENSE_NORM_CUTOFF + 8)
     m = np.random.default_rng(3).normal(size=shape)
     with pytest.raises(NormNotConverged) as err:
@@ -207,7 +207,7 @@ def test_spectral_norm_of_non_square_input(shape):
 def test_arpack_breakdown_takes_the_norm_on_the_small_range(monkeypatch):
     def broken(*args, **kwargs):
         raise spla.ArpackError(-9)
-    monkeypatch.setattr(triples.spla, "eigsh", broken)
+    monkeypatch.setattr(spla, "eigsh", broken)
     n = DENSE_NORM_CUTOFF + 1
     m = np.zeros((n, n))
     m[10, 20], m[11, 21] = 3.0, 4.0  # Frobenius bound 5, norm 4
@@ -393,6 +393,18 @@ def test_af_summability_minimal_growth():
     partials = report.partials
     assert all(b >= a for a, b in zip(partials, partials[1:]))
     assert partials[-1] <= sum(n ** -3.0 for n in range(1, 25))
+
+
+def test_af_running_sums_add_left_to_right(schottky2):
+    dims = tuple(level.total for level in af_core_dims(schottky2, 5))
+    report = af_summability_report(AFTriple(dims, 1.0, 3.0))
+    for sums, terms in ((report.partials, report.terms),
+                        (report.majorant_partials, report.majorant_terms)):
+        running, total = [], 0.0
+        for term in terms:
+            total += term
+            running.append(total)
+        assert sums == tuple(running) == tuple(np.cumsum(terms).tolist())
 
 
 def test_af_summability_single_level():
