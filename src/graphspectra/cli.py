@@ -343,6 +343,13 @@ def main(argv=None) -> int:
         plan = parse_invocation(argv)
         report, rows = execute(plan)
         payload = io.emit(report, plan.fmt, rows)
+        if plan.out:
+            try:
+                with open(plan.out, "wb") as handle:
+                    handle.write(payload)
+            except OSError as exc:
+                raise InvalidInput(f"cannot write {plan.out}: {exc}",
+                                   witness=plan.out) from None
     except UsageError as exc:
         sys.stdout.buffer.write(io.emit(
             {"error": {"code": exc.code, "witness": str(exc)}}, "json"))
@@ -353,10 +360,7 @@ def main(argv=None) -> int:
                        "witness": repr(exc.witness) if exc.witness is not None
                        else str(exc)}}, "json"))
         return 2
-    if plan.out:
-        with open(plan.out, "wb") as handle:
-            handle.write(payload)
-    else:
+    if not plan.out:
         sys.stdout.buffer.write(payload)
     return 0
 

@@ -52,8 +52,9 @@ def load_matrix_rows(source) -> tuple:
         rows = _int_rows(row for row in reader if row)
         return rows, tuple(str(i) for i in range(len(rows)))
     data = _load_json(source)
-    rows = _int_rows(_field(data, "matrix"))
-    labels = tuple(data.get("labels") or [str(i) for i in range(len(rows))])
+    rows = _int_rows(_array(data, "matrix"))
+    labels = tuple(_array(data, "labels", optional=True)
+                   or [str(i) for i in range(len(rows))])
     return rows, labels
 
 
@@ -65,12 +66,14 @@ def load_matrix(source) -> EdgeMatrix:
 
 def load_sft(source) -> SFTData:
     data = _load_json(source)
-    rows = _int_rows(_field(data, "matrix"))
-    labels = tuple(data.get("labels") or [str(i) for i in range(len(rows))])
+    rows = _int_rows(_array(data, "matrix"))
+    labels = tuple(_array(data, "labels", optional=True)
+                   or [str(i) for i in range(len(rows))])
+    pairs = _array(data, "involution", optional=True)
     involution = None
-    if data.get("involution"):
+    if pairs:
         involution = [None] * len(rows)
-        for pair in data["involution"]:
+        for pair in pairs:
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(
                     type(k) is int and 0 <= k < len(rows) for k in pair)):
                 raise InvalidInput("involution pairs must be two letter indices",
@@ -92,11 +95,17 @@ def presentation_to_dict(p: PolygonalPresentation) -> dict:
 
 def load_presentation(source) -> PolygonalPresentation:
     data = _load_json(source)
-    return make_presentation(
-        tuple(_field(data, "alphabet")),
-        tuple((a, b) for a, b in _field(data, "lambda")),
-        [tuple(w) for w in _field(data, "words")],
-    )
+    alphabet = _array(data, "alphabet")
+    pairs = _array(data, "lambda")
+    words = _array(data, "words")
+    for pair in pairs:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+            raise InvalidInput("lambda entries must be letter pairs", witness=pair)
+    for word in words:
+        if not isinstance(word, (list, tuple)):
+            raise InvalidInput("words must be lists of letters", witness=word)
+    return make_presentation(tuple(alphabet), tuple(tuple(p) for p in pairs),
+                             [tuple(w) for w in words])
 
 
 def k_theory_to_dict(k0: AbelianGroup, k1: AbelianGroup) -> dict:
@@ -130,6 +139,18 @@ def _field(data: dict, key: str):
     if key not in data:
         raise InvalidInput(f"missing field {key!r}", witness=key)
     return data[key]
+
+
+def _array(data: dict, key: str, optional: bool = False) -> list:
+    """A field that must hold an array; InvalidInput with the key as
+    witness when it holds anything else.  An optional field that is
+    absent or null reads as []."""
+    value = data.get(key) if optional else _field(data, key)
+    if value is None and optional:
+        return []
+    if not isinstance(value, (list, tuple)):
+        raise InvalidInput(f"field {key!r} must be an array", witness=key)
+    return value
 
 
 def _int_rows(rows) -> tuple:

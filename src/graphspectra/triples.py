@@ -18,11 +18,21 @@ chop) that satisfy the defining relations
     sum_j S_j S_j^* = 1,   S_i^* S_i = sum_j A_ij S_j S_j^*
 
 exactly on levels <= N-1 of the truncation; their adjoints lower the
-level by one.  Commutators [D, S_i] are bounded because the conformal
-weight of a letter depends on finitely many leading coordinates (k_i of
-them), and their restricted norms stabilize once N >= k_i + 2.  The
-restricted commutator is a LinearOperator, and its norm comes from
-Lanczos on the normal operator.
+level by one.
+
+Commutator norms have a closed form.  Let E_n = range(P_n - P_{n-1}).
+Since S_i^* maps V_n = range(P_n) into V_{n-1} (and V_0 into V_0), S_i
+maps E_n into E_{n+1} for n >= 1, and (1 - P_0) S_i maps E_0 into E_1;
+S_i^* S_i commutes with every P_n.  So P_{N-1}[D, S_i]P_{N-1} is the
+orthogonal sum over n <= N-2 of the blocks (lambda_{n+1} - lambda_n)
+times S_i (times (1 - P_0) S_i at n = 0) from E_n to E_{n+1}, each 0
+or a partial isometry.  A block is nonzero exactly when more
+length-(n+2) than length-(n+1) prefixes of the basis start with i, and
+the norm is the largest |lambda_{n+1} - lambda_n| over those levels.
+The Parry weight ratio mu(iw) / mu(w) = l_i / (l_{w_0} lambda) depends
+on w_0 alone, so every letter has stabilization level k_i = 1.  The
+restricted commutator is also available as a LinearOperator, normed by
+spectral_norm: the reference the closed form is tested against.
 
 Cylinder indicators are normalized to unit vectors; commutator norms
 depend on this normalization choice.
@@ -56,7 +66,6 @@ from .errors import (
     TruncationTooSmall,
 )
 from .shift import (
-    ParryMeasure,
     PerronData,
     SFTData,
     enumerate_words,
@@ -67,16 +76,17 @@ from .shift import (
 )
 
 # Largest smaller side decomposed densely by spectral_norm; above it,
-# Lanczos.  Timed per letter on truncation commutators: on shifts with few
-# letters Lanczos wins from dim ~150, on subdivided theta graphs (many
-# letters, mostly one successor) dense wins up to dim ~280, and there a
-# wrong branch costs once per letter of a large alphabet.
+# Lanczos.  Timed on truncation commutators (with 6 Lanczos vectors): on
+# shifts with few letters Lanczos wins from dim ~150, on subdivided theta
+# graphs (many letters, mostly one successor) dense wins up to dim ~280.
 DENSE_NORM_CUTOFF = 256
-# Lanczos vectors per ARPACK restart cycle.  Few, because the top singular
-# value is found in one or two short cycles: over the commutators of the
-# rank-2/3, theta and subdivided theta shifts, 6 took 1.3-3.3x fewer
-# operator applications than ARPACK's default of 20, at equal norms.
-LANCZOS_NCV = 6
+# Lanczos vectors per ARPACK restart cycle: ARPACK's default.  The top
+# singular value of a truncation commutator is a schedule step, repeated
+# as often as the rank of its level's block (18 times at g=2, N=5 on
+# letter 0 of a random schedule); with 6 vectors the tol=0 iteration
+# stalled there and raised NormNotConverged after ~67 s, where 20
+# converges in ~20 ms.
+LANCZOS_NCV = 20
 
 
 def spectral_norm(mat) -> float:
@@ -168,15 +178,13 @@ class SpectralTruncation:
     (nnz <= dim) per letter.  P_n X = Q_n (Q_n^T X) is a block sum and a
     broadcast, and D = lambda_N - sum_{n<N} (lambda_{n+1} - lambda_n) P_n.
     ``projection`` and ``grading_matrix`` assemble sparse reference
-    views on demand.  The hot path uses them only on a basis of at most
-    DENSE_NORM_CUTOFF vectors, where spectral_norm decomposes each
-    commutator densely: there P_{N-1} and the default D are assembled
-    once and held.
+    views on demand.  ``commutator_norm`` needs none of this: it reads
+    the counts of the length-(n+1) prefixes by first letter.
     """
 
     def __init__(self, sft: SFTData, level: int, words: list, mu: np.ndarray,
-                 isometries: list, starts: list, weights: list,
-                 twist: tuple | None, perron: PerronData):
+                 isometries: list, starts: list, weights: list, counts: list,
+                 twist: tuple | None):
         import numpy as np
 
         self.sft = sft
@@ -186,13 +194,10 @@ class SpectralTruncation:
         self._isometries = isometries
         self._starts = starts  # block starts of the length-(n+1) prefixes
         self._weights = weights  # column (dim, 1) of sqrt(mu / mu(prefix))
+        self._counts = counts  # length-(n+1) prefixes per first letter
         self._sizes = [np.diff(s, append=len(words)) for s in starts]
         self.twist = twist
         self.dimension = len(words)
-        self._perron = perron
-        self._held = None
-        if self.dimension <= DENSE_NORM_CUTOFF:
-            self._held = (self.projection(level - 1), self.grading_matrix())
 
     def isometry(self, letter: int):
         return self._isometries[letter]
@@ -257,9 +262,6 @@ class SpectralTruncation:
     def _grading(self, eigenvalues):
         """The map x -> D x on (dim, k) blocks."""
         lam = self._schedule(eigenvalues)
-        if self._held is not None:
-            d = self._held[1] if eigenvalues is None else self.grading_matrix(lam)
-            return d.__matmul__
         steps = [(n, lam[n + 1] - lam[n]) for n in range(self.level)
                  if lam[n + 1] != lam[n]]
 
@@ -293,39 +295,19 @@ class SpectralTruncation:
 
     def weight_depth(self, letter: int) -> int:
         """Number of leading coordinates the conformal weight of the letter
-        depends on (the stabilization level k_i); 1 for Parry weights.
-
-        The words of length depth+1 are the depth-level prefixes of the
-        basis, shared by every letter."""
-        pm = ParryMeasure(self.sft, self._perron)
-        for depth in range(1, self.level):
-            ratios = {}
-            stable = True
-            for start in self._starts[depth]:
-                w = self.words[start][:depth + 1]
-                if not self.sft.matrix[letter][w[0]]:
-                    continue
-                ratio = pm.weight((letter,) + w) / pm.weight(w)
-                key = w[:depth]
-                if key in ratios and abs(ratios[key] - ratio) > 1e-13:
-                    stable = False
-                    break
-                ratios[key] = ratio
-            if stable:
-                return depth
-        return self.level - 1
+        depends on (the stabilization level k_i): 1, since the Parry ratio
+        mu(iw) / mu(w) = l_i / (l_{w_0} lambda) depends on w_0 alone."""
+        return 1
 
     def commutator(self, letter: int, eigenvalues=None) -> spla.LinearOperator:
         """P_{N-1}(D S_i - S_i D)P_{N-1} as a LinearOperator (with adjoint)
-        acting on (dim, k) blocks."""
+        acting on (dim, k) blocks: the reference for commutator_norm."""
         import scipy.sparse.linalg as spla
 
         grade = self._grading(eigenvalues)
-        if self._held is not None:
-            top = self._held[0].__matmul__
-        else:
-            def top(x):
-                return self._project(self.level - 1, x)
+
+        def top(x):
+            return self._project(self.level - 1, x)
         s = self._isometries[letter]
         st = s.T.tocsr()
 
@@ -342,9 +324,17 @@ class SpectralTruncation:
             rmatvec=lambda x: adjoint(x.reshape(-1, 1)), rmatmat=adjoint)
 
     def commutator_norm(self, letter: int, eigenvalues=None) -> tuple[float, int]:
-        """Operator norm of the restricted commutator and the weight depth."""
-        return (spectral_norm(self.commutator(letter, eigenvalues)),
-                self.weight_depth(letter))
+        """Operator norm of the restricted commutator and the weight depth.
+
+        The norm is max |lambda_{n+1} - lambda_n| over the levels
+        n <= N-2 where the letter starts more length-(n+2) than
+        length-(n+1) prefixes, and 0.0 when there is no such level.
+        """
+        lam = self._schedule(eigenvalues)
+        counts = [c[letter] for c in self._counts]
+        steps = [abs(lam[n + 1] - lam[n]) for n in range(self.level - 1)
+                 if counts[n + 1] > counts[n]]
+        return float(max(steps, default=0.0)), self.weight_depth(letter)
 
 
 def build_truncation(s: SFTData, level: int, twist: tuple | None = None,
@@ -385,7 +375,7 @@ def build_truncation(s: SFTData, level: int, twist: tuple | None = None,
     mu = left[first] * right[last] * lam ** (-level) / norm
 
     # lexicographic order: a prefix block starts where any of its letters changes
-    starts, weights = [], []
+    starts, weights, counts = [], [], []
     changed = np.zeros(dim, dtype=bool)
     changed[0] = True
     for n in range(level):
@@ -395,6 +385,7 @@ def build_truncation(s: SFTData, level: int, twist: tuple | None = None,
                              np.diff(block, append=dim))
         starts.append(block)
         weights.append(np.sqrt(mu / block_mu)[:, None])
+        counts.append(np.bincount(first[block], minlength=s.alphabet_size))
 
     # On mu^(1/2)-normalized cylinders the conformal weight cancels the
     # measure ratio, so the raising isometry prepends the letter with
@@ -412,7 +403,7 @@ def build_truncation(s: SFTData, level: int, twist: tuple | None = None,
                                         shape=(dim, dim)))
 
     return SpectralTruncation(s, level, words, mu, isometries, starts, weights,
-                              twist, perron)
+                              counts, twist)
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,8 @@ def test_criterion_04_commutator_stabilization():
             norm_large, _ = large.commutator_norm(0)
             assert 3 >= depth + 2
             assert abs(norm_small - norm_large) < 1e-12
+            assert abs(triples.spectral_norm(large.commutator(0))
+                       - norm_large) < 1e-12
 
 
 def test_criterion_05_theta_summability():

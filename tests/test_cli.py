@@ -271,22 +271,41 @@ def test_spectra_computes_perron_data_once(monkeypatch, capsysbinary):
     assert len(calls) == 1
 
 
+def _kato_file(tmp_path, r) -> str:
+    """Matrix file of the edge shift of kato_graph(r)."""
+    em = graphs.directed_edge_matrix(graphs.kato_graph(r))
+    path = tmp_path / f"kato{r}.json"
+    path.write_text(json.dumps({"matrix": [list(row) for row in em.matrix],
+                                "labels": list(em.labels)}))
+    return str(path)
+
+
 def test_spectra_word_enumerations_do_not_grow_with_the_alphabet(
         tmp_path, monkeypatch, capsysbinary):
     calls = _count_calls(monkeypatch, "enumerate_words", shift, triples)
     counts = {}
     for r in (1, 5):
-        em = graphs.directed_edge_matrix(graphs.kato_graph(r))
-        path = tmp_path / f"kato{r}.json"
-        path.write_text(json.dumps({"matrix": [list(row) for row in em.matrix],
-                                    "labels": list(em.labels)}))
         before = len(calls)
-        code, _ = run_cli(["spectra", "--matrix", str(path), "--levels", "6"],
-                          capsysbinary)
+        code, out = run_cli(["spectra", "--matrix", _kato_file(tmp_path, r),
+                             "--levels", "6"], capsysbinary)
         assert code == 0
-        counts[em.size] = len(calls) - before
+        counts[len(json.loads(out)["commutators"])] = len(calls) - before
     assert sorted(counts) == [24, 72]
     assert counts[72] == counts[24]
+
+
+def test_spectra_commutator_norms_take_no_operator_norm(tmp_path, monkeypatch,
+                                                        capsysbinary):
+    argvs = [["spectra", "--genus", "2", "--levels", "5"],
+             ["spectra", "--matrix", _kato_file(tmp_path, 5)]]
+    expected = [run_cli(argv, capsysbinary) for argv in argvs]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("operator norm on the spectra path")
+    monkeypatch.setattr(triples, "spectral_norm", forbidden)
+    monkeypatch.setattr(triples.SpectralTruncation, "commutator", forbidden)
+    assert [code for code, _ in expected] == [0, 0]
+    assert [run_cli(argv, capsysbinary) for argv in argvs] == expected
 
 
 # Runs the CLI on argv[2:] (or only imports it when there are none) and
@@ -342,6 +361,12 @@ BAD_FILES = {
     "noalpha.json": '{"lambda": [], "words": []}',
     "broken.json": '{"matrix": ',
     "badinv.json": '{"matrix": [[1, 1], [1, 1]], "involution": [[0, 5]]}',
+    "intmatrix.json": '{"matrix": 5}',
+    "intlabels.json": '{"matrix": [[1, 1], [1, 1]], "labels": 5}',
+    "intinv.json": '{"matrix": [[1, 1], [1, 1]], "involution": 5}',
+    "badlambda.json": '{"alphabet": ["a"], "lambda": [["a"]], "words": []}',
+    "intwords.json": '{"alphabet": ["a"], "lambda": [], "words": 5}',
+    "intalpha.json": '{"alphabet": 7, "lambda": [], "words": []}',
 }
 
 
@@ -358,9 +383,24 @@ BAD_FILES = {
     (["spectra", "--genus", "2", "--twist", "0,a"], {}, "'0,a'"),
     (["af", "--genus", "2", "--levels", "6"], {"GRAPHSPECTRA_WORD_BUDGET": "abc"},
      "'abc'"),
+    (["ktheory", "--matrix", "intmatrix.json"], {}, "'matrix'"),
+    (["spectra", "--matrix", "intmatrix.json"], {}, "'matrix'"),
+    (["ktheory", "--matrix", "intlabels.json"], {}, "'labels'"),
+    (["spectra", "--matrix", "intlabels.json"], {}, "'labels'"),
+    (["spectra", "--matrix", "intinv.json"], {}, "'involution'"),
+    (["building", "--file", "badlambda.json"], {}, "['a']"),
+    (["building", "--file", "intwords.json"], {}, "'words'"),
+    (["building", "--file", "intalpha.json"], {}, "'alphabet'"),
+    (["tau", "--weights", "2,2,2,2,2", "--out", "nodir/x.json"], {},
+     "'nodir/x.json'"),
+    (["tau", "--weights", "2,2,2,2,2", "--out", "."], {}, "'.'"),
 ], ids=["json-without-matrix", "csv-cell", "missing-json", "missing-csv",
         "not-json", "involution-out-of-range", "presentation-without-alphabet",
-        "tau-weights", "spectra-t", "spectra-twist", "word-budget-env"])
+        "tau-weights", "spectra-t", "spectra-twist", "word-budget-env",
+        "ktheory-matrix-not-array", "spectra-matrix-not-array",
+        "ktheory-labels-not-array", "spectra-labels-not-array",
+        "involution-not-array", "lambda-entry-not-pair", "words-not-array",
+        "alphabet-not-array", "out-in-missing-directory", "out-is-directory"])
 def test_bad_input_is_a_documented_error(tmp_path, argv, env, witness):
     for name, text in BAD_FILES.items():
         (tmp_path / name).write_text(text)

@@ -127,6 +127,27 @@ def test_parry_measure_additivity_random():
         done += 1
 
 
+def test_parry_conformal_scaling_random():
+    # mu(iw) / mu(w) = l_i / (l_{w_0} lambda): the conformal weight of a
+    # letter depends on the first coordinate only, so every k_i is 1.
+    rng = random.Random(405)
+    done = 0
+    while done < CASES:
+        s = random_irreducible_sft(rng)
+        try:
+            pm = ParryMeasure(s)
+        except RequiresIrreducible:  # rare slow-converging spectrum
+            continue
+        left, lam = pm.perron.left, pm.perron.value
+        for length in (1, 2, 3):
+            for w in enumerate_words(s, length):
+                for i in range(s.alphabet_size):
+                    if s.matrix[i][w[0]]:
+                        assert pm.weight((i,) + w) / pm.weight(w) == pytest.approx(
+                            left[i] / (left[w[0]] * lam), rel=1e-12, abs=0)
+        done += 1
+
+
 def test_filtration_telescoping_random():
     rng = random.Random(505)
     for _ in range(CASES):

@@ -117,9 +117,14 @@ def reference_ck_residuals(t):
     return [sp.linalg.norm(p @ x @ p) for x in (unit, *per_letter)]
 
 
+# Row sums of A^2 are (3, 1, 2) but column sums are (3, 2, 1): a count by
+# first letter and a count by last letter differ on this matrix.
+NONSYMMETRIC = SFTData(((1, 1, 0), (0, 0, 1), (1, 0, 0)), ("a", "b", "c"))
+
 AGREEMENT_SHIFTS = {
     "schottky2": full_schottky_sft(2),
     "theta": from_edge_matrix(directed_edge_matrix(genus2_catalog()[1])),
+    "nonsymmetric": NONSYMMETRIC,
 }
 
 
@@ -147,6 +152,8 @@ def test_factored_truncation_matches_assembled(name, level, data):
     assert np.abs(op.rmatmat(eye) - assembled.T).max() < 1e-12
     assert spectral_norm(op) == pytest.approx(np.linalg.norm(assembled, 2),
                                               rel=1e-12, abs=1e-12)
+    assert t.commutator_norm(image, schedule)[0] == pytest.approx(
+        np.linalg.norm(assembled, 2), abs=1e-12)
     res = t.ck_residuals()
     assert [res["unit_sum"], *res["range_relation"]] == pytest.approx(
         reference_ck_residuals(t), abs=1e-12)
@@ -157,6 +164,18 @@ def test_zero_schedule_on_the_lanczos_branch_is_exactly_zero(schottky2):
     assert t.dimension > DENSE_NORM_CUTOFF
     norm, _ = t.commutator_norm(0, eigenvalues=[0] * 6)
     assert norm == 0.0
+    assert spectral_norm(t.commutator(0, [0] * 6)) == 0.0
+
+
+def test_lanczos_converges_on_a_highly_degenerate_top_singular_value(schottky2):
+    t = build_truncation(schottky2, 5)
+    schedule = [3.859368870607402, 2.979262123494415, -1.685558658024588,
+                3.691823911600668, 0.31378775096648504, 1.4226438180047385]
+    op = t.commutator(0, schedule)
+    dense = np.linalg.norm(op @ np.eye(t.dimension), 2)
+    assert t.dimension > DENSE_NORM_CUTOFF
+    assert spectral_norm(op) == pytest.approx(dense, rel=1e-12)
+    assert t.commutator_norm(0, schedule)[0] == pytest.approx(dense, rel=1e-12)
 
 
 def test_truncation_stores_order_n_dim_entries(schottky2):
@@ -250,9 +269,13 @@ def test_twisted_commutator_matches_image_letter(schottky2):
 
 
 def test_commutator_stabilizes(schottky2):
-    values = [build_truncation(schottky2, n).commutator_norm(0)[0] for n in (3, 4, 5)]
+    truncations = [build_truncation(schottky2, n) for n in (3, 4, 5)]
+    values = [t.commutator_norm(0)[0] for t in truncations]
     assert abs(values[0] - values[1]) < 1e-12
     assert abs(values[1] - values[2]) < 1e-12
+    assert truncations[2].dimension > DENSE_NORM_CUTOFF
+    assert spectral_norm(truncations[2].commutator(0)) == pytest.approx(
+        values[2], abs=1e-12)
 
 
 def test_commutator_depth_and_zero_schedule(schottky2):
@@ -351,11 +374,6 @@ def test_af_core_dims(schottky2):
         ((3, 3, 3, 3), 36),
         ((9, 9, 9, 9), 324),
     ]
-
-
-# Row sums of A^2 are (3, 1, 2) but column sums are (3, 2, 1): counting
-# by first letter instead of last letter fails on this matrix.
-NONSYMMETRIC = SFTData(((1, 1, 0), (0, 0, 1), (1, 0, 0)), ("a", "b", "c"))
 
 
 @pytest.mark.parametrize("s", [full_schottky_sft(2), NONSYMMETRIC],
