@@ -86,7 +86,6 @@ from .buildings import (
     solve_tau,
     stable_pairs_check,
     validate_presentation,
-    vertex_links,
 )
 
 __version__ = "0.1.0"

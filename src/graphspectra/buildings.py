@@ -41,6 +41,7 @@ from .errors import (
     PresentationInvalid,
     RequiresSquares,
 )
+from .graphs import isomorphisms
 
 
 def letter_base(letter: str) -> str:
@@ -73,47 +74,29 @@ class BipartiteGraph:
     whites: tuple
     edges: tuple  # (white, black) pairs, repeats = multiplicity
 
-    def degree_sequences(self) -> tuple:
-        wd = sorted(sum(1 for w, _ in self.edges if w == white)
-                    for white in self.whites)
-        bd = sorted(sum(1 for _, b in self.edges if b == black)
-                    for black in self.blacks)
-        return tuple(wd), tuple(bd)
-
     def is_complete_bipartite(self) -> bool:
         want = {(w, b) for w in self.whites for b in self.blacks}
         return len(self.edges) == len(want) and set(self.edges) == want
 
-    def isomorphic_to(self, other: "BipartiteGraph", cap: int = 8) -> bool:
-        """Color-preserving isomorphism; exact search at desk sizes."""
-        if (len(self.blacks), len(self.whites), len(self.edges)) != (
-                len(other.blacks), len(other.whites), len(other.edges)):
-            return False
-        if self.degree_sequences() != other.degree_sequences():
-            return False
-        if self.is_complete_bipartite() and other.is_complete_bipartite():
-            return True
-        if max(len(self.blacks), len(self.whites)) > cap:
-            raise InvalidParameter(
-                f"isomorphism search capped at {cap} vertices per side")
-        from itertools import permutations
+    def _coded(self) -> list[list[int]]:
+        """Square matrix on whites then blacks: edge multiplicities off
+        the diagonal (both ways), the colour on it (-1 white, -2 black)."""
+        index = {("w", w): k for k, w in enumerate(self.whites)}
+        index.update({("b", b): len(index) + k for k, b in enumerate(self.blacks)})
+        m = [[0] * len(index) for _ in index]
+        for (colour, _), k in index.items():
+            m[k][k] = -1 if colour == "w" else -2
+        for w, b in self.edges:
+            i, j = index["w", w], index["b", b]
+            m[i][j] += 1
+            m[j][i] += 1
+        return m
 
-        count_self: dict = {}
-        for e in self.edges:
-            count_self[e] = count_self.get(e, 0) + 1
-        for wperm in permutations(range(len(other.whites))):
-            for bperm in permutations(range(len(other.blacks))):
-                wmap = {other.whites[i]: self.whites[wperm[i]]
-                        for i in range(len(other.whites))}
-                bmap = {other.blacks[i]: self.blacks[bperm[i]]
-                        for i in range(len(other.blacks))}
-                count: dict = {}
-                for w, b in other.edges:
-                    e = (wmap[w], bmap[b])
-                    count[e] = count.get(e, 0) + 1
-                if count == count_self:
-                    return True
-        return False
+    def isomorphic_to(self, other: "BipartiteGraph") -> bool:
+        """Colour-preserving multigraph isomorphism, by
+        :func:`graphs.isomorphisms` on the coded matrices."""
+        return next(isomorphisms(self._coded(), other._coded()),
+                    None) is not None
 
 
 def complete_bipartite(blacks, whites) -> BipartiteGraph:
@@ -345,10 +328,6 @@ def polyhedron_from_presentation(p: PolygonalPresentation) -> Polyhedron:
     return Polyhedron(tuple(faces), letters, tuple(links))
 
 
-def vertex_links(x: Polyhedron) -> list[LinkGraph]:
-    return list(x.links)
-
-
 @dataclass(frozen=True)
 class StablePairsResult:
     ok: bool
@@ -559,18 +538,16 @@ def product_grading_dims_oracle(g: int, max_level: int) -> tuple:
     """dim E_m = sum over l+k = m of the four-term increments of the
     enumerated table; the independent cross-check for the closed formula."""
     table = product_dim_table(g, max_level, max_level)
+    return tuple(sum(_increment(table, l, m - l) for l in range(m + 1))
+                 for m in range(max_level + 1))
 
-    def t(l, k):
-        if l < 0 or k < 0:
-            return 0
-        return table[l][k]
 
-    out = []
-    for m in range(max_level + 1):
-        out.append(sum(
-            t(l, m - l) - t(l - 1, m - l) - t(l, m - l - 1) + t(l - 1, m - l - 1)
-            for l in range(m + 1)))
-    return tuple(out)
+def _increment(table, l: int, k: int) -> int:
+    """Four-term increment t(l,k) - t(l-1,k) - t(l,k-1) + t(l-1,k-1) of a
+    joint dimension table, with t = 0 at negative indices."""
+    def t(i, j):
+        return table[i][j] if i >= 0 and j >= 0 else 0
+    return t(l, k) - t(l - 1, k) - t(l, k - 1) + t(l - 1, k - 1)
 
 
 def inclusion_exclusion_check(max_h: int, max_v: int, table) -> bool:
@@ -586,15 +563,10 @@ def inclusion_exclusion_check(max_h: int, max_v: int, table) -> bool:
                 raise InvalidTable("table not monotone in the second index",
                                    witness=(l, k))
 
-    def t(l, k):
-        if l < 0 or k < 0:
-            return 0
-        return table[l][k]
-
     total = 0
     for l in range(max_h + 1):
         for k in range(max_v + 1):
-            inc = t(l, k) - t(l - 1, k) - t(l, k - 1) + t(l - 1, k - 1)
+            inc = _increment(table, l, k)
             if inc < 0:
                 return False
             total += inc

@@ -134,9 +134,6 @@ def _sft_from_options(plan: RunPlan, default_genus=None) -> shift.SFTData:
     genus = plan.option("genus", default_genus)
     matrix = plan.option("matrix")
     if matrix is not None:
-        if str(matrix).lower().endswith(".csv"):
-            em = io.load_matrix(matrix)
-            return shift.SFTData(em.matrix, em.labels)
         return io.load_sft(matrix)
     if genus is None:
         raise UsageError("need --genus or --matrix")

@@ -9,10 +9,15 @@ The directed edge matrix is the 0/1 matrix on oriented edges with entry
 (e, e') = 1 exactly when e' continues e without backtracking, i.e.
 target(e) = source(e') and e' is not the reversal of e.  Index order is
 deterministic: edges sorted by id, forward orientation before backward.
+
+:func:`isomorphisms` is the one search for index bijections between
+square integer matrices; permutation equivalence, link-graph isomorphism
+and letter automorphisms all call it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import InvalidGraph, InvalidRank
@@ -202,49 +207,73 @@ def kato_graph(r: int) -> FiniteGraph:
     return FiniteGraph(tuple(vertices), tuple(edges))
 
 
-def permutation_equivalent(a: EdgeMatrix | list, b: EdgeMatrix | list,
-                           cap: int = 8) -> tuple | None:
-    """Search for a simultaneous row/column permutation carrying a onto b.
+def isomorphisms(a, b) -> Iterator[tuple]:
+    """Yield every bijection p of indices with a[i][j] == b[p[i]][p[j]]
+    for all i, j, for square integer matrices a and b.
 
-    Brute force over index bijections with degree-sequence pruning;
-    intended for matrices of size <= cap (<= 8 oriented edges).  Returns
-    the permutation as a tuple (image of each index) or None.
+    Backtracking with signature pruning after McKay and Piperno
+    ("Practical graph isomorphism II", J. Symbolic Comput. 60, 2014),
+    without refinement.  An index only goes to one with the same
+    signature (diagonal entry, sorted row, sorted column).  Indices are
+    assigned breadth first over the nonzero pattern of a and its
+    transpose, so one met through an assigned neighbour x only goes to a
+    neighbour of x's image; each candidate is checked against the indices
+    already assigned.
     """
-    ra = a.rows() if isinstance(a, EdgeMatrix) else [list(r) for r in a]
-    rb = b.rows() if isinstance(b, EdgeMatrix) else [list(r) for r in b]
-    n = len(ra)
-    if len(rb) != n:
-        return None
-    if n > cap:
-        raise InvalidGraph(f"brute-force permutation search capped at {cap}", witness=n)
-    cols_a = [[ra[i][j] for i in range(n)] for j in range(n)]
-    cols_b = [[rb[i][j] for i in range(n)] for j in range(n)]
-    sig_a = [(sum(ra[i]), sum(cols_a[i]), ra[i][i]) for i in range(n)]
-    sig_b = [(sum(rb[i]), sum(cols_b[i]), rb[i][i]) for i in range(n)]
+    n = len(a)
+    ids: dict = {}
+    sig_a = [ids.setdefault(_signature(a, i), len(ids)) for i in range(n)]
+    sig_b = [ids.get(_signature(b, j), -1) for j in range(len(b))]
     if sorted(sig_a) != sorted(sig_b):
-        return None
+        return
+    if n == 0:
+        yield ()
+        return
+    adj_a, adj_b = ([[k for k in range(n) if m[i][k] or m[k][i]] for i in range(n)]
+                    for m in (a, b))
+    order, via, seen = [], [None] * n, [False] * n  # via[i]: where the search met i
+    for root in range(n):
+        if not seen[root]:
+            seen[root] = True
+            order.append(root)
+            for i in order:  # the loop visits what it appends: breadth first
+                for k in adj_a[i]:
+                    if not seen[k]:
+                        seen[k], via[k] = True, i
+                        order.append(k)
+    image, used = [-1] * n, [False] * n
+    pools = [iter(range(n))] + [None] * (n - 1)  # candidates left per depth
+    depth = 0
+    while depth >= 0:
+        i = order[depth]
+        if image[i] >= 0:  # back at this depth: release the last choice
+            used[image[i]] = False
+            image[i] = -1
+        for j in pools[depth]:
+            if not used[j] and sig_b[j] == sig_a[i] and all(
+                    a[i][x] == b[j][image[x]] and a[x][i] == b[image[x]][j]
+                    for x in order[:depth]):
+                break
+        else:
+            depth -= 1
+            continue
+        image[i], used[j] = j, True
+        if depth == n - 1:
+            yield tuple(image)
+        else:
+            depth += 1
+            k = via[order[depth]]
+            pools[depth] = iter(range(n) if k is None else adj_b[image[k]])
 
-    perm = [None] * n
-    used = [False] * n
 
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        for j in range(n):
-            if used[j] or sig_a[i] != sig_b[j]:
-                continue
-            ok = True
-            for k in range(i):
-                if ra[i][k] != rb[j][perm[k]] or ra[k][i] != rb[perm[k]][j]:
-                    ok = False
-                    break
-            if ok and ra[i][i] == rb[j][j]:
-                perm[i] = j
-                used[j] = True
-                if extend(i + 1):
-                    return True
-                used[j] = False
-                perm[i] = None
-        return False
+def _signature(m, i: int) -> tuple:
+    return m[i][i], tuple(sorted(m[i])), tuple(sorted(row[i] for row in m))
 
-    return tuple(perm) if extend(0) else None
+
+def permutation_equivalent(a: EdgeMatrix | list, b: EdgeMatrix | list) -> tuple | None:
+    """A simultaneous row/column permutation carrying a onto b, as the
+    tuple of images of each index, or None: the first of
+    :func:`isomorphisms`."""
+    ra = a.matrix if isinstance(a, EdgeMatrix) else a
+    rb = b.matrix if isinstance(b, EdgeMatrix) else b
+    return next(isomorphisms(ra, rb), None)

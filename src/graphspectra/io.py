@@ -46,29 +46,33 @@ def matrix_to_dict(em: EdgeMatrix) -> dict:
 def load_matrix_rows(source) -> tuple:
     """Raw (rows, labels) from matrix JSON ({"matrix": rows, "labels":
     optional}) or CSV rows of integers; no shape validation."""
-    path = Path(source) if not isinstance(source, dict) else None
-    if path is not None and path.suffix.lower() == ".csv":
-        reader = csv.reader(_stdio.StringIO(_read(path), newline=""))
+    return _matrix_file(source)[:2]
+
+
+def _matrix_file(source) -> tuple:
+    """(rows, labels, JSON object or {} for CSV).  The loaders share this
+    rather than call one another, so one read is one io.load span when
+    perfbench traces them."""
+    if not isinstance(source, dict) and Path(source).suffix.lower() == ".csv":
+        reader = csv.reader(_stdio.StringIO(_read(source), newline=""))
         rows = _int_rows(row for row in reader if row)
-        return rows, tuple(str(i) for i in range(len(rows)))
+        return rows, tuple(str(i) for i in range(len(rows))), {}
     data = _load_json(source)
     rows = _int_rows(_array(data, "matrix"))
     labels = tuple(_array(data, "labels", optional=True)
                    or [str(i) for i in range(len(rows))])
-    return rows, labels
+    return rows, labels, data
 
 
 def load_matrix(source) -> EdgeMatrix:
     """Matrix file as a validated square 0/1 EdgeMatrix."""
-    rows, labels = load_matrix_rows(source)
+    rows, labels, _ = _matrix_file(source)
     return EdgeMatrix(rows, labels)
 
 
 def load_sft(source) -> SFTData:
-    data = _load_json(source)
-    rows = _int_rows(_array(data, "matrix"))
-    labels = tuple(_array(data, "labels", optional=True)
-                   or [str(i) for i in range(len(rows))])
+    """SFT of a matrix file; JSON may add an "involution" pair list."""
+    rows, labels, data = _matrix_file(source)
     pairs = _array(data, "involution", optional=True)
     involution = None
     if pairs:

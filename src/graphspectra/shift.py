@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice, permutations
+from itertools import islice
 
 from .errors import (
     EnumerationBudgetExceeded,
@@ -39,7 +39,7 @@ from .errors import (
     NotAdmissible,
     RequiresIrreducible,
 )
-from .graphs import EdgeMatrix
+from .graphs import EdgeMatrix, isomorphisms
 from .ktheory import irreducibility_check
 
 DEFAULT_WORD_BUDGET = 10 ** 6
@@ -315,23 +315,20 @@ def cohomology_filtration_dims(s: SFTData, max_level: int,
     return tuple(out)
 
 
-def alphabet_automorphisms(s: SFTData, cap: int = 10) -> list[tuple]:
-    """All letter permutations preserving the transition matrix.
+def alphabet_automorphisms(s: SFTData, budget: int | None = None) -> list[tuple]:
+    """All letter permutations preserving the transition matrix, sorted.
 
-    When the SFT carries an involution, only permutations commuting with
-    it are returned.  Brute force; alphabet sizes above ``cap`` raise.
+    With an involution, only those commuting with it: the search matches
+    A + 2 [j = inv(i)] against itself with :func:`graphs.isomorphisms`.
+    Finding more than the word budget raises EnumerationBudgetExceeded.
     """
     n = s.alphabet_size
-    if n > cap:
+    inv = s.involution or (None,) * n
+    coded = [[x + 2 * (j == inv[i]) for j, x in enumerate(row)]
+             for i, row in enumerate(s.matrix)]
+    cap = budget if budget is not None else word_budget()
+    found = list(islice(isomorphisms(coded, coded), cap + 1))
+    if len(found) > cap:
         raise EnumerationBudgetExceeded(
-            f"alphabet size {n} above brute-force cap {cap}", witness=n)
-    found = []
-    for sigma in permutations(range(n)):
-        if any(s.matrix[sigma[i]][sigma[j]] != s.matrix[i][j]
-               for i in range(n) for j in range(n)):
-            continue
-        if s.involution is not None and any(
-                sigma[s.involution[i]] != s.involution[sigma[i]] for i in range(n)):
-            continue
-        found.append(sigma)
-    return found
+            f"more than {cap} automorphisms of {n} letters", witness=n)
+    return sorted(found)

@@ -23,7 +23,6 @@ from graphspectra.buildings import (
     symmetric_tau_closed_form,
     tau_lhs,
     validate_presentation,
-    vertex_links,
 )
 from graphspectra.errors import (
     DegenerateEuclidean,
@@ -119,7 +118,7 @@ def test_polyhedron_rejects_broken_presentation():
 
 def test_links_q1_complete_bipartite():
     poly = polyhedron_from_presentation(family_presentation(1))
-    (link,) = vertex_links(poly)
+    (link,) = poly.links
     assert link.is_complete_bipartite()
     assert link.isomorphic_to(family_link_graph(1))
 

@@ -161,6 +161,19 @@ def test_module_error_json(tmp_path, capsysbinary):
     assert "witness" in payload["error"]
 
 
+@pytest.mark.parametrize("subcommand", ["spectra", "cohomology"])
+def test_csv_and_json_matrix_errors_agree(tmp_path, capsysbinary, subcommand):
+    (tmp_path / "bad.csv").write_text("1,2\n1,1\n")
+    (tmp_path / "bad.json").write_text(json.dumps({"matrix": [[1, 2], [1, 1]]}))
+    results = [run_cli([subcommand, "--matrix", str(tmp_path / name)], capsysbinary)
+               for name in ("bad.csv", "bad.json")]
+    assert results[0] == results[1]
+    code, out = results[0]
+    assert code == 2
+    assert json.loads(out) == {"error": {"code": "InvalidTransitionMatrix",
+                                         "witness": "(1, 2)"}}
+
+
 def test_degenerate_tau_error(capsysbinary):
     code, out = run_cli(["tau", "--weights", "2,2,2,2"], capsysbinary)
     assert code == 2

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from graphspectra.errors import InvalidGraph, InvalidRank
@@ -7,6 +9,7 @@ from graphspectra.graphs import (
     directed_edge_matrix,
     dumbbell_graph,
     genus2_catalog,
+    isomorphisms,
     kato_graph,
     permutation_equivalent,
     theta_graph,
@@ -145,7 +148,22 @@ def test_permutation_equivalence_detects_difference():
     assert permutation_equivalent(A1, other) is None
 
 
+def test_isomorphisms_check_both_entries_of_each_assigned_pair():
+    # swapping letters 2 and 3 keeps every signature and every entry
+    # a[i][x] with x assigned before i, but sends a[0][2] = 0 to a[0][3] = 1
+    a = [[1, 1, 0, 1], [1, 0, 1, 0], [1, 0, 0, 1], [1, 0, 1, 0]]
+    assert list(isomorphisms(a, a)) == [(0, 1, 2, 3)]
+
+
 def test_permutation_equivalence_cap():
+    # the search has no size cap: 10 and 24 indices are matched
     big = [[0] * 10 for _ in range(10)]
-    with pytest.raises(InvalidGraph):
-        permutation_equivalent(big, big)
+    assert permutation_equivalent(big, big) is not None
+    em = directed_edge_matrix(kato_graph(1))
+    perm = list(range(em.size))
+    random.Random(7).shuffle(perm)
+    relabeled = [[em.matrix[i][j] for j in perm] for i in perm]
+    p = permutation_equivalent(em, relabeled)
+    assert p is not None
+    assert all(em.matrix[i][j] == relabeled[p[i]][p[j]]
+               for i in range(em.size) for j in range(em.size))

@@ -2,13 +2,25 @@
 
 import math
 import random
+from collections import Counter
+from itertools import permutations
 
 import pytest
 
-from graphspectra.buildings import solve_tau, symmetric_tau_closed_form, tau_lhs
+from graphspectra.buildings import (
+    BipartiteGraph,
+    solve_tau,
+    symmetric_tau_closed_form,
+    tau_lhs,
+)
 from graphspectra.cli import parse_invocation, render_plan
 from graphspectra.errors import DegenerateEuclidean, RequiresIrreducible
-from graphspectra.graphs import FiniteGraph, directed_edge_matrix
+from graphspectra.graphs import (
+    FiniteGraph,
+    directed_edge_matrix,
+    isomorphisms,
+    permutation_equivalent,
+)
 from graphspectra.ktheory import (
     ck_k_theory,
     determinant,
@@ -171,6 +183,96 @@ def test_automorphisms_preserve_admissibility_random():
         for sigma in alphabet_automorphisms(s):
             for w in enumerate_words(s, 3):
                 assert s.is_admissible(tuple(sigma[a] for a in w))
+
+
+def carries(a, b, p) -> bool:
+    return all(a[i][j] == b[p[i]][p[j]] for i in range(len(a)) for j in range(len(a)))
+
+
+def brute_isomorphisms(a, b) -> list[tuple]:
+    """The oracle for the pruned matcher: every index bijection, in
+    lexicographic order."""
+    return [p for p in permutations(range(len(a))) if carries(a, b, p)]
+
+
+def relabeled(a, p) -> list[list[int]]:
+    """The matrix b with b[p[i]][p[j]] = a[i][j]."""
+    b = [[0] * len(a) for _ in a]
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            b[p[i]][p[j]] = x
+    return b
+
+
+def test_matcher_agrees_with_brute_force_random():
+    rng = random.Random(1010)
+    for _ in range(CASES):
+        n = rng.randint(1, 6)
+        density = rng.random()
+        rows = tuple(tuple(int(rng.random() < density) for _ in range(n))
+                     for _ in range(n))
+        involution = None
+        if n % 2 == 0 and rng.random() < 0.5:
+            letters = rng.sample(range(n), n)
+            pairing = [0] * n
+            for i, j in zip(letters[::2], letters[1::2]):
+                pairing[i], pairing[j] = j, i
+            involution = tuple(pairing)
+        s = SFTData(rows, tuple(f"l{i}" for i in range(n)), involution)
+        expected = [p for p in brute_isomorphisms(rows, rows)
+                    if involution is None
+                    or all(p[involution[i]] == involution[p[i]] for i in range(n))]
+        assert alphabet_automorphisms(s) == expected
+
+        if rng.random() < 0.5:
+            other = relabeled(rows, rng.sample(range(n), n))
+        else:
+            other = [[int(rng.random() < density) for _ in range(n)]
+                     for _ in range(n)]
+        expected = brute_isomorphisms(rows, other)
+        assert sorted(isomorphisms(rows, other)) == expected
+        found = permutation_equivalent(rows, other)
+        assert (found is not None) == bool(expected)
+        assert found is None or carries(rows, other, found)
+
+
+def random_bipartite(rng: random.Random, whites: int, blacks: int) -> BipartiteGraph:
+    ws = tuple(f"w{i}" for i in range(whites))
+    bs = tuple(f"b{i}" for i in range(blacks))
+    edges = tuple((rng.choice(ws), rng.choice(bs))
+                  for _ in range(rng.randint(0, 2 * whites * blacks)))
+    return BipartiteGraph(bs, ws, edges)
+
+
+def brute_bipartite_isomorphic(g: BipartiteGraph, h: BipartiteGraph) -> bool:
+    if (len(g.whites), len(g.blacks)) != (len(h.whites), len(h.blacks)):
+        return False
+    target = Counter(h.edges)
+    return any(
+        Counter((wp[g.whites.index(w)], bp[g.blacks.index(b)])
+                for w, b in g.edges) == target
+        for wp in permutations(h.whites) for bp in permutations(h.blacks))
+
+
+def test_bipartite_isomorphism_agrees_with_brute_force_random():
+    rng = random.Random(1111)
+    for _ in range(CASES):
+        whites, blacks = rng.randint(1, 4), rng.randint(1, 4)
+        g = random_bipartite(rng, whites, blacks)
+        kind = rng.random()
+        if kind < 0.4:  # relabeled
+            wp = dict(zip(g.whites, rng.sample(g.whites, whites)))
+            bp = dict(zip(g.blacks, rng.sample(g.blacks, blacks)))
+            h = BipartiteGraph(g.blacks, g.whites,
+                               tuple((wp[w], bp[b]) for w, b in g.edges))
+        elif kind < 0.6:  # colours swapped: the same multigraph uncoloured
+            h = BipartiteGraph(g.whites, g.blacks, tuple((b, w) for w, b in g.edges))
+        elif kind < 0.8:
+            h = random_bipartite(rng, whites, blacks)
+            h = BipartiteGraph(h.blacks, h.whites, h.edges[:len(g.edges)])
+        else:
+            h = random_bipartite(rng, rng.randint(1, 4), rng.randint(1, 4))
+        assert g.isomorphic_to(h) == brute_bipartite_isomorphic(g, h)
 
 
 def test_crossed_spectrum_symmetry_random():

@@ -9,6 +9,7 @@ from graphspectra.errors import (
     NotAdmissible,
     RequiresIrreducible,
 )
+from graphspectra.graphs import directed_edge_matrix, kato_graph
 from graphspectra.ktheory import exact_rank
 from graphspectra.shift import (
     FiltrationDims,
@@ -20,6 +21,7 @@ from graphspectra.shift import (
     count_words,
     enumerate_words,
     filtration_dims,
+    from_edge_matrix,
     full_schottky_sft,
     parry_cylinder_measure,
     perron_data,
@@ -197,11 +199,24 @@ def test_automorphisms_theta(theta_sft):
             assert theta_sft.is_admissible(tuple(sigma[a] for a in w))
 
 
+def test_automorphisms_kato1():
+    # 24 letters: the subdivided theta graph keeps the 12 symmetries of theta
+    s = from_edge_matrix(directed_edge_matrix(kato_graph(1)))
+    autos = alphabet_automorphisms(s)
+    assert len(autos) == 12
+    assert autos == sorted(autos)
+    for sigma in autos:
+        assert all(s.matrix[sigma[i]][sigma[j]] == s.matrix[i][j]
+                   for i in range(24) for j in range(24))
+        assert all(sigma[s.involution[i]] == s.involution[sigma[i]]
+                   for i in range(24))
+
+
 def test_automorphism_cap():
     big = SFTData(tuple(tuple(1 for _ in range(12)) for _ in range(12)),
                   tuple(str(i) for i in range(12)))
     with pytest.raises(EnumerationBudgetExceeded):
-        alphabet_automorphisms(big)
+        alphabet_automorphisms(big, budget=1000)
 
 
 def test_involution_validation():
