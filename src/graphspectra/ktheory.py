@@ -271,9 +271,9 @@ def _check_zero_one_square(a) -> list[list[int]]:
     n = len(rows)
     for row in rows:
         if len(row) != n:
-            raise InvalidTransitionMatrix("matrix must be square", witness=(n, len(row)))
+            raise InvalidTransitionMatrix("matrix must be square", witness=tuple(row))
         if any(x not in (0, 1) for x in row):
-            raise InvalidTransitionMatrix("matrix entries must be 0/1", witness=row)
+            raise InvalidTransitionMatrix("matrix entries must be 0/1", witness=tuple(row))
     return rows
 
 

@@ -28,6 +28,7 @@ reports the enumerated value.
 from __future__ import annotations
 
 import os
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
@@ -35,6 +36,7 @@ from itertools import islice
 from .errors import (
     EnumerationBudgetExceeded,
     InvalidInput,
+    InvalidParameter,
     InvalidTransitionMatrix,
     NotAdmissible,
     RequiresIrreducible,
@@ -302,17 +304,49 @@ def coboundary_matrix(s: SFTData, n: int, budget: int | None = None) -> list[lis
 
 def cohomology_filtration_dims(s: SFTData, max_level: int,
                                budget: int | None = None) -> tuple:
-    """dim(V_n / delta V_{n-1}) for n = 1..max_level, by exact integer rank."""
-    from .ktheory import exact_rank
+    """dim(V_n / delta V_{n-1}) for n = 1..max_level.
+
+    :func:`coboundary_matrix` is the transposed incidence matrix of the
+    n-block graph: its vertices are the words of length n, and each word
+    w of length n+1 is an edge joining w[:-1] to w[1:].  Its rank over Q
+    is therefore the number of vertices minus the number of weakly
+    connected components, exactly, since an incidence matrix is totally
+    unimodular.  The n-block graph of an irreducible shift is irreducible,
+    so dim = dim V_n - dim V_{n-1} + 1 from the word counts alone, with no
+    enumeration.  A reducible shift takes the exact integer rank of the
+    coboundary matrix, within the word budget.  A dim with more decimal
+    digits than the interpreter converts to a string raises
+    InvalidParameter with its level as witness, as soon as it is stepped.
+    """
     if max_level < 1:
         raise InvalidTransitionMatrix("level must be >= 1", witness=max_level)
-    # dim V_n = sum of v_{n+1}, for n = 1..max_level
-    dims_vn = [sum(v) for v in islice(word_count_vectors(s), 1, max_level + 1)]
+    if budget is None:
+        budget = word_budget()  # read on every path, so a malformed value is an error
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    limit = 10 ** digits
     out = []
-    for n, dim_vn in enumerate(dims_vn, start=1):
-        rank = exact_rank(coboundary_matrix(s, n, budget))
-        out.append(dim_vn - rank)
+    for n, dim in enumerate(islice(_cohomology_dims(s, budget), max_level), start=1):
+        if digits and dim >= limit:
+            raise InvalidParameter(
+                f"cohomology dim at level {n} exceeds {digits} digits", witness=n)
+        out.append(dim)
     return tuple(out)
+
+
+def _cohomology_dims(s: SFTData, budget: int) -> Iterator[int]:
+    """Yield dim V_n - rank(delta) for n = 1, 2, ...; see
+    :func:`cohomology_filtration_dims`."""
+    from .ktheory import exact_rank
+    irreducible = s.is_irreducible()
+    # dim V_n = sum of v_{n+1}; sum of v_1 is the number of letters
+    counts = map(sum, word_count_vectors(s))
+    shorter = next(counts)
+    for n, longer in enumerate(counts, start=1):
+        if irreducible:
+            yield longer - shorter + 1
+        else:
+            yield longer - exact_rank(coboundary_matrix(s, n, budget))
+        shorter = longer
 
 
 def alphabet_automorphisms(s: SFTData, budget: int | None = None) -> list[tuple]:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from graphspectra import graphs, shift, triples
+from graphspectra import graphs, ktheory, shift, triples
 from graphspectra.cli import execute, main, parse_invocation, render_plan
 from graphspectra.io import emit
 
@@ -174,6 +175,21 @@ def test_csv_and_json_matrix_errors_agree(tmp_path, capsysbinary, subcommand):
                                          "witness": "(1, 2)"}}
 
 
+@pytest.mark.parametrize("subcommand", ["ktheory", "spectra", "cohomology"])
+@pytest.mark.parametrize("rows, witness", [
+    ([[1, 2], [1, 1]], "(1, 2)"),
+    ([[1, 0], [1]], "(1,)"),
+], ids=["entry-not-0-1", "ragged"])
+def test_matrix_error_witness_is_the_row_in_every_subcommand(
+        tmp_path, capsysbinary, subcommand, rows, witness):
+    (tmp_path / "bad.json").write_text(json.dumps({"matrix": rows}))
+    code, out = run_cli([subcommand, "--matrix", str(tmp_path / "bad.json")],
+                        capsysbinary)
+    assert code == 2
+    assert json.loads(out) == {"error": {"code": "InvalidTransitionMatrix",
+                                         "witness": witness}}
+
+
 def test_degenerate_tau_error(capsysbinary):
     code, out = run_cli(["tau", "--weights", "2,2,2,2"], capsysbinary)
     assert code == 2
@@ -321,6 +337,39 @@ def test_spectra_commutator_norms_take_no_operator_norm(tmp_path, monkeypatch,
     assert [run_cli(argv, capsysbinary) for argv in argvs] == expected
 
 
+def test_cohomology_takes_no_exact_rank(tmp_path, monkeypatch, capsysbinary):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("coboundary matrix rank on the cohomology path")
+    monkeypatch.setattr(ktheory, "exact_rank", forbidden)
+    monkeypatch.setattr(shift, "coboundary_matrix", forbidden)
+    # count(n) = 2g(2g-1)^(n-1) words, so dim = 2g(2g-2)(2g-1)^(n-1) + 1;
+    # theta's 6 letters each have 2 successors
+    for argv, dims in [
+            (["--genus", "2", "--levels", "6"], [9, 25, 73, 217, 649, 1945]),
+            (["--genus", "3", "--levels", "4"], [25, 121, 601, 3001]),
+            (["--matrix", str(DATA / "theta_edge.json"), "--levels", "6"],
+             [7, 13, 25, 49, 97, 193])]:
+        code, out = run_cli(["cohomology", *argv], capsysbinary)
+        assert (code, json.loads(out)) == (0, {"dims": dims})
+
+    monkeypatch.setenv("GRAPHSPECTRA_WORD_BUDGET", "100")
+    code, out = run_cli(["cohomology", "--genus", "2", "--levels", "6"], capsysbinary)
+    assert (code, json.loads(out)["dims"][-1]) == (0, 1945)
+
+    # a reducible shift still takes the exact rank, within the word budget
+    monkeypatch.undo()
+    monkeypatch.setenv("GRAPHSPECTRA_WORD_BUDGET", "100")
+    reducible = tmp_path / "reducible.json"  # full 2-shift feeding a loop
+    reducible.write_text(json.dumps({"matrix": [[1, 1, 0], [1, 1, 1], [0, 0, 1]]}))
+    code, out = run_cli(["cohomology", "--matrix", str(reducible), "--levels", "3"],
+                        capsysbinary)
+    assert (code, json.loads(out)) == (0, {"dims": [4, 7, 13]})
+    code, out = run_cli(["cohomology", "--matrix", str(reducible), "--levels", "8"],
+                        capsysbinary)
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "EnumerationBudgetExceeded"
+
+
 # Runs the CLI on argv[2:] (or only imports it when there are none) and
 # writes the numpy/scipy top-level modules loaded by then to argv[1].
 _PROBE = """
@@ -368,6 +417,20 @@ def test_cold_start_loads_numpy_and_scipy_only_where_used(tmp_path, argv, code,
     assert loaded == libraries
 
 
+def test_cohomology_dim_past_the_digit_limit_is_an_error(tmp_path):
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not digits:
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    limit = 10 ** digits
+    # the first g=2 dim, 8 * 3^(n-1) + 1, with more digits than the interpreter prints
+    level = next(n for n in itertools.count(1) if 8 * 3 ** (n - 1) + 1 >= limit)
+    code, out, stderr, _ = _fresh_run(
+        tmp_path, ["cohomology", "--genus", "2", "--levels", "100000"])
+    assert (code, stderr) == (2, b"")
+    assert json.loads(out) == {"error": {"code": "InvalidParameter",
+                                         "witness": str(level)}}
+
+
 BAD_FILES = {
     "nomatrix.json": '{"labels": ["a"]}',
     "cell.csv": "0,1\nx,0\n",
@@ -396,6 +459,8 @@ BAD_FILES = {
     (["spectra", "--genus", "2", "--twist", "0,a"], {}, "'0,a'"),
     (["af", "--genus", "2", "--levels", "6"], {"GRAPHSPECTRA_WORD_BUDGET": "abc"},
      "'abc'"),
+    (["cohomology", "--genus", "2", "--levels", "2"], {"GRAPHSPECTRA_WORD_BUDGET": "abc"},
+     "'abc'"),
     (["ktheory", "--matrix", "intmatrix.json"], {}, "'matrix'"),
     (["spectra", "--matrix", "intmatrix.json"], {}, "'matrix'"),
     (["ktheory", "--matrix", "intlabels.json"], {}, "'labels'"),
@@ -410,6 +475,7 @@ BAD_FILES = {
 ], ids=["json-without-matrix", "csv-cell", "missing-json", "missing-csv",
         "not-json", "involution-out-of-range", "presentation-without-alphabet",
         "tau-weights", "spectra-t", "spectra-twist", "word-budget-env",
+        "cohomology-word-budget-env",
         "ktheory-matrix-not-array", "spectra-matrix-not-array",
         "ktheory-labels-not-array", "spectra-labels-not-array",
         "involution-not-array", "lambda-entry-not-pair", "words-not-array",

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphspectra.errors import (
     EnumerationBudgetExceeded,
@@ -169,6 +171,31 @@ def test_cohomology_rank_oracle_agreement(schottky2, theta_sft):
         for n in (1, 2, 3):
             m = coboundary_matrix(s, n)
             assert exact_rank(m) == np.linalg.matrix_rank(np.array(m, dtype=float))
+
+
+@st.composite
+def irreducible_shifts(draw):
+    """0/1 matrices on 1-5 letters containing a cycle through every letter,
+    so irreducible; the other entries are random, so periodic ones (a bare
+    cycle) and aperiodic ones both occur."""
+    k = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=k, max_size=k),
+                         min_size=k, max_size=k))
+    cycle = draw(st.permutations(range(k)))
+    succ = {a: b for a, b in zip(cycle, cycle[1:] + cycle[:1])}
+    matrix = tuple(tuple(1 if succ[i] == j else x for j, x in enumerate(row))
+                   for i, row in enumerate(rows))
+    return SFTData(matrix, tuple(f"l{i}" for i in range(k)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(s=irreducible_shifts())
+def test_cohomology_closed_form_matches_exact_rank(s):
+    assert s.is_irreducible()
+    dims = cohomology_filtration_dims(s, 3)
+    for n in (1, 2, 3):
+        longer = enumerate_words(s, n + 1)
+        assert dims[n - 1] == len(longer) - exact_rank(coboundary_matrix(s, n))
 
 
 def test_cohomology_monotone_on_catalog(schottky2, theta_sft, dumbbell_sft):
