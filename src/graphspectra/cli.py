@@ -194,7 +194,7 @@ def _run_ktheory(plan: RunPlan):
             {"group": "k1", "rank": k1.rank, "torsion": "", "display": str(k1)}]
     other = plan.option("compare")
     if other:
-        verdict = ktheory.stable_iso_verdict(rows_a, io.load_matrix_rows(other)[0])
+        verdict = ktheory._stable_iso_verdict(rows_a, k0, io.load_matrix_rows(other)[0])
         report["verdict"] = verdict.value
     return report, rows
 

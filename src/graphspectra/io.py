@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io as _stdio
+import itertools
 import json
 import math
 from pathlib import Path
@@ -108,6 +109,9 @@ def load_presentation(source) -> PolygonalPresentation:
     for word in words:
         if not isinstance(word, (list, tuple)):
             raise InvalidInput("words must be lists of letters", witness=word)
+    for letter in itertools.chain(alphabet, *pairs, *words):
+        if isinstance(letter, (list, dict)):
+            raise InvalidInput("letters must be JSON scalars", witness=letter)
     return make_presentation(tuple(alphabet), tuple(tuple(p) for p in pairs),
                              [tuple(w) for w in words])
 
@@ -163,7 +167,7 @@ def _int_rows(rows) -> tuple:
     out = []
     for row in rows:
         try:
-            out.append(tuple(int(x) for x in row))
+            out.append(tuple(map(int, row)))
         except (TypeError, ValueError):
             raise InvalidInput("matrix rows must hold integers", witness=row) from None
     return tuple(out)

@@ -66,6 +66,24 @@ def test_ktheory_compare(capsysbinary):
     assert json.loads(out)["verdict"] == "StablyIsomorphic"
 
 
+def test_ktheory_compare_checks_and_reduces_each_matrix_once(capsysbinary, monkeypatch):
+    calls = {"check": 0, "reduce": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ktheory, "_check_zero_one_square",
+                        counted("check", ktheory._check_zero_one_square))
+    monkeypatch.setattr(ktheory, "_k_groups", counted("reduce", ktheory._k_groups))
+    code, out = run_cli(["ktheory", "--matrix", str(DATA / "a1.json"),
+                         "--compare", str(DATA / "theta_edge.json")], capsysbinary)
+    assert (code, json.loads(out)["verdict"]) == (0, "StablyIsomorphic")
+    assert calls == {"check": 2, "reduce": 2}
+
+
 def test_spectra_report(capsysbinary):
     code, out = run_cli(["spectra", "--genus", "2", "--levels", "3",
                          "--t", "1.0", "--s", "2.0"], capsysbinary)
@@ -443,6 +461,9 @@ BAD_FILES = {
     "badlambda.json": '{"alphabet": ["a"], "lambda": [["a"]], "words": []}',
     "intwords.json": '{"alphabet": ["a"], "lambda": [], "words": 5}',
     "intalpha.json": '{"alphabet": 7, "lambda": [], "words": []}',
+    "listletter.json": '{"alphabet": [["a"], "b"], "lambda": [], "words": []}',
+    "dictletter.json": '{"alphabet": [{"a": 1}, "b"], "lambda": [], "words": []}',
+    "wordletter.json": '{"alphabet": ["a", "b"], "lambda": [], "words": [[["a"], "b", "a"]]}',
 }
 
 
@@ -469,6 +490,9 @@ BAD_FILES = {
     (["building", "--file", "badlambda.json"], {}, "['a']"),
     (["building", "--file", "intwords.json"], {}, "'words'"),
     (["building", "--file", "intalpha.json"], {}, "'alphabet'"),
+    (["building", "--file", "listletter.json"], {}, "['a']"),
+    (["building", "--file", "dictletter.json"], {}, "{'a': 1}"),
+    (["building", "--file", "wordletter.json"], {}, "['a']"),
     (["tau", "--weights", "2,2,2,2,2", "--out", "nodir/x.json"], {},
      "'nodir/x.json'"),
     (["tau", "--weights", "2,2,2,2,2", "--out", "."], {}, "'.'"),
@@ -479,7 +503,8 @@ BAD_FILES = {
         "ktheory-matrix-not-array", "spectra-matrix-not-array",
         "ktheory-labels-not-array", "spectra-labels-not-array",
         "involution-not-array", "lambda-entry-not-pair", "words-not-array",
-        "alphabet-not-array", "out-in-missing-directory", "out-is-directory"])
+        "alphabet-not-array", "letter-is-list", "letter-is-dict",
+        "word-letter-is-list", "out-in-missing-directory", "out-is-directory"])
 def test_bad_input_is_a_documented_error(tmp_path, argv, env, witness):
     for name, text in BAD_FILES.items():
         (tmp_path / name).write_text(text)

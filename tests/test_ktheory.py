@@ -2,7 +2,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graphspectra import ktheory
 from graphspectra.errors import InvalidTransitionMatrix
 from graphspectra.graphs import (
     cayley_schottky_matrix,
@@ -20,18 +23,16 @@ from graphspectra.ktheory import (
     irreducibility_check,
     is_permutation_matrix,
     mat_mul,
-    mat_sub,
     smith_normal_form,
     stable_iso_verdict,
-    transpose,
 )
 
 from conftest import DUMBBELL_REFERENCE, THETA_REFERENCE
 
 
 def one_minus_transpose(matrix):
-    rows = [list(r) for r in matrix]
-    return mat_sub(identity_matrix(len(rows)), transpose(rows))
+    n = len(matrix)
+    return [[int(i == j) - matrix[j][i] for j in range(n)] for i in range(n)]
 
 
 def check_decomposition(m, snf):
@@ -204,3 +205,56 @@ def test_mat_mul_shapes():
     a = [[1, 2], [3, 4]]
     b = [[1, 0], [0, 1]]
     assert mat_mul(a, b) == a
+
+
+@st.composite
+def zero_one_matrices(draw):
+    """Random 0/1 matrices of <= 10 letters: independent random entries,
+    chain-heavy (most letters have exactly one successor, as in a
+    subdivided graph), or all ones."""
+    n = draw(st.integers(0, 10))
+    shape = draw(st.sampled_from(["random", "chains", "ones"]))
+    if shape == "ones":
+        return [[1] * n for _ in range(n)]
+    bit = st.integers(0, 1)
+    if shape == "random":
+        return [[draw(bit) for _ in range(n)] for _ in range(n)]
+    rows = []
+    for _ in range(n):
+        if draw(st.integers(0, 3)):  # a chain letter: one successor
+            successor = draw(st.integers(0, n - 1))
+            rows.append([int(j == successor) for j in range(n)])
+        else:
+            rows.append([draw(bit) for _ in range(n)])
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(a=zero_one_matrices())
+def test_k_groups_match_dense_smith(a):
+    n = len(a)
+    snf = smith_normal_form(one_minus_transpose(a))
+    free = n - snf.rank()
+    torsion = tuple(d for d in snf.nonzero_factors() if d > 1)
+    assert ck_k_theory(a) == (AbelianGroup(free, torsion), AbelianGroup(free))
+    if n > 2 and all(all(row) for row in a):
+        assert ck_k_theory(a)[0] == AbelianGroup(0, (n - 1,))
+
+
+def test_kato20_smith_sees_at_most_a_2x2_remainder(monkeypatch):
+    shapes = []
+
+    def recording(m):
+        shapes.append((len(m), len(m[0]) if m else 0))
+        return smith_normal_form(m)
+
+    monkeypatch.setattr(ktheory, "smith_normal_form", recording)
+    k0, k1 = ck_k_theory(directed_edge_matrix(kato_graph(20)))
+    assert (k0, k1) == (AbelianGroup(2), AbelianGroup(2))
+    assert shapes and all(rows <= 2 and cols <= 2 for rows, cols in shapes)
+
+
+def test_k_groups_of_kato80():
+    em = directed_edge_matrix(kato_graph(80))
+    assert em.size == 972
+    assert ck_k_theory(em) == (AbelianGroup(2), AbelianGroup(2))
