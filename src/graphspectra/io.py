@@ -109,9 +109,14 @@ def load_presentation(source) -> PolygonalPresentation:
     for word in words:
         if not isinstance(word, (list, tuple)):
             raise InvalidInput("words must be lists of letters", witness=word)
-    for letter in itertools.chain(alphabet, *pairs, *words):
+    letters = list(itertools.chain(alphabet, *pairs, *words))
+    for letter in letters:
         if isinstance(letter, (list, dict)):
             raise InvalidInput("letters must be JSON scalars", witness=letter)
+        # letters are sorted: all strings, or all numbers
+        if letter is None or isinstance(letter, str) != isinstance(letters[0], str):
+            raise InvalidInput("letters must be all strings or all numbers",
+                               witness=letter)
     return make_presentation(tuple(alphabet), tuple(tuple(p) for p in pairs),
                              [tuple(w) for w in words])
 

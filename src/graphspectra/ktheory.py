@@ -367,10 +367,18 @@ def _eliminate_unit_pivots(m: list[dict]) -> int:
 
 def _strongly_connected(rows) -> bool:
     n = len(rows)
+    return strongly_connected([[j for j in range(n) if rows[i][j]] for i in range(n)],
+                              [[j for j in range(n) if rows[j][i]] for i in range(n)])
+
+
+def strongly_connected(succ, pred) -> bool:
+    """True iff the directed graph with successor lists succ and
+    predecessor lists pred is strongly connected; one vertex needs a loop."""
+    n = len(succ)
     if n == 0:
         return False
     if n == 1:
-        return rows[0][0] == 1
+        return bool(succ[0])
 
     def reach(start, adj):
         seen = {start}
@@ -382,9 +390,7 @@ def _strongly_connected(rows) -> bool:
                     stack.append(j)
         return seen
 
-    fwd = [[j for j in range(n) if rows[i][j]] for i in range(n)]
-    bwd = [[j for j in range(n) if rows[j][i]] for i in range(n)]
-    return len(reach(0, fwd)) == n and len(reach(0, bwd)) == n
+    return len(reach(0, succ)) == n and len(reach(0, pred)) == n
 
 
 def _is_permutation(rows) -> bool:

@@ -27,11 +27,12 @@ reports the enumerated value.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
-from itertools import islice
+from dataclasses import dataclass, field
+from itertools import compress, islice
 
 from .errors import (
     EnumerationBudgetExceeded,
@@ -42,7 +43,7 @@ from .errors import (
     RequiresIrreducible,
 )
 from .graphs import EdgeMatrix, isomorphisms
-from .ktheory import irreducibility_check
+from .ktheory import strongly_connected
 
 DEFAULT_WORD_BUDGET = 10 ** 6
 BUDGET_ENV_VAR = "GRAPHSPECTRA_WORD_BUDGET"
@@ -65,6 +66,9 @@ class SFTData:
     matrix: tuple
     labels: tuple
     involution: tuple | None = None  # involution[i] = index of the inverse letter
+    # successor and predecessor letter lists, built once from the matrix
+    _succ: tuple = field(init=False, repr=False, compare=False)
+    _pred: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.matrix)
@@ -82,16 +86,28 @@ class SFTData:
             if any(inv[i] == i or inv[inv[i]] != i for i in range(n)):
                 raise InvalidTransitionMatrix(
                     "involution must be fixed-point-free of order two", witness=inv)
+        succ = tuple(tuple(compress(range(n), row)) for row in self.matrix)
+        pred = [[] for _ in range(n)]
+        for i, js in enumerate(succ):
+            for j in js:
+                pred[j].append(i)
+        object.__setattr__(self, "_succ", succ)
+        object.__setattr__(self, "_pred", tuple(map(tuple, pred)))
 
     @property
     def alphabet_size(self) -> int:
         return len(self.matrix)
 
     def is_irreducible(self) -> bool:
-        return irreducibility_check(self.matrix)
+        return strongly_connected(self._succ, self._pred)
 
-    def successors(self, letter: int) -> list[int]:
-        return [j for j, x in enumerate(self.matrix[letter]) if x]
+    def successors(self, letter: int) -> tuple[int, ...]:
+        """The letters j with A[letter][j] = 1, ascending (cached)."""
+        return self._succ[letter]
+
+    def predecessors(self, letter: int) -> tuple[int, ...]:
+        """The letters i with A[i][letter] = 1, ascending (cached)."""
+        return self._pred[letter]
 
     def is_admissible(self, word: tuple) -> bool:
         if not word:
@@ -126,9 +142,8 @@ def word_count_vectors(s: SFTData) -> Iterator[tuple]:
 
     v_1 is all ones and v_{n+1}[j] sums v_n over the predecessors of j.
     """
-    size = s.alphabet_size
-    preds = [[i for i in range(size) if s.matrix[i][j]] for j in range(size)]
-    vec = (1,) * size
+    preds = s._pred
+    vec = (1,) * s.alphabet_size
     while True:
         yield vec
         vec = tuple(sum(vec[i] for i in pred) for pred in preds)
@@ -196,63 +211,92 @@ class PerronData:
 
     Eigenvectors are normalized to sum 1; the residual
     ||A v - lam v||_inf / ||v||_inf is below 1e-12 on both sides.
+    ``bracket`` = (lo, hi) is the Collatz-Wielandt enclosure of lam: lo
+    and hi are the smallest and largest ratio (A v)_i / v_i over the
+    final right vector (for A) and left vector (for A^t), the tighter
+    bound of the two sides each, so lo <= lam <= hi (up to rounding in
+    the ratios); at the default tolerance hi - lo <= 5e-13 <= 1e-12 lam.
     The Hausdorff exponent of the boundary is log(lam).
     """
 
     value: float
     left: tuple
     right: tuple
+    bracket: tuple
 
     @property
     def exponent(self) -> float:
-        import math
         return math.log(self.value)
 
 
-def perron_data(s: SFTData, tol: float = 1e-12, max_iter: int = 200000) -> PerronData:
-    """Power iteration for the Perron eigenvalue and eigenvectors.
+def perron_data(s: SFTData, tol: float = 1e-12) -> PerronData:
+    """Perron eigenvalue and eigenvectors by Noda iteration (T. Noda,
+    Numer. Math. 17, 1971), once for A and once for A^t.
 
-    Iterates with the primitive shift A + I (irreducibility makes that
-    aperiodic), stopping once the residual on A itself is below tol.
+    From v = 1, each step takes the Collatz-Wielandt upper bound
+    sigma = max_i (A v)_i / v_i >= lam (H. Wielandt, Math. Z. 52, 1950),
+    solves (sigma I - A) w = v and sets v = w / max w.  For an
+    irreducible A and sigma > lam the solve keeps v positive, sigma
+    falls monotonically to lam and the convergence is superlinear.  The
+    iteration stops, before any solve, once max_i - min_i of the ratios
+    is at most tol / 2; a bare cycle or a full shift starts on an exact
+    eigenvector and needs no solve.  The residual of a vector is at most
+    the width of its bracket, so it stays below tol with room for
+    rounding, and as lam >= 1 for an irreducible 0/1 matrix the width is
+    also at most tol * lam / 2.  lam = l^T A r / l^T r, which lies in
+    both sides' brackets.
     """
     import numpy as np
 
     if not s.is_irreducible():
         raise RequiresIrreducible("transition matrix must be irreducible")
     a = np.array(s.matrix, dtype=float)
-
-    def iterate(mat):
-        v = np.ones(mat.shape[0])
-        v /= v.max()
-        for k in range(max_iter):
-            w = mat @ v + v
-            w /= w.max()
-            close = np.abs(w - v).max() < tol / 8
-            v = w
-            if close and k >= 1:
-                av = mat @ v
-                lam = float(av @ v / (v @ v))
-                if np.abs(av - lam * v).max() / v.max() < tol:
-                    return v
-        av = mat @ v
-        lam = float(av @ v / (v @ v))
-        resid = np.abs(av - lam * v).max() / v.max()
-        if resid >= tol:
-            raise RequiresIrreducible(
-                f"power iteration residual {resid:.2e} did not reach {tol}")
-        return v
-
-    right = iterate(a)
-    left = iterate(a.T)
-    lam = float(left @ a @ right / (left @ right))
+    right, r_lo, r_hi = _noda(a, tol)
+    left, l_lo, l_hi = _noda(a.T, tol)
+    # rounding in the ratios can leave the quotient just outside the
+    # intersection of the two brackets, or the two brackets an ulp apart
+    lo, hi = sorted((max(r_lo, l_lo), min(r_hi, l_hi)))
+    lam = min(max(float(left @ a @ right / (left @ right)), lo), hi)
     for vec, mat in ((right, a), (left, a.T)):
         resid = np.abs(mat @ vec - lam * vec).max() / vec.max()
         if resid >= tol:
             raise RequiresIrreducible(
-                f"power iteration residual {resid:.2e} did not reach {tol}")
+                f"Perron residual {resid:.2e} did not reach {tol}")
     return PerronData(lam,
                       tuple(float(x) for x in left / left.sum()),
-                      tuple(float(x) for x in right / right.sum()))
+                      tuple(float(x) for x in right / right.sum()),
+                      (lo, hi))
+
+
+def _noda(a, tol: float):
+    """Noda iteration for the Perron vector of a nonnegative irreducible
+    matrix; returns the vector and its final ratio bracket.
+
+    A shift sigma that is singular to working precision equals lam to
+    working precision, so the solve then takes sigma (1 + tol), still
+    above lam.  In exact arithmetic sigma strictly decreases; a step that
+    does not decrease it means rounding has taken over before the bracket
+    closed, and raises RequiresIrreducible.
+    """
+    import numpy as np
+
+    eye = np.eye(a.shape[0])
+    v = np.ones(a.shape[0])
+    previous = math.inf
+    while True:
+        ratios = (a @ v) / v
+        lo, hi = float(ratios.min()), float(ratios.max())
+        if hi - lo <= tol / 2:
+            return v, lo, hi
+        if not hi < previous:
+            raise RequiresIrreducible(f"Perron bracket [{lo!r}, {hi!r}] did not "
+                                      f"close to {tol}", witness=(lo, hi))
+        previous = hi
+        try:
+            w = np.linalg.solve(hi * eye - a, v)
+        except np.linalg.LinAlgError:
+            w = np.linalg.solve(hi * (1 + tol) * eye - a, v)
+        v = w / w.max()
 
 
 class ParryMeasure:
@@ -296,9 +340,8 @@ def coboundary_matrix(s: SFTData, n: int, budget: int | None = None) -> list[lis
     for col, u in enumerate(shorter):
         for b in s.successors(u[-1]):
             mat[index[u + (b,)]][col] += 1
-        for a in range(s.alphabet_size):
-            if s.matrix[a][u[0]]:
-                mat[index[(a,) + u]][col] -= 1
+        for a in s.predecessors(u[0]):
+            mat[index[(a,) + u]][col] -= 1
     return mat
 
 

@@ -18,7 +18,11 @@ chop) that satisfy the defining relations
     sum_j S_j S_j^* = 1,   S_i^* S_i = sum_j A_ij S_j S_j^*
 
 exactly on levels <= N-1 of the truncation; their adjoints lower the
-level by one.
+level by one.  Each S_j S_j^* is diagonal in the cylinder basis, and
+each row of S_i collects the words of a single length-N prefix, so both
+relations compressed to levels <= N-1 are diagonal per length-N prefix:
+``ck_residuals`` evaluates them in one pass over the isometries' stored
+entries, after checking that pattern on the entries.
 
 Commutator norms have a closed form.  Let E_n = range(P_n - P_{n-1}).
 Since S_i^* maps V_n = range(P_n) into V_{n-1} (and V_0 into V_0), S_i
@@ -156,15 +160,6 @@ def _small_range_norm(op, witness) -> float:
     return float(svdvals(op.H @ u[:, :rank])[0]) if rank else 0.0
 
 
-def frobenius_norm(mat) -> float:
-    import numpy as np
-    import scipy.sparse as sp
-
-    if sp.issparse(mat):
-        return float(np.sqrt((mat.multiply(mat)).sum()))
-    return float(np.linalg.norm(np.asarray(mat)))
-
-
 class SpectralTruncation:
     """Level-N truncation of the cylinder representation of an SFT.
 
@@ -274,24 +269,65 @@ class SpectralTruncation:
 
     def ck_residuals(self) -> dict:
         """Frobenius norms (upper bounds for the operator norm) of both
-        defining relations, compressed to levels <= N-1.
+        defining relations, compressed to levels <= N-1, from one pass
+        over the stored isometries' entries.
 
-        ||P X P||_F = ||Q^T X Q||_F for Q = Q_{N-1}, whose columns are
-        orthonormal, so the compression never forms P_{N-1}.
+        ||P X P||_F = ||Q^T X Q||_F for Q = Q_{N-1}, whose columns (the
+        length-N prefixes u, weights g_w on their words w) are orthonormal.
+        The pass first checks on the entries the pattern it relies on:
+        every entry (r, c) of S_i lies in the row r of the word i u, where
+        u is the prefix of the column c, and no (row, column) pair
+        repeats.  Then S_j S_j^* is diagonal with entries t_w (row sums of
+        squares), S_i Q maps u to c_{iu} times the word i u (c the row sums
+        of g-weighted entries), and both compressed relations are diagonal
+        per prefix.  The unit-sum residual is the norm over u of
+        sum_{w in u} g_w^2 (t_w - 1).  The words i u are the pairs with
+        A_{i u_0} = 1, and the one surviving summand of
+        sum_j A_ij S_j S_j^* on u is the range of S_{u_0}, with entry
+        e_u = sum_{w in u} g_w^2 t_w; so the residual of letter i is the
+        norm over the words i u of c_{iu}^2 - e_u.  A broken pattern
+        raises RuntimeError.
         """
-        import scipy.sparse as sp
+        import numpy as np
 
-        q = self.prefix_factor(self.level - 1)
-        qt = q.T.tocsr()
-        eye = sp.identity(self.dimension, format="csr")
-        ranges = [s @ s.T for s in self._isometries]
-        total = sum(ranges)
-        unit = frobenius_norm(qt @ (total - eye) @ q)
-        per_letter = []
-        for i, s in enumerate(self._isometries):
-            rhs = sum(ranges[j] for j in self.sft.successors(i))
-            per_letter.append(frobenius_norm(qt @ (s.T @ s - rhs) @ q))
-        return {"unit_sum": unit, "range_relation": per_letter}
+        size, dim = self.sft.alphabet_size, self.dimension
+        top = self.level - 1
+        starts = self._starts[top]
+        g = self._weights[top][:, 0]
+        owner = np.repeat(np.arange(len(starts)), self._sizes[top])
+        # basis word x = i u, lexicographic: its letter i and the index of
+        # its prefix u, laid out from the length-N prefix counts by first letter
+        per_first = self._counts[top]
+        succ = [self.sft.successors(i) for i in range(size)]
+        pair_letter = np.repeat(np.arange(size), [len(js) for js in succ])
+        pair_next = np.fromiter((j for js in succ for j in js), dtype=np.int64,
+                                count=len(pair_letter))
+        lengths = per_first[pair_next]
+        first_prefix = np.cumsum(per_first) - per_first
+        first = np.repeat(pair_letter, lengths)
+        tail = (np.repeat(first_prefix[pair_next] - (np.cumsum(lengths) - lengths), lengths)
+                + np.arange(len(first)))
+
+        mats = self._isometries
+        index = np.arange(dim)
+        letter = np.repeat(np.arange(size), [m.nnz for m in mats])
+        rows = np.concatenate([np.repeat(index, np.diff(m.indptr)) for m in mats])
+        cols = np.concatenate([m.indices for m in mats])
+        vals = np.concatenate([m.data for m in mats])
+        row_step, col_step = np.diff(rows), np.diff(cols)
+        if len(first) != dim or not (
+                np.all(first[rows] == letter) and np.all(tail[rows] == owner[cols])
+                and np.all((row_step > 0) | ((row_step == 0) & (col_step > 0)))):
+            raise RuntimeError("isometry entries leave the cylinder pattern")
+
+        sq = np.bincount(rows, weights=vals * vals, minlength=dim)
+        unit = np.add.reduceat(g * g * (sq - 1), starts)
+        ranges = np.add.reduceat(g * g * sq, starts)
+        lifted = np.bincount(rows, weights=g[cols] * vals, minlength=dim)
+        gap = lifted * lifted - ranges[tail]
+        per_letter = np.sqrt(np.bincount(first, weights=gap * gap, minlength=size))
+        return {"unit_sum": float(np.linalg.norm(unit)),
+                "range_relation": [float(x) for x in per_letter]}
 
     def weight_depth(self, letter: int) -> int:
         """Number of leading coordinates the conformal weight of the letter

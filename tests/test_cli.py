@@ -464,6 +464,7 @@ BAD_FILES = {
     "listletter.json": '{"alphabet": [["a"], "b"], "lambda": [], "words": []}',
     "dictletter.json": '{"alphabet": [{"a": 1}, "b"], "lambda": [], "words": []}',
     "wordletter.json": '{"alphabet": ["a", "b"], "lambda": [], "words": [[["a"], "b", "a"]]}',
+    "mixedletters.json": '{"alphabet": ["a", 1], "lambda": [], "words": [["a", 1]]}',
 }
 
 
@@ -493,6 +494,7 @@ BAD_FILES = {
     (["building", "--file", "listletter.json"], {}, "['a']"),
     (["building", "--file", "dictletter.json"], {}, "{'a': 1}"),
     (["building", "--file", "wordletter.json"], {}, "['a']"),
+    (["building", "--file", "mixedletters.json"], {}, "1"),
     (["tau", "--weights", "2,2,2,2,2", "--out", "nodir/x.json"], {},
      "'nodir/x.json'"),
     (["tau", "--weights", "2,2,2,2,2", "--out", "."], {}, "'.'"),
@@ -504,7 +506,8 @@ BAD_FILES = {
         "ktheory-labels-not-array", "spectra-labels-not-array",
         "involution-not-array", "lambda-entry-not-pair", "words-not-array",
         "alphabet-not-array", "letter-is-list", "letter-is-dict",
-        "word-letter-is-list", "out-in-missing-directory", "out-is-directory"])
+        "word-letter-is-list", "letters-of-mixed-types", "out-in-missing-directory",
+        "out-is-directory"])
 def test_bad_input_is_a_documented_error(tmp_path, argv, env, witness):
     for name, text in BAD_FILES.items():
         (tmp_path / name).write_text(text)

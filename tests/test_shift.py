@@ -110,6 +110,113 @@ def test_perron_requires_irreducible():
         perron_data(SFTData(((1, 1), (0, 1)), ("a", "b")))
 
 
+@st.composite
+def periodic_shifts(draw):
+    """Irreducible 0/1 matrices on 1-8 letters of period p: a cycle through
+    every letter, with position classes mod p (p divides the size), plus
+    random edges from each class to the next.  p = size gives a bare
+    cycle, p = 1 a random matrix around a Hamiltonian cycle."""
+    k = draw(st.integers(1, 8))
+    period = draw(st.sampled_from([p for p in range(1, k + 1) if k % p == 0]))
+    cycle = draw(st.permutations(range(k)))
+    position = {a: n for n, a in enumerate(cycle)}
+    extra = draw(st.lists(st.lists(st.integers(0, 1), min_size=k, max_size=k),
+                          min_size=k, max_size=k))
+    matrix = tuple(
+        tuple(int(position[j] == (position[i] + 1) % k
+                  or (extra[i][j] and (position[j] - position[i] - 1) % period == 0))
+              for j in range(k))
+        for i in range(k))
+    return SFTData(matrix, tuple(f"l{i}" for i in range(k)))
+
+
+def eig_perron(a):
+    """Perron root and its eigenvector (sum 1) from numpy.linalg.eig: the
+    eigenvalue of largest real part, which is the positive real root."""
+    vals, vecs = np.linalg.eig(a)
+    top = int(np.argmax(vals.real))
+    vec = np.abs(vecs[:, top].real)
+    return float(vals[top].real), vec / vec.sum()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(s=periodic_shifts())
+def test_perron_matches_eig(s):
+    assert s.is_irreducible()
+    pd = perron_data(s)
+    a = np.array(s.matrix, dtype=float)
+    lam, right = eig_perron(a)
+    _, left = eig_perron(a.T)
+    assert pd.value == pytest.approx(lam, rel=1e-12)
+    assert np.abs(np.array(pd.right) - right).max() < 1e-10
+    assert np.abs(np.array(pd.left) - left).max() < 1e-10
+    assert min(pd.left) > 0 and min(pd.right) > 0
+    lo, hi = pd.bracket
+    assert lo <= pd.value <= hi
+    assert hi - lo <= 1e-12 * pd.value
+    assert lo * (1 - 1e-14) <= lam <= hi * (1 + 1e-14)  # eig is exact to ~1e-16
+
+
+def count_solves(monkeypatch, a):
+    """Patch numpy.linalg.solve to count Noda solves per side: a solve for
+    the right vector has the off-diagonal pattern of -A, one for the left
+    vector that of -A^t."""
+    counts = {"right": 0, "left": 0}
+    solve = np.linalg.solve
+    off = ~np.eye(len(a), dtype=bool)
+
+    def counting(m, v):
+        counts["right" if np.array_equal(-m[off], a[off]) else "left"] += 1
+        return solve(m, v)
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return counts
+
+
+def test_perron_kato40_converges_in_few_solves(monkeypatch):
+    s = from_edge_matrix(directed_edge_matrix(kato_graph(40)))
+    a = np.array(s.matrix, dtype=float)
+    assert not np.array_equal(a, a.T)
+    counts = count_solves(monkeypatch, a)
+    pd = perron_data(s)
+    assert 1 <= counts["right"] <= 20 and 1 <= counts["left"] <= 20
+    assert pd.value == pytest.approx(1.0084888420025415, rel=1e-12)
+    lo, hi = pd.bracket
+    assert lo <= pd.value <= hi and hi - lo <= 1e-12 * pd.value
+
+
+def test_perron_exact_start_needs_no_solve(monkeypatch, schottky2, theta_sft):
+    cycle = SFTData(((0, 1, 0), (0, 0, 1), (1, 0, 0)), ("a", "b", "c"))
+    for s, lam in ((cycle, 1.0), (schottky2, 3.0), (theta_sft, 2.0), (ONE_LETTER, 1.0)):
+        counts = count_solves(monkeypatch, np.array(s.matrix, dtype=float))
+        pd = perron_data(s)
+        assert counts == {"right": 0, "left": 0}
+        assert pd.value == lam and pd.bracket == (lam, lam)
+
+
+def test_perron_singular_shift_is_not_a_linalg_error(monkeypatch):
+    """A shift sigma singular to working precision is replaced by one just
+    above it, and a reducible matrix is rejected before any solve."""
+    s = from_edge_matrix(directed_edge_matrix(kato_graph(2)))
+    expected = perron_data(s)
+    solve = np.linalg.solve
+    failed = []
+
+    def singular_once(m, v):
+        if not failed:
+            failed.append(m[0, 0])
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(m, v)
+    monkeypatch.setattr(np.linalg, "solve", singular_once)
+    pd = perron_data(s)
+    assert failed
+    assert pd.value == pytest.approx(expected.value, rel=1e-12)
+    assert np.abs(np.array(pd.right) - expected.right).max() < 1e-12
+    monkeypatch.setattr(np.linalg, "solve", lambda m, v: pytest.fail("solved"))
+    for rows in (((1, 1), (0, 1)), ((1, 0), (0, 1)), ((0, 1, 0), (1, 0, 0), (1, 1, 1))):
+        with pytest.raises(RequiresIrreducible):
+            perron_data(SFTData(rows, tuple("abc"[:len(rows)])))
+
+
 def test_parry_weights(schottky2):
     assert parry_cylinder_measure(schottky2, (0,)) == pytest.approx(0.25, abs=1e-13)
     assert parry_cylinder_measure(schottky2, (0, 1)) == pytest.approx(1 / 12, abs=1e-13)

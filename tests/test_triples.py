@@ -16,7 +16,7 @@ from graphspectra.errors import (
     SummabilityViolation,
     TruncationTooSmall,
 )
-from graphspectra.graphs import directed_edge_matrix, genus2_catalog
+from graphspectra.graphs import directed_edge_matrix, genus2_catalog, kato_graph
 from graphspectra.shift import (
     SFTData,
     alphabet_automorphisms,
@@ -157,6 +157,48 @@ def test_factored_truncation_matches_assembled(name, level, data):
     res = t.ck_residuals()
     assert [res["unit_sum"], *res["range_relation"]] == pytest.approx(
         reference_ck_residuals(t), abs=1e-12)
+
+
+CK_SHIFTS = {**AGREEMENT_SHIFTS,
+             "kato5": from_edge_matrix(directed_edge_matrix(kato_graph(5)))}
+
+
+def flat_residuals(t):
+    res = t.ck_residuals()
+    return [res["unit_sum"], *res["range_relation"]]
+
+
+@pytest.mark.parametrize("name", sorted(CK_SHIFTS))
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+def test_ck_residuals_match_the_assembled_relations(name, level):
+    s = CK_SHIFTS[name]
+    twists = [None, alphabet_automorphisms(s)[-1]]
+    for twist in twists:
+        t = build_truncation(s, level, twist=twist)
+        assert flat_residuals(t) == pytest.approx(reference_ck_residuals(t), abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["schottky2", "kato5"])
+def test_ck_residuals_see_a_perturbed_isometry_entry(name):
+    t = build_truncation(CK_SHIFTS[name], 4)
+    assert max(flat_residuals(t)) < 1e-12
+    letter = 1
+    t.isometry(letter).data[0] *= 1 + 1e-6
+    residuals = flat_residuals(t)
+    assert residuals[0] > 1e-9 and residuals[1 + letter] > 1e-9
+    assert residuals == pytest.approx(reference_ck_residuals(t), abs=1e-12)
+
+
+def test_ck_residuals_check_the_isometry_pattern(schottky2):
+    """An entry moved to another row breaks the diagonal form the residual
+    pass relies on; the pass refuses instead of under-reporting."""
+    t = build_truncation(schottky2, 3)
+    s = t.isometry(0).tocoo()
+    rows = s.row.copy()
+    rows[0] = (rows[0] + 1) % t.dimension
+    t._isometries[0] = sp.csr_matrix((s.data, (rows, s.col)), shape=s.shape)
+    with pytest.raises(RuntimeError, match="cylinder pattern"):
+        t.ck_residuals()
 
 
 def test_zero_schedule_on_the_lanczos_branch_is_exactly_zero(schottky2):
