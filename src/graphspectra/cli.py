@@ -140,14 +140,13 @@ def _sft_from_options(plan: RunPlan, default_genus=None) -> shift.SFTData:
     return shift.full_schottky_sft(int(genus))
 
 
-def adaptive_theta(s: shift.SFTData, t: float, tol: float = TRACE_TAIL_TOL,
-                   perron: shift.PerronData | None = None) -> triples.ThetaTrace:
+def adaptive_theta(gradings: triples.SFTGradings, t: float,
+                   tol: float = TRACE_TAIL_TOL) -> triples.ThetaTrace:
     """Heat-trace partial sum at the smallest power-of-two level count
     whose certified tail drops below tol (capped at 512 levels)."""
     levels = 16
     while True:
-        result = triples.theta_trace(
-            triples.grading_from_sft(s, levels, perron), t, tol)
+        result = triples.theta_trace(gradings(levels), t, tol)
         if result.converged or levels >= 512:
             return result
         levels *= 2
@@ -209,13 +208,13 @@ def _run_spectra(plan: RunPlan):
     perron = shift.perron_data(s)
     trunc = triples.build_truncation(s, levels, twist=twist, perron=perron)
     residuals = trunc.ck_residuals()
+    gradings = triples.SFTGradings(s, perron)
     theta_rows = []
     for t in ts:
-        res = adaptive_theta(s, t, perron=perron)
+        res = adaptive_theta(gradings, t)
         theta_rows.append({"t": res.t, "partial": res.partial,
                            "tail_bound": res.tail_bound})
-    zeta = triples.zeta_partial(
-        triples.grading_from_sft(s, max(levels, 48), perron), zeta_s)
+    zeta = triples.zeta_partial(gradings(max(levels, 48)), zeta_s)
     commutators = []
     for letter in range(s.alphabet_size):
         norm, depth = trunc.commutator_norm(letter)

@@ -32,7 +32,7 @@ import os
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from itertools import chain, compress, islice
 
 from .errors import (
     EnumerationBudgetExceeded,
@@ -73,7 +73,7 @@ class SFTData:
     def __post_init__(self):
         n = len(self.matrix)
         for row in self.matrix:
-            if len(row) != n or any(x not in (0, 1) for x in row):
+            if len(row) != n or not {0, 1}.issuperset(row):
                 raise InvalidTransitionMatrix("transition matrix must be square 0/1",
                                               witness=row)
         if len(self.labels) != n:
@@ -156,8 +156,8 @@ def count_words(s: SFTData, n: int) -> int:
     return sum(next(islice(word_count_vectors(s), n - 1, None)))
 
 
-def enumerate_words(s: SFTData, n: int, budget: int | None = None) -> list[tuple]:
-    """All admissible words of length n in lexicographic order."""
+def _check_word_budget(s: SFTData, n: int, budget: int | None) -> None:
+    """Raise unless n >= 1 and the words of length n fit the word budget."""
     if n < 1:
         raise InvalidTransitionMatrix("word length must be >= 1", witness=n)
     cap = budget if budget is not None else word_budget()
@@ -165,6 +165,11 @@ def enumerate_words(s: SFTData, n: int, budget: int | None = None) -> list[tuple
     if total > cap:
         raise EnumerationBudgetExceeded(
             f"{total} words of length {n} exceed budget {cap}", witness=total)
+
+
+def enumerate_words(s: SFTData, n: int, budget: int | None = None) -> list[tuple]:
+    """All admissible words of length n in lexicographic order."""
+    _check_word_budget(s, n, budget)
     words: list[tuple] = []
     stack = [(a,) for a in reversed(range(s.alphabet_size))]
     while stack:
@@ -175,6 +180,37 @@ def enumerate_words(s: SFTData, n: int, budget: int | None = None) -> list[tuple
         for b in reversed(s.successors(w[-1])):
             stack.append(w + (b,))
     return words
+
+
+def word_table(s: SFTData, n: int, budget: int | None = None):
+    """The words of :func:`enumerate_words` as one (count, n) numpy array,
+    row k the k-th word, in the smallest unsigned dtype that holds every
+    letter index (uint8 up to 256 letters, uint16 above).
+
+    The table grows a column per level: every row is repeated once per
+    successor of its last letter, and the successors (cached on the SFT,
+    ascending) are appended, which keeps the rows lexicographic.  The word
+    budget is checked on the exact count before anything is allocated.
+    """
+    _check_word_budget(s, n, budget)
+    import numpy as np
+
+    size = s.alphabet_size
+    dtype = np.min_scalar_type(max(size - 1, 0))
+    degree = np.array([len(js) for js in s._succ], dtype=np.intp)
+    successors = np.fromiter(chain.from_iterable(s._succ), dtype=dtype,
+                             count=int(degree.sum()))
+    first_successor = np.cumsum(degree) - degree
+    table = np.arange(size, dtype=dtype)[:, None]
+    for _ in range(n - 1):
+        last = table[:, -1]
+        reps = degree[last]
+        ends = np.cumsum(reps)
+        pick = np.repeat(first_successor[last] - (ends - reps), reps)
+        pick += np.arange(len(pick))
+        table = np.concatenate([np.repeat(table, reps, axis=0),
+                                successors[pick][:, None]], axis=1)
+    return table
 
 
 @dataclass(frozen=True)

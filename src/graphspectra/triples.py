@@ -3,11 +3,16 @@
 The central object is :class:`SpectralTruncation`: the span of cylinder
 indicators of length N+1 of an irreducible SFT, carrying
 
+* its basis, the admissible words of length N+1 in lexicographic order,
+  held as one numpy word table (one small-integer row per word); each
+  isometry row is found from the table's prefix counts by rank
+  arithmetic, not by looking words up;
 * the grading operator D = sum_n n (P_n - P_{n-1}), where P_n projects
   onto functions of the first n+1 coordinates.  P_n = Q_n Q_n^T for the
   prefix factor Q_n, a dim x #prefixes matrix with orthonormal columns
-  and nnz = dim; only the Q_n are stored, and D = N - sum_{n<N} P_n is
-  applied in O(N dim) per vector;
+  and nnz = dim; only the block starts of the Q_n are stored (their
+  weights are derived from the measure when used), and
+  D = N - sum_{n<N} P_n is applied in O(N dim) per vector;
 * one partial isometry per letter, acting on mu^(1/2)-normalized
   cylinder indicators by prepending the letter with a conformal weight
   drawn from the Parry measure.
@@ -57,12 +62,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import cached_property
+from itertools import accumulate, islice
 
 from .errors import (
     EnumerationBudgetExceeded,
     InsufficientSpectrum,
     InvalidParameter,
+    InvalidTransitionMatrix,
     NormNotConverged,
     RequiresEvenTriple,
     RequiresIrreducible,
@@ -70,13 +77,14 @@ from .errors import (
     TruncationTooSmall,
 )
 from .shift import (
+    FiltrationDims,
     PerronData,
     SFTData,
-    enumerate_words,
     filtration_dims,
     perron_data,
     word_budget,
     word_count_vectors,
+    word_table,
 )
 
 # Largest smaller side decomposed densely by spectral_norm; above it,
@@ -91,6 +99,9 @@ DENSE_NORM_CUTOFF = 256
 # stalled there and raised NormNotConverged after ~67 s, where 20
 # converges in ~20 ms.
 LANCZOS_NCV = 20
+# Isometry entries per batch of the ck_residuals pass, at most: bounds its
+# per-entry temporaries whatever the dimension.
+ENTRY_BATCH = 1 << 16
 
 
 def spectral_norm(mat) -> float:
@@ -164,35 +175,49 @@ class SpectralTruncation:
     """Level-N truncation of the cylinder representation of an SFT.
 
     Built through :func:`build_truncation`.  The orthonormal basis is
-    indexed by the admissible words of length N+1 (``words``), in
-    lexicographic order, so each length-(n+1) prefix u owns a contiguous
+    indexed by the admissible words of length N+1, in lexicographic order,
+    held as one numpy word table (row k the k-th word, see
+    :func:`shift.word_table`); ``words`` is a list-of-tuples view of it,
+    made when first read.  Each length-(n+1) prefix u owns a contiguous
     block of basis vectors; coarser cylinders are sums over their
     refinements.  The column of Q_n for u holds sqrt(mu(w) / mu(u)) on
-    u's block.  For each n < N only the block starts and these weights
-    are stored, O(N dim) in all, next to one sparse isometry
-    (nnz <= dim) per letter.  P_n X = Q_n (Q_n^T X) is a block sum and a
-    broadcast, and D = lambda_N - sum_{n<N} (lambda_{n+1} - lambda_n) P_n.
+    u's block.  For each n < N only the block starts are stored, and the
+    weights are derived from them and ``mu`` when used, O(N dim) in all,
+    next to one sparse isometry (nnz <= dim) per letter.
+    P_n X = Q_n (Q_n^T X) is a block sum and a broadcast, and
+    D = lambda_N - sum_{n<N} (lambda_{n+1} - lambda_n) P_n.
     ``projection`` and ``grading_matrix`` assemble sparse reference
     views on demand.  ``commutator_norm`` needs none of this: it reads
     the counts of the length-(n+1) prefixes by first letter.
     """
 
-    def __init__(self, sft: SFTData, level: int, words: list, mu: np.ndarray,
-                 isometries: list, starts: list, weights: list, counts: list,
-                 twist: tuple | None):
+    def __init__(self, sft: SFTData, level: int, table: np.ndarray, mu: np.ndarray,
+                 isometries: list, starts: list, counts: list, twist: tuple | None):
         import numpy as np
 
         self.sft = sft
         self.level = level
-        self.words = words
+        self._table = table  # the basis words, one row each
         self.mu = mu
         self._isometries = isometries
         self._starts = starts  # block starts of the length-(n+1) prefixes
-        self._weights = weights  # column (dim, 1) of sqrt(mu / mu(prefix))
         self._counts = counts  # length-(n+1) prefixes per first letter
-        self._sizes = [np.diff(s, append=len(words)) for s in starts]
+        self._sizes = [np.diff(s, append=len(table)) for s in starts]
         self.twist = twist
-        self.dimension = len(words)
+        self.dimension = len(table)
+
+    @cached_property
+    def words(self) -> list:
+        """The basis words as tuples, in basis order."""
+        return list(map(tuple, self._table.tolist()))
+
+    def _weight(self, n: int) -> np.ndarray:
+        """Column (dim, 1) of sqrt(mu(w) / mu(u)), u the length-(n+1)
+        prefix of the basis word w."""
+        import numpy as np
+
+        block_mu = np.repeat(np.add.reduceat(self.mu, self._starts[n]), self._sizes[n])
+        return np.sqrt(self.mu / block_mu)[:, None]
 
     def isometry(self, letter: int):
         return self._isometries[letter]
@@ -212,7 +237,7 @@ class SpectralTruncation:
         sizes = self._sizes[n]
         rows = np.arange(self.dimension)
         cols = np.repeat(np.arange(len(sizes)), sizes)
-        return sp.csr_matrix((self._weights[n][:, 0], (rows, cols)),
+        return sp.csr_matrix((self._weight(n)[:, 0], (rows, cols)),
                              shape=(self.dimension, len(sizes)))
 
     def projection(self, n: int):
@@ -250,7 +275,7 @@ class SpectralTruncation:
         """P_n x for a (dim, k) block x."""
         import numpy as np
 
-        g = self._weights[n]
+        g = self._weight(n)
         sums = np.add.reduceat(g * x, self._starts[n], axis=0)
         return g * np.repeat(sums, self._sizes[n], axis=0)
 
@@ -286,46 +311,60 @@ class SpectralTruncation:
         sum_j A_ij S_j S_j^* on u is the range of S_{u_0}, with entry
         e_u = sum_{w in u} g_w^2 t_w; so the residual of letter i is the
         norm over the words i u of c_{iu}^2 - e_u.  A broken pattern
-        raises RuntimeError.
+        raises RuntimeError.  The entries are read a block of rows at a
+        time, at most ENTRY_BATCH of them under the pattern, so the
+        per-entry temporaries stay bounded whatever the dimension.
         """
         import numpy as np
 
         size, dim = self.sft.alphabet_size, self.dimension
         top = self.level - 1
         starts = self._starts[top]
-        g = self._weights[top][:, 0]
-        owner = np.repeat(np.arange(len(starts)), self._sizes[top])
+        g = self._weight(top)[:, 0]
+        index = _index_dtype(dim)
+        owner = np.repeat(np.arange(len(starts), dtype=index), self._sizes[top])
         # basis word x = i u, lexicographic: its letter i and the index of
         # its prefix u, laid out from the length-N prefix counts by first letter
         per_first = self._counts[top]
         succ = [self.sft.successors(i) for i in range(size)]
-        pair_letter = np.repeat(np.arange(size), [len(js) for js in succ])
+        pair_letter = np.repeat(np.arange(size, dtype=index), [len(js) for js in succ])
         pair_next = np.fromiter((j for js in succ for j in js), dtype=np.int64,
                                 count=len(pair_letter))
         lengths = per_first[pair_next]
         first_prefix = np.cumsum(per_first) - per_first
         first = np.repeat(pair_letter, lengths)
-        tail = (np.repeat(first_prefix[pair_next] - (np.cumsum(lengths) - lengths), lengths)
-                + np.arange(len(first)))
-
-        mats = self._isometries
-        index = np.arange(dim)
-        letter = np.repeat(np.arange(size), [m.nnz for m in mats])
-        rows = np.concatenate([np.repeat(index, np.diff(m.indptr)) for m in mats])
-        cols = np.concatenate([m.indices for m in mats])
-        vals = np.concatenate([m.data for m in mats])
-        row_step, col_step = np.diff(rows), np.diff(cols)
-        if len(first) != dim or not (
-                np.all(first[rows] == letter) and np.all(tail[rows] == owner[cols])
-                and np.all((row_step > 0) | ((row_step == 0) & (col_step > 0)))):
+        tail = _ranges(first_prefix[pair_next], lengths, index)
+        if len(first) != dim:
             raise RuntimeError("isometry entries leave the cylinder pattern")
 
-        sq = np.bincount(rows, weights=vals * vals, minlength=dim)
-        unit = np.add.reduceat(g * g * (sq - 1), starts)
-        ranges = np.add.reduceat(g * g * sq, starts)
-        lifted = np.bincount(rows, weights=g[cols] * vals, minlength=dim)
-        gap = lifted * lifted - ranges[tail]
-        per_letter = np.sqrt(np.bincount(first, weights=gap * gap, minlength=size))
+        mats = self._isometries
+        sq, lifted = np.zeros(dim), np.zeros(dim)
+        # a row of the pattern holds at most max-out-degree entries in all
+        step = max(ENTRY_BATCH // max(map(len, succ)), 1)
+        for lo in range(0, dim, step):
+            hi = min(lo + step, dim)
+            spans = [m.indptr[[lo, hi]] for m in mats]
+            letter = np.repeat(np.arange(size), [b - a for a, b in spans])
+            block = np.arange(hi - lo)
+            rows = np.concatenate([np.repeat(block, np.diff(m.indptr[lo:hi + 1]))
+                                   for m in mats])
+            cols = np.concatenate([m.indices[a:b] for m, (a, b) in zip(mats, spans)])
+            vals = np.concatenate([m.data[a:b] for m, (a, b) in zip(mats, spans)])
+            row_step, col_step = np.diff(rows), np.diff(cols)
+            if not (np.all(first[lo:hi][rows] == letter)
+                    and np.all(tail[lo:hi][rows] == owner[cols])
+                    and np.all((row_step > 0) | ((row_step == 0) & (col_step > 0)))):
+                raise RuntimeError("isometry entries leave the cylinder pattern")
+            sq[lo:hi] = np.bincount(rows, weights=vals * vals, minlength=hi - lo)
+            lifted[lo:hi] = np.bincount(rows, weights=g[cols] * vals, minlength=hi - lo)
+        g *= g
+        unit = np.add.reduceat(g * (sq - 1), starts)
+        ranges = np.add.reduceat(g * sq, starts)
+        gap = lifted
+        gap *= lifted
+        gap -= ranges[tail]
+        gap *= gap
+        per_letter = np.sqrt(np.bincount(first, weights=gap, minlength=size))
         return {"unit_sum": float(np.linalg.norm(unit)),
                 "range_relation": [float(x) for x in per_letter]}
 
@@ -376,9 +415,14 @@ class SpectralTruncation:
 def build_truncation(s: SFTData, level: int, twist: tuple | None = None,
                      budget: int | None = None,
                      perron: PerronData | None = None) -> SpectralTruncation:
-    """Assemble the level-N cylinder basis, prefix factors and isometries.
+    """Assemble the level-N cylinder basis, prefix blocks and isometries.
 
     ``perron`` is the SFT's Perron data when the caller already holds it.
+    The basis is the word table of length N+1 (the word budget is checked
+    before it is allocated).  Each isometry is assembled as CSR arrays
+    directly: the basis words starting with a letter b form one block of
+    columns, and the row of the word (i,) + u, u the length-N prefix of a
+    column of S_i, is found by rank arithmetic on the prefix counts.
     """
     import numpy as np
     import scipy.sparse as sp
@@ -396,10 +440,8 @@ def build_truncation(s: SFTData, level: int, twist: tuple | None = None,
         twist = tuple(twist)
     if perron is None:
         perron = perron_data(s)
-    words = enumerate_words(s, level + 1, budget)
-    dim = len(words)
-    index = {w: i for i, w in enumerate(words)}
-    table = np.array(words)
+    table = word_table(s, level + 1, budget)
+    dim = len(table)
     left = np.array(perron.left)
     right = np.array(perron.right)
     lam = perron.value
@@ -411,35 +453,67 @@ def build_truncation(s: SFTData, level: int, twist: tuple | None = None,
     mu = left[first] * right[last] * lam ** (-level) / norm
 
     # lexicographic order: a prefix block starts where any of its letters changes
-    starts, weights, counts = [], [], []
+    starts, counts = [], []
     changed = np.zeros(dim, dtype=bool)
     changed[0] = True
     for n in range(level):
         changed[1:] |= table[1:, n] != table[:-1, n]
         block = np.flatnonzero(changed)
-        block_mu = np.repeat(np.add.reduceat(mu, block),
-                             np.diff(block, append=dim))
         starts.append(block)
-        weights.append(np.sqrt(mu / block_mu)[:, None])
         counts.append(np.bincount(first[block], minlength=s.alphabet_size))
 
+    # S_i sends the basis word c = u b (u of length N, u_0 a successor of
+    # i) to the word (i,) + u.  The words starting with b are the columns
+    # first_row[b] + [0, words_by_first[b]).  Row of (i,) + u: first_row[i]
+    # plus the rank of u among the length-N prefixes, less the prefix
+    # counts of the letters before u_0 that do not follow i; so the rows of
+    # S_i run through the prefixes of its successors' blocks in order, each
+    # holding its prefix block of columns.
+    words_by_first = np.bincount(first, minlength=s.alphabet_size)
+    first_row = np.cumsum(words_by_first) - words_by_first
+    top_starts, top_by_first = starts[-1], counts[-1]
+    top_first = np.cumsum(top_by_first) - top_by_first
+    index = _index_dtype(dim)
     # On mu^(1/2)-normalized cylinders the conformal weight cancels the
     # measure ratio, so the raising isometry prepends the letter with
     # coefficient 1; compressing the top level to its length-(N+1) prefix
     # contributes sqrt(mu(iw) / mu(i w_0..w_{N-1})).
-    follows = np.array(s.matrix, dtype=bool)
     isometries = []
     for i in range(s.alphabet_size):
-        cols = np.flatnonzero(follows[i][first])
-        rows = [index[(i,) + words[c][:-1]] for c in cols]
+        succ = np.array(s.successors(i), dtype=np.intp)
+        lengths = words_by_first[succ]
+        before = np.cumsum(lengths) - lengths
+        cols = _ranges(first_row[succ], lengths, index)
+        prefixes = top_by_first[succ]
+        row_start = (top_starts[_ranges(top_first[succ], prefixes)]
+                     + np.repeat(before - first_row[succ], prefixes))
+        indptr = np.zeros(dim + 1, dtype=index)
+        indptr[first_row[i]:first_row[i] + len(row_start)] = row_start
+        indptr[first_row[i] + len(row_start):] = len(cols)
         li = left[i]
         mu_iw = li * right[last[cols]] * lam ** (-(level + 1)) / norm
         mu_tgt = li * right[second_last[cols]] * lam ** (-level) / norm
-        isometries.append(sp.csr_matrix((np.sqrt(mu_iw / mu_tgt), (rows, cols)),
+        isometries.append(sp.csr_matrix((np.sqrt(mu_iw / mu_tgt), cols, indptr),
                                         shape=(dim, dim)))
 
-    return SpectralTruncation(s, level, words, mu, isometries, starts, weights,
-                              counts, twist)
+    return SpectralTruncation(s, level, table, mu, isometries, starts, counts, twist)
+
+
+def _index_dtype(dim: int):
+    """Index dtype of a dim x dim CSR matrix, as scipy picks it."""
+    import numpy as np
+
+    return np.int32 if dim < 2 ** 31 else np.int64
+
+
+def _ranges(starts, lengths, dtype=None):
+    """The concatenated ranges starts[k] + [0, lengths[k])."""
+    import numpy as np
+
+    ends = np.cumsum(lengths)
+    out = np.arange(lengths.sum(), dtype=dtype)
+    out += np.repeat(np.asarray(starts - (ends - lengths), dtype=out.dtype), lengths)
+    return out
 
 
 @dataclass(frozen=True)
@@ -469,25 +543,51 @@ class GradingOperator:
         return len(self.new_dims)
 
 
+class SFTGradings:
+    """Gradings of the cylinder filtration of one SFT, lambda_n = n, at
+    any number of levels, with a certified geometric bound on the
+    eigenspace dimensions.
+
+    Neither a level's dimension nor the bound depends on how many levels
+    are asked for: the bound is computed once, the word counts are
+    stepped once and only as far as the most levels asked for so far, and
+    each call hands out a slice.  ``perron`` is the SFT's Perron data
+    when the caller already holds it.
+    """
+
+    def __init__(self, s: SFTData, perron: PerronData | None = None):
+        import numpy as np
+
+        if perron is None:
+            perron = perron_data(s)
+        r = np.array(perron.right)
+        a = np.array(s.matrix, dtype=float)
+        rho = perron.value * (1 + 1e-9)
+        if np.any(a @ r > rho * r):
+            # inflate until the entrywise certificate A r <= rho r holds
+            rho = float(np.max((a @ r) / r)) * (1 + 1e-12)
+        self.growth_const = float(r.sum() / r.min())
+        self.growth_ratio = rho
+        self._dims: list = []  # dim V_n for the levels stepped so far
+        self._counts = map(sum, word_count_vectors(s))
+
+    def __call__(self, max_level: int) -> GradingOperator:
+        """The grading of levels 0..max_level."""
+        if max_level < 0:
+            raise InvalidTransitionMatrix("level must be >= 0", witness=max_level)
+        self._dims.extend(islice(self._counts, max(max_level + 1 - len(self._dims), 0)))
+        dims = FiltrationDims(tuple(self._dims[:max_level + 1])).new_dims()
+        return GradingOperator(dims, tuple(range(max_level + 1)),
+                               growth_const=self.growth_const,
+                               growth_ratio=self.growth_ratio)
+
+
 def grading_from_sft(s: SFTData, max_level: int,
                      perron: PerronData | None = None) -> GradingOperator:
-    """Grading of the cylinder filtration, lambda_n = n, with a certified
-    geometric bound on the eigenspace dimensions; ``perron`` is the SFT's
-    Perron data when the caller already holds it."""
-    import numpy as np
-
-    dims = filtration_dims(s, max_level).new_dims()
-    if perron is None:
-        perron = perron_data(s)
-    r = np.array(perron.right)
-    a = np.array(s.matrix, dtype=float)
-    rho = perron.value * (1 + 1e-9)
-    if np.any(a @ r > rho * r):
-        # inflate until the entrywise certificate A r <= rho r holds
-        rho = float(np.max((a @ r) / r)) * (1 + 1e-12)
-    const = float(r.sum() / r.min())
-    return GradingOperator(tuple(dims), tuple(range(max_level + 1)),
-                           growth_const=const, growth_ratio=rho)
+    """Grading of the cylinder filtration, lambda_n = n, at levels
+    0..max_level, with a certified geometric bound on the eigenspace
+    dimensions (see :class:`SFTGradings`)."""
+    return SFTGradings(s, perron)(max_level)
 
 
 @dataclass(frozen=True)

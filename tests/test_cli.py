@@ -329,7 +329,7 @@ def _kato_file(tmp_path, r) -> str:
 
 def test_spectra_word_enumerations_do_not_grow_with_the_alphabet(
         tmp_path, monkeypatch, capsysbinary):
-    calls = _count_calls(monkeypatch, "enumerate_words", shift, triples)
+    calls = _count_calls(monkeypatch, "word_table", shift, triples)
     counts = {}
     for r in (1, 5):
         before = len(calls)
@@ -338,7 +338,45 @@ def test_spectra_word_enumerations_do_not_grow_with_the_alphabet(
         assert code == 0
         counts[len(json.loads(out)["commutators"])] = len(calls) - before
     assert sorted(counts) == [24, 72]
-    assert counts[72] == counts[24]
+    assert counts[72] == counts[24] == 1
+
+
+def test_spectra_computes_one_grading_certificate(monkeypatch, capsysbinary):
+    """The heat traces at every --t and the zeta sum share one growth
+    certificate and one stepping of the word counts, out to the 512
+    levels the doubling loop reaches at t = 0.001."""
+    argv = ["spectra", "--genus", "2", "--levels", "3", "--t", "0.001,0.01,0.2,1.0"]
+    expected = run_cli(argv, capsysbinary)
+    made, stepped = [], []
+    init, vectors = triples.SFTGradings.__init__, triples.word_count_vectors
+
+    def counted_init(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    def counted_vectors(s):
+        for vec in vectors(s):
+            stepped.append(len(vec))
+            yield vec
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a grading built per level count")
+    monkeypatch.setattr(triples.SFTGradings, "__init__", counted_init)
+    monkeypatch.setattr(triples, "word_count_vectors", counted_vectors)
+    monkeypatch.setattr(triples, "grading_from_sft", forbidden)
+    assert run_cli(argv, capsysbinary) == expected
+    assert expected[0] == 0
+    assert json.loads(expected[1])["theta"][0]["tail_bound"] == "Infinity"
+    assert len(made) == 1
+    assert len(stepped) == 513
+
+
+def test_spectra_past_the_word_budget_is_a_documented_error(monkeypatch, capsysbinary):
+    monkeypatch.delenv("GRAPHSPECTRA_WORD_BUDGET", raising=False)
+    code, out = run_cli(["spectra", "--genus", "2", "--levels", "12"], capsysbinary)
+    assert code == 2
+    assert json.loads(out) == {"error": {"code": "EnumerationBudgetExceeded",
+                                         "witness": "2125764"}}
 
 
 def test_spectra_commutator_norms_take_no_operator_norm(tmp_path, monkeypatch,

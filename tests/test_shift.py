@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from graphspectra.shift import (
     full_schottky_sft,
     parry_cylinder_measure,
     perron_data,
+    word_table,
 )
 
 ONE_LETTER = SFTData(((1,),), ("a",))
@@ -351,6 +353,42 @@ def test_automorphism_cap():
                   tuple(str(i) for i in range(12)))
     with pytest.raises(EnumerationBudgetExceeded):
         alphabet_automorphisms(big, budget=1000)
+
+
+def test_word_table_takes_uint16_past_256_letters():
+    s = from_edge_matrix(directed_edge_matrix(kato_graph(21)))
+    assert s.alphabet_size == 264
+    table = word_table(s, 3)
+    assert table.dtype == np.uint16
+    assert list(map(tuple, table.tolist())) == enumerate_words(s, 3)
+    smaller = from_edge_matrix(directed_edge_matrix(kato_graph(20)))
+    assert smaller.alphabet_size == 252
+    assert word_table(smaller, 3).dtype == np.uint8
+
+
+def test_word_table_checks_the_budget_before_allocating(monkeypatch):
+    monkeypatch.delenv("GRAPHSPECTRA_WORD_BUDGET", raising=False)
+    s = full_schottky_sft(2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationBudgetExceeded) as err:
+            word_table(s, 13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.witness == 2125764 == count_words(s, 13)
+    assert peak < 1 << 20
+    with pytest.raises(InvalidTransitionMatrix):
+        word_table(s, 0)
+
+
+def test_matrix_rows_are_checked_whole_with_the_row_as_witness():
+    accepted = SFTData(((True, 1.0), (1, 0)), ("a", "b"))
+    assert accepted.successors(0) == (0, 1) and accepted.predecessors(1) == (0,)
+    for bad_row in ((1, 2), (1,), (1, 0.5), (1, None)):
+        with pytest.raises(InvalidTransitionMatrix) as err:
+            SFTData(((1, 1), bad_row), ("a", "b"))
+        assert err.value.witness == bad_row
 
 
 def test_involution_validation():

@@ -20,9 +20,12 @@ from graphspectra.graphs import directed_edge_matrix, genus2_catalog, kato_graph
 from graphspectra.shift import (
     SFTData,
     alphabet_automorphisms,
+    count_words,
     enumerate_words,
     from_edge_matrix,
     full_schottky_sft,
+    perron_data,
+    word_table,
 )
 from graphspectra.triples import (
     DENSE_NORM_CUTOFF,
@@ -187,6 +190,94 @@ def test_ck_residuals_see_a_perturbed_isometry_entry(name):
     residuals = flat_residuals(t)
     assert residuals[0] > 1e-9 and residuals[1 + letter] > 1e-9
     assert residuals == pytest.approx(reference_ck_residuals(t), abs=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(CK_SHIFTS))
+@pytest.mark.parametrize("length", range(1, 7))
+def test_word_table_matches_enumerate_words(name, length):
+    s = CK_SHIFTS[name]
+    table = word_table(s, length)
+    assert table.dtype == np.uint8
+    assert table.shape == (count_words(s, length), length)
+    assert list(map(tuple, table.tolist())) == enumerate_words(s, length)
+
+
+def reference_isometries(s, level):
+    """mu and the isometries as a dict-lookup builder assembles them: the
+    basis from enumerate_words, the row of (i,) + w[:-1] looked up in a
+    {word: index} dict, and COO entries converted to CSR."""
+    words = enumerate_words(s, level + 1)
+    index = {w: k for k, w in enumerate(words)}
+    table = np.array(words)
+    perron = perron_data(s)
+    left, right = np.array(perron.left), np.array(perron.right)
+    lam, norm = perron.value, float(left @ right)
+    first, last, second_last = table[:, 0], table[:, -1], table[:, -2]
+    mu = left[first] * right[last] * lam ** (-level) / norm
+    follows = np.array(s.matrix, dtype=bool)
+    isometries = []
+    for i in range(s.alphabet_size):
+        cols = np.flatnonzero(follows[i][first])
+        rows = [index[(i,) + words[c][:-1]] for c in cols]
+        li = left[i]
+        mu_iw = li * right[last[cols]] * lam ** (-(level + 1)) / norm
+        mu_tgt = li * right[second_last[cols]] * lam ** (-level) / norm
+        isometries.append(sp.csr_matrix((np.sqrt(mu_iw / mu_tgt), (rows, cols)),
+                                        shape=(len(words), len(words))))
+    return mu, isometries
+
+
+@pytest.mark.parametrize("name", sorted(CK_SHIFTS))
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+def test_isometries_match_the_dict_lookup_builder(name, level):
+    s = CK_SHIFTS[name]
+    mu, expected = reference_isometries(s, level)
+    for twist in (None, alphabet_automorphisms(s)[-1]):
+        t = build_truncation(s, level, twist=twist)
+        assert t.mu.tobytes() == mu.tobytes()
+        sigma = twist or tuple(range(s.alphabet_size))
+        for letter in range(s.alphabet_size):
+            for got, want in ((t.isometry(letter), expected[letter]),
+                              (t.twisted_isometry(letter), expected[sigma[letter]])):
+                assert np.array_equal(got.indices, want.indices)
+                assert np.array_equal(got.indptr, want.indptr)
+                assert got.data.tobytes() == want.data.tobytes()
+
+
+def test_words_are_a_view_made_when_read(schottky2):
+    t = build_truncation(schottky2, 3)
+    assert "words" not in vars(t)
+    assert t.words == enumerate_words(schottky2, 4)
+
+
+@pytest.mark.parametrize("name", ["schottky2", "kato5", "nonsymmetric"])
+def test_ck_residuals_do_not_depend_on_the_entry_batch(name, monkeypatch):
+    """Batches of 1, 7 and 100 entries (blocks of rows) give the same bits."""
+    t = build_truncation(CK_SHIFTS[name], 5)
+    whole = flat_residuals(t)
+    for batch in (1, 7, 100):
+        monkeypatch.setattr(triples, "ENTRY_BATCH", batch)
+        assert flat_residuals(t) == whole
+
+
+@pytest.mark.parametrize("batch", [5, triples.ENTRY_BATCH])
+def test_ck_residuals_check_the_pattern_in_every_batch(schottky2, monkeypatch, batch):
+    """An entry moved into an empty row, or repeated within its row, is
+    refused whichever batch it falls in."""
+    monkeypatch.setattr(triples, "ENTRY_BATCH", batch)
+    t = build_truncation(schottky2, 4)
+    m = t.isometry(2)
+    s = m.tocoo()
+    rows = s.row.copy()
+    rows[-1] = 0  # row 0 holds a word starting with letter 0, not 2
+    moved = sp.csr_matrix((s.data, (rows, s.col)), shape=s.shape)
+    indices = m.indices.copy()
+    indices[-1] = indices[-2]  # the last row's last two entries
+    repeated = sp.csr_matrix((m.data, indices, m.indptr), shape=m.shape)
+    for broken in (moved, repeated):
+        t._isometries[2] = broken
+        with pytest.raises(RuntimeError, match="cylinder pattern"):
+            t.ck_residuals()
 
 
 def test_ck_residuals_check_the_isometry_pattern(schottky2):
