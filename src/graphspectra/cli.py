@@ -185,15 +185,15 @@ def _run_catalog(plan: RunPlan):
 
 
 def _run_ktheory(plan: RunPlan):
-    rows_a, _ = io.load_matrix_rows(plan.option("matrix"))
-    k0, k1 = ktheory.ck_k_theory(rows_a)
+    a = io.load_matrix(plan.option("matrix"))
+    k0, k1 = ktheory.ck_k_theory(a)
     report = io.k_theory_to_dict(k0, k1)
     rows = [{"group": "k0", "rank": k0.rank,
              "torsion": ",".join(map(str, k0.torsion)), "display": str(k0)},
             {"group": "k1", "rank": k1.rank, "torsion": "", "display": str(k1)}]
     other = plan.option("compare")
     if other:
-        verdict = ktheory._stable_iso_verdict(rows_a, k0, io.load_matrix_rows(other)[0])
+        verdict = ktheory._stable_iso_verdict(a, k0, io.load_matrix(other))
         report["verdict"] = verdict.value
     return report, rows
 

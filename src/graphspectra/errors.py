@@ -29,7 +29,7 @@ class InvalidRank(GraphSpectraError):
     pass
 
 
-# ktheory
+# transition matrices (graphs.EdgeMatrix)
 class InvalidTransitionMatrix(GraphSpectraError):
     pass
 

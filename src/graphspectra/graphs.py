@@ -10,6 +10,12 @@ The directed edge matrix is the 0/1 matrix on oriented edges with entry
 target(e) = source(e') and e' is not the reversal of e.  Index order is
 deterministic: edges sorted by id, forward orientation before backward.
 
+:class:`EdgeMatrix` is the package's one transition-matrix type: the
+K-groups, the shift (``shift.SFTData`` is the same class) and the
+truncations all read it.  It is validated once, on construction, and
+caches its successor and predecessor lists, so strong connectivity and
+every later pass run in O(letters + transitions).
+
 :func:`isomorphisms` is the one search for index bijections between
 square integer matrices; permutation equivalence, link-graph isomorphism
 and letter automorphisms all call it.
@@ -18,9 +24,10 @@ and letter automorphisms all call it.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress
 
-from .errors import InvalidGraph, InvalidRank
+from .errors import InvalidGraph, InvalidRank, InvalidTransitionMatrix
 
 
 @dataclass(frozen=True)
@@ -99,30 +106,91 @@ class OrientedEdge:
 
 @dataclass(frozen=True)
 class EdgeMatrix:
-    """Square 0/1 matrix indexed by oriented edges (or abstract letters)."""
+    """The one transition-matrix type: square 0/1 rows indexed by letters
+    (oriented edges, or abstract letters), one label per letter, and an
+    optional inverse-letter involution.  Validated once, on construction
+    (InvalidTransitionMatrix, a bad row as its own witness), when the
+    successor and predecessor lists are cached too."""
 
-    matrix: tuple  # tuple of tuples of 0/1 ints
-    labels: tuple  # one label per index
+    matrix: tuple  # rows of 0/1 entries
+    labels: tuple  # one label per letter
+    involution: tuple | None = None  # involution[i] = index of the inverse letter
+    # successor and predecessor letter lists, ascending, built once
+    _succ: tuple = field(init=False, repr=False, compare=False)
+    _pred: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.matrix)
-        if len(self.labels) != n:
-            raise InvalidGraph("label count does not match matrix size")
         for row in self.matrix:
-            if len(row) != n:
-                raise InvalidGraph("matrix is not square")
-            if any(x not in (0, 1) for x in row):
-                raise InvalidGraph("matrix entries must be 0/1")
+            if len(row) != n or not {0, 1}.issuperset(row):
+                raise InvalidTransitionMatrix("transition matrix must be square 0/1",
+                                              witness=row)
+        if len(self.labels) != n:
+            raise InvalidTransitionMatrix("label count does not match matrix")
+        if self.involution is not None:
+            inv = self.involution
+            if len(inv) != n or sorted(inv) != list(range(n)):
+                raise InvalidTransitionMatrix("involution must permute the alphabet",
+                                              witness=inv)
+            if any(inv[i] == i or inv[inv[i]] != i for i in range(n)):
+                raise InvalidTransitionMatrix(
+                    "involution must be fixed-point-free of order two", witness=inv)
+        succ = tuple(tuple(compress(range(n), row)) for row in self.matrix)
+        pred = [[] for _ in range(n)]
+        for i, js in enumerate(succ):
+            for j in js:
+                pred[j].append(i)
+        object.__setattr__(self, "_succ", succ)
+        object.__setattr__(self, "_pred", tuple(map(tuple, pred)))
 
     @property
     def size(self) -> int:
         return len(self.matrix)
 
-    def rows(self) -> list[list[int]]:
-        return [list(row) for row in self.matrix]
+    alphabet_size = size
+
+    def successors(self, letter: int) -> tuple[int, ...]:
+        """The letters j with A[letter][j] = 1, ascending (cached)."""
+        return self._succ[letter]
+
+    def predecessors(self, letter: int) -> tuple[int, ...]:
+        """The letters i with A[i][letter] = 1, ascending (cached)."""
+        return self._pred[letter]
 
     def row_sums(self) -> list[int]:
-        return [sum(row) for row in self.matrix]
+        return [len(js) for js in self._succ]
+
+    def is_irreducible(self) -> bool:
+        return strongly_connected(self._succ, self._pred)
+
+    def is_admissible(self, word: tuple) -> bool:
+        if not word:
+            return False
+        if any(not 0 <= a < self.size for a in word):
+            return False
+        return all(self.matrix[a][b] for a, b in zip(word, word[1:]))
+
+
+def strongly_connected(succ, pred) -> bool:
+    """True iff the directed graph with successor lists succ and
+    predecessor lists pred is strongly connected; one vertex needs a loop."""
+    n = len(succ)
+    if n == 0:
+        return False
+    if n == 1:
+        return bool(succ[0])
+
+    def reach(start, adj):
+        seen = {start}
+        stack = [start]
+        while stack:
+            for j in adj[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        return seen
+
+    return len(reach(0, succ)) == n and len(reach(0, pred)) == n
 
 
 def directed_edge_matrix(g: FiniteGraph) -> EdgeMatrix:

@@ -1,14 +1,14 @@
 """File formats and deterministic report emission.
 
 Graphs travel as JSON objects with "vertices" and "edges" (id/src/dst),
-matrices as row-major 0/1 arrays with an optional index labeling (or as
-CSV rows of integers), SFTs as a matrix plus an optional involution pair
-list, and presentations as alphabet / lambda / words.  Reports are
-emitted with stable field ordering and every float rounded to 12
-significant digits, so identical inputs produce identical bytes.  JSON
-output is strict RFC 8259: a non-finite float is written as the string
-"Infinity", "-Infinity" or "NaN".  A file that cannot be read or parsed
-raises InvalidInput.
+matrices as row-major 0/1 arrays of JSON integers with an optional
+index labeling (or as CSV rows of integers), SFTs as a matrix plus an
+optional involution pair list, and presentations as alphabet / lambda /
+words.  Reports are emitted with stable field ordering and every float
+rounded to 12 significant digits, so identical inputs produce identical
+bytes.  JSON output is strict RFC 8259: a non-finite float is written as
+the string "Infinity", "-Infinity" or "NaN".  A file that cannot be read
+or parsed raises InvalidInput.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .buildings import PolygonalPresentation, make_presentation
 from .errors import InvalidInput, UsageError
 from .graphs import EdgeMatrix, FiniteGraph
 from .ktheory import AbelianGroup
-from .shift import SFTData
 
 
 def load_graph(source) -> FiniteGraph:
@@ -38,10 +37,6 @@ def graph_to_dict(g: FiniteGraph) -> dict:
         "vertices": list(g.vertices),
         "edges": [{"id": eid, "src": src, "dst": dst} for eid, src, dst in g.edges],
     }
-
-
-def matrix_to_dict(em: EdgeMatrix) -> dict:
-    return {"matrix": [list(row) for row in em.matrix], "labels": list(em.labels)}
 
 
 def load_matrix_rows(source) -> tuple:
@@ -59,7 +54,7 @@ def _matrix_file(source) -> tuple:
         rows = _int_rows(row for row in reader if row)
         return rows, tuple(str(i) for i in range(len(rows))), {}
     data = _load_json(source)
-    rows = _int_rows(_array(data, "matrix"))
+    rows = _json_rows(_array(data, "matrix"))
     labels = tuple(_array(data, "labels", optional=True)
                    or [str(i) for i in range(len(rows))])
     return rows, labels, data
@@ -71,7 +66,7 @@ def load_matrix(source) -> EdgeMatrix:
     return EdgeMatrix(rows, labels)
 
 
-def load_sft(source) -> SFTData:
+def load_sft(source) -> EdgeMatrix:
     """SFT of a matrix file; JSON may add an "involution" pair list."""
     rows, labels, data = _matrix_file(source)
     pairs = _array(data, "involution", optional=True)
@@ -87,7 +82,7 @@ def load_sft(source) -> SFTData:
             involution[i] = j
             involution[j] = i
         involution = tuple(involution)
-    return SFTData(rows, labels, involution)
+    return EdgeMatrix(rows, labels, involution)
 
 
 def presentation_to_dict(p: PolygonalPresentation) -> dict:
@@ -166,9 +161,21 @@ def _array(data: dict, key: str, optional: bool = False) -> list:
     return value
 
 
+def _json_rows(rows) -> tuple:
+    """JSON rows as tuples; a row that is not an array of JSON integers
+    (a fraction, string, boolean or null cell) is InvalidInput with the
+    raw row as witness."""
+    out = []
+    for row in rows:
+        if not isinstance(row, (list, tuple)) or not {int}.issuperset(map(type, row)):
+            raise InvalidInput("matrix rows must hold JSON integers", witness=row)
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def _int_rows(rows) -> tuple:
-    """Rows of integers; a row that is not a list of integers is
-    InvalidInput with the row as witness."""
+    """CSV rows parsed with int(); a row with a cell that does not parse
+    is InvalidInput with the row as witness."""
     out = []
     for row in rows:
         try:

@@ -6,6 +6,14 @@ no floating point is used anywhere.  For a 0/1 matrix A,
     K0 = Z^n / (1 - A^t) Z^n      (cokernel, read off invariant factors)
     K1 = ker(1 - A^t)             (free, rank = nullity)
 
+The functions of A (``ck_k_theory``, ``irreducibility_check``,
+``is_permutation_matrix``, ``stable_iso_verdict``) take a
+:class:`graphs.EdgeMatrix` as it is, or build one from a sequence of
+rows, and so share its one validation: an entry other than 0/1 (a
+fraction included) or a ragged row raises InvalidTransitionMatrix with
+the row as witness.  They then read its cached successor and
+predecessor lists; 1 - A^t is built from the predecessors.
+
 ``ck_k_theory`` reduces 1 - A^t in two phases.  The unit-pivot phase
 holds the matrix as sparse rows and columns and eliminates one +-1 entry
 at a time, taking it from a shortest row and, within that row, from a
@@ -29,16 +37,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import chain
 
-from .errors import InvalidTransitionMatrix
 from .graphs import EdgeMatrix
 
 
-def _as_rows(m) -> list[list[int]]:
-    if isinstance(m, EdgeMatrix):
-        return m.rows()
-    return [list(map(int, row)) for row in m]
+def _transition_matrix(a) -> EdgeMatrix:
+    """``a`` itself when it is an EdgeMatrix; otherwise a sequence of
+    rows, built into one (and so validated) once."""
+    if isinstance(a, EdgeMatrix):
+        return a
+    rows = tuple(map(tuple, a))
+    return EdgeMatrix(rows, tuple(map(str, range(len(rows)))))
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -129,7 +139,7 @@ class SmithDecomposition:
         """U * M * V, for checking the decomposition against its source."""
         u = [list(r) for r in self.left]
         v = [list(r) for r in self.right]
-        return mat_mul(mat_mul(u, _as_rows(m)), v)
+        return mat_mul(mat_mul(u, m), v)
 
 
 def _gcdex(x: int, y: int) -> tuple[int, int, int]:
@@ -161,7 +171,7 @@ def smith_normal_form(m) -> SmithDecomposition:
     after the unit-pivot phase, so that caveat concerns remainders, not
     the number of letters.
     """
-    a = [[int(x) for x in row] for row in _as_rows(m)]
+    a = [list(map(int, row)) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     u = identity_matrix(rows)
@@ -274,39 +284,28 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def _check_zero_one_square(a) -> list[list[int]]:
-    rows = _as_rows(a)
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise InvalidTransitionMatrix("matrix must be square", witness=tuple(row))
-        if not {0, 1}.issuperset(row):
-            raise InvalidTransitionMatrix("matrix entries must be 0/1", witness=tuple(row))
-    return rows
-
-
 def ck_k_theory(a) -> tuple[AbelianGroup, AbelianGroup]:
-    """K-groups of the Cuntz-Krieger algebra of a 0/1 matrix A.
+    """K-groups of the Cuntz-Krieger algebra of a 0/1 matrix A, given as
+    an EdgeMatrix or as rows.
 
     K0 is the cokernel of 1 - A^t presented by its invariant factors;
     K1 is free of rank equal to the nullity of 1 - A^t.  Unit pivots are
     eliminated sparsely first and Smith runs on the remainder only.
     """
-    return _k_groups(_check_zero_one_square(a))
+    return _k_groups(_transition_matrix(a))
 
 
-def _k_groups(rows) -> tuple[AbelianGroup, AbelianGroup]:
-    """ck_k_theory of validated 0/1 rows."""
-    n = len(rows)
-    # 1 - A^t as sparse rows; entry (j, i) is [i == j] - A[i][j]
-    m = [{i: 1} for i in range(n)]
-    for i, row in enumerate(rows):
-        for j in compress(range(n), row):
-            value = m[j].get(i, 0) - 1
-            if value:
-                m[j][i] = value
-            else:
-                del m[j][i]
+def _k_groups(a: EdgeMatrix) -> tuple[AbelianGroup, AbelianGroup]:
+    """ck_k_theory of an EdgeMatrix."""
+    n = a.size
+    # 1 - A^t as sparse rows: row j is +1 at j and -1 at each predecessor of j
+    m = []
+    for j, pred in enumerate(a._pred):
+        row = {j: 1}
+        row.update(dict.fromkeys(pred, -1))
+        if row[j] == -1:  # a loop at j: 1 - 1 = 0
+            del row[j]
+        m.append(row)
     units = _eliminate_unit_pivots(m)
     live = [r for r in m if r]
     cols = sorted({j for r in live for j in r})
@@ -365,45 +364,14 @@ def _eliminate_unit_pivots(m: list[dict]) -> int:
     return units
 
 
-def _strongly_connected(rows) -> bool:
-    n = len(rows)
-    return strongly_connected([[j for j in range(n) if rows[i][j]] for i in range(n)],
-                              [[j for j in range(n) if rows[j][i]] for i in range(n)])
-
-
-def strongly_connected(succ, pred) -> bool:
-    """True iff the directed graph with successor lists succ and
-    predecessor lists pred is strongly connected; one vertex needs a loop."""
-    n = len(succ)
-    if n == 0:
-        return False
-    if n == 1:
-        return bool(succ[0])
-
-    def reach(start, adj):
-        seen = {start}
-        stack = [start]
-        while stack:
-            for j in adj[stack.pop()]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return seen
-
-    return len(reach(0, succ)) == n and len(reach(0, pred)) == n
-
-
-def _is_permutation(rows) -> bool:
-    return all(sum(r) == 1 for r in rows) and all(sum(c) == 1 for c in zip(*rows))
-
-
 def irreducibility_check(a) -> bool:
     """True iff the directed graph on matrix indices is strongly connected."""
-    return _strongly_connected(_check_zero_one_square(a))
+    return _transition_matrix(a).is_irreducible()
 
 
 def is_permutation_matrix(a) -> bool:
-    return _is_permutation(_check_zero_one_square(a))
+    a = _transition_matrix(a)
+    return all(len(js) == 1 for js in chain(a._succ, a._pred))
 
 
 class Verdict(Enum):
@@ -419,21 +387,21 @@ def stable_iso_verdict(a, b) -> Verdict:
     sufficient only, so everything else is INCONCLUSIVE; non-isomorphism
     is never asserted.
     """
-    return _stable_iso_verdict(_check_zero_one_square(a), None, b)
+    return _stable_iso_verdict(_transition_matrix(a), None, b)
 
 
-def _stable_iso_verdict(rows_a, k0_a, b) -> Verdict:
-    """stable_iso_verdict for validated rows of a, whose K0 is ``k0_a``
-    when already known (None: computed here if needed); b is validated
-    here.  ``ktheory --compare`` calls it with the K-groups it reports, so
-    each matrix is validated and reduced once."""
-    rows_b = _check_zero_one_square(b)
-    if not (_strongly_connected(rows_a) and _strongly_connected(rows_b)):
+def _stable_iso_verdict(a: EdgeMatrix, k0_a, b) -> Verdict:
+    """stable_iso_verdict for an EdgeMatrix a whose K0 is ``k0_a`` when
+    already known (None: computed here if needed).  ``ktheory --compare``
+    calls it with the K-groups it reports, so each matrix is validated
+    and reduced once."""
+    b = _transition_matrix(b)
+    if not (a.is_irreducible() and b.is_irreducible()):
         return Verdict.INCONCLUSIVE
-    if _is_permutation(rows_a) or _is_permutation(rows_b):
+    if is_permutation_matrix(a) or is_permutation_matrix(b):
         return Verdict.INCONCLUSIVE
     if k0_a is None:
-        k0_a = _k_groups(rows_a)[0]
-    if k0_a == _k_groups(rows_b)[0]:
+        k0_a = _k_groups(a)[0]
+    if k0_a == _k_groups(b)[0]:
         return Verdict.STABLY_ISOMORPHIC
     return Verdict.INCONCLUSIVE

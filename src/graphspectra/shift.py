@@ -1,7 +1,10 @@
 """Subshifts of finite type: words, filtrations, Perron data, measures.
 
-An :class:`SFTData` wraps a 0/1 transition matrix A over a finite
-alphabet.  Words are tuples of letter indices, admissible when every
+An SFT is its 0/1 transition matrix A over a finite alphabet:
+``SFTData`` is another name for :class:`graphs.EdgeMatrix`, which is
+validated once and carries the successor and predecessor lists that
+every function here reads (an involution, when given, pairs inverse
+letters).  Words are tuples of letter indices, admissible when every
 consecutive pair (a, b) has A[a][b] = 1.  The level-n filtration space
 V_n is spanned by indicator functions of cylinders of length n+1, so
 dim V_n equals the number of admissible words of length n+1.  Every
@@ -31,8 +34,8 @@ import math
 import os
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass, field
-from itertools import chain, compress, islice
+from dataclasses import dataclass
+from itertools import chain, islice
 
 from .errors import (
     EnumerationBudgetExceeded,
@@ -43,7 +46,6 @@ from .errors import (
     RequiresIrreducible,
 )
 from .graphs import EdgeMatrix, isomorphisms
-from .ktheory import strongly_connected
 
 DEFAULT_WORD_BUDGET = 10 ** 6
 BUDGET_ENV_VAR = "GRAPHSPECTRA_WORD_BUDGET"
@@ -59,72 +61,22 @@ def word_budget() -> int:
         raise InvalidInput(f"{BUDGET_ENV_VAR} must be an integer", witness=raw) from None
 
 
-@dataclass(frozen=True)
-class SFTData:
-    """Transition matrix, alphabet labels, optional inverse-letter involution."""
-
-    matrix: tuple
-    labels: tuple
-    involution: tuple | None = None  # involution[i] = index of the inverse letter
-    # successor and predecessor letter lists, built once from the matrix
-    _succ: tuple = field(init=False, repr=False, compare=False)
-    _pred: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n = len(self.matrix)
-        for row in self.matrix:
-            if len(row) != n or not {0, 1}.issuperset(row):
-                raise InvalidTransitionMatrix("transition matrix must be square 0/1",
-                                              witness=row)
-        if len(self.labels) != n:
-            raise InvalidTransitionMatrix("label count does not match matrix")
-        if self.involution is not None:
-            inv = self.involution
-            if len(inv) != n or sorted(inv) != list(range(n)):
-                raise InvalidTransitionMatrix("involution must permute the alphabet",
-                                              witness=inv)
-            if any(inv[i] == i or inv[inv[i]] != i for i in range(n)):
-                raise InvalidTransitionMatrix(
-                    "involution must be fixed-point-free of order two", witness=inv)
-        succ = tuple(tuple(compress(range(n), row)) for row in self.matrix)
-        pred = [[] for _ in range(n)]
-        for i, js in enumerate(succ):
-            for j in js:
-                pred[j].append(i)
-        object.__setattr__(self, "_succ", succ)
-        object.__setattr__(self, "_pred", tuple(map(tuple, pred)))
-
-    @property
-    def alphabet_size(self) -> int:
-        return len(self.matrix)
-
-    def is_irreducible(self) -> bool:
-        return strongly_connected(self._succ, self._pred)
-
-    def successors(self, letter: int) -> tuple[int, ...]:
-        """The letters j with A[letter][j] = 1, ascending (cached)."""
-        return self._succ[letter]
-
-    def predecessors(self, letter: int) -> tuple[int, ...]:
-        """The letters i with A[i][letter] = 1, ascending (cached)."""
-        return self._pred[letter]
-
-    def is_admissible(self, word: tuple) -> bool:
-        if not word:
-            return False
-        if any(not 0 <= a < self.alphabet_size for a in word):
-            return False
-        return all(self.matrix[a][b] for a, b in zip(word, word[1:]))
+SFTData = EdgeMatrix  # an SFT is its validated transition matrix
 
 
 def from_edge_matrix(em: EdgeMatrix) -> SFTData:
     """SFT of a directed edge matrix; the involution pairs the two
-    orientations of each edge (labels 'e+' <-> 'e-')."""
+    orientations of each edge (labels 'e+' <-> 'e-').  A label without
+    its partner raises InvalidTransitionMatrix with the label as witness."""
     labels = em.labels
     inv = []
     for lab in labels:
         flipped = lab[:-1] + ("-" if lab.endswith("+") else "+")
-        inv.append(labels.index(flipped))
+        try:
+            inv.append(labels.index(flipped))
+        except ValueError:
+            raise InvalidTransitionMatrix("label has no reversed orientation",
+                                          witness=lab) from None
     return SFTData(em.matrix, labels, tuple(inv))
 
 

@@ -75,8 +75,9 @@ def test_ktheory_compare_checks_and_reduces_each_matrix_once(capsysbinary, monke
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(ktheory, "_check_zero_one_square",
-                        counted("check", ktheory._check_zero_one_square))
+    # EdgeMatrix.__post_init__ is the one 0/1-square validator
+    monkeypatch.setattr(graphs.EdgeMatrix, "__post_init__",
+                        counted("check", graphs.EdgeMatrix.__post_init__))
     monkeypatch.setattr(ktheory, "_k_groups", counted("reduce", ktheory._k_groups))
     code, out = run_cli(["ktheory", "--matrix", str(DATA / "a1.json"),
                          "--compare", str(DATA / "theta_edge.json")], capsysbinary)
@@ -206,6 +207,17 @@ def test_matrix_error_witness_is_the_row_in_every_subcommand(
     assert code == 2
     assert json.loads(out) == {"error": {"code": "InvalidTransitionMatrix",
                                          "witness": witness}}
+
+
+@pytest.mark.parametrize("subcommand", ["ktheory", "spectra", "cohomology"])
+def test_label_count_is_checked_in_every_subcommand(tmp_path, capsysbinary, subcommand):
+    (tmp_path / "bad.json").write_text(json.dumps({"matrix": [[1, 1], [1, 1]],
+                                                   "labels": ["a"]}))
+    code, out = run_cli([subcommand, "--matrix", str(tmp_path / "bad.json")],
+                        capsysbinary)
+    assert code == 2
+    assert json.loads(out) == {"error": {"code": "InvalidTransitionMatrix",
+                                         "witness": "label count does not match matrix"}}
 
 
 def test_degenerate_tau_error(capsysbinary):
@@ -494,6 +506,10 @@ BAD_FILES = {
     "broken.json": '{"matrix": ',
     "badinv.json": '{"matrix": [[1, 1], [1, 1]], "involution": [[0, 5]]}',
     "intmatrix.json": '{"matrix": 5}',
+    "fraction.json": '{"matrix": [[0.5, 1], [1, 1.9]]}',
+    "stringcell.json": '{"matrix": [[1, 1], [1, "1"]]}',
+    "boolcell.json": '{"matrix": [[true, 1], [1, 1]]}',
+    "nullcell.json": '{"matrix": [[1, 1], [null, 1]]}',
     "intlabels.json": '{"matrix": [[1, 1], [1, 1]], "labels": 5}',
     "intinv.json": '{"matrix": [[1, 1], [1, 1]], "involution": 5}',
     "badlambda.json": '{"alphabet": ["a"], "lambda": [["a"]], "words": []}',
@@ -523,6 +539,12 @@ BAD_FILES = {
      "'abc'"),
     (["ktheory", "--matrix", "intmatrix.json"], {}, "'matrix'"),
     (["spectra", "--matrix", "intmatrix.json"], {}, "'matrix'"),
+    (["ktheory", "--matrix", "fraction.json"], {}, "[0.5, 1]"),
+    (["spectra", "--matrix", "fraction.json"], {}, "[0.5, 1]"),
+    (["cohomology", "--matrix", "fraction.json"], {}, "[0.5, 1]"),
+    (["ktheory", "--matrix", "stringcell.json"], {}, "[1, '1']"),
+    (["cohomology", "--matrix", "boolcell.json"], {}, "[True, 1]"),
+    (["spectra", "--matrix", "nullcell.json"], {}, "[None, 1]"),
     (["ktheory", "--matrix", "intlabels.json"], {}, "'labels'"),
     (["spectra", "--matrix", "intlabels.json"], {}, "'labels'"),
     (["spectra", "--matrix", "intinv.json"], {}, "'involution'"),
@@ -541,6 +563,9 @@ BAD_FILES = {
         "tau-weights", "spectra-t", "spectra-twist", "word-budget-env",
         "cohomology-word-budget-env",
         "ktheory-matrix-not-array", "spectra-matrix-not-array",
+        "ktheory-fractional-cell", "spectra-fractional-cell",
+        "cohomology-fractional-cell", "ktheory-string-cell",
+        "cohomology-boolean-cell", "spectra-null-cell",
         "ktheory-labels-not-array", "spectra-labels-not-array",
         "involution-not-array", "lambda-entry-not-pair", "words-not-array",
         "alphabet-not-array", "letter-is-list", "letter-is-dict",

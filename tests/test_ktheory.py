@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from graphspectra import ktheory
 from graphspectra.errors import InvalidTransitionMatrix
 from graphspectra.graphs import (
+    EdgeMatrix,
     cayley_schottky_matrix,
     directed_edge_matrix,
     genus2_catalog,
@@ -138,6 +139,15 @@ def test_k_theory_rejects_bad_input():
         ck_k_theory([[1, 0]])
     with pytest.raises(InvalidTransitionMatrix):
         ck_k_theory([[2, 0], [0, 1]])
+    # a fractional entry is not truncated to 0 or 1
+    good = [[1, 1], [1, 0]]
+    for fn in (ck_k_theory, irreducibility_check, is_permutation_matrix,
+               lambda a: stable_iso_verdict(a, good),
+               lambda a: stable_iso_verdict(good, a)):
+        for rows, witness in (([[1.5]], (1.5,)), ([[0.7, 1], [1, 0]], (0.7, 1))):
+            with pytest.raises(InvalidTransitionMatrix) as err:
+                fn(rows)
+            assert err.value.witness == witness
 
 
 def test_irreducibility():
@@ -208,11 +218,11 @@ def test_mat_mul_shapes():
 
 
 @st.composite
-def zero_one_matrices(draw):
-    """Random 0/1 matrices of <= 10 letters: independent random entries,
-    chain-heavy (most letters have exactly one successor, as in a
-    subdivided graph), or all ones."""
-    n = draw(st.integers(0, 10))
+def zero_one_matrices(draw, max_letters=10):
+    """Random 0/1 matrices of <= max_letters letters: independent random
+    entries, chain-heavy (most letters have exactly one successor, as in
+    a subdivided graph), or all ones."""
+    n = draw(st.integers(0, max_letters))
     shape = draw(st.sampled_from(["random", "chains", "ones"]))
     if shape == "ones":
         return [[1] * n for _ in range(n)]
@@ -258,3 +268,31 @@ def test_k_groups_of_kato80():
     em = directed_edge_matrix(kato_graph(80))
     assert em.size == 972
     assert ck_k_theory(em) == (AbelianGroup(2), AbelianGroup(2))
+
+
+def _reaches_everything(rows) -> bool:
+    """Strong connectivity from the transitive closure of the rows
+    (Warshall), independent of the cached successor lists."""
+    n = len(rows)
+    reach = [[bool(x) for x in row] for row in rows]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                reach[i] = [x or y for x, y in zip(reach[i], reach[k])]
+    return n > 0 and all(all(row) for row in reach)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(a=zero_one_matrices(8))
+def test_raw_rows_and_the_matrix_type_agree(a):
+    n = len(a)
+    em = EdgeMatrix(tuple(map(tuple, a)), tuple(f"l{i}" for i in range(n)))
+    for i in range(n):
+        assert em.successors(i) == tuple(j for j in range(n) if a[i][j])
+        assert em.predecessors(i) == tuple(j for j in range(n) if a[j][i])
+    assert em.row_sums() == [sum(row) for row in a]
+    assert ck_k_theory(a) == ck_k_theory(em)
+    assert irreducibility_check(a) == irreducibility_check(em) == _reaches_everything(a)
+    is_permutation = (all(sum(row) == 1 for row in a)
+                      and all(sum(col) == 1 for col in zip(*a)))
+    assert is_permutation_matrix(a) == is_permutation_matrix(em) == is_permutation

@@ -75,7 +75,7 @@ def test_k_theory_permutation_invariance_random():
         g = random_connected_multigraph(rng)
         em = directed_edge_matrix(g)
         n = em.size
-        rows = em.rows()
+        rows = em.matrix
         perm = list(range(n))
         rng.shuffle(perm)
         permuted = [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]

@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphspectra import graphs, io
 from graphspectra.errors import (
     EnumerationBudgetExceeded,
     InvalidTransitionMatrix,
@@ -396,3 +398,14 @@ def test_involution_validation():
         SFTData(((1, 1), (1, 1)), ("a", "b"), (0, 1))  # has fixed points
     with pytest.raises(InvalidTransitionMatrix):
         SFTData(((1, 1), (1, 1)), ("a", "b"), (1, 1))  # not a permutation
+
+
+def test_from_edge_matrix_needs_both_orientations_of_each_label():
+    assert SFTData is graphs.EdgeMatrix
+    em = io.load_matrix(Path(__file__).parent / "data" / "a1.csv")  # labels "0".."3"
+    with pytest.raises(InvalidTransitionMatrix) as err:
+        from_edge_matrix(em)
+    assert err.value.witness == "0"
+    s = from_edge_matrix(directed_edge_matrix(kato_graph(1)))
+    assert all(s.labels[s.involution[i]][:-1] == label[:-1]
+               for i, label in enumerate(s.labels))
