@@ -44,10 +44,6 @@ from .errors import (
 from .graphs import isomorphisms
 
 
-def letter_base(letter: str) -> str:
-    return letter.rsplit("^", 1)[0] if "^" in letter else letter
-
-
 def letter_sup(letter: str) -> int | None:
     if "^" not in letter:
         return None
@@ -220,17 +216,11 @@ class ValidationReport:
 def validate_presentation(p: PolygonalPresentation,
                           graphs: list[BipartiteGraph]) -> ValidationReport:
     """Check the three defining conditions; failures carry witnesses."""
-    words = p.word_set()
-    missing = tuple(
-        rot for w in sorted(words) for rot in rotations(w) if rot not in words
-    )
+    missing, starts, dup = _closure_and_continuations(p)
     cond1 = ConditionReport(not missing, missing[:8])
 
     lam = p.lam_map()
     incident = {(w, b) for g in graphs for (w, b) in g.edges}
-    starts = {}
-    for w in sorted(words):
-        starts.setdefault(w[:2], set()).add(w[2] if p.k > 2 else None)
     bad = []
     for x1 in p.alphabet:
         for x2 in p.alphabet:
@@ -240,11 +230,23 @@ def validate_presentation(p: PolygonalPresentation,
                 bad.append((x1, x2, "word-without-incidence" if has_word
                             else "incidence-without-word"))
     cond2 = ConditionReport(not bad, tuple(bad[:8]))
-
-    dup = tuple((pair, tuple(sorted(conts)))
-                for pair, conts in sorted(starts.items()) if len(conts) > 1)
     cond3 = ConditionReport(not dup, dup[:8])
     return ValidationReport(cond1, cond2, cond3)
+
+
+def _closure_and_continuations(p: PolygonalPresentation):
+    """The rotations of stored tuples that are not stored (in order), the
+    map from each starting pair (x1, x2) to the set of its third letters,
+    and the pairs with more than one, sorted with their sorted letters."""
+    words = p.word_set()
+    missing = tuple(rot for w in sorted(words) for rot in rotations(w)
+                    if rot not in words)
+    starts: dict = {}
+    for w in words:
+        starts.setdefault(w[:2], set()).add(w[2] if p.k > 2 else None)
+    dup = tuple(sorted((pair, tuple(sorted(conts)))
+                       for pair, conts in starts.items() if len(conts) > 1))
+    return missing, starts, dup
 
 
 @dataclass(frozen=True)
@@ -279,13 +281,12 @@ def polyhedron_from_presentation(p: PolygonalPresentation) -> Polyhedron:
     checked here)."""
     if not p.words:
         return Polyhedron((), (), ())
-    report = validate_presentation(p, [])
-    if not report.rotation_closure.passed:
+    missing, _, dup = _closure_and_continuations(p)
+    if missing:
         raise PresentationInvalid("word set is not rotation closed",
-                                  witness=report.rotation_closure.witnesses)
-    if not report.unique_continuation.passed:
-        raise PresentationInvalid("continuation is not unique",
-                                  witness=report.unique_continuation.witnesses)
+                                  witness=missing[:8])
+    if dup:
+        raise PresentationInvalid("continuation is not unique", witness=dup[:8])
 
     lam = p.lam_map()
     faces = p.orbits()
@@ -361,15 +362,20 @@ def stable_pairs_check(p: PolygonalPresentation) -> StablePairsResult:
     rotation, the opposite x-letters must determine each other, and so
     must the opposite y-letters.  Returns the discovered pairings.
     """
+    return _stable_pairs(p)[0]
+
+
+def _stable_pairs(p: PolygonalPresentation) -> tuple[StablePairsResult, list]:
+    """:func:`stable_pairs_check` and the standard forms it read."""
     if p.k != 4:
         raise RequiresSquares("stable pairs needs square faces", witness=p.k)
     sups = {letter_sup(x) for x in p.alphabet}
     if sups != {1, 2, 3, 4}:
         return StablePairsResult(False, ("alphabet is not partitioned into "
-                                         "superscript classes 1..4",))
+                                         "superscript classes 1..4",)), []
     forms, bad = _standard_forms(p)
     if bad:
-        return StablePairsResult(False, tuple(bad[:8]))
+        return StablePairsResult(False, tuple(bad[:8])), forms
 
     witnesses = []
     fwd_x: dict = {}
@@ -386,7 +392,7 @@ def stable_pairs_check(p: PolygonalPresentation) -> StablePairsResult:
     return StablePairsResult(
         ok, tuple(witnesses[:8]),
         tuple(sorted(fwd_x.items())) if ok else (),
-        tuple(sorted(fwd_y.items())) if ok else ())
+        tuple(sorted(fwd_y.items())) if ok else ()), forms
 
 
 def four_fold_cover(p: PolygonalPresentation) -> PolygonalPresentation:
@@ -444,11 +450,10 @@ def bm_group_data(p: PolygonalPresentation) -> BMGroupData:
     other word (a, b, a', b') turns into the relation a b a^-1 b^-1, and
     the group acts on trees of valence twice the generator counts.
     """
-    result = stable_pairs_check(p)
+    result, forms = _stable_pairs(p)
     if not result.ok:
         raise NotBMReducible("presentation fails the stable pairs condition",
                              witness=result.witnesses)
-    forms, _ = _standard_forms(p)
     forms = sorted(forms)
     collapsed = forms[0]
     x_star, y_star = collapsed[0], collapsed[1]

@@ -147,13 +147,9 @@ def word_table(s: SFTData, n: int, budget: int | None = None):
     _check_word_budget(s, n, budget)
     import numpy as np
 
-    size = s.alphabet_size
-    dtype = np.min_scalar_type(max(size - 1, 0))
-    degree = np.array([len(js) for js in s._succ], dtype=np.intp)
-    successors = np.fromiter(chain.from_iterable(s._succ), dtype=dtype,
-                             count=int(degree.sum()))
+    degree, successors = successor_arrays(s)
     first_successor = np.cumsum(degree) - degree
-    table = np.arange(size, dtype=dtype)[:, None]
+    table = np.arange(s.alphabet_size, dtype=successors.dtype)[:, None]
     for _ in range(n - 1):
         last = table[:, -1]
         reps = degree[last]
@@ -163,6 +159,19 @@ def word_table(s: SFTData, n: int, budget: int | None = None):
         table = np.concatenate([np.repeat(table, reps, axis=0),
                                 successors[pick][:, None]], axis=1)
     return table
+
+
+def successor_arrays(s: SFTData):
+    """Each letter's out-degree, and the cached successor lists joined in
+    letter order (the pairs (i, j) with A[i][j] = 1, lexicographic) in
+    the smallest unsigned dtype that holds every letter index."""
+    import numpy as np
+
+    dtype = np.min_scalar_type(max(s.alphabet_size - 1, 0))
+    degree = np.array([len(js) for js in s._succ], dtype=np.intp)
+    successors = np.fromiter(chain.from_iterable(s._succ), dtype=dtype,
+                             count=int(degree.sum()))
+    return degree, successors
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ indicators of length N+1 of an irreducible SFT, carrying
   D = N - sum_{n<N} P_n is applied in O(N dim) per vector;
 * one partial isometry per letter, acting on mu^(1/2)-normalized
   cylinder indicators by prepending the letter with a conformal weight
-  drawn from the Parry measure.
+  drawn from the Parry measure.  Their ranges partition the basis (the
+  range of S_i is the cylinder of i), so they are stored as one sparse
+  matrix S = sum_i S_i whose row block i is S_i.
 
 The stored isometries are the members of the adjoint pair (prepend /
 chop) that satisfy the defining relations
@@ -26,8 +28,8 @@ exactly on levels <= N-1 of the truncation; their adjoints lower the
 level by one.  Each S_j S_j^* is diagonal in the cylinder basis, and
 each row of S_i collects the words of a single length-N prefix, so both
 relations compressed to levels <= N-1 are diagonal per length-N prefix:
-``ck_residuals`` evaluates them in one pass over the isometries' stored
-entries, after checking that pattern on the entries.
+``ck_residuals`` evaluates them in one pass over the entries of S,
+after checking that pattern on the entries.
 
 Commutator norms have a closed form.  Let E_n = range(P_n - P_{n-1}).
 Since S_i^* maps V_n = range(P_n) into V_{n-1} (and V_0 into V_0), S_i
@@ -82,6 +84,7 @@ from .shift import (
     SFTData,
     filtration_dims,
     perron_data,
+    successor_arrays,
     word_budget,
     word_count_vectors,
     word_table,
@@ -183,7 +186,8 @@ class SpectralTruncation:
     refinements.  The column of Q_n for u holds sqrt(mu(w) / mu(u)) on
     u's block.  For each n < N only the block starts are stored, and the
     weights are derived from them and ``mu`` when used, O(N dim) in all,
-    next to one sparse isometry (nnz <= dim) per letter.
+    next to S = sum_i S_i, one CSR matrix whose row block i is S_i, and
+    the index of u among the length-N prefixes for each row (i,) + u.
     P_n X = Q_n (Q_n^T X) is a block sum and a broadcast, and
     D = lambda_N - sum_{n<N} (lambda_{n+1} - lambda_n) P_n.
     ``projection`` and ``grading_matrix`` assemble sparse reference
@@ -192,14 +196,16 @@ class SpectralTruncation:
     """
 
     def __init__(self, sft: SFTData, level: int, table: np.ndarray, mu: np.ndarray,
-                 isometries: list, starts: list, counts: list, twist: tuple | None):
+                 isometry_sum, tail: np.ndarray, starts: list, counts: list,
+                 twist: tuple | None):
         import numpy as np
 
         self.sft = sft
         self.level = level
         self._table = table  # the basis words, one row each
         self.mu = mu
-        self._isometries = isometries
+        self._isometry_sum = isometry_sum  # S = sum_i S_i, CSR
+        self._tail = tail  # row (i,) + u: the index of u among the length-N prefixes
         self._starts = starts  # block starts of the length-(n+1) prefixes
         self._counts = counts  # length-(n+1) prefixes per first letter
         self._sizes = [np.diff(s, append=len(table)) for s in starts]
@@ -220,14 +226,21 @@ class SpectralTruncation:
         return np.sqrt(self.mu / block_mu)[:, None]
 
     def isometry(self, letter: int):
-        return self._isometries[letter]
+        """S_i as a new dim x dim CSR matrix: the rows of S in the block of
+        the words starting with the letter, every other row empty."""
+        import numpy as np
+        import scipy.sparse as sp
+
+        s = self._isometry_sum
+        lo = self._starts[0][letter]
+        a, b = s.indptr[[lo, lo + self._sizes[0][letter]]]
+        return sp.csr_matrix((s.data[a:b].copy(), s.indices[a:b].copy(),
+                              np.clip(s.indptr, a, b) - a), shape=s.shape)
 
     def twisted_isometry(self, letter: int):
         """The letter's partial isometry conjugated by the twist unitary;
         for a letter permutation this is the isometry of the image letter."""
-        sigma = self.twist if self.twist is not None else tuple(
-            range(self.sft.alphabet_size))
-        return self._isometries[sigma[letter]]
+        return self.isometry(letter if self.twist is None else self.twist[letter])
 
     def prefix_factor(self, n: int):
         """Q_n as a sparse dim x #prefixes matrix with orthonormal columns."""
@@ -295,13 +308,13 @@ class SpectralTruncation:
     def ck_residuals(self) -> dict:
         """Frobenius norms (upper bounds for the operator norm) of both
         defining relations, compressed to levels <= N-1, from one pass
-        over the stored isometries' entries.
+        over the entries of the stored S = sum_i S_i.
 
         ||P X P||_F = ||Q^T X Q||_F for Q = Q_{N-1}, whose columns (the
         length-N prefixes u, weights g_w on their words w) are orthonormal.
         The pass first checks on the entries the pattern it relies on:
-        every entry (r, c) of S_i lies in the row r of the word i u, where
-        u is the prefix of the column c, and no (row, column) pair
+        every entry (r, c) lies in the row r of a word i u (so in S_i),
+        where u is the prefix of the column c, and no (row, column) pair
         repeats.  Then S_j S_j^* is diagonal with entries t_w (row sums of
         squares), S_i Q maps u to c_{iu} times the word i u (c the row sums
         of g-weighted entries), and both compressed relations are diagonal
@@ -321,38 +334,18 @@ class SpectralTruncation:
         top = self.level - 1
         starts = self._starts[top]
         g = self._weight(top)[:, 0]
-        index = _index_dtype(dim)
-        owner = np.repeat(np.arange(len(starts), dtype=index), self._sizes[top])
-        # basis word x = i u, lexicographic: its letter i and the index of
-        # its prefix u, laid out from the length-N prefix counts by first letter
-        per_first = self._counts[top]
-        succ = [self.sft.successors(i) for i in range(size)]
-        pair_letter = np.repeat(np.arange(size, dtype=index), [len(js) for js in succ])
-        pair_next = np.fromiter((j for js in succ for j in js), dtype=np.int64,
-                                count=len(pair_letter))
-        lengths = per_first[pair_next]
-        first_prefix = np.cumsum(per_first) - per_first
-        first = np.repeat(pair_letter, lengths)
-        tail = _ranges(first_prefix[pair_next], lengths, index)
-        if len(first) != dim:
-            raise RuntimeError("isometry entries leave the cylinder pattern")
-
-        mats = self._isometries
+        owner = np.repeat(np.arange(len(starts)), self._sizes[top])
+        s, tail = self._isometry_sum, self._tail
         sq, lifted = np.zeros(dim), np.zeros(dim)
-        # a row of the pattern holds at most max-out-degree entries in all
-        step = max(ENTRY_BATCH // max(map(len, succ)), 1)
+        # a row of the pattern holds at most max-out-degree entries
+        step = max(ENTRY_BATCH // max(self.sft.row_sums()), 1)
         for lo in range(0, dim, step):
             hi = min(lo + step, dim)
-            spans = [m.indptr[[lo, hi]] for m in mats]
-            letter = np.repeat(np.arange(size), [b - a for a, b in spans])
-            block = np.arange(hi - lo)
-            rows = np.concatenate([np.repeat(block, np.diff(m.indptr[lo:hi + 1]))
-                                   for m in mats])
-            cols = np.concatenate([m.indices[a:b] for m, (a, b) in zip(mats, spans)])
-            vals = np.concatenate([m.data[a:b] for m, (a, b) in zip(mats, spans)])
+            a, b = s.indptr[[lo, hi]]
+            rows = np.repeat(np.arange(hi - lo), np.diff(s.indptr[lo:hi + 1]))
+            cols, vals = s.indices[a:b], s.data[a:b]
             row_step, col_step = np.diff(rows), np.diff(cols)
-            if not (np.all(first[lo:hi][rows] == letter)
-                    and np.all(tail[lo:hi][rows] == owner[cols])
+            if not (np.all(tail[lo:hi][rows] == owner[cols])
                     and np.all((row_step > 0) | ((row_step == 0) & (col_step > 0)))):
                 raise RuntimeError("isometry entries leave the cylinder pattern")
             sq[lo:hi] = np.bincount(rows, weights=vals * vals, minlength=hi - lo)
@@ -364,7 +357,8 @@ class SpectralTruncation:
         gap *= lifted
         gap -= ranges[tail]
         gap *= gap
-        per_letter = np.sqrt(np.bincount(first, weights=gap, minlength=size))
+        per_letter = np.sqrt(np.bincount(self._table[:, 0], weights=gap,
+                                         minlength=size))
         return {"unit_sum": float(np.linalg.norm(unit)),
                 "range_relation": [float(x) for x in per_letter]}
 
@@ -383,7 +377,7 @@ class SpectralTruncation:
 
         def top(x):
             return self._project(self.level - 1, x)
-        s = self._isometries[letter]
+        s = self.isometry(letter)
         st = s.T.tocsr()
 
         def forward(x):
@@ -419,10 +413,10 @@ def build_truncation(s: SFTData, level: int, twist: tuple | None = None,
 
     ``perron`` is the SFT's Perron data when the caller already holds it.
     The basis is the word table of length N+1 (the word budget is checked
-    before it is allocated).  Each isometry is assembled as CSR arrays
-    directly: the basis words starting with a letter b form one block of
-    columns, and the row of the word (i,) + u, u the length-N prefix of a
-    column of S_i, is found by rank arithmetic on the prefix counts.
+    before it is allocated).  S = sum_i S_i is assembled as CSR arrays
+    directly: row (i,) + u holds the block of the words with length-N
+    prefix u, and the index of u is laid out for all rows at once from
+    the prefix counts by first letter.
     """
     import numpy as np
     import scipy.sparse as sp
@@ -433,8 +427,8 @@ def build_truncation(s: SFTData, level: int, twist: tuple | None = None,
         n = s.alphabet_size
         if sorted(twist) != list(range(n)):
             raise InvalidParameter("twist must permute the alphabet", witness=twist)
-        if any(s.matrix[twist[i]][twist[j]] != s.matrix[i][j]
-               for i in range(n) for j in range(n)):
+        image = [tuple(sorted(twist[j] for j in s.successors(i))) for i in range(n)]
+        if any(image[i] != s.successors(twist[i]) for i in range(n)):
             raise InvalidParameter("twist must preserve the transition matrix",
                                    witness=twist)
         twist = tuple(twist)
@@ -463,47 +457,32 @@ def build_truncation(s: SFTData, level: int, twist: tuple | None = None,
         counts.append(np.bincount(first[block], minlength=s.alphabet_size))
 
     # S_i sends the basis word c = u b (u of length N, u_0 a successor of
-    # i) to the word (i,) + u.  The words starting with b are the columns
-    # first_row[b] + [0, words_by_first[b]).  Row of (i,) + u: first_row[i]
-    # plus the rank of u among the length-N prefixes, less the prefix
-    # counts of the letters before u_0 that do not follow i; so the rows of
-    # S_i run through the prefixes of its successors' blocks in order, each
-    # holding its prefix block of columns.
-    words_by_first = np.bincount(first, minlength=s.alphabet_size)
-    first_row = np.cumsum(words_by_first) - words_by_first
+    # i) to the word (i,) + u.  Lexicographically, the rows (i,) + u run
+    # through the pairs (i, u_0) with A[i][u_0] = 1 in order and, within a
+    # pair, through the length-N prefixes u starting with u_0; row
+    # (i,) + u holds u's block of columns.
     top_starts, top_by_first = starts[-1], counts[-1]
     top_first = np.cumsum(top_by_first) - top_by_first
-    index = _index_dtype(dim)
+    index = np.int32 if dim < 2 ** 31 else np.int64  # as scipy picks for CSR
+    _, pair_next = successor_arrays(s)
+    tail = _ranges(top_first[pair_next], top_by_first[pair_next], index)
+    if len(tail) != dim:
+        raise RuntimeError("isometry rows leave the cylinder pattern")
+    row_sizes = np.diff(top_starts, append=dim)[tail]
+    indptr = np.zeros(dim + 1, dtype=index)
+    indptr[1:] = np.cumsum(row_sizes)
+    cols = _ranges(top_starts[tail], row_sizes, index)
     # On mu^(1/2)-normalized cylinders the conformal weight cancels the
     # measure ratio, so the raising isometry prepends the letter with
     # coefficient 1; compressing the top level to its length-(N+1) prefix
     # contributes sqrt(mu(iw) / mu(i w_0..w_{N-1})).
-    isometries = []
-    for i in range(s.alphabet_size):
-        succ = np.array(s.successors(i), dtype=np.intp)
-        lengths = words_by_first[succ]
-        before = np.cumsum(lengths) - lengths
-        cols = _ranges(first_row[succ], lengths, index)
-        prefixes = top_by_first[succ]
-        row_start = (top_starts[_ranges(top_first[succ], prefixes)]
-                     + np.repeat(before - first_row[succ], prefixes))
-        indptr = np.zeros(dim + 1, dtype=index)
-        indptr[first_row[i]:first_row[i] + len(row_start)] = row_start
-        indptr[first_row[i] + len(row_start):] = len(cols)
-        li = left[i]
-        mu_iw = li * right[last[cols]] * lam ** (-(level + 1)) / norm
-        mu_tgt = li * right[second_last[cols]] * lam ** (-level) / norm
-        isometries.append(sp.csr_matrix((np.sqrt(mu_iw / mu_tgt), cols, indptr),
-                                        shape=(dim, dim)))
-
-    return SpectralTruncation(s, level, table, mu, isometries, starts, counts, twist)
-
-
-def _index_dtype(dim: int):
-    """Index dtype of a dim x dim CSR matrix, as scipy picks it."""
-    import numpy as np
-
-    return np.int32 if dim < 2 ** 31 else np.int64
+    li = np.repeat(left[first], row_sizes)
+    mu_iw = li * right[last[cols]] * lam ** (-(level + 1)) / norm
+    mu_tgt = li * right[second_last[cols]] * lam ** (-level) / norm
+    isometry_sum = sp.csr_matrix((np.sqrt(mu_iw / mu_tgt), cols, indptr),
+                                 shape=(dim, dim))
+    return SpectralTruncation(s, level, table, mu, isometry_sum, tail, starts,
+                              counts, twist)
 
 
 def _ranges(starts, lengths, dtype=None):
@@ -561,11 +540,13 @@ class SFTGradings:
         if perron is None:
             perron = perron_data(s)
         r = np.array(perron.right)
-        a = np.array(s.matrix, dtype=float)
+        degree, successors = successor_arrays(s)  # (A r)_i sums r over succ(i)
+        ar = np.bincount(np.repeat(np.arange(len(degree)), degree),
+                         weights=r[successors], minlength=len(degree))
         rho = perron.value * (1 + 1e-9)
-        if np.any(a @ r > rho * r):
+        if np.any(ar > rho * r):
             # inflate until the entrywise certificate A r <= rho r holds
-            rho = float(np.max((a @ r) / r)) * (1 + 1e-12)
+            rho = float(np.max(ar / r)) * (1 + 1e-12)
         self.growth_const = float(r.sum() / r.min())
         self.growth_ratio = rho
         self._dims: list = []  # dim V_n for the levels stepped so far

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from graphspectra import buildings
 from graphspectra.buildings import (
     BipartiteGraph,
     bm_group_data,
@@ -233,6 +234,23 @@ def test_bm_relations_alternate():
 def test_bm_rejects_unstable_presentation():
     with pytest.raises(NotBMReducible):
         bm_group_data(family_presentation(1))
+
+
+def test_each_structural_check_runs_once(monkeypatch):
+    """bm_group_data reads the standard forms once, and the polyhedron
+    checks closure and continuation without the incidence scan."""
+    cover = four_fold_cover(family_presentation(2))
+    calls = []
+    forms = buildings._standard_forms
+    monkeypatch.setattr(buildings, "_standard_forms",
+                        lambda p: calls.append(p) or forms(p))
+    bm_group_data(cover)
+    assert len(calls) == 1
+
+    def refused(*args):
+        raise AssertionError("incidence scan")
+    monkeypatch.setattr(buildings, "validate_presentation", refused)
+    assert polyhedron_from_presentation(cover).vertex_count == 4
 
 
 def test_product_grading_formula_values():

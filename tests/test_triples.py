@@ -18,6 +18,7 @@ from graphspectra.errors import (
 )
 from graphspectra.graphs import directed_edge_matrix, genus2_catalog, kato_graph
 from graphspectra.shift import (
+    PerronData,
     SFTData,
     alphabet_automorphisms,
     count_words,
@@ -33,6 +34,7 @@ from graphspectra.triples import (
     CrossedProductTriple,
     EvenBlock,
     GradingOperator,
+    SFTGradings,
     af_core_dims,
     af_summability_report,
     build_truncation,
@@ -186,7 +188,9 @@ def test_ck_residuals_see_a_perturbed_isometry_entry(name):
     t = build_truncation(CK_SHIFTS[name], 4)
     assert max(flat_residuals(t)) < 1e-12
     letter = 1
-    t.isometry(letter).data[0] *= 1 + 1e-6
+    # the first entry of the letter's row block of the stored S = sum_i S_i
+    stored = t._isometry_sum
+    stored.data[stored.indptr[t._starts[0][letter]]] *= 1 + 1e-6
     residuals = flat_residuals(t)
     assert residuals[0] > 1e-9 and residuals[1 + letter] > 1e-9
     assert residuals == pytest.approx(reference_ck_residuals(t), abs=1e-12)
@@ -266,16 +270,16 @@ def test_ck_residuals_check_the_pattern_in_every_batch(schottky2, monkeypatch, b
     refused whichever batch it falls in."""
     monkeypatch.setattr(triples, "ENTRY_BATCH", batch)
     t = build_truncation(schottky2, 4)
-    m = t.isometry(2)
+    m = t._isometry_sum
     s = m.tocoo()
     rows = s.row.copy()
-    rows[-1] = 0  # row 0 holds a word starting with letter 0, not 2
+    rows[-1] = 0  # the last column's prefix is not the tail of row 0's word
     moved = sp.csr_matrix((s.data, (rows, s.col)), shape=s.shape)
     indices = m.indices.copy()
     indices[-1] = indices[-2]  # the last row's last two entries
     repeated = sp.csr_matrix((m.data, indices, m.indptr), shape=m.shape)
     for broken in (moved, repeated):
-        t._isometries[2] = broken
+        t._isometry_sum = broken
         with pytest.raises(RuntimeError, match="cylinder pattern"):
             t.ck_residuals()
 
@@ -284,10 +288,10 @@ def test_ck_residuals_check_the_isometry_pattern(schottky2):
     """An entry moved to another row breaks the diagonal form the residual
     pass relies on; the pass refuses instead of under-reporting."""
     t = build_truncation(schottky2, 3)
-    s = t.isometry(0).tocoo()
+    s = t._isometry_sum.tocoo()
     rows = s.row.copy()
     rows[0] = (rows[0] + 1) % t.dimension
-    t._isometries[0] = sp.csr_matrix((s.data, (rows, s.col)), shape=s.shape)
+    t._isometry_sum = sp.csr_matrix((s.data, (rows, s.col)), shape=s.shape)
     with pytest.raises(RuntimeError, match="cylinder pattern"):
         t.ck_residuals()
 
@@ -311,24 +315,28 @@ def test_lanczos_converges_on_a_highly_degenerate_top_singular_value(schottky2):
     assert t.commutator_norm(0, schedule)[0] == pytest.approx(dense, rel=1e-12)
 
 
-def test_truncation_stores_order_n_dim_entries(schottky2):
-    """Prefix factors, isometries and words only: no dim x dim projection."""
-    t = build_truncation(schottky2, 7)
-    dim, level = t.dimension, t.level
+def test_truncation_stores_order_n_dim_entries():
+    """Prefix factors, isometries and words only: no dim x dim projection,
+    and no dim-long index array per letter (kato5 has 72 letters)."""
+    for name, dim in (("schottky2", 8748), ("kato5", 114)):
+        s = CK_SHIFTS[name]
+        t = build_truncation(s, 7)
+        level = t.level
+        max_degree = max(s.row_sums())
 
-    def entries(value):
-        if isinstance(value, np.ndarray):
-            assert value.size <= (level + 1) * dim
-            return value.size
-        if sp.issparse(value):
-            assert value.nnz <= dim
-            return value.nnz
-        if isinstance(value, (list, tuple)):
-            return sum(entries(v) for v in value)
-        return 1
+        def entries(value):
+            if isinstance(value, np.ndarray):
+                assert value.size <= (level + 1) * dim
+                return value.size
+            if sp.issparse(value):
+                assert value.nnz <= max_degree * dim
+                return value.nnz + len(value.indptr)
+            if isinstance(value, (list, tuple)):
+                return sum(entries(v) for v in value)
+            return 1
 
-    assert dim == 8748
-    assert sum(entries(v) for v in vars(t).values()) <= 4 * (level + 1) * dim
+        assert t.dimension == dim
+        assert sum(entries(v) for v in vars(t).values()) <= 4 * (level + 1) * dim
 
 
 def test_lanczos_non_convergence_is_a_documented_error(monkeypatch):
@@ -383,12 +391,39 @@ def test_twist_relabels_isometries(schottky2):
     assert (t.twisted_isometry(2) - t.isometry(3)).nnz == 0
 
 
+@pytest.mark.parametrize("name", sorted(CK_SHIFTS))
+def test_growth_certificate_matches_the_dense_product(name):
+    """A r summed over the successor lists gives the dense certificate,
+    on the Perron vector and, through the inflation branch, on a vector
+    that breaks A r <= rho r."""
+    s = CK_SHIFTS[name]
+    perron = perron_data(s)
+    a = np.array(s.matrix, dtype=float)
+    assert SFTGradings(s, perron).growth_ratio == perron.value * (1 + 1e-9)
+    r = np.array(perron.right)
+    r[0] *= 0.5
+    skewed = PerronData(perron.value, perron.left, tuple(r), perron.bracket)
+    assert np.any(a @ r > perron.value * (1 + 1e-9) * r)
+    inflated = SFTGradings(s, skewed).growth_ratio
+    assert inflated == pytest.approx(float(np.max((a @ r) / r)) * (1 + 1e-12),
+                                     rel=1e-15)
+
+
 def test_twist_must_preserve_matrix(theta_sft):
     bad = tuple(range(1, theta_sft.alphabet_size)) + (0,)
     if not all(theta_sft.matrix[bad[i]][bad[j]] == theta_sft.matrix[i][j]
                for i in range(6) for j in range(6)):
         with pytest.raises(InvalidParameter):
             build_truncation(theta_sft, 3, twist=bad)
+    # swapping b and c keeps every out-degree (2, 1, 1) but sends the
+    # transition a -> b to a -> c, which is not one
+    swap = (0, 2, 1)
+    assert [len(NONSYMMETRIC.successors(swap[i])) for i in range(3)] == \
+        NONSYMMETRIC.row_sums()
+    with pytest.raises(InvalidParameter) as err:
+        build_truncation(NONSYMMETRIC, 3, twist=swap)
+    assert err.value.witness == swap
+    assert "preserve the transition matrix" in str(err.value)
 
 
 def test_twisted_commutator_matches_image_letter(schottky2):
