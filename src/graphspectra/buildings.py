@@ -204,20 +204,27 @@ class ConditionReport:
 @dataclass(frozen=True)
 class ValidationReport:
     rotation_closure: ConditionReport
-    incidence: ConditionReport
+    incidence: ConditionReport | None  # None: no link graphs to check against
     unique_continuation: ConditionReport
 
     @property
     def ok(self) -> bool:
-        return (self.rotation_closure.passed and self.incidence.passed
+        return (self.rotation_closure.passed
+                and (self.incidence is None or self.incidence.passed)
                 and self.unique_continuation.passed)
 
 
 def validate_presentation(p: PolygonalPresentation,
-                          graphs: list[BipartiteGraph]) -> ValidationReport:
-    """Check the three defining conditions; failures carry witnesses."""
+                          graphs: list[BipartiteGraph] | None = None
+                          ) -> ValidationReport:
+    """Check the three defining conditions; failures carry witnesses.
+    Without ``graphs`` the incidence condition is not checked and the
+    report's ``incidence`` is None."""
     missing, starts, dup = _closure_and_continuations(p)
     cond1 = ConditionReport(not missing, missing[:8])
+    cond3 = ConditionReport(not dup, dup[:8])
+    if graphs is None:
+        return ValidationReport(cond1, None, cond3)
 
     lam = p.lam_map()
     incident = {(w, b) for g in graphs for (w, b) in g.edges}
@@ -230,7 +237,6 @@ def validate_presentation(p: PolygonalPresentation,
                 bad.append((x1, x2, "word-without-incidence" if has_word
                             else "incidence-without-word"))
     cond2 = ConditionReport(not bad, tuple(bad[:8]))
-    cond3 = ConditionReport(not dup, dup[:8])
     return ValidationReport(cond1, cond2, cond3)
 
 

@@ -196,15 +196,23 @@ def round_floats(obj, significant: int = 12):
     return obj
 
 
-def _strict_json(obj):
-    """Non-finite floats replaced by their names, which JSON can carry only
-    as strings."""
-    if isinstance(obj, float) and not math.isfinite(obj):
+# Types _json_ready returns unchanged, so it need not be called on them.
+_LEAVES = frozenset({str, int, bool, type(None)})
+
+
+def _json_ready(obj, significant: int = 12):
+    """round_floats and, in the same walk, each non-finite float replaced
+    by its name, which JSON can carry only as a string."""
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float(f"{obj:.{significant}g}")
         return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
     if isinstance(obj, dict):
-        return {k: _strict_json(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_strict_json(v) for v in obj]
+        return {k: v if type(v) in _LEAVES else _json_ready(v, significant)
+                for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [v if type(v) in _LEAVES else _json_ready(v, significant)
+                for v in obj]
     return obj
 
 
@@ -215,10 +223,10 @@ def emit(report: dict, fmt: str, rows: list[dict] | None = None) -> bytes:
     csv: the tabular view (``rows``), header from the first row.
     table: aligned key/value or tabular text.
     """
-    report = round_floats(report)
     if fmt == "json":
-        text = json.dumps(_strict_json(report), indent=2, allow_nan=False)
+        text = json.dumps(_json_ready(report), indent=2, allow_nan=False)
         return (text + "\n").encode()
+    report = round_floats(report)
     if fmt == "csv":
         if rows is None:
             rows = _flatten_to_rows(report)

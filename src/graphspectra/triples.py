@@ -52,12 +52,14 @@ The module also covers the dimension-sequence side: heat-trace partial
 sums with certified geometric tail bounds, zeta-type partial sums with a
 divergence diagnosis, eigenvalue schedules for filtered AF algebras with
 the termwise summability comparison, and the folded spectrum of the
-crossed product by Z with its counting-function slope fit.
+crossed product by Z (one sorted numpy record array of distinct values
+and multiplicities) with its counting-function slope fit.
 
 numpy and scipy are imported inside the functions that compute with
 them, so that importing the package loads neither: the truncation and
-the Perron-data grading load both, the slope fit loads numpy only, and
-the other dimension-sequence functions load neither.
+the Perron-data grading load both, the crossed-product spectrum and the
+slope fit load numpy only, and the other dimension-sequence functions
+load neither.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice, repeat
 
 from .errors import (
     EnumerationBudgetExceeded,
@@ -774,13 +776,21 @@ def af_summability_report(a: AFTriple) -> AFSummabilityReport:
                                tuple(majorants), majorant_partials)
 
 
+# A folded spectrum: one record per distinct eigenvalue, values strictly
+# increasing.  Multiplicities are int64, so CrossedProductTriple bounds
+# their total.
+SPECTRUM_DTYPE = [("value", "float64"), ("multiplicity", "int64")]
+
+
 @dataclass(frozen=True)
 class CrossedProductTriple:
     """Base spectrum crossed with Fourier modes |k| <= M.
 
     The derived spectrum is the folded multiset
     { +-sqrt(lambda_j^2 + k^2) : 0 <= k <= M } with the base
-    multiplicities, symmetric about zero by construction.
+    multiplicities, symmetric about zero by construction.  Multiplicities
+    must be positive ints whose folded total, 2 (M + 1) sum_j mult_j,
+    stays below 2**63 (the spectrum stores them as int64).
     """
 
     base: tuple  # (eigenvalue, multiplicity) pairs
@@ -790,24 +800,62 @@ class CrossedProductTriple:
         if self.cutoff < 0:
             raise InvalidParameter("Fourier cutoff must be >= 0",
                                    witness=self.cutoff)
+        total = 0
         for lam, mult in self.base:
+            if not isinstance(mult, int):
+                raise InvalidParameter("multiplicities must be ints",
+                                       witness=(lam, mult))
             if mult < 1:
                 raise InvalidParameter("multiplicities must be positive",
                                        witness=(lam, mult))
+            total += mult
+            if 2 * (self.cutoff + 1) * total >= 1 << 63:
+                raise InvalidParameter("total multiplicity must stay below 2**63",
+                                       witness=(lam, mult))
 
-    def spectrum(self) -> list:
+    def spectrum(self):
         return crossed_product_spectrum(self)
 
 
-def crossed_product_spectrum(c: CrossedProductTriple) -> list:
-    """Sorted (value, multiplicity) pairs of the crossed-product operator."""
-    acc: dict = {}
-    for lam, mult in c.base:
-        for k in range(c.cutoff + 1):
-            v = math.hypot(lam, k)
-            for signed in (v, -v):
-                acc[signed] = acc.get(signed, 0) + mult
-    return sorted(acc.items())
+def crossed_product_spectrum(c: CrossedProductTriple):
+    """The crossed-product operator's spectrum as a SPECTRUM_DTYPE array.
+
+    The k >= 0 half is folded and then mirrored; a zero value (a zero
+    base eigenvalue at k = 0) is its own mirror image and counts twice.
+    Values are math.hypot(lambda, k): np.hypot can differ in the last
+    bit, which would split or merge eigenvalues.
+    """
+    import numpy as np
+
+    modes = c.cutoff + 1
+    lams = chain.from_iterable(repeat(lam, modes) for lam, _ in c.base)
+    ks = chain.from_iterable(repeat(range(modes), len(c.base)))
+    half = _fold(np.fromiter(map(math.hypot, lams, ks), dtype=np.float64,
+                             count=modes * len(c.base)),
+                 np.repeat(np.array([m for _, m in c.base], dtype=np.int64), modes))
+    if len(half) and half["value"][0] == 0:
+        half["multiplicity"][0] *= 2
+        negative = half[:0:-1].copy()
+    else:
+        negative = half[::-1].copy()
+    negative["value"] *= -1
+    return np.concatenate((negative, half))
+
+
+def _fold(values, mults):
+    """Distinct values in increasing order, each with the sum of its
+    multiplicities, as a SPECTRUM_DTYPE array."""
+    import numpy as np
+
+    order = np.argsort(values, kind="stable")
+    values, mults = values[order], mults[order]
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    starts = np.flatnonzero(first)
+    out = np.empty(len(starts), dtype=SPECTRUM_DTYPE)
+    out["value"] = values[starts]
+    out["multiplicity"] = np.add.reduceat(mults, starts)
+    return out
 
 
 @dataclass(frozen=True)
@@ -820,30 +868,31 @@ class SlopeFit:
 def summability_exponent_fit(spectrum, min_distinct: int = 50) -> SlopeFit:
     """Least-squares growth exponent of the eigenvalue counting function.
 
-    The counting function N(L) = #{positive eigenvalues <= L} (with
-    multiplicity) is fitted as log N ~ slope * log L over the middle two
-    quartiles of the distinct positive values; the slope estimates the
-    summability degree.
+    ``spectrum`` is a SPECTRUM_DTYPE array (as crossed_product_spectrum
+    returns) or any sequence of (value, multiplicity) pairs, in any order
+    and with repeats.  The counting function N(L) = #{positive
+    eigenvalues <= L} (with multiplicity) is fitted as
+    log N ~ slope * log L over the middle two quartiles of the distinct
+    positive values; the slope estimates the summability degree.
     """
     import numpy as np
 
-    pairs: dict = {}
-    for item in spectrum:
-        v, m = item if isinstance(item, tuple) else (item, 1)
-        if v > 0:
-            pairs[float(v)] = pairs.get(float(v), 0) + m
-    values = sorted(pairs)
+    if not isinstance(spectrum, np.ndarray):
+        spectrum = np.array(list(spectrum), dtype=SPECTRUM_DTYPE)
+    positive = spectrum[spectrum["value"] > 0]
+    folded = _fold(positive["value"], positive["multiplicity"])
+    values = folded["value"]
     if len(values) < min_distinct:
         raise InsufficientSpectrum(
             f"need >= {min_distinct} distinct positive eigenvalues, got {len(values)}",
             witness=len(values))
-    counts = np.cumsum([pairs[v] for v in values])
+    counts = np.cumsum(folded["multiplicity"])
     lo = len(values) // 4
     hi = (3 * len(values)) // 4
-    xs = np.log(np.array(values[lo:hi]))
+    xs = np.log(values[lo:hi])
     ys = np.log(counts[lo:hi].astype(float))
     slope = float(np.polyfit(xs, ys, 1)[0])
-    return SlopeFit(slope, (values[lo], values[hi - 1]), hi - lo)
+    return SlopeFit(slope, (float(values[lo]), float(values[hi - 1])), hi - lo)
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,15 @@ def test_duplicate_continuation_detected():
     assert any(pair == ("x1", "x2") for pair, _ in report.unique_continuation.witnesses)
 
 
+def test_validation_without_graphs_skips_incidence():
+    p = family_presentation(1)
+    assert validate_presentation(p).incidence is None
+    assert validate_presentation(p).ok
+    removed = tuple(w for w in p.words if w != ("x2", "x4", "x3", "x1"))
+    report = validate_presentation(type(p)(p.alphabet, p.lam, removed, 4))
+    assert report.incidence is None and not report.ok
+
+
 def test_polyhedron_counts_q1():
     poly = polyhedron_from_presentation(family_presentation(1))
     assert poly.vertex_count == 1

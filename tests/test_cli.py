@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from graphspectra import graphs, ktheory, shift, triples
+from graphspectra import buildings, graphs, ktheory, shift, triples
 from graphspectra.cli import execute, main, parse_invocation, render_plan
 from graphspectra.io import emit
 
@@ -137,6 +137,13 @@ def test_crossed_report(capsysbinary):
     assert json.loads(out)["slope"] == pytest.approx(2.0, abs=0.15)
 
 
+def test_crossed_golden(capsysbinary):
+    code, out = run_cli(["crossed", "--base", "quadratic", "--count", "500",
+                         "--cutoff", "500"], capsysbinary)
+    assert code == 0
+    assert out == (GOLDEN / "crossed_quadratic_500.json").read_bytes()
+
+
 def test_cohomology_report(capsysbinary):
     code, out = run_cli(["cohomology", "--genus", "2", "--levels", "2"], capsysbinary)
     assert code == 0
@@ -169,6 +176,24 @@ def test_building_from_file(tmp_path, capsysbinary):
     code, out = run_cli(["building", "--file", str(path), "--validate"], capsysbinary)
     assert code == 0
     assert json.loads(out)["validation"]["rotation_closure"] is True
+
+
+def test_building_file_validate_skips_incidence_scan(tmp_path, capsysbinary,
+                                                     monkeypatch):
+    """A --file presentation has no link graphs to compare with, so the
+    incidence condition is neither checked nor reported."""
+    code, out = run_cli(["building", "--q", "2"], capsysbinary)
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(json.loads(out)["presentation"]))
+
+    def refused(self):
+        raise AssertionError("incidence scan")
+    monkeypatch.setattr(buildings.PolygonalPresentation, "lam_map", refused)
+    code, out = run_cli(["building", "--file", str(path), "--validate"], capsysbinary)
+    assert code == 0
+    assert json.loads(out)["validation"] == {
+        "rotation_closure": True, "incidence": None,
+        "unique_continuation": True, "ok": True}
 
 
 def test_module_error_json(tmp_path, capsysbinary):

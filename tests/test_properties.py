@@ -14,7 +14,11 @@ from graphspectra.buildings import (
     tau_lhs,
 )
 from graphspectra.cli import parse_invocation, render_plan
-from graphspectra.errors import DegenerateEuclidean, RequiresIrreducible
+from graphspectra.errors import (
+    DegenerateEuclidean,
+    InsufficientSpectrum,
+    RequiresIrreducible,
+)
 from graphspectra.graphs import (
     FiniteGraph,
     directed_edge_matrix,
@@ -36,7 +40,12 @@ from graphspectra.shift import (
     enumerate_words,
     filtration_dims,
 )
-from graphspectra.triples import CrossedProductTriple, crossed_product_spectrum, jlo_phi0
+from graphspectra.triples import (
+    CrossedProductTriple,
+    crossed_product_spectrum,
+    jlo_phi0,
+    summability_exponent_fit,
+)
 
 CASES = 200
 
@@ -282,11 +291,82 @@ def test_crossed_spectrum_symmetry_random():
                      for _ in range(rng.randint(1, 6)))
         cutoff = rng.randint(0, 8)
         c = CrossedProductTriple(base, cutoff)
-        spectrum = crossed_product_spectrum(c)
+        spectrum = crossed_product_spectrum(c).tolist()
         assert sorted((-v, m) for v, m in spectrum) == spectrum
         total = sum(m for _, m in spectrum)
         assert total == sum(m for _, m in base) * 2 * (cutoff + 1)
         assert jlo_phi0(c, 0.8) == pytest.approx(0.0, abs=1e-10)
+
+
+def reference_crossed_spectrum(base, cutoff):
+    """The dict fold the crossed-product spectrum was first computed by."""
+    acc: dict = {}
+    for lam, mult in base:
+        for k in range(cutoff + 1):
+            v = math.hypot(lam, k)
+            for signed in (v, -v):
+                acc[signed] = acc.get(signed, 0) + mult
+    return sorted(acc.items())
+
+
+def reference_slope_fit(spectrum, min_distinct=50):
+    """The dict-fold slope fit, returning (slope, window, points)."""
+    import numpy as np
+
+    pairs: dict = {}
+    for v, m in spectrum:
+        if v > 0:
+            pairs[float(v)] = pairs.get(float(v), 0) + m
+    values = sorted(pairs)
+    if len(values) < min_distinct:
+        return None
+    counts = np.cumsum([pairs[v] for v in values])
+    lo = len(values) // 4
+    hi = (3 * len(values)) // 4
+    xs = np.log(np.array(values[lo:hi]))
+    ys = np.log(counts[lo:hi].astype(float))
+    return float(np.polyfit(xs, ys, 1)[0]), (values[lo], values[hi - 1]), hi - lo
+
+
+def signed_bits(spectrum):
+    """(sign, value, multiplicity) triples: tells 0.0 from -0.0."""
+    return [(math.copysign(1.0, v), v, m) for v, m in spectrum]
+
+
+def test_crossed_fold_matches_dict_fold_random():
+    rng = random.Random(1515)
+    for _ in range(CASES):
+        base = []
+        for _ in range(rng.randint(1, 6)):
+            kind = rng.random()
+            lam = (0.0 if kind < 0.2 else float(rng.randint(0, 40)) if kind < 0.5
+                   else round(rng.uniform(-30, 30), rng.randint(0, 4)))
+            base.append((lam, rng.randint(1, 3)))
+        if rng.random() < 0.3:
+            base.append(rng.choice(base))  # a duplicated eigenvalue
+        cutoff = rng.choice([0, rng.randint(0, 60)])
+        spectrum = crossed_product_spectrum(CrossedProductTriple(tuple(base), cutoff))
+        expected = reference_crossed_spectrum(base, cutoff)
+        assert signed_bits(spectrum.tolist()) == signed_bits(expected)
+        fit = reference_slope_fit(expected, min_distinct=10)
+        if fit is None:
+            with pytest.raises(InsufficientSpectrum):
+                summability_exponent_fit(spectrum, min_distinct=10)
+        else:
+            got = summability_exponent_fit(spectrum, min_distinct=10)
+            assert (got.slope, got.window, got.points) == fit
+            assert type(got.slope) is float and type(got.points) is int
+            assert all(type(v) is float for v in got.window)
+            # the pair-sequence form reads the same multiset
+            got = summability_exponent_fit(list(reversed(expected)), min_distinct=10)
+            assert (got.slope, got.window, got.points) == fit
+
+
+def test_crossed_fold_uses_math_hypot():
+    """np.hypot(36.0, 350.0) is one ulp above math.hypot(36.0, 350.0)."""
+    spectrum = crossed_product_spectrum(CrossedProductTriple(((36.0, 1),), 350))
+    assert spectrum.tolist() == reference_crossed_spectrum(((36.0, 1),), 350)
+    assert 351.8465574650404 in spectrum["value"]
 
 
 def test_plan_round_trip_random():

@@ -600,7 +600,7 @@ def test_af_summability_single_level():
 
 def test_crossed_spectrum_zero_base():
     c = CrossedProductTriple(((0.0, 1),), 1)
-    assert crossed_product_spectrum(c) == [(-1.0, 1), (0.0, 2), (1.0, 1)]
+    assert crossed_product_spectrum(c).tolist() == [(-1.0, 1), (0.0, 2), (1.0, 1)]
 
 
 def test_crossed_spectrum_sqrt5_multiplicity():
@@ -612,9 +612,27 @@ def test_crossed_spectrum_sqrt5_multiplicity():
 
 def test_crossed_spectrum_symmetric():
     c = CrossedProductTriple(((1.0, 2), (2.5, 1)), 3)
-    spectrum = crossed_product_spectrum(c)
+    spectrum = crossed_product_spectrum(c).tolist()
     negated = sorted((-v, m) for v, m in spectrum)
     assert negated == spectrum
+
+
+def test_crossed_multiplicity_guard():
+    """Multiplicities are stored as int64: a non-int, or a folded total
+    2 (M + 1) sum mult of 2**63 or more, is refused before any work."""
+    with pytest.raises(InvalidParameter) as err:
+        CrossedProductTriple(((1.0, 1), (2.0, 1.5)), 3)
+    assert err.value.witness == (2.0, 1.5)
+    with pytest.raises(InvalidParameter) as err:
+        CrossedProductTriple(((1.0, 2**61), (2.0, 2**61), (3.0, 1)), 0)
+    assert err.value.witness == (2.0, 2**61)
+    with pytest.raises(InvalidParameter):
+        CrossedProductTriple(((1.0, 1),), 2**62)
+    CrossedProductTriple(((1.0, 2**62 - 1),), 0)
+    spectrum = CrossedProductTriple(((0.0, 2**60 - 1), (1.0, 1)), 1).spectrum()
+    root2 = math.hypot(1, 1)
+    assert spectrum.tolist() == [(-root2, 1), (-1.0, 2**60), (0.0, 2**61 - 2),
+                                 (1.0, 2**60), (root2, 1)]
 
 
 def test_slope_linear_base():
@@ -685,7 +703,8 @@ def test_spectral_norm_matches_dense():
 
 def test_crossed_cutoff_zero():
     c = CrossedProductTriple(((2.0, 1), (3.0, 2)), 0)
-    assert crossed_product_spectrum(c) == [(-3.0, 2), (-2.0, 1), (2.0, 1), (3.0, 2)]
+    assert crossed_product_spectrum(c).tolist() == [
+        (-3.0, 2), (-2.0, 1), (2.0, 1), (3.0, 2)]
     with pytest.raises(InsufficientSpectrum):
         summability_exponent_fit(crossed_product_spectrum(c))
 
