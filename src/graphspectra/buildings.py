@@ -21,14 +21,28 @@ cover replaces each square word by four superscript-cycled copies; when
 the result satisfies the stable-pairs condition, collapsing one word
 turns every remaining boundary word into a commutator and exhibits a
 group acting on a product of trees with even valences.
+
+Every check reads one rotation index per presentation
+(:class:`RotationIndex`): the sorted canonical orbit representatives,
+the rotation-closure and unique-continuation verdicts, the starting
+pairs, each orbit's superscript standard form and the stable-pairs
+verdict.  Each orbit is rotated once, when its first word is met;
+:func:`make_presentation` builds the index from the rotations it makes
+to close the word set.  The ordered witness scans (missing rotations,
+ambiguous continuations, incidence mismatches) run only when a verdict
+fails.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
+from itertools import chain, repeat
+from operator import getitem
 
 from .errors import (
     BracketFailure,
@@ -58,8 +72,89 @@ def rotations(word: tuple) -> list[tuple]:
     return [word[i:] + word[:i] for i in range(len(word))]
 
 
-def canonical_rotation(word: tuple) -> tuple:
-    return min(rotations(word))
+def _rotate_orbits(seeds) -> tuple[list, set]:
+    """Rotate each orbit met among the seed words once: the canonical
+    (lexicographically minimal) representative of each orbit, in the
+    order met, and the union of the orbits."""
+    reps, closure = [], set()
+    for w in seeds:
+        if w not in closure:
+            rots = rotations(w)
+            closure.update(rots)
+            reps.append(min(rots))
+    return reps, closure
+
+
+# superscripts of a square word -> the rotation that puts them in order
+# (1, 2, 3, 4); these are the four copies of four_fold_cover
+_TO_STANDARD = {(1, 2, 3, 4): 0, (4, 1, 2, 3): 1, (3, 4, 1, 2): 2, (2, 3, 4, 1): 3}
+
+
+class RotationIndex:
+    """The rotation orbits of a presentation's words, derived once.
+
+    ``orbits`` holds the canonical (lexicographically minimal)
+    representative of each orbit, sorted; ``closed`` says whether the
+    stored words are closed under rotation; ``starts`` is the set of
+    starting pairs (x1, x2) and ``unique`` says whether each of them has
+    a single continuation x3.  The letters' superscripts, the orbits'
+    superscript standard forms and the stable-pairs verdict are derived
+    when first read.
+    """
+
+    def __init__(self, words: tuple, alphabet: tuple, reps, closed: bool):
+        self.alphabet = alphabet
+        self.orbits = tuple(sorted(reps))
+        self.closed = closed
+        self.starts = frozenset(w[:2] for w in words)
+        # a pair has one continuation iff it starts one distinct triple
+        self.unique = len({w[:3] for w in words}) == len(self.starts)
+
+    @cached_property
+    def superscripts(self) -> dict:
+        """Letter -> superscript class (None without one), parsed once."""
+        return {x: letter_sup(x) for x in self.alphabet}
+
+    @cached_property
+    def standard_forms(self) -> tuple[tuple, tuple]:
+        """Each orbit rotated to superscript order (1, 2, 3, 4), and the
+        orbits that have no such rotation, both in orbit order."""
+        sup = self.superscripts
+        forms, bad = [], []
+        for w in self.orbits:
+            i = _TO_STANDARD.get(tuple([sup[x] for x in w]))
+            if i is None:
+                bad.append(w)
+            else:
+                forms.append(w[i:] + w[:i])
+        return tuple(forms), tuple(bad)
+
+    @cached_property
+    def stable_pairs(self) -> StablePairsResult:
+        """:func:`stable_pairs_check` of square words."""
+        if set(self.superscripts.values()) != {1, 2, 3, 4}:
+            return StablePairsResult(False, ("alphabet is not partitioned into "
+                                             "superscript classes 1..4",))
+        forms, bad = self.standard_forms
+        if bad:
+            return StablePairsResult(False, bad[:8])
+
+        witnesses = []
+        fwd_x: dict = {}
+        bwd_x: dict = {}
+        fwd_y: dict = {}
+        bwd_y: dict = {}
+        for w in forms:
+            x1, y1, x2, y2 = w
+            for fwd, bwd, a, b in ((fwd_x, bwd_x, x1, x2), (fwd_y, bwd_y, y1, y2)):
+                if fwd.setdefault(a, b) != b or bwd.setdefault(b, a) != a:
+                    witnesses.append(w)
+                    break
+        ok = not witnesses
+        return StablePairsResult(
+            ok, tuple(witnesses[:8]),
+            tuple(sorted(fwd_x.items())) if ok else (),
+            tuple(sorted(fwd_y.items())) if ok else ())
 
 
 @dataclass(frozen=True)
@@ -111,14 +206,16 @@ class PolygonalPresentation:
 
     def __post_init__(self):
         known = set(self.alphabet)
-        for w in self.words:
-            if len(w) != self.k:
-                raise PresentationInvalid(
-                    f"tuple length {len(w)} != {self.k}", witness=w)
-            for x in w:
-                if x not in known:
-                    raise PresentationInvalid("tuple uses unknown letter",
-                                              witness=x)
+        if not (set(map(len, self.words)) <= {self.k}
+                and known.issuperset(chain.from_iterable(self.words))):
+            for w in self.words:  # the first offending tuple or letter
+                if len(w) != self.k:
+                    raise PresentationInvalid(
+                        f"tuple length {len(w)} != {self.k}", witness=w)
+                for x in w:
+                    if x not in known:
+                        raise PresentationInvalid("tuple uses unknown letter",
+                                                  witness=x)
         letters = [p for p, _ in self.lam]
         labels = [l for _, l in self.lam]
         if sorted(letters) != sorted(self.alphabet) or len(set(labels)) != len(labels):
@@ -133,18 +230,30 @@ class PolygonalPresentation:
     def orbits(self) -> list[tuple]:
         """Canonical (lexicographically minimal) representative per
         rotation orbit."""
-        return sorted({canonical_rotation(w) for w in self.words})
+        return list(self.rotation_index.orbits)
+
+    @cached_property
+    def rotation_index(self) -> RotationIndex:
+        """Built from the stored words when first read (one rotation per
+        orbit); :func:`make_presentation` sets it from its own rotations."""
+        reps, closure = _rotate_orbits(self.words)
+        return RotationIndex(self.words, self.alphabet, reps,
+                             closure.issubset(self.words))
 
 
 def make_presentation(alphabet, lam_pairs, orbit_words) -> PolygonalPresentation:
     """Build a presentation from orbit representatives, materializing the
-    full rotation closure."""
+    full rotation closure; the rotations made for it give the rotation
+    index too."""
     if not orbit_words:
         return PolygonalPresentation(tuple(alphabet), tuple(lam_pairs), (), 0)
     k = len(orbit_words[0])
-    closed = sorted({rot for w in orbit_words for rot in rotations(tuple(w))})
-    return PolygonalPresentation(tuple(alphabet), tuple(lam_pairs),
-                                 tuple(closed), k)
+    reps, closure = _rotate_orbits(map(tuple, orbit_words))
+    p = PolygonalPresentation(tuple(alphabet), tuple(lam_pairs),
+                              tuple(sorted(closure)), k)
+    object.__setattr__(p, "rotation_index",
+                       RotationIndex(p.words, p.alphabet, reps, True))
+    return p
 
 
 def family_presentation(q: int) -> PolygonalPresentation:
@@ -220,39 +329,48 @@ def validate_presentation(p: PolygonalPresentation,
     """Check the three defining conditions; failures carry witnesses.
     Without ``graphs`` the incidence condition is not checked and the
     report's ``incidence`` is None."""
-    missing, starts, dup = _closure_and_continuations(p)
-    cond1 = ConditionReport(not missing, missing[:8])
-    cond3 = ConditionReport(not dup, dup[:8])
+    missing, dup = _closure_and_continuations(p)
+    cond1 = ConditionReport(not missing, missing)
+    cond3 = ConditionReport(not dup, dup)
     if graphs is None:
         return ValidationReport(cond1, None, cond3)
 
-    lam = p.lam_map()
-    incident = {(w, b) for g in graphs for (w, b) in g.edges}
+    # the pairs (x1, x2) with lam(x1) incident to x2 in some graph
+    inverse = {label: x for x, label in p.lam_map().items()}
+    letters = set(p.alphabet)
+    incident = {(inverse[w], b) for g in graphs for w, b in g.edges
+                if w in inverse and b in letters}
+    starts = p.rotation_index.starts
     bad = []
-    for x1 in p.alphabet:
-        for x2 in p.alphabet:
-            has_word = (x1, x2) in starts
-            has_edge = (lam[x1], x2) in incident
-            if has_word != has_edge:
-                bad.append((x1, x2, "word-without-incidence" if has_word
-                            else "incidence-without-word"))
+    if incident != starts:  # list the mismatches in alphabet order
+        for x1 in p.alphabet:
+            for x2 in p.alphabet:
+                has_word = (x1, x2) in starts
+                if has_word != ((x1, x2) in incident):
+                    bad.append((x1, x2, "word-without-incidence" if has_word
+                                else "incidence-without-word"))
     cond2 = ConditionReport(not bad, tuple(bad[:8]))
     return ValidationReport(cond1, cond2, cond3)
 
 
-def _closure_and_continuations(p: PolygonalPresentation):
-    """The rotations of stored tuples that are not stored (in order), the
-    map from each starting pair (x1, x2) to the set of its third letters,
-    and the pairs with more than one, sorted with their sorted letters."""
-    words = p.word_set()
-    missing = tuple(rot for w in sorted(words) for rot in rotations(w)
-                    if rot not in words)
-    starts: dict = {}
-    for w in words:
-        starts.setdefault(w[:2], set()).add(w[2] if p.k > 2 else None)
-    dup = tuple(sorted((pair, tuple(sorted(conts)))
-                       for pair, conts in starts.items() if len(conts) > 1))
-    return missing, starts, dup
+def _closure_and_continuations(p: PolygonalPresentation) -> tuple[tuple, tuple]:
+    """Witnesses (at most 8 each) against rotation closure and unique
+    continuation, empty when the index's verdict passes: the rotations of
+    stored tuples that are not stored, in order, and the starting pairs
+    with more than one continuation, sorted with their sorted letters."""
+    index = p.rotation_index
+    missing = dup = ()
+    if not index.closed:
+        words = p.word_set()
+        missing = tuple(rot for w in sorted(words) for rot in rotations(w)
+                        if rot not in words)
+    if not index.unique:
+        starts: dict = {}
+        for w in p.words:
+            starts.setdefault(w[:2], set()).add(w[2])
+        dup = tuple(sorted((pair, tuple(sorted(conts)))
+                           for pair, conts in starts.items() if len(conts) > 1))
+    return missing[:8], dup[:8]
 
 
 @dataclass(frozen=True)
@@ -287,52 +405,56 @@ def polyhedron_from_presentation(p: PolygonalPresentation) -> Polyhedron:
     checked here)."""
     if not p.words:
         return Polyhedron((), (), ())
-    missing, _, dup = _closure_and_continuations(p)
+    missing, dup = _closure_and_continuations(p)
     if missing:
         raise PresentationInvalid("word set is not rotation closed",
-                                  witness=missing[:8])
+                                  witness=missing)
     if dup:
-        raise PresentationInvalid("continuation is not unique", witness=dup[:8])
+        raise PresentationInvalid("continuation is not unique", witness=dup)
 
     lam = p.lam_map()
-    faces = p.orbits()
-    letters = tuple(sorted({x for w in faces for x in w}))
+    faces = p.rotation_index.orbits
+    letters = tuple(sorted(set(chain.from_iterable(faces))))
 
     # corner between consecutive sides (x_m, x_{m+1}): link edge from the
-    # white end lam(x_m) to the black end x_{m+1}
-    corners = []
-    for w in faces:
-        for m in range(p.k):
-            corners.append((lam[w[m]], w[(m + 1) % p.k]))
+    # white end lam(x_m) to the black end x_{m+1}; each distinct corner
+    # once, in the order met, with its multiplicity
+    corners = Counter(chain.from_iterable(
+        zip(map(lam.__getitem__, w), w[1:] + w[:1]) for w in faces))
 
-    parent: dict = {}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
+    # Link components by union-find over the distinct corners in the order
+    # met, relabelling the smaller component's nodes on a merge.  The root
+    # only orders the links (by str) and follows union(white, black): the
+    # black end's root names the merged component.
+    comp = ({}, {})       # white / black end -> component id
+    root, nodes = [], []  # per component id: its root node, its nodes
     for white, black in corners:
-        for node in (("w", white), ("b", black)):
-            parent.setdefault(node, node)
-        union(("w", white), ("b", black))
+        cw, cb = comp[0].get(white), comp[1].get(black)
+        if cb is None:
+            cb = comp[1][black] = len(root)
+            root.append(("b", black))
+            nodes.append([(1, black)])
+        if cw is None:
+            comp[0][white] = cb
+            nodes[cb].append((0, white))
+        elif cw != cb:
+            keep, gone = (cw, cb) if len(nodes[cw]) > len(nodes[cb]) else (cb, cw)
+            for side, x in nodes[gone]:
+                comp[side][x] = keep
+            nodes[keep] += nodes[gone]
+            root[keep] = root[cb]
 
     groups: dict = {}
-    for white, black in corners:
-        groups.setdefault(find(("w", white)), []).append((white, black))
+    for corner in corners:
+        groups.setdefault(root[comp[0][corner[0]]], []).append(corner)
     links = []
-    for root in sorted(groups, key=str):
-        es = groups[root]
+    for node in sorted(groups, key=str):
+        es = sorted(groups[node])
         whites = tuple(sorted({w for w, _ in es}))
         blacks = tuple(sorted({b for _, b in es}))
-        links.append(LinkGraph(blacks, whites, tuple(sorted(es))))
-    return Polyhedron(tuple(faces), letters, tuple(links))
+        edges = tuple(chain.from_iterable(map(repeat, es, map(corners.get, es))))
+        links.append(LinkGraph(blacks, whites, edges))
+    return Polyhedron(faces, letters, tuple(links))
 
 
 @dataclass(frozen=True)
@@ -346,20 +468,6 @@ class StablePairsResult:
         return self.ok
 
 
-def _standard_forms(p: PolygonalPresentation):
-    """Rotate each orbit representative to superscript order (1,2,3,4)."""
-    forms = []
-    bad = []
-    for w in p.orbits():
-        for rot in rotations(w):
-            if tuple(letter_sup(x) for x in rot) == (1, 2, 3, 4):
-                forms.append(rot)
-                break
-        else:
-            bad.append(w)
-    return forms, bad
-
-
 def stable_pairs_check(p: PolygonalPresentation) -> StablePairsResult:
     """Stable-pairs condition for square presentations over four
     superscript classes.
@@ -368,37 +476,9 @@ def stable_pairs_check(p: PolygonalPresentation) -> StablePairsResult:
     rotation, the opposite x-letters must determine each other, and so
     must the opposite y-letters.  Returns the discovered pairings.
     """
-    return _stable_pairs(p)[0]
-
-
-def _stable_pairs(p: PolygonalPresentation) -> tuple[StablePairsResult, list]:
-    """:func:`stable_pairs_check` and the standard forms it read."""
     if p.k != 4:
         raise RequiresSquares("stable pairs needs square faces", witness=p.k)
-    sups = {letter_sup(x) for x in p.alphabet}
-    if sups != {1, 2, 3, 4}:
-        return StablePairsResult(False, ("alphabet is not partitioned into "
-                                         "superscript classes 1..4",)), []
-    forms, bad = _standard_forms(p)
-    if bad:
-        return StablePairsResult(False, tuple(bad[:8])), forms
-
-    witnesses = []
-    fwd_x: dict = {}
-    bwd_x: dict = {}
-    fwd_y: dict = {}
-    bwd_y: dict = {}
-    for w in forms:
-        x1, y1, x2, y2 = w
-        for fwd, bwd, a, b in ((fwd_x, bwd_x, x1, x2), (fwd_y, bwd_y, y1, y2)):
-            if fwd.setdefault(a, b) != b or bwd.setdefault(b, a) != a:
-                witnesses.append(w)
-                break
-    ok = not witnesses
-    return StablePairsResult(
-        ok, tuple(witnesses[:8]),
-        tuple(sorted(fwd_x.items())) if ok else (),
-        tuple(sorted(fwd_y.items())) if ok else ()), forms
+    return p.rotation_index.stable_pairs
 
 
 def four_fold_cover(p: PolygonalPresentation) -> PolygonalPresentation:
@@ -410,13 +490,14 @@ def four_fold_cover(p: PolygonalPresentation) -> PolygonalPresentation:
         raise RequiresSquares("cover construction needs square faces",
                               witness=p.k)
     patterns = ((1, 2, 3, 4), (4, 1, 2, 3), (3, 4, 1, 2), (2, 3, 4, 1))
+    named = {x: {s: with_sup(x, s) for s in (1, 2, 3, 4)} for x in p.alphabet}
     words = []
-    for w in p.orbits():
-        for pat in patterns:
-            words.append(tuple(with_sup(x, s) for x, s in zip(w, pat)))
-    alphabet = tuple(with_sup(x, s) for x in p.alphabet for s in (1, 2, 3, 4))
+    for w in p.rotation_index.orbits:
+        classes = [named[x] for x in w]
+        words.extend(tuple(map(getitem, classes, pat)) for pat in patterns)
+    alphabet = tuple(named[x][s] for x in p.alphabet for s in (1, 2, 3, 4))
     lam = p.lam_map()
-    lam_pairs = tuple((with_sup(x, s), with_sup(lam[x], s))
+    lam_pairs = tuple((named[x][s], with_sup(lam[x], s))
                       for x in p.alphabet for s in (1, 2, 3, 4))
     return make_presentation(alphabet, lam_pairs, words)
 
@@ -456,11 +537,11 @@ def bm_group_data(p: PolygonalPresentation) -> BMGroupData:
     other word (a, b, a', b') turns into the relation a b a^-1 b^-1, and
     the group acts on trees of valence twice the generator counts.
     """
-    result, forms = _stable_pairs(p)
+    result = stable_pairs_check(p)
     if not result.ok:
         raise NotBMReducible("presentation fails the stable pairs condition",
                              witness=result.witnesses)
-    forms = sorted(forms)
+    forms = sorted(p.rotation_index.standard_forms[0])
     collapsed = forms[0]
     x_star, y_star = collapsed[0], collapsed[1]
     horizontal = tuple(sorted({w[0] for w in forms} - {x_star}))

@@ -320,7 +320,7 @@ def _run_building(plan: RunPlan):
             "horizontal_generators": list(bm.horizontal_generators),
             "vertical_generators": list(bm.vertical_generators),
             "valences": list(bm.valences),
-            "relations": [[[g, e] for g, e in rel] for rel in bm.relations],
+            "relations": list(bm.relations),
         }
     return report, None
 

@@ -7,8 +7,10 @@ optional involution pair list, and presentations as alphabet / lambda /
 words.  Reports are emitted with stable field ordering and every float
 rounded to 12 significant digits, so identical inputs produce identical
 bytes.  JSON output is strict RFC 8259: a non-finite float is written as
-the string "Infinity", "-Infinity" or "NaN".  A file that cannot be read
-or parsed raises InvalidInput.
+the string "Infinity", "-Infinity" or "NaN".  The JSON text has the
+bytes of ``json.dumps(..., indent=2)`` but joins each container's items
+once instead of going through json's pure-Python indenting encoder.  A
+file that cannot be read or parsed raises InvalidInput.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import io as _stdio
 import itertools
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .buildings import PolygonalPresentation, make_presentation
@@ -89,7 +92,7 @@ def presentation_to_dict(p: PolygonalPresentation) -> dict:
     return {
         "alphabet": list(p.alphabet),
         "lambda": [list(pair) for pair in p.lam],
-        "words": [list(w) for w in p.orbits()],
+        "words": list(p.rotation_index.orbits),
     }
 
 
@@ -196,24 +199,56 @@ def round_floats(obj, significant: int = 12):
     return obj
 
 
-# Types _json_ready returns unchanged, so it need not be called on them.
-_LEAVES = frozenset({str, int, bool, type(None)})
+def _json_float(x: float) -> str:
+    """A float rounded to 12 significant digits as JSON; a non-finite one
+    as its name, which JSON can carry only as a string."""
+    if math.isfinite(x):
+        return float.__repr__(float(f"{x:.12g}"))
+    return '"NaN"' if math.isnan(x) else ('"Infinity"' if x > 0 else '"-Infinity"')
 
 
-def _json_ready(obj, significant: int = 12):
-    """round_floats and, in the same walk, each non-finite float replaced
-    by its name, which JSON can carry only as a string."""
-    if isinstance(obj, float):
-        if math.isfinite(obj):
-            return float(f"{obj:.{significant}g}")
-        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
+# JSON text of a leaf, by its exact type
+_JSON_LEAF = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _json_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(obj, level: int) -> str:
+    """``json.dumps(obj, indent=2, allow_nan=False)`` with every float
+    written by :func:`_json_float`, for an object nested ``level`` deep.
+
+    Each container's items are joined once.  A leaf of a subclass type
+    takes json's own rules, and a type json cannot write raises its
+    TypeError.
+    """
+    leaf = _JSON_LEAF.get(type(obj))
+    if leaf is not None:
+        return leaf(obj)
     if isinstance(obj, dict):
-        return {k: v if type(v) in _LEAVES else _json_ready(v, significant)
-                for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [v if type(v) in _LEAVES else _json_ready(v, significant)
-                for v in obj]
-    return obj
+        items = [(encode_basestring_ascii(k) if type(k) is str else _json_key(k))
+                 + ": " + _json_text(v, level + 1) for k, v in obj.items()]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        items = [_json_text(v, level + 1) for v in obj]
+        brackets = "[]"
+    elif isinstance(obj, float):
+        return _json_float(obj)
+    else:
+        return json.dumps(obj)
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (level + 1)
+    return (brackets[0] + inner + ("," + inner).join(items)
+            + "\n" + "  " * level + brackets[1])
+
+
+def _json_key(key) -> str:
+    """A dict key that is not a str, as json writes it (or its error)."""
+    return json.dumps({key: 0}, allow_nan=False)[1:-4]
 
 
 def emit(report: dict, fmt: str, rows: list[dict] | None = None) -> bytes:
@@ -224,8 +259,7 @@ def emit(report: dict, fmt: str, rows: list[dict] | None = None) -> bytes:
     table: aligned key/value or tabular text.
     """
     if fmt == "json":
-        text = json.dumps(_json_ready(report), indent=2, allow_nan=False)
-        return (text + "\n").encode()
+        return (_json_text(report, 0) + "\n").encode()
     report = round_floats(report)
     if fmt == "csv":
         if rows is None:

@@ -69,12 +69,15 @@ def from_edge_matrix(em: EdgeMatrix) -> SFTData:
     orientations of each edge (labels 'e+' <-> 'e-').  A label without
     its partner raises InvalidTransitionMatrix with the label as witness."""
     labels = em.labels
+    index: dict = {}
+    for i, lab in enumerate(labels):
+        index.setdefault(lab, i)  # a repeated label names its first letter
     inv = []
     for lab in labels:
         flipped = lab[:-1] + ("-" if lab.endswith("+") else "+")
         try:
-            inv.append(labels.index(flipped))
-        except ValueError:
+            inv.append(index[flipped])
+        except KeyError:
             raise InvalidTransitionMatrix("label has no reversed orientation",
                                           witness=lab) from None
     return SFTData(em.matrix, labels, tuple(inv))

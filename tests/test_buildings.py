@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphspectra import buildings
 from graphspectra.buildings import (
@@ -25,6 +27,7 @@ from graphspectra.buildings import (
     tau_lhs,
     validate_presentation,
 )
+from graphspectra.cli import main
 from graphspectra.errors import (
     DegenerateEuclidean,
     InvalidPolygon,
@@ -245,21 +248,198 @@ def test_bm_rejects_unstable_presentation():
         bm_group_data(family_presentation(1))
 
 
-def test_each_structural_check_runs_once(monkeypatch):
-    """bm_group_data reads the standard forms once, and the polyhedron
-    checks closure and continuation without the incidence scan."""
-    cover = four_fold_cover(family_presentation(2))
-    calls = []
-    forms = buildings._standard_forms
-    monkeypatch.setattr(buildings, "_standard_forms",
-                        lambda p: calls.append(p) or forms(p))
-    bm_group_data(cover)
-    assert len(calls) == 1
+def test_each_structural_check_runs_once(monkeypatch, capsysbinary):
+    """Along the full building path each orbit of each presentation built
+    is rotated at most once, each alphabet letter's superscript is parsed
+    once, and the polyhedron checks closure and continuation without the
+    incidence scan."""
+    built, rotated, parsed = [], [], []
+    make, rotations, letter_sup = (buildings.make_presentation,
+                                   buildings.rotations, buildings.letter_sup)
+    monkeypatch.setattr(buildings, "make_presentation",
+                        lambda *a: built.append(make(*a)) or built[-1])
+    monkeypatch.setattr(buildings, "rotations",
+                        lambda w: rotated.append(w) or rotations(w))
+    monkeypatch.setattr(buildings, "letter_sup",
+                        lambda x: parsed.append(x) or letter_sup(x))
+    assert main(["building", "--q", "2", "--cover", "--validate", "--links",
+                 "--stable-pairs", "--bm"]) == 0
+    capsysbinary.readouterr()
+    family, cover = built
+    assert len(rotated) == len(family.orbits()) + len(cover.orbits()) == 16 + 64
+    assert sorted(parsed) == sorted(cover.alphabet)
 
     def refused(*args):
         raise AssertionError("incidence scan")
     monkeypatch.setattr(buildings, "validate_presentation", refused)
     assert polyhedron_from_presentation(cover).vertex_count == 4
+
+
+# Brute-force definitions of what the rotation index answers, for the
+# property test below: every word is rotated afresh.
+
+def _rotations(w):
+    return [w[i:] + w[:i] for i in range(len(w))]
+
+
+def _brute_orbits(p):
+    return sorted({min(_rotations(w)) for w in p.words})
+
+
+def _brute_missing(p):
+    words = set(p.words)
+    return tuple(r for w in sorted(words) for r in _rotations(w)
+                 if r not in words)[:8]
+
+
+def _brute_duplicates(p):
+    starts = {}
+    for w in p.words:
+        starts.setdefault(w[:2], set()).add(w[2])
+    return tuple(sorted((pair, tuple(sorted(c)))
+                        for pair, c in starts.items() if len(c) > 1))[:8]
+
+
+def _brute_incidence(p, graphs):
+    lam = p.lam_map()
+    starts = {w[:2] for w in p.words}
+    incident = {e for g in graphs for e in g.edges}
+    bad = []
+    for x1 in p.alphabet:
+        for x2 in p.alphabet:
+            has_word = (x1, x2) in starts
+            if has_word != ((lam[x1], x2) in incident):
+                bad.append((x1, x2, "word-without-incidence" if has_word
+                            else "incidence-without-word"))
+    return tuple(bad[:8])
+
+
+def _brute_standard_forms(p):
+    forms, bad = [], []
+    for w in _brute_orbits(p):
+        for rot in _rotations(w):
+            if tuple(buildings.letter_sup(x) for x in rot) == (1, 2, 3, 4):
+                forms.append(rot)
+                break
+        else:
+            bad.append(w)
+    return tuple(forms), tuple(bad)
+
+
+def _brute_stable_pairs(p):
+    if {buildings.letter_sup(x) for x in p.alphabet} != {1, 2, 3, 4}:
+        return buildings.StablePairsResult(
+            False, ("alphabet is not partitioned into superscript classes 1..4",))
+    forms, bad = _brute_standard_forms(p)
+    if bad:
+        return buildings.StablePairsResult(False, bad[:8])
+    witnesses, maps = [], ({}, {}, {}, {})
+    for w in forms:
+        x1, y1, x2, y2 = w
+        for fwd, bwd, a, b in ((maps[0], maps[1], x1, x2), (maps[2], maps[3], y1, y2)):
+            if fwd.setdefault(a, b) != b or bwd.setdefault(b, a) != a:
+                witnesses.append(w)
+                break
+    ok = not witnesses
+    return buildings.StablePairsResult(
+        ok, tuple(witnesses[:8]), tuple(sorted(maps[0].items())) if ok else (),
+        tuple(sorted(maps[2].items())) if ok else ())
+
+
+def _brute_links(p):
+    """Links by union-find over every corner, one node per end."""
+    lam = p.lam_map()
+    corners = [(lam[w[m]], w[(m + 1) % p.k]) for w in _brute_orbits(p)
+               for m in range(p.k)]
+    parent = {}
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+    for white, black in corners:
+        w, b = ("w", white), ("b", black)
+        parent.setdefault(w, w)
+        parent.setdefault(b, b)
+        rw, rb = find(w), find(b)
+        if rw != rb:
+            parent[rw] = rb
+    groups = {}
+    for white, black in corners:
+        groups.setdefault(find(("w", white)), []).append((white, black))
+    return tuple(buildings.LinkGraph(tuple(sorted({b for _, b in es})),
+                                     tuple(sorted({w for w, _ in es})),
+                                     tuple(sorted(es)))
+                 for _, es in sorted(groups.items(), key=lambda kv: str(kv[0])))
+
+
+_LETTERS = ("a", "b", "c", "a^1", "a^2", "a^3", "a^4", "b^1", "b^2", "b^3",
+            "b^4", "c^1", "c^3")
+
+
+@st.composite
+def presentations(draw):
+    """Small presentations: k in {3, 4}, plain and superscripted letters,
+    four-fold covers, and sets with a dropped rotation or an extra
+    continuation, built through make_presentation or stored directly."""
+    k = draw(st.sampled_from((3, 4)))
+    alphabet = draw(st.lists(st.sampled_from(_LETTERS), min_size=1, max_size=6,
+                             unique=True))
+    word = st.tuples(*[st.sampled_from(alphabet)] * k)
+    words = draw(st.lists(word, min_size=1, max_size=6))
+    lam = tuple((x, x.upper()) for x in alphabet)
+    p = make_presentation(alphabet, lam, words)
+    if k == 4 and draw(st.booleans()):
+        p = four_fold_cover(p)
+    stored = list(p.words)
+    if draw(st.booleans()):
+        stored.append(tuple(draw(st.sampled_from(p.alphabet)) for _ in range(k)))
+    if draw(st.booleans()):
+        stored.pop(draw(st.integers(0, len(stored) - 1)))
+    if stored != list(p.words):
+        stored = draw(st.permutations(stored))
+        p = buildings.PolygonalPresentation(p.alphabet, p.lam, tuple(stored), k)
+    return p
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(p=presentations(), data=st.data())
+def test_rotation_index_matches_brute_force(p, data):
+    index = p.rotation_index
+    assert p.orbits() == list(index.orbits) == _brute_orbits(p)
+    assert index.starts == {w[:2] for w in p.words}
+
+    # link graphs that carry the words' starting pairs, perhaps one edge
+    # fewer or one more
+    edges = sorted({(p.lam_map()[w[0]], w[1]) for w in p.words})
+    if edges and data.draw(st.booleans()):
+        edges.pop(data.draw(st.integers(0, len(edges) - 1)))
+    if data.draw(st.booleans()):
+        edges.append((data.draw(st.sampled_from(p.lam))[1],
+                      data.draw(st.sampled_from(p.alphabet))))
+    graphs = [BipartiteGraph((), (), tuple(edges))]
+    report = validate_presentation(p, graphs)
+    missing, dup = _brute_missing(p), _brute_duplicates(p)
+    assert report.rotation_closure == buildings.ConditionReport(not missing, missing)
+    assert report.unique_continuation == buildings.ConditionReport(not dup, dup)
+    bad = _brute_incidence(p, graphs)
+    assert report.incidence == buildings.ConditionReport(not bad, bad)
+    assert validate_presentation(p) == buildings.ValidationReport(
+        report.rotation_closure, None, report.unique_continuation)
+
+    if missing or dup:
+        with pytest.raises(PresentationInvalid) as err:
+            polyhedron_from_presentation(p)
+        assert err.value.witness == (missing or dup)
+    else:
+        poly = polyhedron_from_presentation(p)
+        assert list(poly.faces) == _brute_orbits(p)
+        assert poly.links == _brute_links(p)
+
+    if p.k == 4:
+        if {buildings.letter_sup(x) for x in p.alphabet} == {1, 2, 3, 4}:
+            assert index.standard_forms == _brute_standard_forms(p)
+        assert stable_pairs_check(p) == _brute_stable_pairs(p)
 
 
 def test_product_grading_formula_values():

@@ -44,6 +44,21 @@ def test_building_golden(capsysbinary):
     assert out == (GOLDEN / "building_q1_cover_bm.json").read_bytes()
 
 
+def test_building_all_checks_golden(capsysbinary):
+    code, out = run_cli(["building", "--q", "4", "--cover", "--validate", "--links",
+                         "--stable-pairs", "--bm"], capsysbinary)
+    assert code == 0
+    assert out == (GOLDEN / "building_q4_all.json").read_bytes()
+
+
+def test_building_duplicate_continuation_golden(capsysbinary):
+    code, out = run_cli(["building", "--file", str(DATA / "duplicate_continuation.json"),
+                         "--validate", "--links"], capsysbinary)
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "PresentationInvalid"
+    assert out == (GOLDEN / "building_duplicate_continuation.json").read_bytes()
+
+
 def test_goldens_bit_stable(capsysbinary):
     for argv in (["ktheory", "--matrix", str(DATA / "a1.json")],
                  ["tau", "--weights", "2,2,2,2,2"],

@@ -1,6 +1,9 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphspectra.buildings import family_presentation
 from graphspectra.graphs import directed_edge_matrix, theta_graph
@@ -66,6 +69,93 @@ def test_round_floats():
 def test_emit_json_stable():
     report = {"b": 1.0 / 3.0, "a": [1, 2]}
     assert emit(report, "json") == emit(report, "json")
+
+
+def _json_ready(obj):
+    """Reference for the JSON writer: every float rounded to 12
+    significant digits, a non-finite one replaced by its name."""
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float(f"{obj:.12g}")
+        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
+    if isinstance(obj, dict):
+        return {k: _json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(v) for v in obj]
+    return obj
+
+
+def _reference_json(report) -> bytes:
+    return (json.dumps(_json_ready(report), indent=2, allow_nan=False) + "\n").encode()
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+@pytest.mark.parametrize("report", [
+    {},
+    [],
+    {"a": [], "b": {}, "c": [[], {}], "d": [{"e": [[]]}], "f": ()},
+    {"plain": "x", "quoted": 'say "hi" \\ back', "control": "tab\tnl\n\x01",
+     "non-ascii": "naïve ☃ 𝄞", "ключ": "ü"},
+    {"t": True, "f": False, "n": None, "ints": [0, -1, 10 ** 30],
+     "floats": [0.1 + 0.2, -0.0, 1e300, 1e-300, 2.5, 1 / 3, 123456789.123456789]},
+    {"nan": float("nan"), "inf": [float("inf"), float("-inf")]},
+    {1: "int key", 2.5: "float key", False: "bool key", None: "null key"},
+    {"tuples": (1, (2, "x")), "subclasses": [_Str("s"), _Int(3), _Float(1 / 3),
+                                             _List([1, _Dict(a=2.0)]), _Dict()]},
+    [[[[{"deep": [1, [2, [3]]]}]]]],
+], ids=["empty-object", "empty-array", "empty-containers", "strings", "scalars",
+        "non-finite", "non-str-keys", "tuples-and-subclasses", "deep"])
+def test_emit_json_matches_json_dumps(report):
+    assert emit(report, "json") == _reference_json(report)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(report=st.dictionaries(st.text(max_size=4), _json_values, max_size=5))
+def test_emit_json_matches_json_dumps_on_random_reports(report):
+    assert emit(report, "json") == _reference_json(report)
+
+
+def test_emit_json_of_a_building_report():
+    from graphspectra.cli import execute, parse_invocation
+    plan = parse_invocation(["building", "--q", "2", "--cover", "--validate", "--links",
+                             "--stable-pairs", "--bm"])
+    report, _ = execute(plan)
+    assert emit(report, "json") == _reference_json(report)
+
+
+@pytest.mark.parametrize("report", [{"x": {1, 2}}, {"x": [object()]}, {(1, 2): 0}])
+def test_emit_json_rejects_what_json_rejects(report):
+    with pytest.raises(TypeError):
+        _reference_json(report)
+    with pytest.raises(TypeError):
+        emit(report, "json")
 
 
 def test_emit_table_alignment():

@@ -409,3 +409,10 @@ def test_from_edge_matrix_needs_both_orientations_of_each_label():
     s = from_edge_matrix(directed_edge_matrix(kato_graph(1)))
     assert all(s.labels[s.involution[i]][:-1] == label[:-1]
                for i, label in enumerate(s.labels))
+    em = graphs.EdgeMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)), ("e+", "e-", "f+"))
+    with pytest.raises(InvalidTransitionMatrix) as err:
+        from_edge_matrix(em)
+    assert err.value.witness == "f+"
+    s = from_edge_matrix(directed_edge_matrix(kato_graph(3)))
+    flipped = [lab[:-1] + ("-" if lab.endswith("+") else "+") for lab in s.labels]
+    assert s.involution == tuple(map(list(s.labels).index, flipped))
