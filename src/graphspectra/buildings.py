@@ -58,10 +58,15 @@ from .errors import (
 from .graphs import isomorphisms
 
 
-def letter_sup(letter: str) -> int | None:
-    if "^" not in letter:
+def letter_sup(letter) -> int | None:
+    """The superscript class n of a letter "x^n"; None for a letter that
+    is not a str or has no integer after its last "^"."""
+    if not isinstance(letter, str) or "^" not in letter:
         return None
-    return int(letter.rsplit("^", 1)[1])
+    try:
+        return int(letter.rsplit("^", 1)[1])
+    except ValueError:
+        return None
 
 
 def with_sup(letter: str, sup: int) -> str:
@@ -166,8 +171,14 @@ class BipartiteGraph:
     edges: tuple  # (white, black) pairs, repeats = multiplicity
 
     def is_complete_bipartite(self) -> bool:
-        want = {(w, b) for w in self.whites for b in self.blacks}
-        return len(self.edges) == len(want) and set(self.edges) == want
+        """Each white-black pair is an edge exactly once: every edge lies
+        in whites x blacks, and there are as many edges, and as many
+        distinct edges, as such pairs."""
+        whites, blacks = set(self.whites), set(self.blacks)
+        pairs = len(whites) * len(blacks)
+        return (len(self.edges) == pairs
+                and all(w in whites and b in blacks for w, b in self.edges)
+                and len(set(self.edges)) == pairs)
 
     def _coded(self) -> list[list[int]]:
         """Square matrix on whites then blacks: edge multiplicities off
@@ -667,14 +678,31 @@ def inclusion_exclusion_check(max_h: int, max_v: int, table) -> bool:
 
 def tau_lhs(weights, x: float) -> float:
     """Left side of the exponent equation, cyclic in the weights:
-    sum_i (q_i^x + q_{i+1}^x) / ((1 + q_i^x)(1 + q_{i+1}^x))."""
+    sum_i (q_i^x + q_{i+1}^x) / ((1 + q_i^x)(1 + q_{i+1}^x)).
+
+    A term whose denominator is past float range takes its limit in the
+    larger power, 1 / (1 + the smaller power): 0 when both are infinite.
+    """
     r = len(weights)
     total = 0.0
     for i in range(r):
-        a = weights[i] ** x
-        b = weights[(i + 1) % r] ** x
-        total += (a + b) / ((1 + a) * (1 + b))
+        a = _power(weights[i], x)
+        b = _power(weights[(i + 1) % r], x)
+        den = (1 + a) * (1 + b)
+        total += 1 / (1 + min(a, b)) if den == math.inf else (a + b) / den
     return total
+
+
+def _power(q: int, x: float) -> float:
+    """q ** x, through exp(x log q) when that overflows, and inf past
+    float range."""
+    try:
+        return q ** x
+    except OverflowError:
+        try:
+            return math.exp(x * math.log(q))
+        except OverflowError:
+            return math.inf
 
 
 def solve_tau(weights, tol: float = 1e-13) -> float:

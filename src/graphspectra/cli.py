@@ -312,8 +312,9 @@ def _run_building(plan: RunPlan):
         }
     if plan.option("stable_pairs"):
         res = buildings.stable_pairs_check(pres)
-        report["stable_pairs"] = {"ok": res.ok,
-                                  "witnesses": [list(w) for w in res.witnesses]}
+        # a witness is a word, or the message that the classes are missing
+        report["stable_pairs"] = {"ok": res.ok, "witnesses": [
+            w if isinstance(w, str) else list(w) for w in res.witnesses]}
     if plan.option("bm"):
         bm = buildings.bm_group_data(pres)
         report["bm"] = {

@@ -16,8 +16,9 @@ indicators of length N+1 of an irreducible SFT, carrying
 * one partial isometry per letter, acting on mu^(1/2)-normalized
   cylinder indicators by prepending the letter with a conformal weight
   drawn from the Parry measure.  Their ranges partition the basis (the
-  range of S_i is the cylinder of i), so they are stored as one sparse
-  matrix S = sum_i S_i whose row block i is S_i.
+  range of S_i is the cylinder of i), so they are stored as the three
+  CSR arrays (indptr, indices, data) of S = sum_i S_i, whose row block i
+  is S_i.
 
 The stored isometries are the members of the adjoint pair (prepend /
 chop) that satisfy the defining relations
@@ -56,10 +57,11 @@ crossed product by Z (one sorted numpy record array of distinct values
 and multiplicities) with its counting-function slope fit.
 
 numpy and scipy are imported inside the functions that compute with
-them, so that importing the package loads neither: the truncation and
-the Perron-data grading load both, the crossed-product spectrum and the
-slope fit load numpy only, and the other dimension-sequence functions
-load neither.
+them, so that importing the package loads neither: the reference views
+(``spectral_norm`` and the sparse views of a truncation) load both; the
+truncation itself, the Perron-data grading, the crossed-product spectrum
+and the slope fit load numpy only; the other dimension-sequence
+functions load neither.
 """
 
 from __future__ import annotations
@@ -188,25 +190,25 @@ class SpectralTruncation:
     refinements.  The column of Q_n for u holds sqrt(mu(w) / mu(u)) on
     u's block.  For each n < N only the block starts are stored, and the
     weights are derived from them and ``mu`` when used, O(N dim) in all,
-    next to S = sum_i S_i, one CSR matrix whose row block i is S_i, and
-    the index of u among the length-N prefixes for each row (i,) + u.
+    next to the CSR arrays of S = sum_i S_i, whose row block i is S_i,
+    and the index of u among the length-N prefixes for each row (i,) + u.
     P_n X = Q_n (Q_n^T X) is a block sum and a broadcast, and
     D = lambda_N - sum_{n<N} (lambda_{n+1} - lambda_n) P_n.
-    ``projection`` and ``grading_matrix`` assemble sparse reference
-    views on demand.  ``commutator_norm`` needs none of this: it reads
-    the counts of the length-(n+1) prefixes by first letter.
+    ``isometry``, ``projection`` and ``grading_matrix`` assemble scipy
+    reference views on demand.  ``commutator_norm`` needs none of this:
+    it reads the counts of the length-(n+1) prefixes by first letter.
     """
 
     def __init__(self, sft: SFTData, level: int, table: np.ndarray, mu: np.ndarray,
-                 isometry_sum, tail: np.ndarray, starts: list, counts: list,
-                 twist: tuple | None):
+                 indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+                 tail: np.ndarray, starts: list, counts: list, twist: tuple | None):
         import numpy as np
 
         self.sft = sft
         self.level = level
         self._table = table  # the basis words, one row each
         self.mu = mu
-        self._isometry_sum = isometry_sum  # S = sum_i S_i, CSR
+        self._indptr, self._indices, self._data = indptr, indices, data  # CSR of S
         self._tail = tail  # row (i,) + u: the index of u among the length-N prefixes
         self._starts = starts  # block starts of the length-(n+1) prefixes
         self._counts = counts  # length-(n+1) prefixes per first letter
@@ -233,11 +235,11 @@ class SpectralTruncation:
         import numpy as np
         import scipy.sparse as sp
 
-        s = self._isometry_sum
         lo = self._starts[0][letter]
-        a, b = s.indptr[[lo, lo + self._sizes[0][letter]]]
-        return sp.csr_matrix((s.data[a:b].copy(), s.indices[a:b].copy(),
-                              np.clip(s.indptr, a, b) - a), shape=s.shape)
+        a, b = self._indptr[[lo, lo + self._sizes[0][letter]]]
+        return sp.csr_matrix((self._data[a:b].copy(), self._indices[a:b].copy(),
+                              np.clip(self._indptr, a, b) - a),
+                             shape=(self.dimension, self.dimension))
 
     def twisted_isometry(self, letter: int):
         """The letter's partial isometry conjugated by the twist unitary;
@@ -337,15 +339,15 @@ class SpectralTruncation:
         starts = self._starts[top]
         g = self._weight(top)[:, 0]
         owner = np.repeat(np.arange(len(starts)), self._sizes[top])
-        s, tail = self._isometry_sum, self._tail
+        indptr, tail = self._indptr, self._tail
         sq, lifted = np.zeros(dim), np.zeros(dim)
         # a row of the pattern holds at most max-out-degree entries
         step = max(ENTRY_BATCH // max(self.sft.row_sums()), 1)
         for lo in range(0, dim, step):
             hi = min(lo + step, dim)
-            a, b = s.indptr[[lo, hi]]
-            rows = np.repeat(np.arange(hi - lo), np.diff(s.indptr[lo:hi + 1]))
-            cols, vals = s.indices[a:b], s.data[a:b]
+            a, b = indptr[[lo, hi]]
+            rows = np.repeat(np.arange(hi - lo), np.diff(indptr[lo:hi + 1]))
+            cols, vals = self._indices[a:b], self._data[a:b]
             row_step, col_step = np.diff(rows), np.diff(cols)
             if not (np.all(tail[lo:hi][rows] == owner[cols])
                     and np.all((row_step > 0) | ((row_step == 0) & (col_step > 0)))):
@@ -421,7 +423,6 @@ def build_truncation(s: SFTData, level: int, twist: tuple | None = None,
     the prefix counts by first letter.
     """
     import numpy as np
-    import scipy.sparse as sp
 
     if level < 2:
         raise TruncationTooSmall("truncation level must be >= 2", witness=level)
@@ -481,10 +482,8 @@ def build_truncation(s: SFTData, level: int, twist: tuple | None = None,
     li = np.repeat(left[first], row_sizes)
     mu_iw = li * right[last[cols]] * lam ** (-(level + 1)) / norm
     mu_tgt = li * right[second_last[cols]] * lam ** (-level) / norm
-    isometry_sum = sp.csr_matrix((np.sqrt(mu_iw / mu_tgt), cols, indptr),
-                                 shape=(dim, dim))
-    return SpectralTruncation(s, level, table, mu, isometry_sum, tail, starts,
-                              counts, twist)
+    return SpectralTruncation(s, level, table, mu, indptr, cols,
+                              np.sqrt(mu_iw / mu_tgt), tail, starts, counts, twist)
 
 
 def _ranges(starts, lengths, dtype=None):

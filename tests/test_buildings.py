@@ -148,6 +148,33 @@ def test_link_corner_walk_fixture():
     assert link.is_complete_bipartite()
 
 
+@st.composite
+def bipartite_graphs(draw):
+    """Small graphs with repeated vertices, stray and parallel edges."""
+    vertices = st.sampled_from("abcd")
+    blacks = tuple(draw(st.lists(vertices, max_size=3)))
+    whites = tuple(draw(st.lists(vertices, max_size=3)))
+    pairs = [(w, b) for w in set(whites) for b in set(blacks)]
+    edges = draw(st.permutations(pairs))[:draw(st.integers(0, len(pairs)))]
+    edges += draw(st.lists(st.sampled_from(pairs), max_size=2)) if pairs else []
+    edges += draw(st.lists(st.tuples(vertices, vertices), max_size=2))
+    return BipartiteGraph(blacks, whites, tuple(draw(st.permutations(edges))))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(g=bipartite_graphs())
+def test_complete_bipartite_matches_the_product_set(g):
+    want = {(w, b) for w in g.whites for b in g.blacks}
+    assert g.is_complete_bipartite() == (len(g.edges) == len(want)
+                                         and set(g.edges) == want)
+
+
+@pytest.mark.parametrize("letter, sup", [("x^3", 3), ("x^1^4", 4), ("x", None),
+                                         ("x^y", None), ("x^", None), (7, None)])
+def test_letter_sup_reads_an_integer_superscript_or_none(letter, sup):
+    assert buildings.letter_sup(letter) == sup
+
+
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_links_isomorphic_to_expected(q):
     poly = polyhedron_from_presentation(family_presentation(q))

@@ -260,6 +260,26 @@ def test_label_count_is_checked_in_every_subcommand(tmp_path, capsysbinary, subc
                                          "witness": "label count does not match matrix"}}
 
 
+@pytest.mark.parametrize("name", ["numeric_letters.json", "no_superscripts.json"])
+def test_building_without_superscript_classes(name, capsysbinary):
+    path = str(DATA / name)
+    code, out = run_cli(["building", "--file", path, "--stable-pairs"], capsysbinary)
+    assert code == 0
+    assert json.loads(out)["stable_pairs"] == {
+        "ok": False,
+        "witnesses": ["alphabet is not partitioned into superscript classes 1..4"]}
+    code, out = run_cli(["building", "--file", path, "--bm"], capsysbinary)
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "NotBMReducible"
+
+
+@pytest.mark.parametrize("weight", [10 ** 9, 10 ** 400], ids=["1e9", "1e400"])
+def test_tau_with_a_weight_past_float_range(weight, capsysbinary):
+    code, out = run_cli(["tau", "--weights", f"{weight},2,2,2,2"], capsysbinary)
+    assert code == 0
+    assert json.loads(out)["residual"] < 1e-12
+
+
 def test_degenerate_tau_error(capsysbinary):
     code, out = run_cli(["tau", "--weights", "2,2,2,2"], capsysbinary)
     assert code == 2
@@ -515,9 +535,10 @@ def _fresh_run(tmp_path, argv, env=None):
     (["building", "--q", "1", "--cover", "--bm"], 0, []),
     (["tau", "--weights", "2,2,2,2,2"], 0, []),
     (["crossed"], 0, ["numpy"]),
-    (["spectra", "--genus", "2", "--levels", "3"], 0, ["numpy", "scipy"]),
+    (["spectra", "--genus", "2", "--levels", "3"], 0, ["numpy"]),
+    (["spectra", "--matrix", str(DATA / "a1.json"), "--levels", "3"], 0, ["numpy"]),
 ], ids=["import", "catalog", "ktheory", "af", "af-budget", "cohomology",
-        "building", "tau", "crossed", "spectra"])
+        "building", "tau", "crossed", "spectra", "spectra-matrix"])
 def test_cold_start_loads_numpy_and_scipy_only_where_used(tmp_path, argv, code,
                                                           libraries):
     got_code, _, stderr, loaded = _fresh_run(tmp_path, argv)

@@ -189,8 +189,7 @@ def test_ck_residuals_see_a_perturbed_isometry_entry(name):
     assert max(flat_residuals(t)) < 1e-12
     letter = 1
     # the first entry of the letter's row block of the stored S = sum_i S_i
-    stored = t._isometry_sum
-    stored.data[stored.indptr[t._starts[0][letter]]] *= 1 + 1e-6
+    t._data[t._indptr[t._starts[0][letter]]] *= 1 + 1e-6
     residuals = flat_residuals(t)
     assert residuals[0] > 1e-9 and residuals[1 + letter] > 1e-9
     assert residuals == pytest.approx(reference_ck_residuals(t), abs=1e-12)
@@ -270,16 +269,14 @@ def test_ck_residuals_check_the_pattern_in_every_batch(schottky2, monkeypatch, b
     refused whichever batch it falls in."""
     monkeypatch.setattr(triples, "ENTRY_BATCH", batch)
     t = build_truncation(schottky2, 4)
-    m = t._isometry_sum
-    s = m.tocoo()
-    rows = s.row.copy()
+    rows = np.repeat(np.arange(t.dimension), np.diff(t._indptr))
     rows[-1] = 0  # the last column's prefix is not the tail of row 0's word
-    moved = sp.csr_matrix((s.data, (rows, s.col)), shape=s.shape)
-    indices = m.indices.copy()
+    moved = sp.csr_matrix((t._data, (rows, t._indices)), shape=(t.dimension,) * 2)
+    indices = t._indices.copy()
     indices[-1] = indices[-2]  # the last row's last two entries
-    repeated = sp.csr_matrix((m.data, indices, m.indptr), shape=m.shape)
-    for broken in (moved, repeated):
-        t._isometry_sum = broken
+    for broken in ((moved.indptr, moved.indices, moved.data),
+                   (t._indptr, indices, t._data)):
+        t._indptr, t._indices, t._data = broken
         with pytest.raises(RuntimeError, match="cylinder pattern"):
             t.ck_residuals()
 
@@ -288,10 +285,10 @@ def test_ck_residuals_check_the_isometry_pattern(schottky2):
     """An entry moved to another row breaks the diagonal form the residual
     pass relies on; the pass refuses instead of under-reporting."""
     t = build_truncation(schottky2, 3)
-    s = t._isometry_sum.tocoo()
-    rows = s.row.copy()
+    rows = np.repeat(np.arange(t.dimension), np.diff(t._indptr))
     rows[0] = (rows[0] + 1) % t.dimension
-    t._isometry_sum = sp.csr_matrix((s.data, (rows, s.col)), shape=s.shape)
+    moved = sp.csr_matrix((t._data, (rows, t._indices)), shape=(t.dimension,) * 2)
+    t._indptr, t._indices, t._data = moved.indptr, moved.indices, moved.data
     with pytest.raises(RuntimeError, match="cylinder pattern"):
         t.ck_residuals()
 
