@@ -550,6 +550,8 @@ def bm_group_data(p: PolygonalPresentation) -> BMGroupData:
     """
     result = stable_pairs_check(p)
     if not result.ok:
+        if isinstance(result.witnesses[0], str):  # no superscript classes
+            raise NotBMReducible(result.witnesses[0])
         raise NotBMReducible("presentation fails the stable pairs condition",
                              witness=result.witnesses)
     forms = sorted(p.rotation_index.standard_forms[0])

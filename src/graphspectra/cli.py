@@ -11,6 +11,7 @@ text tables for the tabular views).  Module errors surface as JSON with
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -36,7 +37,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message, witness=message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="graphspectra", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

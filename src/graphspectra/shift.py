@@ -35,6 +35,7 @@ import os
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, islice
 
 from .errors import (
@@ -170,11 +171,16 @@ def successor_arrays(s: SFTData):
     the smallest unsigned dtype that holds every letter index."""
     import numpy as np
 
-    dtype = np.min_scalar_type(max(s.alphabet_size - 1, 0))
-    degree = np.array([len(js) for js in s._succ], dtype=np.intp)
-    successors = np.fromiter(chain.from_iterable(s._succ), dtype=dtype,
-                             count=int(degree.sum()))
-    return degree, successors
+    return _joined(s._succ, np.min_scalar_type(max(s.alphabet_size - 1, 0)))
+
+
+def _joined(lists, dtype):
+    """The length of each list, and the lists joined in order as ``dtype``."""
+    import numpy as np
+
+    degree = np.array([len(js) for js in lists], dtype=np.intp)
+    return degree, np.fromiter(chain.from_iterable(lists), dtype=dtype,
+                               count=int(degree.sum()))
 
 
 @dataclass(frozen=True)
@@ -239,26 +245,38 @@ def perron_data(s: SFTData, tol: float = 1e-12) -> PerronData:
     irreducible A and sigma > lam the solve keeps v positive, sigma
     falls monotonically to lam and the convergence is superlinear.  The
     iteration stops, before any solve, once max_i - min_i of the ratios
-    is at most tol / 2; a bare cycle or a full shift starts on an exact
-    eigenvector and needs no solve.  The residual of a vector is at most
-    the width of its bracket, so it stays below tol with room for
-    rounding, and as lam >= 1 for an irreducible 0/1 matrix the width is
-    also at most tol * lam / 2.  lam = l^T A r / l^T r, which lies in
-    both sides' brackets.
+    is at most tol / 2.  The residual of a vector is at most the width of
+    its bracket, so it stays below tol with room for rounding, and as
+    lam >= 1 for an irreducible 0/1 matrix the width is also at most
+    tol * lam / 2.  lam = l^T A r / l^T r, which lies in both sides'
+    brackets.
+
+    Each solve runs on the chain-contracted graph (J. Franks, Ergodic
+    Theory Dynam. Systems 4, 1984): a letter i with one successor j has
+    the row sigma w_i - w_j = v_i, so following successors w_i =
+    c_i + sigma^-d w_b, where b is the first branch letter (out-degree
+    other than 1) that i reaches, d its distance and c one pass per
+    depth over v.  Substituted into the branch rows this leaves one dense
+    B x B system on the B branch letters: B = 6 for every kato graph, and
+    B = n for a full shift, whose letters all branch.  A^t contracts the
+    letters of in-degree 1 the same way.  B = 0 only for a bare cycle
+    (the one-letter shift among them), which like a full shift starts on
+    an exact eigenvector and needs no solve.  A v, l^T A r and the residuals sum over the cached successor
+    and predecessor lists, so no n x n array is built.
     """
     import numpy as np
 
     if not s.is_irreducible():
         raise RequiresIrreducible("transition matrix must be irreducible")
-    a = np.array(s.matrix, dtype=float)
+    a, at = _Rows(s._succ), _Rows(s._pred)
     right, r_lo, r_hi = _noda(a, tol)
-    left, l_lo, l_hi = _noda(a.T, tol)
+    left, l_lo, l_hi = _noda(at, tol)
     # rounding in the ratios can leave the quotient just outside the
     # intersection of the two brackets, or the two brackets an ulp apart
     lo, hi = sorted((max(r_lo, l_lo), min(r_hi, l_hi)))
-    lam = min(max(float(left @ a @ right / (left @ right)), lo), hi)
-    for vec, mat in ((right, a), (left, a.T)):
-        resid = np.abs(mat @ vec - lam * vec).max() / vec.max()
+    lam = min(max(float(at.times(left) @ right / (left @ right)), lo), hi)
+    for vec, mat in ((right, a), (left, at)):
+        resid = np.abs(mat.times(vec) - lam * vec).max() / vec.max()
         if resid >= tol:
             raise RequiresIrreducible(
                 f"Perron residual {resid:.2e} did not reach {tol}")
@@ -268,9 +286,9 @@ def perron_data(s: SFTData, tol: float = 1e-12) -> PerronData:
                       (lo, hi))
 
 
-def _noda(a, tol: float):
-    """Noda iteration for the Perron vector of a nonnegative irreducible
-    matrix; returns the vector and its final ratio bracket.
+def _noda(m: "_Rows", tol: float):
+    """Noda iteration for the Perron vector of the 0/1 irreducible matrix
+    ``m``; returns the vector and its final ratio bracket.
 
     A shift sigma that is singular to working precision equals lam to
     working precision, so the solve then takes sigma (1 + tol), still
@@ -280,11 +298,10 @@ def _noda(a, tol: float):
     """
     import numpy as np
 
-    eye = np.eye(a.shape[0])
-    v = np.ones(a.shape[0])
+    v = np.ones(len(m.degree))
     previous = math.inf
     while True:
-        ratios = (a @ v) / v
+        ratios = m.times(v) / v
         lo, hi = float(ratios.min()), float(ratios.max())
         if hi - lo <= tol / 2:
             return v, lo, hi
@@ -293,10 +310,86 @@ def _noda(a, tol: float):
                                       f"close to {tol}", witness=(lo, hi))
         previous = hi
         try:
-            w = np.linalg.solve(hi * eye - a, v)
+            w = m.solve(hi, v)
         except np.linalg.LinAlgError:
-            w = np.linalg.solve(hi * (1 + tol) * eye - a, v)
+            w = m.solve(hi * (1 + tol), v)
         v = w / w.max()
+
+
+class _Rows:
+    """A 0/1 matrix M as its rows' column lists (the successor lists for
+    A, the predecessor lists for A^t), with M v and the chain-contracted
+    solve of (sigma I - M) w = v that :func:`perron_data` uses."""
+
+    def __init__(self, lists):
+        import numpy as np
+
+        self.degree, self.cols = _joined(lists, np.intp)
+        self.rows = np.repeat(np.arange(len(lists)), self.degree)
+
+    def times(self, v):
+        """M v."""
+        import numpy as np
+
+        return np.bincount(self.rows, weights=v[self.cols], minlength=len(v))
+
+    @cached_property
+    def _contraction(self):
+        """The chain letters (degree 1) and the B branch letters, built
+        at the first solve.
+
+        ``root`` maps every letter to the index, among the branch letters,
+        of the branch letter it reaches by following single columns (a
+        branch letter to its own index), and ``depth`` counts the steps.
+        ``levels`` pairs the chain letters of depth 1, 2, ... with their
+        columns.  ``edges`` are the columns of the branch rows, ``heads``
+        the rows' indices and ``cells`` the entries' flat positions in the
+        B x B system.  M is irreducible, so every chain letter reaches a
+        branch letter when B > 0; when B = 0, M is a bare cycle, which
+        needs no solve, so this is never built for it.
+        """
+        import numpy as np
+
+        n = len(self.degree)
+        chain_letter = self.degree == 1
+        branch = np.flatnonzero(~chain_letter)
+        on_chain = chain_letter[self.rows]
+        nxt = np.zeros(n, dtype=np.intp)
+        nxt[self.rows[on_chain]] = self.cols[on_chain]
+        root = np.full(n, -1)
+        root[branch] = np.arange(len(branch))
+        depth = np.zeros(n)
+        levels = []
+        pending = np.flatnonzero(chain_letter)
+        while pending.size:
+            ready = root[nxt[pending]] >= 0
+            level = pending[ready]
+            after = nxt[level]
+            root[level] = root[after]
+            depth[level] = depth[after] + 1
+            levels.append((level, after))
+            pending = pending[~ready]
+        edges = self.cols[~on_chain]
+        heads = root[self.rows[~on_chain]]
+        cells = heads * len(branch) + root[edges]
+        return branch, root, depth, levels, edges, heads, cells
+
+    def solve(self, sigma: float, v):
+        """w with (sigma I - M) w = v: the chain letters are eliminated
+        (w_i = c_i + sigma^-depth w_root) and one B x B system is solved."""
+        import numpy as np
+
+        branch, root, depth, levels, edges, heads, cells = self._contraction
+        c = np.zeros(len(v))
+        for level, after in levels:
+            c[level] = (v[level] + c[after]) / sigma
+        scale = sigma ** -depth
+        size = len(branch)
+        system = np.bincount(cells, weights=-scale[edges],
+                             minlength=size * size).reshape(size, size)
+        system.flat[::size + 1] += sigma
+        rhs = v[branch] + np.bincount(heads, weights=c[edges], minlength=size)
+        return c + scale * np.linalg.solve(system, rhs)[root]
 
 
 class ParryMeasure:

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from graphspectra import buildings, graphs, ktheory, shift, triples
+from graphspectra import buildings, cli, graphs, io, ktheory, shift, triples
 from graphspectra.cli import execute, main, parse_invocation, render_plan
+from graphspectra.errors import UsageError
 from graphspectra.io import emit
 
 DATA = Path(__file__).parent / "data"
@@ -270,7 +271,26 @@ def test_building_without_superscript_classes(name, capsysbinary):
         "witnesses": ["alphabet is not partitioned into superscript classes 1..4"]}
     code, out = run_cli(["building", "--file", path, "--bm"], capsysbinary)
     assert code == 2
-    assert json.loads(out)["error"]["code"] == "NotBMReducible"
+    assert json.loads(out) == {"error": {
+        "code": "NotBMReducible",
+        "witness": "alphabet is not partitioned into superscript classes 1..4"}}
+
+
+def test_bm_word_witnesses_render_as_words(tmp_path, capsysbinary):
+    cover = buildings.four_fold_cover(buildings.family_presentation(1))
+    first, *rest = cover.orbits()
+    swapped = [x for x in cover.alphabet if x.endswith("^3") and x not in first][0]
+    first = tuple(swapped if x.endswith("^3") else x for x in first)
+    path = tmp_path / "unstable.json"
+    path.write_text(json.dumps({"alphabet": list(cover.alphabet),
+                                "lambda": [list(pair) for pair in cover.lam],
+                                "words": [list(w) for w in [first, *rest]]}))
+    witnesses = buildings.stable_pairs_check(io.load_presentation(str(path))).witnesses
+    assert witnesses and not isinstance(witnesses[0], str)
+    code, out = run_cli(["building", "--file", str(path), "--bm"], capsysbinary)
+    assert code == 2
+    assert json.loads(out) == {"error": {"code": "NotBMReducible",
+                                         "witness": repr(witnesses)}}
 
 
 @pytest.mark.parametrize("weight", [10 ** 9, 10 ** 400], ids=["1e9", "1e400"])
@@ -299,6 +319,22 @@ def test_usage_error_missing_required(capsysbinary):
     code, out = run_cli(["ktheory"], capsysbinary)
     assert code == 64
     assert "--matrix" in json.loads(out)["error"]["witness"]
+
+
+def test_parser_is_built_once_and_parses_afresh(capsysbinary):
+    """The parser is cached per process, and one parse leaves nothing
+    behind for the next: no option, and no change to a usage error."""
+    assert cli._build_parser() is cli._build_parser()
+    assert parse_invocation(["spectra", "--genus", "2"]).option("genus") == 2
+    plan = parse_invocation(["spectra", "--matrix", "F"])
+    assert dict(plan.options) == {"matrix": "F", "levels": 6, "t": "1.0", "s": 2.0}
+    bad = ["spectra", "--genus", "two"]
+    with pytest.raises(UsageError) as fresh:
+        cli._build_parser.__wrapped__().parse_args(bad)
+    code, out = run_cli(bad, capsysbinary)
+    assert code == 64
+    assert json.loads(out) == {"error": {"code": "UsageError",
+                                         "witness": fresh.value.witness}}
 
 
 def test_out_file(tmp_path, capsysbinary):

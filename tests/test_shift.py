@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphspectra import graphs, io
+from graphspectra import graphs, io, shift
 from graphspectra.errors import (
     EnumerationBudgetExceeded,
     InvalidTransitionMatrix,
@@ -161,40 +162,104 @@ def test_perron_matches_eig(s):
     assert lo * (1 - 1e-14) <= lam <= hi * (1 + 1e-14)  # eig is exact to ~1e-16
 
 
-def count_solves(monkeypatch, a):
-    """Patch numpy.linalg.solve to count Noda solves per side: a solve for
-    the right vector has the off-diagonal pattern of -A, one for the left
-    vector that of -A^t."""
-    counts = {"right": 0, "left": 0}
-    solve = np.linalg.solve
-    off = ~np.eye(len(a), dtype=bool)
+def count_solves(monkeypatch, s):
+    """Patch numpy.linalg.solve to count Noda solves per side, and return
+    the counts and the set of system sizes.  Every solve is a contracted
+    B x B system, whose side is that of the contraction solving it: a
+    solve for the right vector contracts the rows of A (the successor
+    lists), one for the left vector those of A^t."""
+    counts, sizes, side = {"right": 0, "left": 0}, set(), []
+    rows_of_a = list(chain.from_iterable(s._succ))
+    contracted, solve = shift._Rows.solve, np.linalg.solve
+
+    def tagged(rows, sigma, v):
+        side.append("right" if np.array_equal(rows.cols, rows_of_a) else "left")
+        return contracted(rows, sigma, v)
 
     def counting(m, v):
-        counts["right" if np.array_equal(-m[off], a[off]) else "left"] += 1
+        counts[side[-1]] += 1
+        sizes.add(m.shape)
         return solve(m, v)
+    monkeypatch.setattr(shift._Rows, "solve", tagged)
     monkeypatch.setattr(np.linalg, "solve", counting)
-    return counts
+    return counts, sizes
 
 
 def test_perron_kato40_converges_in_few_solves(monkeypatch):
     s = from_edge_matrix(directed_edge_matrix(kato_graph(40)))
     a = np.array(s.matrix, dtype=float)
     assert not np.array_equal(a, a.T)
-    counts = count_solves(monkeypatch, a)
+    counts, sizes = count_solves(monkeypatch, s)
     pd = perron_data(s)
     assert 1 <= counts["right"] <= 20 and 1 <= counts["left"] <= 20
+    assert sizes == {(6, 6)}  # the 6 branch letters of every kato graph
     assert pd.value == pytest.approx(1.0084888420025415, rel=1e-12)
     lo, hi = pd.bracket
     assert lo <= pd.value <= hi and hi - lo <= 1e-12 * pd.value
 
 
 def test_perron_exact_start_needs_no_solve(monkeypatch, schottky2, theta_sft):
+    """A bare cycle and the one-letter shift have no branch letter (B = 0):
+    like the full shifts they start on an exact eigenvector, and the
+    contraction is never built."""
     cycle = SFTData(((0, 1, 0), (0, 0, 1), (1, 0, 0)), ("a", "b", "c"))
+    monkeypatch.setattr(shift._Rows, "_contraction",
+                        property(lambda rows: pytest.fail("contracted")))
     for s, lam in ((cycle, 1.0), (schottky2, 3.0), (theta_sft, 2.0), (ONE_LETTER, 1.0)):
-        counts = count_solves(monkeypatch, np.array(s.matrix, dtype=float))
+        counts, _ = count_solves(monkeypatch, s)
         pd = perron_data(s)
         assert counts == {"right": 0, "left": 0}
         assert pd.value == lam and pd.bracket == (lam, lam)
+
+
+def in_tree_shift():
+    """Letters 0 and 1 branch; 2-4, 5 and 6-7 are chains feeding the chain
+    letter 8 (an in-tree of depth 4 under 0), and 9 is a chain of one."""
+    succ = {0: (2, 5, 6, 9), 1: (0, 1, 6), 2: (3,), 3: (4,), 4: (8,), 5: (8,),
+            6: (7,), 7: (8,), 8: (0,), 9: (1,)}
+    matrix = tuple(tuple(int(j in succ[i]) for j in range(10)) for i in range(10))
+    return SFTData(matrix, tuple(f"l{i}" for i in range(10)))
+
+
+def transposed(s):
+    return SFTData(tuple(zip(*s.matrix)), s.labels)
+
+
+def assert_matches_eig(s, pd):
+    a = np.array(s.matrix, dtype=float)
+    lam, right = eig_perron(a)
+    _, left = eig_perron(a.T)
+    assert pd.value == pytest.approx(lam, rel=1e-12)
+    assert np.abs(np.array(pd.right) - right).max() < 1e-12
+    assert np.abs(np.array(pd.left) - left).max() < 1e-12
+    lo, hi = pd.bracket
+    assert lo <= pd.value <= hi and hi - lo <= 1e-12 * pd.value
+
+
+def test_perron_contracts_chains_feeding_in_trees(monkeypatch):
+    s = in_tree_shift()
+    assert shift._Rows(s._succ).solve(3.0, np.ones(10)) == pytest.approx(
+        np.linalg.solve(3.0 * np.eye(10) - np.array(s.matrix), np.ones(10)), rel=1e-14)
+    counts, sizes = count_solves(monkeypatch, s)
+    pd = perron_data(s)
+    assert counts["right"] >= 1 and counts["left"] >= 1
+    # out-degree other than 1: letters 0 and 1; in-degree other than 1:
+    # 0, 1, 6 and 8
+    assert sizes == {(2, 2), (4, 4)}
+    assert_matches_eig(s, pd)
+
+
+def test_perron_transposed_side_contracts_in_degree_one():
+    """A^t of the in-tree shift has out-trees: chains on its right side
+    branch apart, and its left side contracts the in-tree of A."""
+    s = in_tree_shift()
+    t = transposed(s)
+    assert t._pred == s._succ
+    pd, pt = perron_data(s), perron_data(t)
+    assert_matches_eig(t, pt)
+    assert pt.value == pytest.approx(pd.value, rel=1e-15)
+    assert np.abs(np.array(pt.left) - pd.right).max() < 1e-15
+    assert np.abs(np.array(pt.right) - pd.left).max() < 1e-15
 
 
 def test_perron_singular_shift_is_not_a_linalg_error(monkeypatch):
@@ -219,6 +284,43 @@ def test_perron_singular_shift_is_not_a_linalg_error(monkeypatch):
     for rows in (((1, 1), (0, 1)), ((1, 0), (0, 1)), ((0, 1, 0), (1, 0, 0), (1, 1, 1))):
         with pytest.raises(RequiresIrreducible):
             perron_data(SFTData(rows, tuple("abc"[:len(rows)])))
+
+
+def test_perron_retry_rebuilds_the_contracted_system(monkeypatch):
+    """The retry at sigma (1 + tol) solves a B x B system built anew at
+    that sigma: its diagonal moves by the factor, and so does every chain
+    weight sigma^-depth off it."""
+    s = from_edge_matrix(directed_edge_matrix(kato_graph(2)))
+    solve = np.linalg.solve
+    systems = []
+
+    def singular_once(m, v):
+        systems.append(m.copy())
+        if len(systems) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(m, v)
+    monkeypatch.setattr(np.linalg, "solve", singular_once)
+    perron_data(s, tol=1e-6)
+    first, retry = systems[:2]
+    assert first.shape == retry.shape == (6, 6)
+    sigma = first[0, 0]
+    assert np.array_equal(np.diag(first), np.full(6, sigma))
+    assert np.diag(retry) == pytest.approx(sigma * (1 + 1e-6), rel=1e-15)
+    off = first != 0
+    np.fill_diagonal(off, False)
+    assert off.any() and np.all(retry[off] != first[off])
+
+
+def test_perron_memory_stays_linear_in_the_letters():
+    s = from_edge_matrix(directed_edge_matrix(kato_graph(80)))  # 972 letters
+    tracemalloc.start()
+    try:
+        pd = perron_data(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # one dense 972 x 972 float array is 7.6 MB
+    assert pd.value == pytest.approx(1.004287852947052, rel=1e-12)
 
 
 def test_parry_weights(schottky2):
