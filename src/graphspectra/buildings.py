@@ -22,15 +22,13 @@ the result satisfies the stable-pairs condition, collapsing one word
 turns every remaining boundary word into a commutator and exhibits a
 group acting on a product of trees with even valences.
 
-Every check reads one rotation index per presentation
-(:class:`RotationIndex`): the sorted canonical orbit representatives,
-the rotation-closure and unique-continuation verdicts, the starting
-pairs, each orbit's superscript standard form and the stable-pairs
-verdict.  Each orbit is rotated once, when its first word is met;
-:func:`make_presentation` builds the index from the rotations it makes
-to close the word set.  The ordered witness scans (missing rotations,
-ambiguous continuations, incidence mismatches) run only when a verdict
-fails.
+A presentation stores one word per rotation orbit, its least rotation,
+so (1) holds by construction: each given word is rotated once, when the
+presentation is made.  The starting pairs and the continuation verdict
+are read from the cyclic windows of the stored words; they, each word's
+superscript standard form and the stable-pairs verdict are derived once
+per presentation, when first read.  The ordered witness scans (ambiguous
+continuations, incidence mismatches) run only when a verdict fails.
 """
 
 from __future__ import annotations
@@ -77,89 +75,9 @@ def rotations(word: tuple) -> list[tuple]:
     return [word[i:] + word[:i] for i in range(len(word))]
 
 
-def _rotate_orbits(seeds) -> tuple[list, set]:
-    """Rotate each orbit met among the seed words once: the canonical
-    (lexicographically minimal) representative of each orbit, in the
-    order met, and the union of the orbits."""
-    reps, closure = [], set()
-    for w in seeds:
-        if w not in closure:
-            rots = rotations(w)
-            closure.update(rots)
-            reps.append(min(rots))
-    return reps, closure
-
-
 # superscripts of a square word -> the rotation that puts them in order
 # (1, 2, 3, 4); these are the four copies of four_fold_cover
 _TO_STANDARD = {(1, 2, 3, 4): 0, (4, 1, 2, 3): 1, (3, 4, 1, 2): 2, (2, 3, 4, 1): 3}
-
-
-class RotationIndex:
-    """The rotation orbits of a presentation's words, derived once.
-
-    ``orbits`` holds the canonical (lexicographically minimal)
-    representative of each orbit, sorted; ``closed`` says whether the
-    stored words are closed under rotation; ``starts`` is the set of
-    starting pairs (x1, x2) and ``unique`` says whether each of them has
-    a single continuation x3.  The letters' superscripts, the orbits'
-    superscript standard forms and the stable-pairs verdict are derived
-    when first read.
-    """
-
-    def __init__(self, words: tuple, alphabet: tuple, reps, closed: bool):
-        self.alphabet = alphabet
-        self.orbits = tuple(sorted(reps))
-        self.closed = closed
-        self.starts = frozenset(w[:2] for w in words)
-        # a pair has one continuation iff it starts one distinct triple
-        self.unique = len({w[:3] for w in words}) == len(self.starts)
-
-    @cached_property
-    def superscripts(self) -> dict:
-        """Letter -> superscript class (None without one), parsed once."""
-        return {x: letter_sup(x) for x in self.alphabet}
-
-    @cached_property
-    def standard_forms(self) -> tuple[tuple, tuple]:
-        """Each orbit rotated to superscript order (1, 2, 3, 4), and the
-        orbits that have no such rotation, both in orbit order."""
-        sup = self.superscripts
-        forms, bad = [], []
-        for w in self.orbits:
-            i = _TO_STANDARD.get(tuple([sup[x] for x in w]))
-            if i is None:
-                bad.append(w)
-            else:
-                forms.append(w[i:] + w[:i])
-        return tuple(forms), tuple(bad)
-
-    @cached_property
-    def stable_pairs(self) -> StablePairsResult:
-        """:func:`stable_pairs_check` of square words."""
-        if set(self.superscripts.values()) != {1, 2, 3, 4}:
-            return StablePairsResult(False, ("alphabet is not partitioned into "
-                                             "superscript classes 1..4",))
-        forms, bad = self.standard_forms
-        if bad:
-            return StablePairsResult(False, bad[:8])
-
-        witnesses = []
-        fwd_x: dict = {}
-        bwd_x: dict = {}
-        fwd_y: dict = {}
-        bwd_y: dict = {}
-        for w in forms:
-            x1, y1, x2, y2 = w
-            for fwd, bwd, a, b in ((fwd_x, bwd_x, x1, x2), (fwd_y, bwd_y, y1, y2)):
-                if fwd.setdefault(a, b) != b or bwd.setdefault(b, a) != a:
-                    witnesses.append(w)
-                    break
-        ok = not witnesses
-        return StablePairsResult(
-            ok, tuple(witnesses[:8]),
-            tuple(sorted(fwd_x.items())) if ok else (),
-            tuple(sorted(fwd_y.items())) if ok else ())
 
 
 @dataclass(frozen=True)
@@ -208,21 +126,25 @@ def complete_bipartite(blacks, whites) -> BipartiteGraph:
 
 @dataclass(frozen=True)
 class PolygonalPresentation:
-    """Cyclic k-tuples over a pointed alphabet with basic bijection."""
+    """Cyclic k-tuples over a pointed alphabet with basic bijection, kept
+    as one word per rotation orbit: each given word is rotated once, on
+    construction, and its least rotation stored."""
 
     alphabet: tuple            # pointed letters (the black side)
     lam: tuple                 # (letter, label) pairs, a bijection P -> L
-    words: tuple               # stored tuples, expected rotation-closed
+    words: tuple               # least rotation per orbit, sorted
     k: int
 
     def __post_init__(self):
         known = set(self.alphabet)
-        if not (set(map(len, self.words)) <= {self.k}
+        if not (set(map(len, self.words)) <= {self.k} - {0}
                 and known.issuperset(chain.from_iterable(self.words))):
             for w in self.words:  # the first offending tuple or letter
                 if len(w) != self.k:
                     raise PresentationInvalid(
                         f"tuple length {len(w)} != {self.k}", witness=w)
+                if not w:
+                    raise PresentationInvalid("tuple is empty", witness=w)
                 for x in w:
                     if x not in known:
                         raise PresentationInvalid("tuple uses unknown letter",
@@ -231,40 +153,86 @@ class PolygonalPresentation:
         labels = [l for _, l in self.lam]
         if sorted(letters) != sorted(self.alphabet) or len(set(labels)) != len(labels):
             raise PresentationInvalid("basic bijection must be a bijection on the alphabet")
+        object.__setattr__(self, "words", tuple(sorted(
+            {min(rotations(w)) for w in self.words})))
 
     def lam_map(self) -> dict:
         return dict(self.lam)
 
-    def word_set(self) -> frozenset:
-        return frozenset(self.words)
-
     def orbits(self) -> list[tuple]:
         """Canonical (lexicographically minimal) representative per
-        rotation orbit."""
-        return list(self.rotation_index.orbits)
+        rotation orbit: the stored words."""
+        return list(self.words)
 
     @cached_property
-    def rotation_index(self) -> RotationIndex:
-        """Built from the stored words when first read (one rotation per
-        orbit); :func:`make_presentation` sets it from its own rotations."""
-        reps, closure = _rotate_orbits(self.words)
-        return RotationIndex(self.words, self.alphabet, reps,
-                             closure.issubset(self.words))
+    def starts(self) -> frozenset:
+        """The starting pairs (x1, x2): every cyclic two-letter window."""
+        return frozenset(chain.from_iterable(_windows(w, 2) for w in self.words))
+
+    @cached_property
+    def unique_continuation(self) -> bool:
+        """Each starting pair has a single continuation x3: there are as
+        many distinct cyclic three-letter windows as starting pairs."""
+        triples = set(chain.from_iterable(_windows(w, 3) for w in self.words))
+        return len(triples) == len(self.starts)
+
+    @cached_property
+    def superscripts(self) -> dict:
+        """Letter -> superscript class (None without one), parsed once."""
+        return {x: letter_sup(x) for x in self.alphabet}
+
+    @cached_property
+    def standard_forms(self) -> tuple[tuple, tuple]:
+        """Each word rotated to superscript order (1, 2, 3, 4), and the
+        words that have no such rotation, both in word order."""
+        sup = self.superscripts
+        forms, bad = [], []
+        for w in self.words:
+            i = _TO_STANDARD.get(tuple([sup[x] for x in w]))
+            if i is None:
+                bad.append(w)
+            else:
+                forms.append(w[i:] + w[:i])
+        return tuple(forms), tuple(bad)
+
+    @cached_property
+    def stable_pairs(self) -> StablePairsResult:
+        """:func:`stable_pairs_check` of square words."""
+        if set(self.superscripts.values()) != {1, 2, 3, 4}:
+            return StablePairsResult(False, ("alphabet is not partitioned into "
+                                             "superscript classes 1..4",))
+        forms, bad = self.standard_forms
+        if bad:
+            return StablePairsResult(False, bad[:8])
+
+        witnesses = []
+        fwd_x: dict = {}
+        bwd_x: dict = {}
+        fwd_y: dict = {}
+        bwd_y: dict = {}
+        for w in forms:
+            x1, y1, x2, y2 = w
+            for fwd, bwd, a, b in ((fwd_x, bwd_x, x1, x2), (fwd_y, bwd_y, y1, y2)):
+                if fwd.setdefault(a, b) != b or bwd.setdefault(b, a) != a:
+                    witnesses.append(w)
+                    break
+        ok = not witnesses
+        return StablePairsResult(
+            ok, tuple(witnesses[:8]),
+            tuple(sorted(fwd_x.items())) if ok else (),
+            tuple(sorted(fwd_y.items())) if ok else ())
 
 
-def make_presentation(alphabet, lam_pairs, orbit_words) -> PolygonalPresentation:
-    """Build a presentation from orbit representatives, materializing the
-    full rotation closure; the rotations made for it give the rotation
-    index too."""
-    if not orbit_words:
-        return PolygonalPresentation(tuple(alphabet), tuple(lam_pairs), (), 0)
-    k = len(orbit_words[0])
-    reps, closure = _rotate_orbits(map(tuple, orbit_words))
-    p = PolygonalPresentation(tuple(alphabet), tuple(lam_pairs),
-                              tuple(sorted(closure)), k)
-    object.__setattr__(p, "rotation_index",
-                       RotationIndex(p.words, p.alphabet, reps, True))
-    return p
+def _windows(word: tuple, n: int):
+    """The cyclic n-letter windows of a word, one per starting letter."""
+    return zip(*(word[i:] + word[:i] for i in range(n)))
+
+
+def make_presentation(alphabet, lam_pairs, words) -> PolygonalPresentation:
+    """A presentation whose k is the length of its first word (0 with none)."""
+    words = tuple(map(tuple, words))
+    return PolygonalPresentation(tuple(alphabet), tuple(lam_pairs), words,
+                                 len(words[0]) if words else 0)
 
 
 def family_presentation(q: int) -> PolygonalPresentation:
@@ -338,10 +306,12 @@ def validate_presentation(p: PolygonalPresentation,
                           graphs: list[BipartiteGraph] | None = None
                           ) -> ValidationReport:
     """Check the three defining conditions; failures carry witnesses.
-    Without ``graphs`` the incidence condition is not checked and the
-    report's ``incidence`` is None."""
-    missing, dup = _closure_and_continuations(p)
-    cond1 = ConditionReport(not missing, missing)
+    Rotation closure holds by construction (a presentation stores its
+    rotation orbits), so it always passes.  Without ``graphs`` the
+    incidence condition is not checked and the report's ``incidence`` is
+    None."""
+    dup = _duplicate_continuations(p)
+    cond1 = ConditionReport(True)
     cond3 = ConditionReport(not dup, dup)
     if graphs is None:
         return ValidationReport(cond1, None, cond3)
@@ -351,7 +321,7 @@ def validate_presentation(p: PolygonalPresentation,
     letters = set(p.alphabet)
     incident = {(inverse[w], b) for g in graphs for w, b in g.edges
                 if w in inverse and b in letters}
-    starts = p.rotation_index.starts
+    starts = p.starts
     bad = []
     if incident != starts:  # list the mismatches in alphabet order
         for x1 in p.alphabet:
@@ -364,24 +334,17 @@ def validate_presentation(p: PolygonalPresentation,
     return ValidationReport(cond1, cond2, cond3)
 
 
-def _closure_and_continuations(p: PolygonalPresentation) -> tuple[tuple, tuple]:
-    """Witnesses (at most 8 each) against rotation closure and unique
-    continuation, empty when the index's verdict passes: the rotations of
-    stored tuples that are not stored, in order, and the starting pairs
-    with more than one continuation, sorted with their sorted letters."""
-    index = p.rotation_index
-    missing = dup = ()
-    if not index.closed:
-        words = p.word_set()
-        missing = tuple(rot for w in sorted(words) for rot in rotations(w)
-                        if rot not in words)
-    if not index.unique:
-        starts: dict = {}
-        for w in p.words:
-            starts.setdefault(w[:2], set()).add(w[2])
-        dup = tuple(sorted((pair, tuple(sorted(conts)))
-                           for pair, conts in starts.items() if len(conts) > 1))
-    return missing[:8], dup[:8]
+def _duplicate_continuations(p: PolygonalPresentation) -> tuple:
+    """The starting pairs with more than one continuation (at most 8),
+    sorted with their sorted letters; empty when the verdict passes."""
+    if p.unique_continuation:
+        return ()
+    conts: dict = {}
+    for w in p.words:
+        for x1, x2, x3 in _windows(w, 3):
+            conts.setdefault((x1, x2), set()).add(x3)
+    return tuple(sorted((pair, tuple(sorted(c)))
+                        for pair, c in conts.items() if len(c) > 1))[:8]
 
 
 @dataclass(frozen=True)
@@ -411,20 +374,17 @@ class Polyhedron:
 
 def polyhedron_from_presentation(p: PolygonalPresentation) -> Polyhedron:
     """Assemble the polyhedron: one k-gon per rotation orbit, sides with
-    equal labels glued.  Raises PresentationInvalid when rotation closure
-    or unique continuation fail (incidence needs the graphs and is not
-    checked here)."""
+    equal labels glued.  Raises PresentationInvalid when unique
+    continuation fails (incidence needs the graphs and is not checked
+    here)."""
     if not p.words:
         return Polyhedron((), (), ())
-    missing, dup = _closure_and_continuations(p)
-    if missing:
-        raise PresentationInvalid("word set is not rotation closed",
-                                  witness=missing)
+    dup = _duplicate_continuations(p)
     if dup:
         raise PresentationInvalid("continuation is not unique", witness=dup)
 
     lam = p.lam_map()
-    faces = p.rotation_index.orbits
+    faces = p.words
     letters = tuple(sorted(set(chain.from_iterable(faces))))
 
     # corner between consecutive sides (x_m, x_{m+1}): link edge from the
@@ -489,7 +449,7 @@ def stable_pairs_check(p: PolygonalPresentation) -> StablePairsResult:
     """
     if p.k != 4:
         raise RequiresSquares("stable pairs needs square faces", witness=p.k)
-    return p.rotation_index.stable_pairs
+    return p.stable_pairs
 
 
 def four_fold_cover(p: PolygonalPresentation) -> PolygonalPresentation:
@@ -503,7 +463,7 @@ def four_fold_cover(p: PolygonalPresentation) -> PolygonalPresentation:
     patterns = ((1, 2, 3, 4), (4, 1, 2, 3), (3, 4, 1, 2), (2, 3, 4, 1))
     named = {x: {s: with_sup(x, s) for s in (1, 2, 3, 4)} for x in p.alphabet}
     words = []
-    for w in p.rotation_index.orbits:
+    for w in p.words:
         classes = [named[x] for x in w]
         words.extend(tuple(map(getitem, classes, pat)) for pat in patterns)
     alphabet = tuple(named[x][s] for x in p.alphabet for s in (1, 2, 3, 4))
@@ -554,7 +514,7 @@ def bm_group_data(p: PolygonalPresentation) -> BMGroupData:
             raise NotBMReducible(result.witnesses[0])
         raise NotBMReducible("presentation fails the stable pairs condition",
                              witness=result.witnesses)
-    forms = sorted(p.rotation_index.standard_forms[0])
+    forms = sorted(p.standard_forms[0])
     collapsed = forms[0]
     x_star, y_star = collapsed[0], collapsed[1]
     horizontal = tuple(sorted({w[0] for w in forms} - {x_star}))
@@ -626,8 +586,8 @@ def product_dim_table(g: int, max_h: int, max_v: int) -> list[list[int]]:
         raise InvalidRank("product table needs rank >= 2", witness=g)
     from .graphs import cayley_schottky_matrix
     a = cayley_schottky_matrix(g).matrix
-    horizontal = [product_word_counts(g, l + 1) for l in range(max_h + 1)]
-    vertical = [product_word_counts(g, k + 1) for k in range(max_v + 1)]
+    counts = [product_word_counts(g, n) for n in range(1, max(max_h, max_v) + 2)]
+    horizontal, vertical = counts[:max_h + 1], counts[:max_v + 1]
     table = []
     for l in range(max_h + 1):
         row = []

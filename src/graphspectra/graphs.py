@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
 
 from .errors import InvalidGraph, InvalidRank, InvalidTransitionMatrix
@@ -161,6 +162,11 @@ class EdgeMatrix:
         return [len(js) for js in self._succ]
 
     def is_irreducible(self) -> bool:
+        return self._irreducible
+
+    @cached_property
+    def _irreducible(self) -> bool:
+        """Strong connectivity, decided on the first call."""
         return strongly_connected(self._succ, self._pred)
 
     def is_admissible(self, word: tuple) -> bool:

@@ -92,7 +92,7 @@ def presentation_to_dict(p: PolygonalPresentation) -> dict:
     return {
         "alphabet": list(p.alphabet),
         "lambda": [list(pair) for pair in p.lam],
-        "words": list(p.rotation_index.orbits),
+        "words": list(p.words),
     }
 
 

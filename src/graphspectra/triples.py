@@ -586,8 +586,9 @@ def theta_trace(d: GradingOperator, t: float, tol: float = 1e-12) -> ThetaTrace:
     The tail past level N uses new_dims[n] <= C rho^n and, for the linear
     schedule, exp(-t n^2) <= (exp(-t(N+1)))^n, giving a geometric series.
     """
-    if t <= 0:
-        raise InvalidParameter("heat parameter must be positive", witness=t)
+    if not 0 < t < math.inf:  # NaN fails too
+        raise InvalidParameter("heat parameter must be positive and finite",
+                               witness=t)
 
     def term(m, lam):
         try:
@@ -630,6 +631,8 @@ def zeta_partial(d: GradingOperator, s: float) -> ZetaPartial:
     diverges for every s; power schedules lambda_n = (dim A_n)^q converge
     exactly when s q > 2, with tail majorant sum n^(1-sq).
     """
+    if not math.isfinite(s):
+        raise InvalidParameter("zeta exponent must be finite", witness=s)
     partial = float(sum(m * (1 + abs(lam) ** 2) ** (-s / 2)
                         for m, lam in zip(d.new_dims, d.eigenvalues)))
     if d.power_exponent is not None:
@@ -666,13 +669,13 @@ class AFTriple:
     parity: str = "odd"
 
     def __post_init__(self):
-        if self.p <= 0:
-            raise SummabilityViolation("summability degree must be positive",
-                                       witness=self.p)
-        if self.q <= 2 / self.p:
+        if not 0 < self.p < math.inf:  # NaN fails too
+            raise SummabilityViolation("summability degree must be positive "
+                                       "and finite", witness=self.p)
+        if not 2 / self.p < self.q < math.inf:
             raise SummabilityViolation(
-                f"exponent q = {self.q} must exceed 2/p = {2 / self.p}",
-                witness=(self.p, self.q))
+                f"exponent q = {self.q} must be finite and exceed 2/p = "
+                f"{2 / self.p}", witness=(self.p, self.q))
         if any(b <= a for a, b in zip(self.dims, self.dims[1:])):
             raise SummabilityViolation("algebra dimensions must strictly increase",
                                        witness=self.dims)

@@ -47,7 +47,7 @@ def test_family_q1_words():
         ("x1", "x3", "x4", "x2"),
         ("x2", "x2", "x3", "x3"),
     ]
-    assert len(p.words) == 16  # four orbits, rotations materialized
+    assert p.words == tuple(p.orbits())  # one stored word per orbit
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
@@ -59,19 +59,25 @@ def test_family_validates(q):
     assert report.ok
 
 
-def test_rotation_closure_failure_detected():
+def test_rotation_closure_holds_by_construction():
     p = family_presentation(1)
-    removed = tuple(w for w in p.words if w != ("x2", "x4", "x3", "x1"))
-    broken = type(p)(p.alphabet, p.lam, removed, 4)
-    report = validate_presentation(broken, [family_link_graph(1)])
-    assert not report.rotation_closure.passed
-    assert report.rotation_closure.witnesses
+    # one arbitrary rotation per orbit, in no particular order
+    given = (("x4", "x3", "x1", "x2"), ("x2", "x2", "x3", "x3"),
+             ("x4", "x1", "x1", "x4"), ("x3", "x4", "x2", "x1"))
+    direct = type(p)(p.alphabet, p.lam, given, 4)
+    assert direct == p
+    report = validate_presentation(direct, [family_link_graph(1)])
+    assert report.rotation_closure.passed and report.ok
+
+
+def _duplicate_continuation():
+    p = family_presentation(1)
+    extra = ("x1", "x2", "x3", "x2")  # (x1, x2) already continues with x4
+    return make_presentation(p.alphabet, p.lam, list(p.orbits()) + [extra])
 
 
 def test_duplicate_continuation_detected():
-    p = family_presentation(1)
-    extra = ("x1", "x2", "x3", "x2")  # (x1, x2) already continues with x4
-    broken = make_presentation(p.alphabet, p.lam, list(p.orbits()) + [extra])
+    broken = _duplicate_continuation()
     report = validate_presentation(broken, [family_link_graph(1)])
     assert not report.unique_continuation.passed
     assert any(pair == ("x1", "x2") for pair, _ in report.unique_continuation.witnesses)
@@ -81,8 +87,7 @@ def test_validation_without_graphs_skips_incidence():
     p = family_presentation(1)
     assert validate_presentation(p).incidence is None
     assert validate_presentation(p).ok
-    removed = tuple(w for w in p.words if w != ("x2", "x4", "x3", "x1"))
-    report = validate_presentation(type(p)(p.alphabet, p.lam, removed, 4))
+    report = validate_presentation(_duplicate_continuation())
     assert report.incidence is None and not report.ok
 
 
@@ -122,11 +127,18 @@ def test_empty_polyhedron():
 
 
 def test_polyhedron_rejects_broken_presentation():
-    p = family_presentation(1)
-    removed = tuple(w for w in p.words if w != ("x2", "x4", "x3", "x1"))
-    broken = type(p)(p.alphabet, p.lam, removed, 4)
     with pytest.raises(PresentationInvalid):
-        polyhedron_from_presentation(broken)
+        polyhedron_from_presentation(_duplicate_continuation())
+
+
+def test_empty_word_is_rejected_before_rotation(monkeypatch):
+    monkeypatch.setattr(buildings, "rotations", None)  # never reached
+    with pytest.raises(PresentationInvalid) as err:
+        make_presentation(("a",), (("a", "A"),), [()])
+    assert err.value.witness == ()
+    with pytest.raises(PresentationInvalid) as err:
+        buildings.PolygonalPresentation(("a",), (("a", "A"),), (("a",), ()), 1)
+    assert err.value.witness == ()
 
 
 def test_links_q1_complete_bipartite():
@@ -302,34 +314,33 @@ def test_each_structural_check_runs_once(monkeypatch, capsysbinary):
     assert polyhedron_from_presentation(cover).vertex_count == 4
 
 
-# Brute-force definitions of what the rotation index answers, for the
-# property test below: every word is rotated afresh.
+# Brute-force definitions of what a presentation derives from its
+# words, for the property test below: each answer is read from the
+# rotation closure of the words given, every word rotated afresh.
 
 def _rotations(w):
     return [w[i:] + w[:i] for i in range(len(w))]
 
 
-def _brute_orbits(p):
-    return sorted({min(_rotations(w)) for w in p.words})
+def _closure(words):
+    return {r for w in words for r in _rotations(w)}
 
 
-def _brute_missing(p):
-    words = set(p.words)
-    return tuple(r for w in sorted(words) for r in _rotations(w)
-                 if r not in words)[:8]
+def _brute_orbits(closure):
+    return sorted({min(_rotations(w)) for w in closure})
 
 
-def _brute_duplicates(p):
+def _brute_duplicates(closure):
     starts = {}
-    for w in p.words:
-        starts.setdefault(w[:2], set()).add(w[2])
+    for w in closure:
+        starts.setdefault(w[:2], set()).add(w[2 % len(w)])
     return tuple(sorted((pair, tuple(sorted(c)))
                         for pair, c in starts.items() if len(c) > 1))[:8]
 
 
-def _brute_incidence(p, graphs):
+def _brute_incidence(p, closure, graphs):
     lam = p.lam_map()
-    starts = {w[:2] for w in p.words}
+    starts = {w[:2] for w in closure}
     incident = {e for g in graphs for e in g.edges}
     bad = []
     for x1 in p.alphabet:
@@ -341,9 +352,9 @@ def _brute_incidence(p, graphs):
     return tuple(bad[:8])
 
 
-def _brute_standard_forms(p):
+def _brute_standard_forms(closure):
     forms, bad = [], []
-    for w in _brute_orbits(p):
+    for w in _brute_orbits(closure):
         for rot in _rotations(w):
             if tuple(buildings.letter_sup(x) for x in rot) == (1, 2, 3, 4):
                 forms.append(rot)
@@ -353,11 +364,11 @@ def _brute_standard_forms(p):
     return tuple(forms), tuple(bad)
 
 
-def _brute_stable_pairs(p):
+def _brute_stable_pairs(p, closure):
     if {buildings.letter_sup(x) for x in p.alphabet} != {1, 2, 3, 4}:
         return buildings.StablePairsResult(
             False, ("alphabet is not partitioned into superscript classes 1..4",))
-    forms, bad = _brute_standard_forms(p)
+    forms, bad = _brute_standard_forms(closure)
     if bad:
         return buildings.StablePairsResult(False, bad[:8])
     witnesses, maps = [], ({}, {}, {}, {})
@@ -373,10 +384,10 @@ def _brute_stable_pairs(p):
         tuple(sorted(maps[2].items())) if ok else ())
 
 
-def _brute_links(p):
+def _brute_links(p, closure):
     """Links by union-find over every corner, one node per end."""
     lam = p.lam_map()
-    corners = [(lam[w[m]], w[(m + 1) % p.k]) for w in _brute_orbits(p)
+    corners = [(lam[w[m]], w[(m + 1) % p.k]) for w in _brute_orbits(closure)
                for m in range(p.k)]
     parent = {}
 
@@ -406,10 +417,12 @@ _LETTERS = ("a", "b", "c", "a^1", "a^2", "a^3", "a^4", "b^1", "b^2", "b^3",
 
 @st.composite
 def presentations(draw):
-    """Small presentations: k in {3, 4}, plain and superscripted letters,
-    four-fold covers, and sets with a dropped rotation or an extra
-    continuation, built through make_presentation or stored directly."""
-    k = draw(st.sampled_from((3, 4)))
+    """Small presentations with the words they were given: k in {2, 3, 4},
+    plain and superscripted letters, four-fold covers, a word added (an
+    extra continuation, or another rotation of a word already there), each
+    word given in an arbitrary rotation and order, built through
+    make_presentation or stored directly."""
+    k = draw(st.sampled_from((2, 3, 4)))
     alphabet = draw(st.lists(st.sampled_from(_LETTERS), min_size=1, max_size=6,
                              unique=True))
     word = st.tuples(*[st.sampled_from(alphabet)] * k)
@@ -418,27 +431,31 @@ def presentations(draw):
     p = make_presentation(alphabet, lam, words)
     if k == 4 and draw(st.booleans()):
         p = four_fold_cover(p)
-    stored = list(p.words)
+        words = list(p.words)
     if draw(st.booleans()):
-        stored.append(tuple(draw(st.sampled_from(p.alphabet)) for _ in range(k)))
+        words.append(tuple(draw(st.sampled_from(p.alphabet)) for _ in range(k)))
     if draw(st.booleans()):
-        stored.pop(draw(st.integers(0, len(stored) - 1)))
-    if stored != list(p.words):
-        stored = draw(st.permutations(stored))
-        p = buildings.PolygonalPresentation(p.alphabet, p.lam, tuple(stored), k)
-    return p
+        words.append(draw(st.sampled_from(words)))
+    shifts = draw(st.lists(st.integers(0, k - 1), min_size=len(words),
+                           max_size=len(words)))
+    words = draw(st.permutations([w[i:] + w[:i] for w, i in zip(words, shifts)]))
+    if draw(st.booleans()):
+        p = make_presentation(p.alphabet, p.lam, words)
+    else:
+        p = buildings.PolygonalPresentation(p.alphabet, p.lam, tuple(words), k)
+    return p, _closure(words)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(p=presentations(), data=st.data())
-def test_rotation_index_matches_brute_force(p, data):
-    index = p.rotation_index
-    assert p.orbits() == list(index.orbits) == _brute_orbits(p)
-    assert index.starts == {w[:2] for w in p.words}
+@given(drawn=presentations(), data=st.data())
+def test_derived_data_matches_brute_force(drawn, data):
+    p, closure = drawn
+    assert list(p.words) == p.orbits() == _brute_orbits(closure)
+    assert p.starts == {w[:2] for w in closure}
 
     # link graphs that carry the words' starting pairs, perhaps one edge
     # fewer or one more
-    edges = sorted({(p.lam_map()[w[0]], w[1]) for w in p.words})
+    edges = sorted({(p.lam_map()[w[0]], w[1]) for w in closure})
     if edges and data.draw(st.booleans()):
         edges.pop(data.draw(st.integers(0, len(edges) - 1)))
     if data.draw(st.booleans()):
@@ -446,27 +463,27 @@ def test_rotation_index_matches_brute_force(p, data):
                       data.draw(st.sampled_from(p.alphabet))))
     graphs = [BipartiteGraph((), (), tuple(edges))]
     report = validate_presentation(p, graphs)
-    missing, dup = _brute_missing(p), _brute_duplicates(p)
-    assert report.rotation_closure == buildings.ConditionReport(not missing, missing)
+    dup = _brute_duplicates(closure)
+    assert report.rotation_closure == buildings.ConditionReport(True)
     assert report.unique_continuation == buildings.ConditionReport(not dup, dup)
-    bad = _brute_incidence(p, graphs)
+    bad = _brute_incidence(p, closure, graphs)
     assert report.incidence == buildings.ConditionReport(not bad, bad)
     assert validate_presentation(p) == buildings.ValidationReport(
         report.rotation_closure, None, report.unique_continuation)
 
-    if missing or dup:
+    if dup:
         with pytest.raises(PresentationInvalid) as err:
             polyhedron_from_presentation(p)
-        assert err.value.witness == (missing or dup)
+        assert err.value.witness == dup
     else:
         poly = polyhedron_from_presentation(p)
-        assert list(poly.faces) == _brute_orbits(p)
-        assert poly.links == _brute_links(p)
+        assert list(poly.faces) == _brute_orbits(closure)
+        assert poly.links == _brute_links(p, closure)
 
     if p.k == 4:
         if {buildings.letter_sup(x) for x in p.alphabet} == {1, 2, 3, 4}:
-            assert index.standard_forms == _brute_standard_forms(p)
-        assert stable_pairs_check(p) == _brute_stable_pairs(p)
+            assert p.standard_forms == _brute_standard_forms(closure)
+        assert stable_pairs_check(p) == _brute_stable_pairs(p, closure)
 
 
 def test_product_grading_formula_values():
@@ -501,6 +518,18 @@ def test_product_oracle_exceeds_formula_at_higher_levels():
     assert oracle == (12, 48, 192, 720, 2592)
     assert product_grading_dims(g, 4).dims == oracle
     assert all(o > v for o, v in zip(oracle[2:], all_interior))
+
+
+def test_product_oracle_enumerates_each_length_once(monkeypatch):
+    lengths = []
+    count = buildings.product_word_counts
+    monkeypatch.setattr(buildings, "product_word_counts",
+                        lambda g, n: lengths.append(n) or count(g, n))
+    assert product_grading_dims_oracle(2, 8) == product_grading_dims(2, 8).dims
+    assert lengths == list(range(1, 10))
+    lengths.clear()
+    product_dim_table(2, 1, 3)
+    assert lengths == [1, 2, 3, 4]
 
 
 def test_product_table_matches_closed_count():

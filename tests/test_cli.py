@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -182,6 +183,41 @@ def test_building_validate_links(capsysbinary):
     assert report["validation"]["ok"] is True
     assert report["polyhedron"]["vertices"] == 1
     assert report["polyhedron"]["links_complete_bipartite"] == [True]
+
+
+def test_building_q32_all_checks_digest(capsysbinary):
+    """Orbit and link order at a size the q = 4 golden cannot show: the
+    stdout of every building check at q = 32 (16,384 cover words), pinned
+    by its SHA-256."""
+    code, out = run_cli(["building", "--q", "32", "--cover", "--validate",
+                         "--links", "--stable-pairs", "--bm"], capsysbinary)
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == (
+        "b8489048f8daa9f22ba0ff3cc834f81f10a1a7c80b3b2342cc8e28c327acc96c")
+
+
+@pytest.mark.parametrize("argv, code, witness", [
+    (["building", "--file", "empty_word.json"], "PresentationInvalid", "()"),
+    (["spectra", "--genus", "2", "--levels", "3", "--t", "nan"],
+     "InvalidParameter", "nan"),
+    (["spectra", "--genus", "2", "--levels", "3", "--t", "1.0,inf"],
+     "InvalidParameter", "inf"),
+    (["spectra", "--genus", "2", "--levels", "3", "--s", "nan"],
+     "InvalidParameter", "nan"),
+    (["af", "--genus", "2", "--levels", "3", "--p", "nan"],
+     "SummabilityViolation", "nan"),
+    (["af", "--genus", "2", "--levels", "3", "--q", "nan"],
+     "SummabilityViolation", "(1.0, nan)"),
+], ids=["empty-word", "t-nan", "t-inf", "s-nan", "p-nan", "q-nan"])
+def test_bad_value_is_a_documented_error(tmp_path, monkeypatch, capsysbinary,
+                                         argv, code, witness):
+    (tmp_path / "empty_word.json").write_text(json.dumps(
+        {"alphabet": ["a"], "lambda": [["a", "A"]], "words": [[]]}))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsysbinary.readouterr()
+    assert captured.err == b""
+    assert json.loads(captured.out) == {"error": {"code": code, "witness": witness}}
 
 
 def test_building_from_file(tmp_path, capsysbinary):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from graphspectra import graphs
 from graphspectra.errors import InvalidGraph, InvalidRank
 from graphspectra.graphs import (
     FiniteGraph,
@@ -107,6 +108,16 @@ def test_kato_graph_counts(r, vertices, edges):
 
 def test_kato_zero_is_plain_theta():
     assert kato_graph(0) == theta_graph()
+
+
+def test_irreducibility_is_decided_once_per_matrix(monkeypatch):
+    calls = []
+    search = graphs.strongly_connected
+    monkeypatch.setattr(graphs, "strongly_connected",
+                        lambda succ, pred: calls.append(1) or search(succ, pred))
+    a = graphs.EdgeMatrix(A1, tuple("abcd"))
+    assert a.is_irreducible() and a.is_irreducible()
+    assert len(calls) == 1
 
 
 def test_empty_graph_rejected():

@@ -494,6 +494,20 @@ def test_theta_trace_rejects_nonpositive_t(schottky2):
         theta_trace(grading_from_sft(schottky2, 5), 0.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_theta_trace_rejects_non_finite_t(schottky2, t):
+    with pytest.raises(InvalidParameter) as err:
+        theta_trace(grading_from_sft(schottky2, 5), t)
+    assert err.value.witness is t
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_zeta_partial_rejects_non_finite_s(schottky2, s):
+    with pytest.raises(InvalidParameter) as err:
+        zeta_partial(grading_from_sft(schottky2, 5), s)
+    assert err.value.witness is s
+
+
 def test_theta_trace_rank3():
     g = grading_from_sft(full_schottky_sft(3), 30)
     res = theta_trace(g, 1.0)
@@ -561,6 +575,15 @@ def test_af_triple_validation():
         AFTriple((4, 36), 1.0, 1.5)  # q <= 2/p
     with pytest.raises(SummabilityViolation):
         AFTriple((4, 4), 1.0, 3.0)  # not strictly increasing
+
+
+@pytest.mark.parametrize("p, q, witness", [
+    (math.nan, 3.0, math.nan), (math.inf, 3.0, math.inf),
+    (1.0, math.nan, (1.0, math.nan)), (1.0, math.inf, (1.0, math.inf))])
+def test_af_triple_rejects_non_finite_p_and_q(p, q, witness):
+    with pytest.raises(SummabilityViolation) as err:
+        AFTriple((4, 36), p, q)
+    assert repr(err.value.witness) == repr(witness)
 
 
 def test_af_summability_schottky_core(schottky2):
