@@ -15,7 +15,7 @@ import functools
 import sys
 from dataclasses import dataclass
 
-from . import buildings, graphs, io, ktheory, shift, triples
+from . import io
 from .errors import GraphSpectraError, InvalidInput, UsageError
 
 TRACE_TAIL_TOL = 1e-12
@@ -134,6 +134,7 @@ def render_plan(plan: RunPlan) -> list[str]:
 
 
 def _sft_from_options(plan: RunPlan, default_genus=None) -> shift.SFTData:
+    from . import shift
     genus = plan.option("genus", default_genus)
     matrix = plan.option("matrix")
     if matrix is not None:
@@ -147,6 +148,7 @@ def adaptive_theta(gradings: triples.SFTGradings, t: float,
                    tol: float = TRACE_TAIL_TOL) -> triples.ThetaTrace:
     """Heat-trace partial sum at the smallest power-of-two level count
     whose certified tail drops below tol (capped at 512 levels)."""
+    from . import triples
     levels = 16
     while True:
         result = triples.theta_trace(gradings(levels), t, tol)
@@ -171,6 +173,7 @@ def execute(plan: RunPlan) -> tuple[dict, list | None]:
 
 
 def _run_catalog(plan: RunPlan):
+    from . import graphs, ktheory
     names = ["wedge_of_two_loops", "theta", "dumbbell"]
     entries = []
     for name, g in zip(names, graphs.genus2_catalog()):
@@ -188,6 +191,7 @@ def _run_catalog(plan: RunPlan):
 
 
 def _run_ktheory(plan: RunPlan):
+    from . import ktheory
     a = io.load_matrix(plan.option("matrix"))
     k0, k1 = ktheory.ck_k_theory(a)
     report = io.k_theory_to_dict(k0, k1)
@@ -202,11 +206,15 @@ def _run_ktheory(plan: RunPlan):
 
 
 def _run_spectra(plan: RunPlan):
+    from . import shift, triples
     s = _sft_from_options(plan)
     levels = int(plan.option("levels", 6))
     ts = _number_list(plan, "t", float, "1.0")
     zeta_s = float(plan.option("s", 2.0))
     twist = tuple(_number_list(plan, "twist", int)) if plan.option("twist") else None
+    for t in ts:  # before the truncation is built
+        triples.check_heat_parameter(t)
+    triples.check_zeta_exponent(zeta_s)
 
     perron = shift.perron_data(s)
     trunc = triples.build_truncation(s, levels, twist=twist, perron=perron)
@@ -235,6 +243,7 @@ def _run_spectra(plan: RunPlan):
 
 
 def _run_af(plan: RunPlan):
+    from . import shift, triples
     s = shift.full_schottky_sft(int(plan.option("genus", 2)))
     levels = int(plan.option("levels", 6))
     p_val = float(plan.option("p", 1.0))
@@ -266,6 +275,7 @@ def _base_spectrum(kind: str, count: int) -> tuple:
 
 
 def _run_crossed(plan: RunPlan):
+    from . import triples
     base = _base_spectrum(plan.option("base", "linear"), int(plan.option("count", 200)))
     triple = triples.CrossedProductTriple(base, int(plan.option("cutoff", 200)))
     fit = triples.summability_exponent_fit(triple.spectrum())
@@ -274,6 +284,7 @@ def _run_crossed(plan: RunPlan):
 
 
 def _run_cohomology(plan: RunPlan):
+    from . import shift
     s = _sft_from_options(plan)
     levels = int(plan.option("levels", 3))
     dims = shift.cohomology_filtration_dims(s, levels)
@@ -282,6 +293,7 @@ def _run_cohomology(plan: RunPlan):
 
 
 def _run_building(plan: RunPlan):
+    from . import buildings
     q = plan.option("q")
     source = plan.option("file")
     if (q is None) == (source is None):
@@ -330,6 +342,7 @@ def _run_building(plan: RunPlan):
 
 
 def _run_tau(plan: RunPlan):
+    from . import buildings
     weights = _number_list(plan, "weights", int)
     x = buildings.solve_tau(weights)
     report = {"x": x, "residual": abs(buildings.tau_lhs(weights, x) - 2)}

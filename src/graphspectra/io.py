@@ -15,7 +15,6 @@ file that cannot be read or parsed raises InvalidInput.
 
 from __future__ import annotations
 
-import csv
 import io as _stdio
 import itertools
 import json
@@ -23,13 +22,14 @@ import math
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .buildings import PolygonalPresentation, make_presentation
 from .errors import InvalidInput, UsageError
-from .graphs import EdgeMatrix, FiniteGraph
-from .ktheory import AbelianGroup
+
+# The graphs, ktheory and buildings types in annotations are not imported
+# here: each loader imports what it builds, so a run loads only its modules.
 
 
 def load_graph(source) -> FiniteGraph:
+    from .graphs import FiniteGraph
     data = _load_json(source)
     edges = tuple((e["id"], e["src"], e["dst"]) for e in _field(data, "edges"))
     return FiniteGraph(tuple(_field(data, "vertices")), edges)
@@ -53,6 +53,7 @@ def _matrix_file(source) -> tuple:
     rather than call one another, so one read is one io.load span when
     perfbench traces them."""
     if not isinstance(source, dict) and Path(source).suffix.lower() == ".csv":
+        import csv
         reader = csv.reader(_stdio.StringIO(_read(source), newline=""))
         rows = _int_rows(row for row in reader if row)
         return rows, tuple(str(i) for i in range(len(rows))), {}
@@ -65,12 +66,14 @@ def _matrix_file(source) -> tuple:
 
 def load_matrix(source) -> EdgeMatrix:
     """Matrix file as a validated square 0/1 EdgeMatrix."""
+    from .graphs import EdgeMatrix
     rows, labels, _ = _matrix_file(source)
     return EdgeMatrix(rows, labels)
 
 
 def load_sft(source) -> EdgeMatrix:
     """SFT of a matrix file; JSON may add an "involution" pair list."""
+    from .graphs import EdgeMatrix
     rows, labels, data = _matrix_file(source)
     pairs = _array(data, "involution", optional=True)
     involution = None
@@ -97,6 +100,7 @@ def presentation_to_dict(p: PolygonalPresentation) -> dict:
 
 
 def load_presentation(source) -> PolygonalPresentation:
+    from .buildings import make_presentation
     data = _load_json(source)
     alphabet = _array(data, "alphabet")
     pairs = _array(data, "lambda")
@@ -262,6 +266,7 @@ def emit(report: dict, fmt: str, rows: list[dict] | None = None) -> bytes:
         return (_json_text(report, 0) + "\n").encode()
     report = round_floats(report)
     if fmt == "csv":
+        import csv
         if rows is None:
             rows = _flatten_to_rows(report)
         rows = [round_floats(r) for r in rows]

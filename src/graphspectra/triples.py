@@ -572,6 +572,19 @@ def grading_from_sft(s: SFTData, max_level: int,
     return SFTGradings(s, perron)(max_level)
 
 
+def check_heat_parameter(t: float) -> None:
+    """InvalidParameter unless 0 < t < inf (NaN fails too)."""
+    if not 0 < t < math.inf:
+        raise InvalidParameter("heat parameter must be positive and finite",
+                               witness=t)
+
+
+def check_zeta_exponent(s: float) -> None:
+    """InvalidParameter unless s is finite."""
+    if not math.isfinite(s):
+        raise InvalidParameter("zeta exponent must be finite", witness=s)
+
+
 @dataclass(frozen=True)
 class ThetaTrace:
     t: float
@@ -586,9 +599,7 @@ def theta_trace(d: GradingOperator, t: float, tol: float = 1e-12) -> ThetaTrace:
     The tail past level N uses new_dims[n] <= C rho^n and, for the linear
     schedule, exp(-t n^2) <= (exp(-t(N+1)))^n, giving a geometric series.
     """
-    if not 0 < t < math.inf:  # NaN fails too
-        raise InvalidParameter("heat parameter must be positive and finite",
-                               witness=t)
+    check_heat_parameter(t)
 
     def term(m, lam):
         try:
@@ -631,8 +642,7 @@ def zeta_partial(d: GradingOperator, s: float) -> ZetaPartial:
     diverges for every s; power schedules lambda_n = (dim A_n)^q converge
     exactly when s q > 2, with tail majorant sum n^(1-sq).
     """
-    if not math.isfinite(s):
-        raise InvalidParameter("zeta exponent must be finite", witness=s)
+    check_zeta_exponent(s)
     partial = float(sum(m * (1 + abs(lam) ** 2) ** (-s / 2)
                         for m, lam in zip(d.new_dims, d.eigenvalues)))
     if d.power_exponent is not None:

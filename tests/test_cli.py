@@ -523,6 +523,22 @@ def test_spectra_past_the_word_budget_is_a_documented_error(monkeypatch, capsysb
                                          "witness": "2125764"}}
 
 
+@pytest.mark.parametrize("argv", [
+    ["--levels", "11", "--t", "nan"],
+    ["--levels", "11", "--t", "1.0,nan"],
+    ["--levels", "11", "--s", "nan"],
+    ["--levels", "12", "--s", "nan"],  # past the word budget as well
+], ids=["t-nan", "second-t-nan", "s-nan", "s-nan-over-budget"])
+def test_spectra_checks_t_and_s_before_any_work(monkeypatch, capsysbinary, argv):
+    def refused(*args, **kwargs):
+        raise AssertionError("spectra worked before checking --t and --s")
+    monkeypatch.setattr(shift, "perron_data", refused)
+    monkeypatch.setattr(triples, "build_truncation", refused)
+    code, out = run_cli(["spectra", "--genus", "2", *argv], capsysbinary)
+    assert code == 2
+    assert json.loads(out) == {"error": {"code": "InvalidParameter", "witness": "nan"}}
+
+
 def test_spectra_commutator_norms_take_no_operator_norm(tmp_path, monkeypatch,
                                                         capsysbinary):
     argvs = [["spectra", "--genus", "2", "--levels", "5"],
@@ -571,22 +587,26 @@ def test_cohomology_takes_no_exact_rank(tmp_path, monkeypatch, capsysbinary):
 
 
 # Runs the CLI on argv[2:] (or only imports it when there are none) and
-# writes the numpy/scipy top-level modules loaded by then to argv[1].
+# writes to argv[1] the numpy/scipy top-level modules loaded by then
+# ("libraries") and the graphspectra submodules ("modules").
 _PROBE = """
 import json, sys
 import graphspectra.cli
 code = graphspectra.cli.main(sys.argv[2:]) if sys.argv[2:] else 0
 with open(sys.argv[1], "w") as handle:
-    json.dump(sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"}),
-              handle)
+    json.dump({"libraries": sorted({m.split(".")[0] for m in sys.modules}
+                                   & {"numpy", "scipy"}),
+               "modules": sorted(m.split(".")[1] for m in sys.modules
+                                 if m.startswith("graphspectra."))}, handle)
 sys.exit(code)
 """
 
 
 def _fresh_run(tmp_path, argv, env=None):
-    """(exit code, stdout, stderr, loaded numpy/scipy) of the CLI in a fresh
-    interpreter, since this process has imported numpy already; loaded is
-    None when the CLI died before reporting it."""
+    """(exit code, stdout, stderr, loaded) of the CLI in a fresh interpreter,
+    since this process has imported numpy already; loaded holds the probe's
+    "libraries" and "modules" lists, or is None when the CLI died before
+    reporting them."""
     loaded = tmp_path / "loaded.json"
     environ = dict(os.environ, **(env or {}))
     environ["PYTHONPATH"] = os.pathsep.join(
@@ -597,25 +617,36 @@ def _fresh_run(tmp_path, argv, env=None):
             json.loads(loaded.read_text()) if loaded.exists() else None)
 
 
-@pytest.mark.parametrize("argv, code, libraries", [
-    ([], 0, []),
-    (["catalog"], 0, []),
-    (["ktheory", "--matrix", str(DATA / "a1.json")], 0, []),
-    (["af", "--genus", "2", "--levels", "6"], 0, []),
-    (["af", "--genus", "2", "--levels", "7"], 2, []),  # word budget exceeded
-    (["cohomology", "--genus", "2", "--levels", "3"], 0, []),
-    (["building", "--q", "1", "--cover", "--bm"], 0, []),
-    (["tau", "--weights", "2,2,2,2,2"], 0, []),
-    (["crossed"], 0, ["numpy"]),
-    (["spectra", "--genus", "2", "--levels", "3"], 0, ["numpy"]),
-    (["spectra", "--matrix", str(DATA / "a1.json"), "--levels", "3"], 0, ["numpy"]),
-], ids=["import", "catalog", "ktheory", "af", "af-budget", "cohomology",
-        "building", "tau", "crossed", "spectra", "spectra-matrix"])
+_FRONT = ["cli", "errors", "io"]
+_KTHEORY = ["cli", "errors", "graphs", "io", "ktheory"]
+_TRIPLES = ["cli", "errors", "graphs", "io", "shift", "triples"]
+_BUILDINGS = ["buildings", "cli", "errors", "graphs", "io"]
+
+
+@pytest.mark.parametrize("argv, code, libraries, modules", [
+    ([], 0, [], _FRONT),
+    (["bogus"], 64, [], _FRONT),
+    (["catalog"], 0, [], _KTHEORY),
+    (["ktheory", "--matrix", str(DATA / "a1.json")], 0, [], _KTHEORY),
+    (["af", "--genus", "2", "--levels", "6"], 0, [], _TRIPLES),
+    (["af", "--genus", "2", "--levels", "7"], 2, [], _TRIPLES),  # word budget
+    (["cohomology", "--genus", "2", "--levels", "3"], 0, [],
+     ["cli", "errors", "graphs", "io", "ktheory", "shift"]),
+    (["building", "--q", "1", "--cover", "--bm"], 0, [], _BUILDINGS),
+    (["tau", "--weights", "2,2,2,2,2"], 0, [], _BUILDINGS),
+    (["crossed"], 0, ["numpy"], _TRIPLES),
+    (["spectra", "--genus", "2", "--levels", "3"], 0, ["numpy"], _TRIPLES),
+    (["spectra", "--matrix", str(DATA / "a1.json"), "--levels", "3"], 0, ["numpy"],
+     _TRIPLES),
+], ids=["import", "usage-error", "catalog", "ktheory", "af", "af-budget",
+        "cohomology", "building", "tau", "crossed", "spectra", "spectra-matrix"])
 def test_cold_start_loads_numpy_and_scipy_only_where_used(tmp_path, argv, code,
-                                                          libraries):
+                                                          libraries, modules):
+    """Each subcommand imports only the graphspectra modules it runs, and
+    numpy (never scipy) only where it computes with it."""
     got_code, _, stderr, loaded = _fresh_run(tmp_path, argv)
     assert (got_code, stderr) == (code, b"")
-    assert loaded == libraries
+    assert loaded == {"libraries": libraries, "modules": modules}
 
 
 def test_cohomology_dim_past_the_digit_limit_is_an_error(tmp_path):
@@ -710,4 +741,4 @@ def test_bad_input_is_a_documented_error(tmp_path, argv, env, witness):
     code, out, stderr, loaded = _fresh_run(tmp_path, argv, env)
     assert (code, stderr) == (2, b"")
     assert json.loads(out) == {"error": {"code": "InvalidInput", "witness": witness}}
-    assert loaded == []
+    assert loaded["libraries"] == []
