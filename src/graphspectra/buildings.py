@@ -23,24 +23,22 @@ turns every remaining boundary word into a commutator and exhibits a
 group acting on a product of trees with even valences.
 
 A presentation stores one word per rotation orbit, its least rotation,
-so (1) holds by construction: each given word is rotated once, when the
-presentation is made.  The starting pairs and the continuation verdict
-are read from the cyclic windows of the stored words; they, each word's
-superscript standard form and the stable-pairs verdict are derived once
-per presentation, when first read.  The ordered witness scans (ambiguous
-continuations, incidence mismatches) run only when a verdict fails.
+so (1) holds by construction.  A word is one int, the ranks of its
+letters in the sorted alphabet packed first letter highest, so int
+order is word order and rotations and cyclic windows are masked shifts;
+letters are decoded only for the report and for witnesses.  The derived
+data are computed once per presentation, when first read, and the
+ordered witness scans run only when a verdict fails.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from importlib import resources
 from itertools import chain, repeat
-from operator import getitem
 
 from .errors import (
     BracketFailure,
@@ -67,16 +65,8 @@ def letter_sup(letter) -> int | None:
         return None
 
 
-def with_sup(letter: str, sup: int) -> str:
-    return f"{letter}^{sup}"
-
-
-def rotations(word: tuple) -> list[tuple]:
-    return [word[i:] + word[:i] for i in range(len(word))]
-
-
 # superscripts of a square word -> the rotation that puts them in order
-# (1, 2, 3, 4); these are the four copies of four_fold_cover
+# (1, 2, 3, 4); in this order, the four copies of four_fold_cover
 _TO_STANDARD = {(1, 2, 3, 4): 0, (4, 1, 2, 3): 1, (3, 4, 1, 2): 2, (2, 3, 4, 1): 3}
 
 
@@ -119,62 +109,112 @@ class BipartiteGraph:
                     None) is not None
 
 
-def complete_bipartite(blacks, whites) -> BipartiteGraph:
-    return BipartiteGraph(tuple(blacks), tuple(whites),
-                          tuple((w, b) for w in whites for b in blacks))
+class CompleteBipartite(BipartiteGraph):
+    """K(whites, blacks) kept by its vertex sets, the edges spelled out
+    only when read: the incidence check ranks its blacks once."""
+
+    def __init__(self, blacks, whites):
+        self.__dict__.update(blacks=tuple(blacks), whites=tuple(whites))
+
+    @cached_property
+    def edges(self) -> tuple:
+        return tuple((w, b) for w in self.whites for b in self.blacks)
 
 
-@dataclass(frozen=True)
+complete_bipartite = CompleteBipartite
+
+
+def _rank_columns(codes, k: int, bits: int) -> list[list[int]]:
+    """The letter ranks of packed k-letter codes, one list per position."""
+    m = (1 << bits) - 1
+    return [[(c >> s) & m for c in codes] for s in range((k - 1) * bits, -1, -bits)]
+
+
+def _least_rotations(codes, k: int, bits: int) -> tuple:
+    """The sorted distinct least rotations of packed k-letter codes."""
+    size, mask = k * bits, (1 << (k * bits)) - 1
+    turned = [[((c << s) & mask) | (c >> (size - s)) for c in codes]
+              for s in range(bits, size, bits)]
+    return tuple(sorted(set(map(min, codes, *turned) if turned else codes)))
+
+
+@dataclass(frozen=True, init=False)
 class PolygonalPresentation:
     """Cyclic k-tuples over a pointed alphabet with basic bijection, kept
-    as one word per rotation orbit: each given word is rotated once, on
-    construction, and its least rotation stored."""
+    as one packed word per rotation orbit: each given word is rotated
+    once, on construction.  No alphabet letter may repeat, and a word
+    letter must match an alphabet letter in type as well as in value, so
+    decoding gives back exactly the letters given."""
 
     alphabet: tuple            # pointed letters (the black side)
     lam: tuple                 # (letter, label) pairs, a bijection P -> L
-    words: tuple               # least rotation per orbit, sorted
+    codes: tuple               # least rotation per orbit, packed, sorted
     k: int
 
-    def __post_init__(self):
-        known = set(self.alphabet)
-        if not (set(map(len, self.words)) <= {self.k} - {0}
-                and known.issuperset(chain.from_iterable(self.words))):
-            for w in self.words:  # the first offending tuple or letter
-                if len(w) != self.k:
-                    raise PresentationInvalid(
-                        f"tuple length {len(w)} != {self.k}", witness=w)
+    def __init__(self, alphabet, lam, words, k):
+        alphabet, words = tuple(alphabet), tuple(words)
+        seen: set = set()
+        for x in alphabet:
+            if x in seen or seen.add(x):
+                raise PresentationInvalid("alphabet repeats a letter", witness=x)
+        letters = tuple(sorted(alphabet))
+        typed = {(type(x), x) for x in letters}
+        given = list(chain.from_iterable(words))
+        if not (set(map(len, words)) <= {k} - {0}
+                and typed.issuperset(zip(map(type, given), given))):
+            for w in words:  # the first offending tuple or letter
+                if len(w) != k:
+                    raise PresentationInvalid(f"tuple length {len(w)} != {k}", witness=w)
                 if not w:
                     raise PresentationInvalid("tuple is empty", witness=w)
                 for x in w:
-                    if x not in known:
-                        raise PresentationInvalid("tuple uses unknown letter",
-                                                  witness=x)
-        letters = [p for p, _ in self.lam]
-        labels = [l for _, l in self.lam]
-        if sorted(letters) != sorted(self.alphabet) or len(set(labels)) != len(labels):
+                    if (type(x), x) not in typed:
+                        raise PresentationInvalid("tuple uses unknown letter", witness=x)
+        rank = {x: r for r, x in enumerate(letters)}
+        bits, codes = max(1, (len(letters) - 1).bit_length()), []
+        for col in zip(*words):
+            codes = [c << bits | r for c, r in zip(codes or repeat(0), map(rank.get, col))]
+        self._store(alphabet, tuple(lam), letters, codes, k)
+
+    def _store(self, alphabet, lam, letters, codes, k):
+        """Set the fields from words packed over ``letters`` = sorted(alphabet)."""
+        labels = [l for _, l in lam]
+        if sorted(p for p, _ in lam) != list(letters) or len(set(labels)) != len(labels):
             raise PresentationInvalid("basic bijection must be a bijection on the alphabet")
-        object.__setattr__(self, "words", tuple(sorted(
-            {min(rotations(w)) for w in self.words})))
+        bits = max(1, (len(letters) - 1).bit_length())
+        self.__dict__.update(alphabet=alphabet, lam=lam, k=k, letters=letters, bits=bits,
+                             codes=_least_rotations(codes, k, bits))
 
-    def lam_map(self) -> dict:
-        return dict(self.lam)
+    def decode(self, code: int, n: int) -> tuple:
+        """The n letters packed in ``code``."""
+        return tuple(self.letters[r] for r, in _rank_columns((code,), n, self.bits))
 
-    def orbits(self) -> list[tuple]:
-        """Canonical (lexicographically minimal) representative per
-        rotation orbit: the stored words."""
-        return list(self.words)
+    @cached_property
+    def words(self) -> tuple:
+        """The stored words as letter tuples, in word order."""
+        return tuple(zip(*[map(self.letters.__getitem__, col)
+                           for col in _rank_columns(self.codes, self.k, self.bits)]))
+
+    def _windows(self, n: int) -> list[list[int]]:
+        """The packed cyclic n-letter windows of the words, one list per start."""
+        k, b, ext = self.k, self.bits, self.codes
+        reps = 1 + -(-(n - 1) // k) if ext else 0
+        for _ in range(reps - 1):
+            ext = [e << (k * b) | c for e, c in zip(ext, self.codes)]
+        m = (1 << (n * b)) - 1
+        return [[(e >> s) & m for e in ext]
+                for s in range((reps * k - n) * b, (reps * k - n - k) * b, -b)]
 
     @cached_property
     def starts(self) -> frozenset:
-        """The starting pairs (x1, x2): every cyclic two-letter window."""
-        return frozenset(chain.from_iterable(_windows(w, 2) for w in self.words))
+        """The starting pairs (x1, x2), packed: every cyclic two-letter window."""
+        return frozenset(chain.from_iterable(self._windows(2)))
 
     @cached_property
     def unique_continuation(self) -> bool:
         """Each starting pair has a single continuation x3: there are as
         many distinct cyclic three-letter windows as starting pairs."""
-        triples = set(chain.from_iterable(_windows(w, 3) for w in self.words))
-        return len(triples) == len(self.starts)
+        return len(set(chain.from_iterable(self._windows(3)))) == len(self.starts)
 
     @cached_property
     def superscripts(self) -> dict:
@@ -184,16 +224,14 @@ class PolygonalPresentation:
     @cached_property
     def standard_forms(self) -> tuple[tuple, tuple]:
         """Each word rotated to superscript order (1, 2, 3, 4), and the
-        words that have no such rotation, both in word order."""
-        sup = self.superscripts
-        forms, bad = [], []
-        for w in self.words:
-            i = _TO_STANDARD.get(tuple([sup[x] for x in w]))
-            if i is None:
-                bad.append(w)
-            else:
-                forms.append(w[i:] + w[:i])
-        return tuple(forms), tuple(bad)
+        words that have no such rotation, both packed, in word order."""
+        sup = [self.superscripts[x] for x in self.letters]
+        cols = _rank_columns(self.codes, self.k, self.bits)
+        turn = list(map(_TO_STANDARD.get, zip(*[map(sup.__getitem__, c) for c in cols])))
+        b, mask = self.bits, (1 << (4 * self.bits)) - 1
+        return (tuple(((c << (i * b)) & mask) | (c >> ((4 - i) * b))
+                      for c, i in zip(self.codes, turn) if i is not None),
+                tuple(c for c, i in zip(self.codes, turn) if i is None))
 
     @cached_property
     def stable_pairs(self) -> StablePairsResult:
@@ -203,29 +241,18 @@ class PolygonalPresentation:
                                              "superscript classes 1..4",))
         forms, bad = self.standard_forms
         if bad:
-            return StablePairsResult(False, bad[:8])
-
+            return StablePairsResult(False, tuple(self.decode(w, 4) for w in bad[:8]))
         witnesses = []
-        fwd_x: dict = {}
-        bwd_x: dict = {}
-        fwd_y: dict = {}
-        bwd_y: dict = {}
-        for w in forms:
-            x1, y1, x2, y2 = w
-            for fwd, bwd, a, b in ((fwd_x, bwd_x, x1, x2), (fwd_y, bwd_y, y1, y2)):
-                if fwd.setdefault(a, b) != b or bwd.setdefault(b, a) != a:
-                    witnesses.append(w)
-                    break
-        ok = not witnesses
+        fwd_x, bwd_x, fwd_y, bwd_y = {}, {}, {}, {}
+        for w, (x1, y1, x2, y2) in zip(forms, zip(*_rank_columns(forms, 4, self.bits))):
+            if (fwd_x.setdefault(x1, x2) != x2 or bwd_x.setdefault(x2, x1) != x1
+                    or fwd_y.setdefault(y1, y2) != y2 or bwd_y.setdefault(y2, y1) != y1):
+                witnesses.append(w)
+        ok, letters = not witnesses, self.letters
         return StablePairsResult(
-            ok, tuple(witnesses[:8]),
-            tuple(sorted(fwd_x.items())) if ok else (),
-            tuple(sorted(fwd_y.items())) if ok else ())
-
-
-def _windows(word: tuple, n: int):
-    """The cyclic n-letter windows of a word, one per starting letter."""
-    return zip(*(word[i:] + word[:i] for i in range(n)))
+            ok, tuple(self.decode(w, 4) for w in witnesses[:8]),
+            *(tuple((letters[a], letters[b]) for a, b in sorted(fwd.items())) if ok else ()
+              for fwd in (fwd_x, fwd_y)))
 
 
 def make_presentation(alphabet, lam_pairs, words) -> PolygonalPresentation:
@@ -274,13 +301,9 @@ def family_cover_link_graphs(q: int) -> list[BipartiteGraph]:
     """Expected links of the four-fold cover of the family: one complete
     bipartite graph per superscript class, white ends of class s meeting
     black ends of class s+1 (cyclically)."""
-    out = []
-    for s in range(1, 5):
-        nxt = s % 4 + 1
-        out.append(complete_bipartite(
-            [with_sup(f"x{m}", nxt) for m in range(1, 4 * q + 1)],
-            [with_sup(f"y{m}", s) for m in range(1, 4 * q + 1)]))
-    return out
+    return [complete_bipartite([f"x{m}^{s % 4 + 1}" for m in range(1, 4 * q + 1)],
+                               [f"y{m}^{s}" for m in range(1, 4 * q + 1)])
+            for s in range(1, 5)]
 
 
 @dataclass(frozen=True)
@@ -311,27 +334,35 @@ def validate_presentation(p: PolygonalPresentation,
     incidence condition is not checked and the report's ``incidence`` is
     None."""
     dup = _duplicate_continuations(p)
-    cond1 = ConditionReport(True)
-    cond3 = ConditionReport(not dup, dup)
-    if graphs is None:
-        return ValidationReport(cond1, None, cond3)
+    return ValidationReport(ConditionReport(True),
+                            None if graphs is None else _incidence(p, graphs),
+                            ConditionReport(not dup, dup))
 
-    # the pairs (x1, x2) with lam(x1) incident to x2 in some graph
-    inverse = {label: x for x, label in p.lam_map().items()}
-    letters = set(p.alphabet)
-    incident = {(inverse[w], b) for g in graphs for w, b in g.edges
-                if w in inverse and b in letters}
-    starts = p.starts
-    bad = []
-    if incident != starts:  # list the mismatches in alphabet order
+
+def _incidence(p: PolygonalPresentation, graphs) -> ConditionReport:
+    """Condition (2) on packed pairs (x1, x2), x2 met by lam(x1) in some
+    graph; the mismatches are listed in alphabet order (at most 8)."""
+    rank = {x: r for r, x in enumerate(p.letters)}
+    first = {label: rank[x] << p.bits for x, label in p.lam}
+    incident: set = set()
+    for g in graphs:
+        if isinstance(g, CompleteBipartite):
+            ranked = [rank[b] for b in g.blacks if b in rank]
+            meets = zip(g.whites, repeat(ranked))
+        else:
+            meets = ((w, [rank[b]] if b in rank else ()) for w, b in g.edges)
+        for white, ranks in meets:
+            if white in first:
+                incident.update(map(first[white].__or__, ranks))
+    starts, bad = p.starts, []
+    if incident != starts:
         for x1 in p.alphabet:
             for x2 in p.alphabet:
-                has_word = (x1, x2) in starts
-                if has_word != ((x1, x2) in incident):
-                    bad.append((x1, x2, "word-without-incidence" if has_word
+                pair = rank[x1] << p.bits | rank[x2]
+                if (pair in starts) != (pair in incident):
+                    bad.append((x1, x2, "word-without-incidence" if pair in starts
                                 else "incidence-without-word"))
-    cond2 = ConditionReport(not bad, tuple(bad[:8]))
-    return ValidationReport(cond1, cond2, cond3)
+    return ConditionReport(not bad, tuple(bad[:8]))
 
 
 def _duplicate_continuations(p: PolygonalPresentation) -> tuple:
@@ -340,17 +371,32 @@ def _duplicate_continuations(p: PolygonalPresentation) -> tuple:
     if p.unique_continuation:
         return ()
     conts: dict = {}
-    for w in p.words:
-        for x1, x2, x3 in _windows(w, 3):
-            conts.setdefault((x1, x2), set()).add(x3)
-    return tuple(sorted((pair, tuple(sorted(c)))
-                        for pair, c in conts.items() if len(c) > 1))[:8]
+    for t in sorted(set(chain.from_iterable(p._windows(3)))):
+        conts.setdefault(t >> p.bits, []).append(p.letters[t & ((1 << p.bits) - 1)])
+    return tuple((p.decode(pair, 2), tuple(c))
+                 for pair, c in conts.items() if len(c) > 1)[:8]
 
 
-@dataclass(frozen=True)
 class LinkGraph(BipartiteGraph):
     """Link at a polyhedron vertex: whites are head-ends lam(x), blacks
-    are tail-ends x, one edge per face corner mapped to the vertex."""
+    are tail-ends x, one edge per face corner mapped to the vertex.  The
+    polyhedron's links decode their edges when first read, and tell
+    completeness from their edge counts."""
+
+    @cached_property
+    def edges(self) -> tuple:
+        """Each white with the black ends of its run of packed corners, a
+        corner repeated by its multiplicity."""
+        edges, (runs, letters, m, counts) = [], self._packed
+        for white, run in zip(self.whites, runs):
+            if counts:
+                run = chain.from_iterable(map(repeat, run, map(counts.get, run)))
+            edges += zip(repeat(white), [letters[e & m] for e in run])
+        return tuple(edges)
+
+    def is_complete_bipartite(self) -> bool:
+        complete = self.__dict__.get("_complete")
+        return super().is_complete_bipartite() if complete is None else complete
 
 
 @dataclass(frozen=True)
@@ -377,55 +423,62 @@ def polyhedron_from_presentation(p: PolygonalPresentation) -> Polyhedron:
     equal labels glued.  Raises PresentationInvalid when unique
     continuation fails (incidence needs the graphs and is not checked
     here)."""
-    if not p.words:
+    if not p.codes:
         return Polyhedron((), (), ())
     dup = _duplicate_continuations(p)
     if dup:
         raise PresentationInvalid("continuation is not unique", witness=dup)
 
-    lam = p.lam_map()
-    faces = p.words
-    letters = tuple(sorted(set(chain.from_iterable(faces))))
-
-    # corner between consecutive sides (x_m, x_{m+1}): link edge from the
-    # white end lam(x_m) to the black end x_{m+1}; each distinct corner
-    # once, in the order met, with its multiplicity
-    corners = Counter(chain.from_iterable(
-        zip(map(lam.__getitem__, w), w[1:] + w[:1]) for w in faces))
-
-    # Link components by union-find over the distinct corners in the order
-    # met, relabelling the smaller component's nodes on a merge.  The root
-    # only orders the links (by str) and follows union(white, black): the
-    # black end's root names the merged component.
-    comp = ({}, {})       # white / black end -> component id
-    root, nodes = [], []  # per component id: its root node, its nodes
-    for white, black in corners:
-        cw, cb = comp[0].get(white), comp[1].get(black)
+    # Corner (x_m, x_{m+1}): link edge from the white end lam(x_m), node
+    # x_m, to the black end x_{m+1}, node n + x_{m+1}.  Link components by
+    # union-find over the corners in the order met, relabelling the smaller
+    # component's nodes on a merge; the root only orders the links (by
+    # str), and the black end's root names a merged component.
+    letters, b, n = p.letters, p.bits, len(p.letters)
+    cols = _rank_columns(p.codes, p.k, b)
+    whites = list(chain.from_iterable(zip(*cols)))
+    blacks = list(map(n.__add__, chain.from_iterable(zip(*cols[1:], cols[0]))))
+    comp = [None] * (2 * n)  # node -> component id
+    root, nodes = [], []     # per component id: its root black, its nodes
+    for white, black, cw, cb in zip(whites, blacks, map(comp.__getitem__, whites),
+                                    map(comp.__getitem__, blacks)):
         if cb is None:
-            cb = comp[1][black] = len(root)
-            root.append(("b", black))
-            nodes.append([(1, black)])
+            cb = comp[black] = len(root)
+            root.append(letters[black - n])
+            nodes.append([black])
         if cw is None:
-            comp[0][white] = cb
-            nodes[cb].append((0, white))
+            comp[white] = cb
+            nodes[cb].append(white)
         elif cw != cb:
             keep, gone = (cw, cb) if len(nodes[cw]) > len(nodes[cb]) else (cb, cw)
-            for side, x in nodes[gone]:
-                comp[side][x] = keep
+            for x in nodes[gone]:
+                comp[x] = keep
             nodes[keep] += nodes[gone]
             root[keep] = root[cb]
 
-    groups: dict = {}
-    for corner in corners:
-        groups.setdefault(root[comp[0][corner[0]]], []).append(corner)
+    # A link's edges sorted by (white, black): its whites in label order,
+    # each with its run of the sorted distinct corners (the starting
+    # pairs), a corner repeated by its multiplicity.
+    label = dict(p.lam)
+    label = [label[x] for x in letters]
+    ordered = sorted(p.starts)
+    counts = None if len(ordered) == len(whites) else Counter(
+        chain.from_iterable(zip(*p._windows(2))))
     links = []
-    for node in sorted(groups, key=str):
-        es = sorted(groups[node])
-        whites = tuple(sorted({w for w, _ in es}))
-        blacks = tuple(sorted({b for _, b in es}))
-        edges = tuple(chain.from_iterable(map(repeat, es, map(corners.get, es))))
-        links.append(LinkGraph(blacks, whites, edges))
-    return Polyhedron(faces, letters, tuple(links))
+    for c in sorted(set(comp[:n]) - {None}, key=lambda c: str(("b", root[c]))):
+        ws = sorted((x for x in nodes[c] if x < n), key=label.__getitem__)
+        runs = [ordered[bisect_left(ordered, x << b):bisect_left(ordered, (x + 1) << b)]
+                for x in ws]
+        distinct = sum(map(len, runs))
+        links.append(object.__new__(LinkGraph))
+        links[-1].__dict__.update(
+            blacks=tuple(letters[x - n] for x in sorted(nodes[c]) if x >= n),
+            whites=tuple(map(label.__getitem__, ws)),
+            _packed=(runs, letters, (1 << b) - 1, counts),
+            _complete=distinct == len(ws) * (len(nodes[c]) - len(ws)) == (
+                sum(map(counts.get, chain.from_iterable(runs))) if counts else distinct))
+    return Polyhedron(p.words, tuple(x for x, c in zip(letters, comp[n:]) if c is not None),
+                      tuple(links))
 
 
 @dataclass(frozen=True)
@@ -460,17 +513,20 @@ def four_fold_cover(p: PolygonalPresentation) -> PolygonalPresentation:
     if p.k != 4:
         raise RequiresSquares("cover construction needs square faces",
                               witness=p.k)
-    patterns = ((1, 2, 3, 4), (4, 1, 2, 3), (3, 4, 1, 2), (2, 3, 4, 1))
-    named = {x: {s: with_sup(x, s) for s in (1, 2, 3, 4)} for x in p.alphabet}
-    words = []
-    for w in p.words:
-        classes = [named[x] for x in w]
-        words.extend(tuple(map(getitem, classes, pat)) for pat in patterns)
-    alphabet = tuple(named[x][s] for x in p.alphabet for s in (1, 2, 3, 4))
-    lam = p.lam_map()
-    lam_pairs = tuple((named[x][s], with_sup(lam[x], s))
-                      for x in p.alphabet for s in (1, 2, 3, 4))
-    return make_presentation(alphabet, lam_pairs, words)
+    lam = dict(p.lam)
+    alphabet = tuple(f"{x}^{s}" for x in p.alphabet for s in (1, 2, 3, 4))
+    letters = tuple(sorted(alphabet))
+    rank = {x: r for r, x in enumerate(letters)}
+    bits = max(1, (len(letters) - 1).bit_length())
+    by_class = {s: [rank[f"{x}^{s}"] for x in p.letters] for s in (1, 2, 3, 4)}
+    codes, cols = [], _rank_columns(p.codes, 4, p.bits)
+    for pattern in _TO_STANDARD:
+        a, b, c, d = (map(by_class[s].__getitem__, col) for s, col in zip(pattern, cols))
+        codes += [((w << bits | x) << bits | y) << bits | z for w, x, y, z in zip(a, b, c, d)]
+    cover = object.__new__(PolygonalPresentation)
+    cover._store(alphabet, tuple((f"{x}^{s}", f"{lam[x]}^{s}") for x in p.alphabet
+                                 for s in (1, 2, 3, 4)), letters, codes, 4 if codes else 0)
+    return cover
 
 
 @dataclass(frozen=True)
@@ -487,9 +543,8 @@ class BMGroupData:
         for rel in self.relations:
             if len(rel) != 4:
                 raise NotBMReducible("relations must have length 4", witness=rel)
-            gens = [g for g, _ in rel]
-            if not (gens[0] in hset and gens[1] in vset
-                    and gens[2] in hset and gens[3] in vset):
+            if not (rel[0][0] in hset and rel[1][0] in vset
+                    and rel[2][0] in hset and rel[3][0] in vset):
                 raise NotBMReducible("relations must alternate horizontal "
                                      "and vertical generators", witness=rel)
 
@@ -514,18 +569,13 @@ def bm_group_data(p: PolygonalPresentation) -> BMGroupData:
             raise NotBMReducible(result.witnesses[0])
         raise NotBMReducible("presentation fails the stable pairs condition",
                              witness=result.witnesses)
-    forms = sorted(p.standard_forms[0])
-    collapsed = forms[0]
-    x_star, y_star = collapsed[0], collapsed[1]
-    horizontal = tuple(sorted({w[0] for w in forms} - {x_star}))
-    vertical = tuple(sorted({w[1] for w in forms} - {y_star}))
-    relations = []
-    for w in forms:
-        a, b = w[0], w[1]
-        if a == x_star or b == y_star:
-            continue  # Tietze elimination of the collapsed letters
-        relations.append(((a, 1), (b, 1), (a, -1), (b, -1)))
-    return BMGroupData(horizontal, vertical, tuple(relations))
+    xs, ys = _rank_columns(sorted(p.standard_forms[0]), 4, p.bits)[:2]
+    x_star, y_star = xs[0], ys[0]  # the letters of the collapsed word
+    up, down = [(x, 1) for x in p.letters], [(x, -1) for x in p.letters]
+    return BMGroupData(tuple(p.letters[x] for x in sorted(set(xs) - {x_star})),
+                       tuple(p.letters[y] for y in sorted(set(ys) - {y_star})),
+                       tuple((up[a], up[b], down[a], down[b]) for a, b in zip(xs, ys)
+                             if a != x_star and b != y_star))  # Tietze elimination
 
 
 @dataclass(frozen=True)
@@ -727,16 +777,3 @@ def symmetric_tau_closed_form(r: int, q: int) -> float:
     y = (r - 2 + math.sqrt(r * r - 4 * r)) / 2
     return math.log(y) / math.log(q)
 
-
-def product_tree_presentation_fixtures() -> dict:
-    """Two combinatorially inequivalent vertex-transitive presentations on
-    a product of two degree-4 trees, shipped as documentation fixtures."""
-    ref = resources.files("graphspectra").joinpath("data/product_tree_presentations.json")
-    return json.loads(ref.read_text())
-
-
-def fake_projective_plane_constants() -> dict:
-    """Documented K-group constants of the two index-3 quotients of the
-    rank-2 building over Q_2; recorded, never computed here."""
-    ref = resources.files("graphspectra").joinpath("data/fake_projective_planes.json")
-    return json.loads(ref.read_text())

@@ -9,8 +9,10 @@ rounded to 12 significant digits, so identical inputs produce identical
 bytes.  JSON output is strict RFC 8259: a non-finite float is written as
 the string "Infinity", "-Infinity" or "NaN".  The JSON text has the
 bytes of ``json.dumps(..., indent=2)`` but joins each container's items
-once instead of going through json's pure-Python indenting encoder.  A
-file that cannot be read or parsed raises InvalidInput.
+once instead of going through json's pure-Python indenting encoder, and
+is written into one bytes buffer a few thousand items at a time, never
+held whole as a str.  A file that cannot be read or parsed raises
+InvalidInput.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import io as _stdio
 import itertools
 import json
 import math
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -115,8 +118,10 @@ def load_presentation(source) -> PolygonalPresentation:
     for letter in letters:
         if isinstance(letter, (list, dict)):
             raise InvalidInput("letters must be JSON scalars", witness=letter)
-        # letters are sorted: all strings, or all numbers
-        if letter is None or isinstance(letter, str) != isinstance(letters[0], str):
+        # letters are sorted: all strings, or all numbers (a boolean is
+        # neither, and would equal the number 0 or 1)
+        if (letter is None or isinstance(letter, bool)
+                or isinstance(letter, str) != isinstance(letters[0], str)):
             raise InvalidInput("letters must be all strings or all numbers",
                                witness=letter)
     return make_presentation(tuple(alphabet), tuple(tuple(p) for p in pairs),
@@ -221,23 +226,35 @@ _JSON_LEAF = {
 }
 
 
-def _json_text(obj, level: int) -> str:
+@cache
+def _pads(level: int) -> tuple[str, str, str]:
+    """The indent before the first item of a container nested ``level``
+    deep, the separator before each further item, and the indent before
+    its closing bracket."""
+    first = "\n" + "  " * (level + 1)
+    return first, "," + first, "\n" + "  " * level
+
+
+def _json_text(obj, level: int, seen: dict) -> str:
     """``json.dumps(obj, indent=2, allow_nan=False)`` with every float
     written by :func:`_json_float`, for an object nested ``level`` deep.
 
-    Each container's items are joined once.  A leaf of a subclass type
-    takes json's own rules, and a type json cannot write raises its
-    TypeError.
+    Each container's items are joined once.  ``seen`` keeps the texts of
+    recently written containers by identity and depth, so a container met
+    again (a shared tuple) is written once; every object of the report is
+    alive while it is written, so an identity is not reused.  It is
+    emptied when it holds 4096 texts.  A leaf of a subclass type takes
+    json's own rules, and a type json cannot write raises its TypeError.
     """
     leaf = _JSON_LEAF.get(type(obj))
     if leaf is not None:
         return leaf(obj)
     if isinstance(obj, dict):
-        items = [(encode_basestring_ascii(k) if type(k) is str else _json_key(k))
-                 + ": " + _json_text(v, level + 1) for k, v in obj.items()]
+        items = [_json_key(k) + ": " + _json_text(v, level + 1, seen)
+                 for k, v in obj.items()]
         brackets = "{}"
     elif isinstance(obj, (list, tuple)):
-        items = [_json_text(v, level + 1) for v in obj]
+        items = _item_texts(obj, level, seen)
         brackets = "[]"
     elif isinstance(obj, float):
         return _json_float(obj)
@@ -245,13 +262,47 @@ def _json_text(obj, level: int) -> str:
         return json.dumps(obj)
     if not items:
         return brackets
-    inner = "\n" + "  " * (level + 1)
-    return (brackets[0] + inner + ("," + inner).join(items)
-            + "\n" + "  " * level + brackets[1])
+    first, sep, last = _pads(level)
+    text = f"{brackets[0]}{first}{sep.join(items)}{last}{brackets[1]}"
+    if len(seen) == 4096:
+        seen.clear()
+    seen[id(obj), level] = text
+    return text
+
+
+def _item_texts(values, level: int, seen: dict) -> list[str]:
+    """The texts of the items of a list nested ``level`` deep; a str or an
+    int is written in place rather than by a call."""
+    return [encode_basestring_ascii(v) if (t := type(v)) is str
+            else int.__repr__(v) if t is int
+            else seen.get((id(v), level + 1)) or _json_text(v, level + 1, seen)
+            for v in values]
+
+
+def _json_write(obj, level: int, seen: dict, out) -> None:
+    """Write the text of :func:`_json_text` to the binary stream ``out``
+    in pieces: a dict key by key, each value written in turn, and a list
+    4096 item texts at a time."""
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        out.write(_json_text(obj, level, seen).encode())
+        return
+    first, sep, last = _pads(level)
+    if isinstance(obj, dict):
+        for i, (k, v) in enumerate(obj.items()):
+            out.write(f"{sep if i else '{' + first}{_json_key(k)}: ".encode())
+            _json_write(v, level + 1, seen, out)
+        out.write(f"{last}}}".encode())
+        return
+    for start in range(0, len(obj), 4096):
+        items = _item_texts(obj[start:start + 4096], level, seen)
+        out.write(((sep if start else "[" + first) + sep.join(items)).encode())
+    out.write(f"{last}]".encode())
 
 
 def _json_key(key) -> str:
-    """A dict key that is not a str, as json writes it (or its error)."""
+    """A dict key as json writes it (or its error)."""
+    if type(key) is str:
+        return encode_basestring_ascii(key)
     return json.dumps({key: 0}, allow_nan=False)[1:-4]
 
 
@@ -263,7 +314,10 @@ def emit(report: dict, fmt: str, rows: list[dict] | None = None) -> bytes:
     table: aligned key/value or tabular text.
     """
     if fmt == "json":
-        return (_json_text(report, 0) + "\n").encode()
+        out = _stdio.BytesIO()
+        _json_write(report, 0, {}, out)
+        out.write(b"\n")
+        return out.getvalue()
     report = round_floats(report)
     if fmt == "csv":
         import csv

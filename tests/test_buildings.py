@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from graphspectra.buildings import (
     BipartiteGraph,
     bm_group_data,
     complete_bipartite,
-    fake_projective_plane_constants,
     family_cover_link_graphs,
     family_link_graph,
     family_presentation,
@@ -20,7 +21,6 @@ from graphspectra.buildings import (
     product_dim_table,
     product_grading_dims,
     product_grading_dims_oracle,
-    product_tree_presentation_fixtures,
     solve_tau,
     stable_pairs_check,
     symmetric_tau_closed_form,
@@ -41,19 +41,19 @@ from graphspectra.errors import (
 
 def test_family_q1_words():
     p = family_presentation(1)
-    assert p.orbits() == [
+    assert p.words == (
         ("x1", "x1", "x4", "x4"),
         ("x1", "x2", "x4", "x3"),
         ("x1", "x3", "x4", "x2"),
         ("x2", "x2", "x3", "x3"),
-    ]
-    assert len(p.words) == 4  # one stored word per orbit
+    )
+    assert len(p.codes) == 4  # one stored word per orbit
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 def test_family_validates(q):
     p = family_presentation(q)
-    assert len(p.orbits()) == 4 * q * q
+    assert len(p.words) == 4 * q * q
     assert len(p.alphabet) == 4 * q
     report = validate_presentation(p, [family_link_graph(q)])
     assert report.ok
@@ -73,7 +73,7 @@ def test_rotation_closure_holds_by_construction():
 def _duplicate_continuation():
     p = family_presentation(1)
     extra = ("x1", "x2", "x3", "x2")  # (x1, x2) already continues with x4
-    return make_presentation(p.alphabet, p.lam, list(p.orbits()) + [extra])
+    return make_presentation(p.alphabet, p.lam, list(p.words) + [extra])
 
 
 def test_duplicate_continuation_detected():
@@ -132,7 +132,7 @@ def test_polyhedron_rejects_broken_presentation():
 
 
 def test_empty_word_is_rejected_before_rotation(monkeypatch):
-    monkeypatch.setattr(buildings, "rotations", None)  # never reached
+    monkeypatch.setattr(buildings, "_least_rotations", None)  # never reached
     with pytest.raises(PresentationInvalid) as err:
         make_presentation(("a",), (("a", "A"),), [()])
     assert err.value.witness == ()
@@ -210,7 +210,7 @@ def test_bipartite_isomorphism_search():
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 def test_cover_satisfies_stable_pairs(q):
     cover = four_fold_cover(family_presentation(q))
-    assert len(cover.orbits()) == 16 * q * q
+    assert len(cover.words) == 16 * q * q
     result = stable_pairs_check(cover)
     assert result.ok
 
@@ -231,7 +231,7 @@ def test_stable_pairs_requires_squares():
 
 def test_swapped_letter_breaks_stable_pairs():
     cover = four_fold_cover(family_presentation(1))
-    orbits = cover.orbits()
+    orbits = list(cover.words)
     target = list(orbits[0])
     sup3 = [i for i, x in enumerate(target) if x.endswith("^3")][0]
     other = [x for x in cover.alphabet
@@ -247,7 +247,7 @@ def test_swapped_letter_breaks_stable_pairs():
 def test_cover_of_cover_counts():
     cover = four_fold_cover(family_presentation(1))
     again = four_fold_cover(cover)
-    assert len(again.orbits()) == 64
+    assert len(again.words) == 64
 
 
 def test_cover_polyhedron_has_four_vertices():
@@ -288,28 +288,27 @@ def test_bm_rejects_unstable_presentation():
 
 
 def test_each_structural_check_runs_once(monkeypatch, capsysbinary):
-    """Along the full building path each orbit of each presentation built
+    """Along the full building path each word of each presentation built
     is rotated at most once, each alphabet letter's superscript is parsed
     once, and the polyhedron checks closure and continuation without the
     incidence scan."""
-    built, rotated, parsed = [], [], []
-    make, rotations, letter_sup = (buildings.make_presentation,
-                                   buildings.rotations, buildings.letter_sup)
-    monkeypatch.setattr(buildings, "make_presentation",
-                        lambda *a: built.append(make(*a)) or built[-1])
-    monkeypatch.setattr(buildings, "rotations",
-                        lambda w: rotated.append(w) or rotations(w))
+    rotated, parsed = [], []
+    least, letter_sup = buildings._least_rotations, buildings.letter_sup
+    monkeypatch.setattr(buildings, "_least_rotations",
+                        lambda codes, k, bits: rotated.append(len(codes))
+                        or least(codes, k, bits))
     monkeypatch.setattr(buildings, "letter_sup",
                         lambda x: parsed.append(x) or letter_sup(x))
     assert main(["building", "--q", "2", "--cover", "--validate", "--links",
                  "--stable-pairs", "--bm"]) == 0
     capsysbinary.readouterr()
-    family, cover = built
-    assert len(rotated) == len(family.orbits()) + len(cover.orbits()) == 16 + 64
+    assert rotated == [16, 64]  # the family's words, then the cover's
+    cover = four_fold_cover(family_presentation(2))
     assert sorted(parsed) == sorted(cover.alphabet)
 
     def refused(*args):
         raise AssertionError("incidence scan")
+    monkeypatch.setattr(buildings, "_incidence", refused)
     monkeypatch.setattr(buildings, "validate_presentation", refused)
     assert polyhedron_from_presentation(cover).vertex_count == 4
 
@@ -339,7 +338,7 @@ def _brute_duplicates(closure):
 
 
 def _brute_incidence(p, closure, graphs):
-    lam = p.lam_map()
+    lam = dict(p.lam)
     starts = {w[:2] for w in closure}
     incident = {e for g in graphs for e in g.edges}
     bad = []
@@ -386,7 +385,7 @@ def _brute_stable_pairs(p, closure):
 
 def _brute_links(p, closure):
     """Links by union-find over every corner, one node per end."""
-    lam = p.lam_map()
+    lam = dict(p.lam)
     corners = [(lam[w[m]], w[(m + 1) % p.k]) for w in _brute_orbits(closure)
                for m in range(p.k)]
     parent = {}
@@ -450,12 +449,12 @@ def presentations(draw):
 @given(drawn=presentations(), data=st.data())
 def test_derived_data_matches_brute_force(drawn, data):
     p, closure = drawn
-    assert list(p.words) == p.orbits() == _brute_orbits(closure)
-    assert p.starts == {w[:2] for w in closure}
+    assert list(p.words) == _brute_orbits(closure)
+    assert {p.decode(c, 2) for c in p.starts} == {w[:2] for w in closure}
 
     # link graphs that carry the words' starting pairs, perhaps one edge
     # fewer or one more
-    edges = sorted({(p.lam_map()[w[0]], w[1]) for w in closure})
+    edges = sorted({(dict(p.lam)[w[0]], w[1]) for w in closure})
     if edges and data.draw(st.booleans()):
         edges.pop(data.draw(st.integers(0, len(edges) - 1)))
     if data.draw(st.booleans()):
@@ -482,7 +481,8 @@ def test_derived_data_matches_brute_force(drawn, data):
 
     if p.k == 4:
         if {buildings.letter_sup(x) for x in p.alphabet} == {1, 2, 3, 4}:
-            assert p.standard_forms == _brute_standard_forms(closure)
+            assert tuple(tuple(p.decode(w, 4) for w in part)
+                         for part in p.standard_forms) == _brute_standard_forms(closure)
         assert stable_pairs_check(p) == _brute_stable_pairs(p, closure)
 
 
@@ -610,8 +610,13 @@ def test_tau_lhs_strictly_decreasing():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
+DATA = Path(__file__).parent / "data"
+
+
 def test_presentation_fixtures():
-    data = product_tree_presentation_fixtures()
+    """Two combinatorially inequivalent vertex-transitive presentations on
+    a product of two degree-4 trees, kept as documentation fixtures."""
+    data = json.loads((DATA / "product_tree_presentations.json").read_text())
     assert len(data["presentations"]) == 2
     for pres in data["presentations"]:
         assert len(pres["generators"]) == 4
@@ -623,6 +628,8 @@ def test_presentation_fixtures():
 
 
 def test_fake_projective_plane_constants():
-    data = fake_projective_plane_constants()
+    """Documented K-group constants of the two index-3 quotients of the
+    rank-2 building over Q_2; recorded, never computed."""
+    data = json.loads((DATA / "fake_projective_planes.json").read_text())
     factors = [s["k0"]["invariant_factors"] for s in data["surfaces"]]
     assert factors == [[3], [2, 6]]

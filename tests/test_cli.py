@@ -196,6 +196,16 @@ def test_building_q32_all_checks_digest(capsysbinary):
         "b8489048f8daa9f22ba0ff3cc834f81f10a1a7c80b3b2342cc8e28c327acc96c")
 
 
+def test_building_q16_all_checks_digest(capsysbinary):
+    """The stdout of every building check at q = 16 (4,096 cover words, the
+    benchmark's building job), pinned by its SHA-256."""
+    code, out = run_cli(["building", "--q", "16", "--cover", "--validate",
+                         "--links", "--stable-pairs", "--bm"], capsysbinary)
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == (
+        "cca1bf150a108769f6bb4441dd185eabace724fcacca89e02d4b580b12f0c808")
+
+
 @pytest.mark.parametrize("argv, code, witness", [
     (["building", "--file", "empty_word.json"], "PresentationInvalid", "()"),
     (["spectra", "--genus", "2", "--levels", "3", "--t", "nan"],
@@ -208,11 +218,19 @@ def test_building_q32_all_checks_digest(capsysbinary):
      "SummabilityViolation", "nan"),
     (["af", "--genus", "2", "--levels", "3", "--q", "nan"],
      "SummabilityViolation", "(1.0, nan)"),
-], ids=["empty-word", "t-nan", "t-inf", "s-nan", "p-nan", "q-nan"])
+    (["building", "--file", "repeated_letter.json"], "PresentationInvalid", "'a'"),
+    (["building", "--file", "float_letter.json"], "PresentationInvalid", "2.0"),
+], ids=["empty-word", "t-nan", "t-inf", "s-nan", "p-nan", "q-nan",
+        "alphabet-repeats-a-letter", "word-letter-of-another-type"])
 def test_bad_value_is_a_documented_error(tmp_path, monkeypatch, capsysbinary,
                                          argv, code, witness):
     (tmp_path / "empty_word.json").write_text(json.dumps(
         {"alphabet": ["a"], "lambda": [["a", "A"]], "words": [[]]}))
+    (tmp_path / "repeated_letter.json").write_text(json.dumps(
+        {"alphabet": ["a", "a"], "lambda": [["a", "A"], ["a", "B"]],
+         "words": [["a", "a", "a"]]}))
+    (tmp_path / "float_letter.json").write_text(json.dumps(
+        {"alphabet": [1, 2], "lambda": [[1, 10], [2, 20]], "words": [[1, 2.0, 1]]}))
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     captured = capsysbinary.readouterr()
@@ -238,9 +256,9 @@ def test_building_file_validate_skips_incidence_scan(tmp_path, capsysbinary,
     path = tmp_path / "pres.json"
     path.write_text(json.dumps(json.loads(out)["presentation"]))
 
-    def refused(self):
+    def refused(*args):
         raise AssertionError("incidence scan")
-    monkeypatch.setattr(buildings.PolygonalPresentation, "lam_map", refused)
+    monkeypatch.setattr(buildings, "_incidence", refused)
     code, out = run_cli(["building", "--file", str(path), "--validate"], capsysbinary)
     assert code == 0
     assert json.loads(out)["validation"] == {
@@ -314,7 +332,7 @@ def test_building_without_superscript_classes(name, capsysbinary):
 
 def test_bm_word_witnesses_render_as_words(tmp_path, capsysbinary):
     cover = buildings.four_fold_cover(buildings.family_presentation(1))
-    first, *rest = cover.orbits()
+    first, *rest = cover.words
     swapped = [x for x in cover.alphabet if x.endswith("^3") and x not in first][0]
     first = tuple(swapped if x.endswith("^3") else x for x in first)
     path = tmp_path / "unstable.json"
@@ -683,6 +701,8 @@ BAD_FILES = {
     "dictletter.json": '{"alphabet": [{"a": 1}, "b"], "lambda": [], "words": []}',
     "wordletter.json": '{"alphabet": ["a", "b"], "lambda": [], "words": [[["a"], "b", "a"]]}',
     "mixedletters.json": '{"alphabet": ["a", 1], "lambda": [], "words": [["a", 1]]}',
+    "boolletter.json": '{"alphabet": [1, true], "lambda": [[1, 5], [true, 6]], '
+                       '"words": [[1, true, 1]]}',
 }
 
 
@@ -719,6 +739,7 @@ BAD_FILES = {
     (["building", "--file", "dictletter.json"], {}, "{'a': 1}"),
     (["building", "--file", "wordletter.json"], {}, "['a']"),
     (["building", "--file", "mixedletters.json"], {}, "1"),
+    (["building", "--file", "boolletter.json"], {}, "True"),
     (["tau", "--weights", "2,2,2,2,2", "--out", "nodir/x.json"], {},
      "'nodir/x.json'"),
     (["tau", "--weights", "2,2,2,2,2", "--out", "."], {}, "'.'"),
@@ -733,7 +754,8 @@ BAD_FILES = {
         "ktheory-labels-not-array", "spectra-labels-not-array",
         "involution-not-array", "lambda-entry-not-pair", "words-not-array",
         "alphabet-not-array", "letter-is-list", "letter-is-dict",
-        "word-letter-is-list", "letters-of-mixed-types", "out-in-missing-directory",
+        "word-letter-is-list", "letters-of-mixed-types", "letter-is-boolean",
+        "out-in-missing-directory",
         "out-is-directory"])
 def test_bad_input_is_a_documented_error(tmp_path, argv, env, witness):
     for name, text in BAD_FILES.items():

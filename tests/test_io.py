@@ -51,8 +51,8 @@ def test_presentation_round_trip(tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(presentation_to_dict(p)))
     loaded = load_presentation(path)
-    assert loaded.orbits() == p.orbits()
-    assert loaded.lam_map() == p.lam_map()
+    assert loaded == p
+    assert loaded.words == p.words
 
 
 def test_k_theory_dict():
