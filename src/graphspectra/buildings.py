@@ -24,11 +24,10 @@ group acting on a product of trees with even valences.
 
 A presentation stores one word per rotation orbit, its least rotation,
 so (1) holds by construction.  A word is one int, the ranks of its
-letters in the sorted alphabet packed first letter highest, so int
-order is word order and rotations and cyclic windows are masked shifts;
-letters are decoded only for the report and for witnesses.  The derived
-data are computed once per presentation, when first read, and the
-ordered witness scans run only when a verdict fails.
+letters in the sorted alphabet packed first letter highest, so int order
+is word order and rotations and cyclic windows are masked shifts.  The
+derived data are computed once, when first read, and the ordered witness
+scans run only when a verdict fails.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from .errors import (
     PresentationInvalid,
     RequiresSquares,
 )
-from .graphs import isomorphisms
 
 
 def letter_sup(letter) -> int | None:
@@ -79,39 +77,25 @@ class BipartiteGraph:
     edges: tuple  # (white, black) pairs, repeats = multiplicity
 
     def is_complete_bipartite(self) -> bool:
-        """Each white-black pair is an edge exactly once: every edge lies
-        in whites x blacks, and there are as many edges, and as many
-        distinct edges, as such pairs."""
+        return self._complete
+
+    @cached_property
+    def _complete(self) -> bool:
+        """Each white-black pair is an edge exactly once: all edges lie in
+        whites x blacks, as many edges and distinct edges as such pairs."""
         whites, blacks = set(self.whites), set(self.blacks)
         pairs = len(whites) * len(blacks)
         return (len(self.edges) == pairs
                 and all(w in whites and b in blacks for w, b in self.edges)
                 and len(set(self.edges)) == pairs)
 
-    def _coded(self) -> list[list[int]]:
-        """Square matrix on whites then blacks: edge multiplicities off
-        the diagonal (both ways), the colour on it (-1 white, -2 black)."""
-        index = {("w", w): k for k, w in enumerate(self.whites)}
-        index.update({("b", b): len(index) + k for k, b in enumerate(self.blacks)})
-        m = [[0] * len(index) for _ in index]
-        for (colour, _), k in index.items():
-            m[k][k] = -1 if colour == "w" else -2
-        for w, b in self.edges:
-            i, j = index["w", w], index["b", b]
-            m[i][j] += 1
-            m[j][i] += 1
-        return m
-
-    def isomorphic_to(self, other: "BipartiteGraph") -> bool:
-        """Colour-preserving multigraph isomorphism, by
-        :func:`graphs.isomorphisms` on the coded matrices."""
-        return next(isomorphisms(self._coded(), other._coded()),
-                    None) is not None
+    def bicliques(self):
+        """(whites, blacks) blocks whose products make up the edges: one per edge."""
+        return (((w,), (b,)) for w, b in self.edges)
 
 
 class CompleteBipartite(BipartiteGraph):
-    """K(whites, blacks) kept by its vertex sets, the edges spelled out
-    only when read: the incidence check ranks its blacks once."""
+    """K(whites, blacks), one block; the edges are spelled out when read."""
 
     def __init__(self, blacks, whites):
         self.__dict__.update(blacks=tuple(blacks), whites=tuple(whites))
@@ -120,14 +104,20 @@ class CompleteBipartite(BipartiteGraph):
     def edges(self) -> tuple:
         return tuple((w, b) for w in self.whites for b in self.blacks)
 
-
-complete_bipartite = CompleteBipartite
+    def bicliques(self):
+        return ((self.whites, self.blacks),)
 
 
 def _rank_columns(codes, k: int, bits: int) -> list[list[int]]:
     """The letter ranks of packed k-letter codes, one list per position."""
     m = (1 << bits) - 1
     return [[(c >> s) & m for c in codes] for s in range((k - 1) * bits, -1, -bits)]
+
+
+def _packing(alphabet) -> tuple[tuple, int]:
+    """The sorted alphabet, whose ranks packed words hold, and the bits of a rank."""
+    letters = tuple(sorted(alphabet))
+    return letters, max(1, (len(letters) - 1).bit_length())
 
 
 def _least_rotations(codes, k: int, bits: int) -> tuple:
@@ -138,52 +128,29 @@ def _least_rotations(codes, k: int, bits: int) -> tuple:
     return tuple(sorted(set(map(min, codes, *turned) if turned else codes)))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class PolygonalPresentation:
     """Cyclic k-tuples over a pointed alphabet with basic bijection, kept
-    as one packed word per rotation orbit: each given word is rotated
-    once, on construction.  No alphabet letter may repeat, and a word
-    letter must match an alphabet letter in type as well as in value, so
-    decoding gives back exactly the letters given."""
+    as one packed word per rotation orbit: each of the given ``codes`` is
+    replaced by its least rotation (see :func:`make_presentation`).  The
+    alphabet's letters are distinct and are those of lam in type and value."""
 
     alphabet: tuple            # pointed letters (the black side)
     lam: tuple                 # (letter, label) pairs, a bijection P -> L
     codes: tuple               # least rotation per orbit, packed, sorted
     k: int
 
-    def __init__(self, alphabet, lam, words, k):
-        alphabet, words = tuple(alphabet), tuple(words)
+    def __post_init__(self):
         seen: set = set()
-        for x in alphabet:
+        for x in self.alphabet:
             if x in seen or seen.add(x):
                 raise PresentationInvalid("alphabet repeats a letter", witness=x)
-        letters = tuple(sorted(alphabet))
-        typed = {(type(x), x) for x in letters}
-        given = list(chain.from_iterable(words))
-        if not (set(map(len, words)) <= {k} - {0}
-                and typed.issuperset(zip(map(type, given), given))):
-            for w in words:  # the first offending tuple or letter
-                if len(w) != k:
-                    raise PresentationInvalid(f"tuple length {len(w)} != {k}", witness=w)
-                if not w:
-                    raise PresentationInvalid("tuple is empty", witness=w)
-                for x in w:
-                    if (type(x), x) not in typed:
-                        raise PresentationInvalid("tuple uses unknown letter", witness=x)
-        rank = {x: r for r, x in enumerate(letters)}
-        bits, codes = max(1, (len(letters) - 1).bit_length()), []
-        for col in zip(*words):
-            codes = [c << bits | r for c, r in zip(codes or repeat(0), map(rank.get, col))]
-        self._store(alphabet, tuple(lam), letters, codes, k)
-
-    def _store(self, alphabet, lam, letters, codes, k):
-        """Set the fields from words packed over ``letters`` = sorted(alphabet)."""
-        labels = [l for _, l in lam]
-        if sorted(p for p, _ in lam) != list(letters) or len(set(labels)) != len(labels):
+        if not (len({l for _, l in self.lam}) == len(self.lam) == len(seen) and
+                {(type(x), x) for x, _ in self.lam} == {(type(x), x) for x in seen}):
             raise PresentationInvalid("basic bijection must be a bijection on the alphabet")
-        bits = max(1, (len(letters) - 1).bit_length())
-        self.__dict__.update(alphabet=alphabet, lam=lam, k=k, letters=letters, bits=bits,
-                             codes=_least_rotations(codes, k, bits))
+        letters, bits = _packing(self.alphabet)
+        self.__dict__.update(letters=letters, bits=bits,
+                             codes=_least_rotations(self.codes, self.k, bits))
 
     def decode(self, code: int, n: int) -> tuple:
         """The n letters packed in ``code``."""
@@ -217,15 +184,15 @@ class PolygonalPresentation:
         return len(set(chain.from_iterable(self._windows(3)))) == len(self.starts)
 
     @cached_property
-    def superscripts(self) -> dict:
-        """Letter -> superscript class (None without one), parsed once."""
-        return {x: letter_sup(x) for x in self.alphabet}
+    def superscripts(self) -> list:
+        """The superscript class of each letter by rank (None without one)."""
+        return list(map(letter_sup, self.letters))
 
     @cached_property
     def standard_forms(self) -> tuple[tuple, tuple]:
         """Each word rotated to superscript order (1, 2, 3, 4), and the
         words that have no such rotation, both packed, in word order."""
-        sup = [self.superscripts[x] for x in self.letters]
+        sup = self.superscripts
         cols = _rank_columns(self.codes, self.k, self.bits)
         turn = list(map(_TO_STANDARD.get, zip(*[map(sup.__getitem__, c) for c in cols])))
         b, mask = self.bits, (1 << (4 * self.bits)) - 1
@@ -236,14 +203,13 @@ class PolygonalPresentation:
     @cached_property
     def stable_pairs(self) -> StablePairsResult:
         """:func:`stable_pairs_check` of square words."""
-        if set(self.superscripts.values()) != {1, 2, 3, 4}:
+        if set(self.superscripts) != {1, 2, 3, 4}:
             return StablePairsResult(False, ("alphabet is not partitioned into "
                                              "superscript classes 1..4",))
         forms, bad = self.standard_forms
         if bad:
             return StablePairsResult(False, tuple(self.decode(w, 4) for w in bad[:8]))
-        witnesses = []
-        fwd_x, bwd_x, fwd_y, bwd_y = {}, {}, {}, {}
+        witnesses, fwd_x, bwd_x, fwd_y, bwd_y = [], {}, {}, {}, {}
         for w, (x1, y1, x2, y2) in zip(forms, zip(*_rank_columns(forms, 4, self.bits))):
             if (fwd_x.setdefault(x1, x2) != x2 or bwd_x.setdefault(x2, x1) != x1
                     or fwd_y.setdefault(y1, y2) != y2 or bwd_y.setdefault(y2, y1) != y1):
@@ -256,10 +222,27 @@ class PolygonalPresentation:
 
 
 def make_presentation(alphabet, lam_pairs, words) -> PolygonalPresentation:
-    """A presentation whose k is the length of its first word (0 with none)."""
-    words = tuple(map(tuple, words))
-    return PolygonalPresentation(tuple(alphabet), tuple(lam_pairs), words,
-                                 len(words[0]) if words else 0)
+    """A presentation of letter-tuple words, k the length of the first (0
+    with none); a word letter must be an alphabet letter in type and value."""
+    alphabet, words = tuple(alphabet), tuple(map(tuple, words))
+    k = len(words[0]) if words else 0
+    letters, bits = _packing(alphabet)
+    typed = {(type(x), x) for x in letters}
+    given = list(chain.from_iterable(words))
+    if not (set(map(len, words)) <= {k} - {0}
+            and typed.issuperset(zip(map(type, given), given))):
+        for w in words:  # the first offending tuple or letter
+            if len(w) != k:
+                raise PresentationInvalid(f"tuple length {len(w)} != {k}", witness=w)
+            if not w:
+                raise PresentationInvalid("tuple is empty", witness=w)
+            for x in w:
+                if (type(x), x) not in typed:
+                    raise PresentationInvalid("tuple uses unknown letter", witness=x)
+    rank, codes = {x: r for r, x in enumerate(letters)}, []
+    for col in zip(*words):
+        codes = [c << bits | r for c, r in zip(codes or repeat(0), map(rank.get, col))]
+    return PolygonalPresentation(alphabet, tuple(lam_pairs), codes, k)
 
 
 def family_presentation(q: int) -> PolygonalPresentation:
@@ -279,13 +262,9 @@ def family_presentation(q: int) -> PolygonalPresentation:
     if q < 1:
         raise InvalidParameter("family parameter must be >= 1", witness=q)
     x = {m: f"x{m}" for m in range(1, 4 * q + 1)}
-    words = []
-    for i in range(q):
-        for j in range(q):
-            words.append((x[1 + 4 * i], x[2 + 4 * j], x[4 + 4 * i], x[3 + 4 * j]))
-            words.append((x[1 + 4 * i], x[1 + 4 * j], x[4 + 4 * i], x[4 + 4 * j]))
-            words.append((x[1 + 4 * i], x[3 + 4 * j], x[4 + 4 * i], x[2 + 4 * j]))
-            words.append((x[2 + 4 * i], x[2 + 4 * j], x[3 + 4 * i], x[3 + 4 * j]))
+    words = [(x[a + 4 * i], x[b + 4 * j], x[c + 4 * i], x[d + 4 * j])
+             for i in range(q) for j in range(q)
+             for a, b, c, d in ((1, 2, 4, 3), (1, 1, 4, 4), (1, 3, 4, 2), (2, 2, 3, 3))]
     alphabet = tuple(x[m] for m in range(1, 4 * q + 1))
     lam = tuple((f"x{m}", f"y{m}") for m in range(1, 4 * q + 1))
     return make_presentation(alphabet, lam, words)
@@ -293,16 +272,16 @@ def family_presentation(q: int) -> PolygonalPresentation:
 
 def family_link_graph(q: int) -> BipartiteGraph:
     """The expected link of the family: K_{4q,4q}."""
-    return complete_bipartite([f"x{m}" for m in range(1, 4 * q + 1)],
-                              [f"y{m}" for m in range(1, 4 * q + 1)])
+    return CompleteBipartite([f"x{m}" for m in range(1, 4 * q + 1)],
+                             [f"y{m}" for m in range(1, 4 * q + 1)])
 
 
 def family_cover_link_graphs(q: int) -> list[BipartiteGraph]:
     """Expected links of the four-fold cover of the family: one complete
     bipartite graph per superscript class, white ends of class s meeting
     black ends of class s+1 (cyclically)."""
-    return [complete_bipartite([f"x{m}^{s % 4 + 1}" for m in range(1, 4 * q + 1)],
-                               [f"y{m}^{s}" for m in range(1, 4 * q + 1)])
+    return [CompleteBipartite([f"x{m}^{s % 4 + 1}" for m in range(1, 4 * q + 1)],
+                              [f"y{m}^{s}" for m in range(1, 4 * q + 1)])
             for s in range(1, 5)]
 
 
@@ -345,15 +324,11 @@ def _incidence(p: PolygonalPresentation, graphs) -> ConditionReport:
     rank = {x: r for r, x in enumerate(p.letters)}
     first = {label: rank[x] << p.bits for x, label in p.lam}
     incident: set = set()
-    for g in graphs:
-        if isinstance(g, CompleteBipartite):
-            ranked = [rank[b] for b in g.blacks if b in rank]
-            meets = zip(g.whites, repeat(ranked))
-        else:
-            meets = ((w, [rank[b]] if b in rank else ()) for w, b in g.edges)
-        for white, ranks in meets:
+    for whites, blacks in chain.from_iterable(g.bicliques() for g in graphs):
+        ranked = [rank[b] for b in blacks if b in rank]
+        for white in whites:
             if white in first:
-                incident.update(map(first[white].__or__, ranks))
+                incident.update(map(first[white].__or__, ranked))
     starts, bad = p.starts, []
     if incident != starts:
         for x1 in p.alphabet:
@@ -379,9 +354,8 @@ def _duplicate_continuations(p: PolygonalPresentation) -> tuple:
 
 class LinkGraph(BipartiteGraph):
     """Link at a polyhedron vertex: whites are head-ends lam(x), blacks
-    are tail-ends x, one edge per face corner mapped to the vertex.  The
-    polyhedron's links decode their edges when first read, and tell
-    completeness from their edge counts."""
+    are tail-ends x, one edge per face corner mapped to the vertex.  A
+    polyhedron's links decode their edges when read and know if complete."""
 
     @cached_property
     def edges(self) -> tuple:
@@ -393,10 +367,6 @@ class LinkGraph(BipartiteGraph):
                 run = chain.from_iterable(map(repeat, run, map(counts.get, run)))
             edges += zip(repeat(white), [letters[e & m] for e in run])
         return tuple(edges)
-
-    def is_complete_bipartite(self) -> bool:
-        complete = self.__dict__.get("_complete")
-        return super().is_complete_bipartite() if complete is None else complete
 
 
 @dataclass(frozen=True)
@@ -430,10 +400,9 @@ def polyhedron_from_presentation(p: PolygonalPresentation) -> Polyhedron:
         raise PresentationInvalid("continuation is not unique", witness=dup)
 
     # Corner (x_m, x_{m+1}): link edge from the white end lam(x_m), node
-    # x_m, to the black end x_{m+1}, node n + x_{m+1}.  Link components by
-    # union-find over the corners in the order met, relabelling the smaller
-    # component's nodes on a merge; the root only orders the links (by
-    # str), and the black end's root names a merged component.
+    # x_m, to the black end x_{m+1}, node n + x_{m+1}.  Union-find over the
+    # corners in the order met relabels the smaller component on a merge;
+    # a root orders the links (by str), the black end's root wins a merge.
     letters, b, n = p.letters, p.bits, len(p.letters)
     cols = _rank_columns(p.codes, p.k, b)
     whites = list(chain.from_iterable(zip(*cols)))
@@ -456,11 +425,9 @@ def polyhedron_from_presentation(p: PolygonalPresentation) -> Polyhedron:
             nodes[keep] += nodes[gone]
             root[keep] = root[cb]
 
-    # A link's edges sorted by (white, black): its whites in label order,
-    # each with its run of the sorted distinct corners (the starting
-    # pairs), a corner repeated by its multiplicity.
-    label = dict(p.lam)
-    label = [label[x] for x in letters]
+    # A link's edges sorted: its whites in label order, each with its run of
+    # the sorted starting pairs, a corner repeated by its multiplicity.
+    label = list(map(dict(p.lam).__getitem__, letters))
     ordered = sorted(p.starts)
     counts = None if len(ordered) == len(whites) else Counter(
         chain.from_iterable(zip(*p._windows(2))))
@@ -511,22 +478,18 @@ def four_fold_cover(p: PolygonalPresentation) -> PolygonalPresentation:
     (a^2,b^3,c^4,d^1); the assembled polyhedron has four times as many
     vertices."""
     if p.k != 4:
-        raise RequiresSquares("cover construction needs square faces",
-                              witness=p.k)
-    lam = dict(p.lam)
-    alphabet = tuple(f"{x}^{s}" for x in p.alphabet for s in (1, 2, 3, 4))
-    letters = tuple(sorted(alphabet))
+        raise RequiresSquares("cover construction needs square faces", witness=p.k)
+    label = dict(p.lam)
+    lam = tuple((f"{x}^{s}", f"{label[x]}^{s}") for x in p.alphabet for s in (1, 2, 3, 4))
+    alphabet = tuple(x for x, _ in lam)
+    letters, bits = _packing(alphabet)
     rank = {x: r for r, x in enumerate(letters)}
-    bits = max(1, (len(letters) - 1).bit_length())
     by_class = {s: [rank[f"{x}^{s}"] for x in p.letters] for s in (1, 2, 3, 4)}
     codes, cols = [], _rank_columns(p.codes, 4, p.bits)
     for pattern in _TO_STANDARD:
         a, b, c, d = (map(by_class[s].__getitem__, col) for s, col in zip(pattern, cols))
         codes += [((w << bits | x) << bits | y) << bits | z for w, x, y, z in zip(a, b, c, d)]
-    cover = object.__new__(PolygonalPresentation)
-    cover._store(alphabet, tuple((f"{x}^{s}", f"{lam[x]}^{s}") for x in p.alphabet
-                                 for s in (1, 2, 3, 4)), letters, codes, 4 if codes else 0)
-    return cover
+    return PolygonalPresentation(alphabet, lam, codes, 4)
 
 
 @dataclass(frozen=True)
@@ -571,7 +534,7 @@ def bm_group_data(p: PolygonalPresentation) -> BMGroupData:
                              witness=result.witnesses)
     xs, ys = _rank_columns(sorted(p.standard_forms[0]), 4, p.bits)[:2]
     x_star, y_star = xs[0], ys[0]  # the letters of the collapsed word
-    up, down = [(x, 1) for x in p.letters], [(x, -1) for x in p.letters]
+    up, down = [(x, 1) for x in p.letters], [(x, -1) for x in p.letters]  # shared
     return BMGroupData(tuple(p.letters[x] for x in sorted(set(xs) - {x_star})),
                        tuple(p.letters[y] for y in sorted(set(ys) - {y_star})),
                        tuple((up[a], up[b], down[a], down[b]) for a, b in zip(xs, ys)

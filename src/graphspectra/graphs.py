@@ -344,6 +344,28 @@ def _signature(m, i: int) -> tuple:
     return m[i][i], tuple(sorted(m[i])), tuple(sorted(row[i] for row in m))
 
 
+def bipartite_isomorphic(g, h) -> bool:
+    """Whether two bipartite multigraphs (``whites``, ``blacks`` and
+    (white, black) ``edges``) are isomorphic by a map that keeps colours:
+    :func:`isomorphisms` of their coded matrices."""
+    return next(isomorphisms(_bipartite_coded(g), _bipartite_coded(h)), None) is not None
+
+
+def _bipartite_coded(g) -> list[list[int]]:
+    """Square matrix on whites then blacks: edge multiplicities off the
+    diagonal (both ways), the colour on it (-1 white, -2 black)."""
+    index = {("w", w): k for k, w in enumerate(g.whites)}
+    index.update({("b", b): len(index) + k for k, b in enumerate(g.blacks)})
+    m = [[0] * len(index) for _ in index]
+    for (colour, _), k in index.items():
+        m[k][k] = -1 if colour == "w" else -2
+    for w, b in g.edges:
+        i, j = index["w", w], index["b", b]
+        m[i][j] += 1
+        m[j][i] += 1
+    return m
+
+
 def permutation_equivalent(a: EdgeMatrix | list, b: EdgeMatrix | list) -> tuple | None:
     """A simultaneous row/column permutation carrying a onto b, as the
     tuple of images of each index, or None: the first of

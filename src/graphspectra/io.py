@@ -10,8 +10,7 @@ bytes.  JSON output is strict RFC 8259: a non-finite float is written as
 the string "Infinity", "-Infinity" or "NaN".  The JSON text has the
 bytes of ``json.dumps(..., indent=2)`` but joins each container's items
 once instead of going through json's pure-Python indenting encoder, and
-is written into one bytes buffer a few thousand items at a time, never
-held whole as a str.  A file that cannot be read or parsed raises
+is encoded once.  A file that cannot be read or parsed raises
 InvalidInput.
 """
 
@@ -235,68 +234,50 @@ def _pads(level: int) -> tuple[str, str, str]:
     return first, "," + first, "\n" + "  " * level
 
 
-def _json_text(obj, level: int, seen: dict) -> str:
+def _json_text(obj, level: int, seen: dict, end: str = "") -> str:
     """``json.dumps(obj, indent=2, allow_nan=False)`` with every float
-    written by :func:`_json_float`, for an object nested ``level`` deep.
+    written by :func:`_json_float`, for an object nested ``level`` deep,
+    followed by ``end``.
 
-    Each container's items are joined once.  ``seen`` keeps the texts of
-    recently written containers by identity and depth, so a container met
-    again (a shared tuple) is written once; every object of the report is
-    alive while it is written, so an identity is not reused.  It is
-    emptied when it holds 4096 texts.  A leaf of a subclass type takes
-    json's own rules, and a type json cannot write raises its TypeError.
+    A container's text is one join of its item texts, with the brackets
+    and indents joined onto its first and last items.  A str, int or float
+    item is written in place; any other item's text is kept in ``seen``
+    (see :func:`_item_text`).  A leaf of a subclass type takes json's own
+    rules, and a type json cannot write raises its TypeError.
     """
-    leaf = _JSON_LEAF.get(type(obj))
-    if leaf is not None:
-        return leaf(obj)
     if isinstance(obj, dict):
         items = [_json_key(k) + ": " + _json_text(v, level + 1, seen)
                  for k, v in obj.items()]
         brackets = "{}"
     elif isinstance(obj, (list, tuple)):
-        items = _item_texts(obj, level, seen)
+        items = [encode_basestring_ascii(v) if (t := type(v)) is str
+                 else int.__repr__(v) if t is int else _json_float(v) if t is float
+                 else seen.get((id(v), level + 1)) or _item_text(v, level + 1, seen)
+                 for v in obj]
         brackets = "[]"
-    elif isinstance(obj, float):
-        return _json_float(obj)
     else:
-        return json.dumps(obj)
+        leaf = _JSON_LEAF.get(type(obj))
+        return (leaf(obj) if leaf is not None else _json_float(obj)
+                if isinstance(obj, float) else json.dumps(obj)) + end
     if not items:
-        return brackets
+        return brackets + end
     first, sep, last = _pads(level)
-    text = f"{brackets[0]}{first}{sep.join(items)}{last}{brackets[1]}"
-    if len(seen) == 4096:
+    items[0] = brackets[0] + first + items[0]
+    items[-1] += last + brackets[1] + end
+    return sep.join(items)
+
+
+def _item_text(obj, level: int, seen: dict) -> str:
+    """The text of a list item nested ``level`` deep, kept in ``seen`` by
+    identity and depth, so an item met again (one tuple shared by many
+    relations) is written once.  An item is held by its list, and the
+    report by the caller of :func:`emit`, so no identity is reused while
+    ``seen`` lives; it is emptied when it holds 4096 texts."""
+    text = _json_text(obj, level, seen)
+    if len(seen) >= 4096:
         seen.clear()
     seen[id(obj), level] = text
     return text
-
-
-def _item_texts(values, level: int, seen: dict) -> list[str]:
-    """The texts of the items of a list nested ``level`` deep; a str or an
-    int is written in place rather than by a call."""
-    return [encode_basestring_ascii(v) if (t := type(v)) is str
-            else int.__repr__(v) if t is int
-            else seen.get((id(v), level + 1)) or _json_text(v, level + 1, seen)
-            for v in values]
-
-
-def _json_write(obj, level: int, seen: dict, out) -> None:
-    """Write the text of :func:`_json_text` to the binary stream ``out``
-    in pieces: a dict key by key, each value written in turn, and a list
-    4096 item texts at a time."""
-    if not isinstance(obj, (dict, list, tuple)) or not obj:
-        out.write(_json_text(obj, level, seen).encode())
-        return
-    first, sep, last = _pads(level)
-    if isinstance(obj, dict):
-        for i, (k, v) in enumerate(obj.items()):
-            out.write(f"{sep if i else '{' + first}{_json_key(k)}: ".encode())
-            _json_write(v, level + 1, seen, out)
-        out.write(f"{last}}}".encode())
-        return
-    for start in range(0, len(obj), 4096):
-        items = _item_texts(obj[start:start + 4096], level, seen)
-        out.write(((sep if start else "[" + first) + sep.join(items)).encode())
-    out.write(f"{last}]".encode())
 
 
 def _json_key(key) -> str:
@@ -314,10 +295,7 @@ def emit(report: dict, fmt: str, rows: list[dict] | None = None) -> bytes:
     table: aligned key/value or tabular text.
     """
     if fmt == "json":
-        out = _stdio.BytesIO()
-        _json_write(report, 0, {}, out)
-        out.write(b"\n")
-        return out.getvalue()
+        return _json_text(report, 0, {}, "\n").encode()
     report = round_floats(report)
     if fmt == "csv":
         import csv

@@ -220,8 +220,11 @@ def test_building_q16_all_checks_digest(capsysbinary):
      "SummabilityViolation", "(1.0, nan)"),
     (["building", "--file", "repeated_letter.json"], "PresentationInvalid", "'a'"),
     (["building", "--file", "float_letter.json"], "PresentationInvalid", "2.0"),
+    (["building", "--file", "float_lambda.json"], "PresentationInvalid",
+     "basic bijection must be a bijection on the alphabet"),
 ], ids=["empty-word", "t-nan", "t-inf", "s-nan", "p-nan", "q-nan",
-        "alphabet-repeats-a-letter", "word-letter-of-another-type"])
+        "alphabet-repeats-a-letter", "word-letter-of-another-type",
+        "lambda-letter-of-another-type"])
 def test_bad_value_is_a_documented_error(tmp_path, monkeypatch, capsysbinary,
                                          argv, code, witness):
     (tmp_path / "empty_word.json").write_text(json.dumps(
@@ -231,6 +234,8 @@ def test_bad_value_is_a_documented_error(tmp_path, monkeypatch, capsysbinary,
          "words": [["a", "a", "a"]]}))
     (tmp_path / "float_letter.json").write_text(json.dumps(
         {"alphabet": [1, 2], "lambda": [[1, 10], [2, 20]], "words": [[1, 2.0, 1]]}))
+    (tmp_path / "float_lambda.json").write_text(json.dumps(
+        {"alphabet": [1, 2], "lambda": [[1, 10], [2.0, 20]], "words": [[1, 2, 1]]}))
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     captured = capsysbinary.readouterr()
@@ -638,7 +643,7 @@ def _fresh_run(tmp_path, argv, env=None):
 _FRONT = ["cli", "errors", "io"]
 _KTHEORY = ["cli", "errors", "graphs", "io", "ktheory"]
 _TRIPLES = ["cli", "errors", "graphs", "io", "shift", "triples"]
-_BUILDINGS = ["buildings", "cli", "errors", "graphs", "io"]
+_BUILDINGS = ["buildings", "cli", "errors", "io"]
 
 
 @pytest.mark.parametrize("argv, code, libraries, modules", [

@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 from graphspectra import buildings
 from graphspectra.buildings import (
     BipartiteGraph,
+    CompleteBipartite,
     LinkGraph,
     StablePairsResult,
     bm_group_data,
-    complete_bipartite,
     family_presentation,
     four_fold_cover,
     letter_sup,
@@ -232,7 +232,7 @@ def _graphs(data, oracle):
                                     unique=True, max_size=3))
         blacks = data.draw(st.lists(st.sampled_from(oracle.alphabet), unique=True,
                                     max_size=3))
-        graphs.append(complete_bipartite(blacks, whites))
+        graphs.append(CompleteBipartite(blacks, whites))
     return graphs
 
 
