@@ -499,17 +499,7 @@ class BMGroupData:
 
     horizontal_generators: tuple
     vertical_generators: tuple
-    relations: tuple   # 4-tuples of (generator, exponent)
-
-    def __post_init__(self):
-        hset, vset = set(self.horizontal_generators), set(self.vertical_generators)
-        for rel in self.relations:
-            if len(rel) != 4:
-                raise NotBMReducible("relations must have length 4", witness=rel)
-            if not (rel[0][0] in hset and rel[1][0] in vset
-                    and rel[2][0] in hset and rel[3][0] in vset):
-                raise NotBMReducible("relations must alternate horizontal "
-                                     "and vertical generators", witness=rel)
+    relations: tuple   # 4-tuples of (generator, exponent), horizontal first, alternating
 
     @property
     def valences(self) -> tuple:

@@ -18,7 +18,8 @@ every later pass run in O(letters + transitions).
 
 :func:`isomorphisms` is the one search for index bijections between
 square integer matrices; permutation equivalence, link-graph isomorphism
-and letter automorphisms all call it.
+and letter automorphisms all call it; :func:`forest_size` is the one
+union-find.
 """
 
 from __future__ import annotations
@@ -51,22 +52,8 @@ class FiniteGraph:
             seen.add(eid)
             if src not in vset or dst not in vset:
                 raise InvalidGraph("edge endpoint not a vertex", witness=(eid, src, dst))
-        if not self._connected():
+        if forest_size((src, dst) for _, src, dst in self.edges) != len(vset) - 1:
             raise InvalidGraph("graph is not connected")
-
-    def _connected(self) -> bool:
-        adj: dict = {v: [] for v in self.vertices}
-        for _, src, dst in self.edges:
-            adj[src].append(dst)
-            adj[dst].append(src)
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
 
     def degree(self, v) -> int:
         # a loop at v counts twice
@@ -83,6 +70,27 @@ class FiniteGraph:
             out.append(OrientedEdge(eid, True, src, dst))
             out.append(OrientedEdge(eid, False, dst, src))
         return out
+
+
+def forest_size(edges) -> int:
+    """Edges in a spanning forest of the graph of these (u, v) edges: the
+    vertices met minus their connected components (union-find)."""
+    parent: dict = {}
+
+    def root(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    joined = 0
+    for u, v in edges:
+        ru, rv = root(u), root(v)
+        if ru != rv:
+            parent[ru] = rv
+            joined += 1
+    return joined
 
 
 def _sort_key(value):

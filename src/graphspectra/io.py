@@ -1,7 +1,6 @@
 """File formats and deterministic report emission.
 
-Graphs travel as JSON objects with "vertices" and "edges" (id/src/dst),
-matrices as row-major 0/1 arrays of JSON integers with an optional
+Matrices travel as row-major 0/1 arrays of JSON integers with an optional
 index labeling (or as CSV rows of integers), SFTs as a matrix plus an
 optional involution pair list, and presentations as alphabet / lambda /
 words.  Reports are emitted with stable field ordering and every float
@@ -28,20 +27,6 @@ from .errors import InvalidInput, UsageError
 
 # The graphs, ktheory and buildings types in annotations are not imported
 # here: each loader imports what it builds, so a run loads only its modules.
-
-
-def load_graph(source) -> FiniteGraph:
-    from .graphs import FiniteGraph
-    data = _load_json(source)
-    edges = tuple((e["id"], e["src"], e["dst"]) for e in _field(data, "edges"))
-    return FiniteGraph(tuple(_field(data, "vertices")), edges)
-
-
-def graph_to_dict(g: FiniteGraph) -> dict:
-    return {
-        "vertices": list(g.vertices),
-        "edges": [{"id": eid, "src": src, "dst": dst} for eid, src, dst in g.edges],
-    }
 
 
 def load_matrix_rows(source) -> tuple:

@@ -36,7 +36,7 @@ import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, count, islice
 
 from .errors import (
     EnumerationBudgetExceeded,
@@ -46,10 +46,11 @@ from .errors import (
     NotAdmissible,
     RequiresIrreducible,
 )
-from .graphs import EdgeMatrix, isomorphisms
+from .graphs import EdgeMatrix, forest_size, isomorphisms
 
 DEFAULT_WORD_BUDGET = 10 ** 6
 BUDGET_ENV_VAR = "GRAPHSPECTRA_WORD_BUDGET"
+MAX_COHOMOLOGY_DIGITS = 2 ** 25  # about 32 MB of printed dims
 
 
 def word_budget() -> int:
@@ -444,15 +445,14 @@ def cohomology_filtration_dims(s: SFTData, max_level: int,
 
     :func:`coboundary_matrix` is the transposed incidence matrix of the
     n-block graph: its vertices are the words of length n, and each word
-    w of length n+1 is an edge joining w[:-1] to w[1:].  Its rank over Q
-    is therefore the number of vertices minus the number of weakly
-    connected components, exactly, since an incidence matrix is totally
-    unimodular.  The n-block graph of an irreducible shift is irreducible,
-    so dim = dim V_n - dim V_{n-1} + 1 from the word counts alone, with no
-    enumeration.  A reducible shift takes the exact integer rank of the
-    coboundary matrix, within the word budget.  A dim with more decimal
-    digits than the interpreter converts to a string raises
-    InvalidParameter with its level as witness, as soon as it is stepped.
+    w of length n+1 is an edge joining w[:-1] to w[1:].  An incidence
+    matrix is totally unimodular, so its rank over Q is exactly the number
+    of vertices minus the number c_n of weakly connected components
+    (N. Biggs, Algebraic Graph Theory, Prop. 4.3), and every shift has
+    dim_n = |W_{n+1}| - |W_n| + c_n, W_n its words of length n.  A level
+    raises InvalidParameter, with the level as witness, once its dim has
+    more decimal digits than the interpreter converts to a string, or the
+    dims so far more than MAX_COHOMOLOGY_DIGITS, counted from bit lengths.
     """
     if max_level < 1:
         raise InvalidTransitionMatrix("level must be >= 1", witness=max_level)
@@ -460,29 +460,43 @@ def cohomology_filtration_dims(s: SFTData, max_level: int,
         budget = word_budget()  # read on every path, so a malformed value is an error
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     limit = 10 ** digits
+    total = 0
     out = []
     for n, dim in enumerate(islice(_cohomology_dims(s, budget), max_level), start=1):
-        if digits and dim >= limit:
-            raise InvalidParameter(
-                f"cohomology dim at level {n} exceeds {digits} digits", witness=n)
+        total += int(dim.bit_length() * math.log10(2)) + 1
+        if digits and dim >= limit or total > MAX_COHOMOLOGY_DIGITS:
+            raise InvalidParameter(f"cohomology dims at level {n} exceed {digits} "
+                                   f"digits or {MAX_COHOMOLOGY_DIGITS} in all", witness=n)
         out.append(dim)
     return tuple(out)
 
 
 def _cohomology_dims(s: SFTData, budget: int) -> Iterator[int]:
-    """Yield dim V_n - rank(delta) for n = 1, 2, ...; see
-    :func:`cohomology_filtration_dims`."""
-    from .ktheory import exact_rank
-    irreducible = s.is_irreducible()
-    # dim V_n = sum of v_{n+1}; sum of v_1 is the number of letters
-    counts = map(sum, word_count_vectors(s))
-    shorter = next(counts)
-    for n, longer in enumerate(counts, start=1):
-        if irreducible:
-            yield longer - shorter + 1
-        else:
-            yield longer - exact_rank(coboundary_matrix(s, n, budget))
-        shorter = longer
+    """Yield dim_n = |W_{n+1}| - |W_n| + c_n for n = 1, 2, ...; see
+    :func:`cohomology_filtration_dims`.
+
+    If every letter has a predecessor and a successor (an essential
+    shift, every irreducible one among them), c_n = c_1: the (n+1)-block
+    graph is the line graph of the n-block graph (D. Lind, B. Marcus,
+    Symbolic Dynamics and Coding, Sec. 2.3), which links all edges at a
+    vertex of an essential graph, so it keeps the components and is
+    essential again.  Then the word counts give every dim, and c_1 the
+    letter graph.  Any other shift enumerates the words of length n+1,
+    within the word budget, and a spanning forest of their edges has
+    |W_n| - c_n edges.
+    """
+    if all(s._succ) and all(s._pred):
+        counts = map(sum, word_count_vectors(s))  # |W_1|, |W_2|, ...
+        shorter = next(counts)
+        components = shorter - forest_size(
+            (i, j) for i, js in enumerate(s._succ) for j in js)
+        for longer in counts:
+            yield longer - shorter + components
+            shorter = longer
+    else:
+        for n in count(1):
+            words = enumerate_words(s, n + 1, budget)
+            yield len(words) - forest_size((w[:-1], w[1:]) for w in words)
 
 
 def alphabet_automorphisms(s: SFTData, budget: int | None = None) -> list[tuple]:

@@ -595,18 +595,47 @@ def test_cohomology_takes_no_exact_rank(tmp_path, monkeypatch, capsysbinary):
     code, out = run_cli(["cohomology", "--genus", "2", "--levels", "6"], capsysbinary)
     assert (code, json.loads(out)["dims"][-1]) == (0, 1945)
 
-    # a reducible shift still takes the exact rank, within the word budget
-    monkeypatch.undo()
-    monkeypatch.setenv("GRAPHSPECTRA_WORD_BUDGET", "100")
-    reducible = tmp_path / "reducible.json"  # full 2-shift feeding a loop
-    reducible.write_text(json.dumps({"matrix": [[1, 1, 0], [1, 1, 1], [0, 0, 1]]}))
-    code, out = run_cli(["cohomology", "--matrix", str(reducible), "--levels", "3"],
+    # red8 is reducible but essential (every letter has a predecessor and a
+    # successor) with one component, so its dims come from word counts alone
+    with monkeypatch.context() as patch:
+        patch.setattr(shift, "enumerate_words", forbidden)
+        code, out = run_cli(["cohomology", "--matrix", str(DATA / "red8.json"),
+                             "--levels", "50"], capsysbinary)
+    red8 = io.load_sft(DATA / "red8.json")
+    counts = [shift.count_words(red8, n) for n in range(1, 52)]
+    dims = json.loads(out)["dims"]
+    assert code == 0
+    assert dims == [b - a + 1 for a, b in zip(counts, counts[1:])]
+    assert dims[:5] == [14, 37, 103, 295, 859]
+
+    # red9 adds a sink letter, so it enumerates the words of length n+1
+    # within the word budget: 59 words of length 3, 166 of length 4
+    code, out = run_cli(["cohomology", "--matrix", str(DATA / "red9.json"), "--levels", "2"],
                         capsysbinary)
-    assert (code, json.loads(out)) == (0, {"dims": [4, 7, 13]})
-    code, out = run_cli(["cohomology", "--matrix", str(reducible), "--levels", "8"],
+    assert (code, json.loads(out)) == (0, {"dims": [14, 38]})
+    code, out = run_cli(["cohomology", "--matrix", str(DATA / "red9.json"), "--levels", "3"],
                         capsysbinary)
     assert code == 2
-    assert json.loads(out)["error"]["code"] == "EnumerationBudgetExceeded"
+    assert json.loads(out)["error"] == {"code": "EnumerationBudgetExceeded",
+                                        "witness": "166"}
+
+
+def test_cohomology_red9_golden(capsysbinary):
+    code, out = run_cli(["cohomology", "--matrix", str(DATA / "red9.json"), "--levels", "5"],
+                        capsysbinary)
+    assert code == 0
+    assert out == (GOLDEN / "cohomology_red9_5.json").read_bytes()
+
+
+def test_cohomology_dims_past_the_digit_cap_are_an_error(monkeypatch, capsysbinary):
+    # the g=2 dims 9, 25, 73, 217, 649, 1945 count 2, 2, 3, 3, 4, 4 digits
+    # from their bit lengths: 14 through level 5, 18 through level 6
+    monkeypatch.setattr(shift, "MAX_COHOMOLOGY_DIGITS", 15)
+    code, out = run_cli(["cohomology", "--genus", "2", "--levels", "5"], capsysbinary)
+    assert (code, json.loads(out)["dims"]) == (0, [9, 25, 73, 217, 649])
+    code, out = run_cli(["cohomology", "--genus", "2", "--levels", "6"], capsysbinary)
+    assert (code, json.loads(out)) == (2, {"error": {"code": "InvalidParameter",
+                                                     "witness": "6"}})
 
 
 # Runs the CLI on argv[2:] (or only imports it when there are none) and
@@ -654,7 +683,7 @@ _BUILDINGS = ["buildings", "cli", "errors", "io"]
     (["af", "--genus", "2", "--levels", "6"], 0, [], _TRIPLES),
     (["af", "--genus", "2", "--levels", "7"], 2, [], _TRIPLES),  # word budget
     (["cohomology", "--genus", "2", "--levels", "3"], 0, [],
-     ["cli", "errors", "graphs", "io", "ktheory", "shift"]),
+     ["cli", "errors", "graphs", "io", "shift"]),
     (["building", "--q", "1", "--cover", "--bm"], 0, [], _BUILDINGS),
     (["tau", "--weights", "2,2,2,2,2"], 0, [], _BUILDINGS),
     (["crossed"], 0, ["numpy"], _TRIPLES),

@@ -9,9 +9,7 @@ from graphspectra.buildings import family_presentation
 from graphspectra.graphs import directed_edge_matrix, theta_graph
 from graphspectra.io import (
     emit,
-    graph_to_dict,
     k_theory_to_dict,
-    load_graph,
     load_matrix,
     load_presentation,
     load_sft,
@@ -19,13 +17,6 @@ from graphspectra.io import (
     round_floats,
 )
 from graphspectra.ktheory import AbelianGroup
-
-
-def test_graph_round_trip(tmp_path):
-    g = theta_graph()
-    path = tmp_path / "g.json"
-    path.write_text(json.dumps(graph_to_dict(g)))
-    assert load_graph(path) == g
 
 
 def test_matrix_round_trip(tmp_path):
