@@ -276,9 +276,12 @@ def _base_spectrum(kind: str, count: int) -> tuple:
 
 def _run_crossed(plan: RunPlan):
     from . import triples
-    base = _base_spectrum(plan.option("base", "linear"), int(plan.option("count", 200)))
-    triple = triples.CrossedProductTriple(base, int(plan.option("cutoff", 200)))
-    fit = triples.summability_exponent_fit(triple.spectrum())
+    kind, count = plan.option("base", "linear"), int(plan.option("count", 200))
+    cutoff = int(plan.option("cutoff", 200))
+    # refused before the base tuple is built
+    triples.check_crossed_size((1 if kind == "zero" else max(count, 0)) * (cutoff + 1))
+    triple = triples.CrossedProductTriple(_base_spectrum(kind, count), cutoff)
+    fit = triples.summability_exponent_fit(triples.crossed_product_half(triple))
     report = {"slope": fit.slope, "window": list(fit.window), "points": fit.points}
     return report, [report]
 

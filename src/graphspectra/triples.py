@@ -54,7 +54,8 @@ sums with certified geometric tail bounds, zeta-type partial sums with a
 divergence diagnosis, eigenvalue schedules for filtered AF algebras with
 the termwise summability comparison, and the folded spectrum of the
 crossed product by Z (one sorted numpy record array of distinct values
-and multiplicities) with its counting-function slope fit.
+and multiplicities, or its k >= 0 half) with its counting-function
+slope fit.
 
 numpy and scipy are imported inside the functions that compute with
 them, so that importing the package loads neither: the reference views
@@ -69,7 +70,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, islice, repeat
 
 from .errors import (
     EnumerationBudgetExceeded,
@@ -793,6 +794,20 @@ def af_summability_report(a: AFTriple) -> AFSummabilityReport:
 # their total.
 SPECTRUM_DTYPE = [("value", "float64"), ("multiplicity", "int64")]
 
+# The largest crossed-product grid, count * (M + 1) points, that is folded.
+# The fold and the slope fit peak at 32-56 B per point (the most when
+# nearly every value is distinct), so the largest accepted grid takes
+# under 1 GB.
+CROSSED_MAX_POINTS = 1 << 24
+
+
+def check_crossed_size(points: int) -> None:
+    """InvalidParameter unless a crossed-product grid of ``points``
+    values fits within CROSSED_MAX_POINTS (checked before allocating)."""
+    if points > CROSSED_MAX_POINTS:
+        raise InvalidParameter(
+            f"crossed-product grid exceeds {CROSSED_MAX_POINTS} points", witness=points)
+
 
 @dataclass(frozen=True)
 class CrossedProductTriple:
@@ -800,9 +815,11 @@ class CrossedProductTriple:
 
     The derived spectrum is the folded multiset
     { +-sqrt(lambda_j^2 + k^2) : 0 <= k <= M } with the base
-    multiplicities, symmetric about zero by construction.  Multiplicities
-    must be positive ints whose folded total, 2 (M + 1) sum_j mult_j,
-    stays below 2**63 (the spectrum stores them as int64).
+    multiplicities, symmetric about zero by construction.  Base
+    eigenvalues must be finite, and the grid of len(base) * (M + 1)
+    values at most CROSSED_MAX_POINTS.  Multiplicities must be positive
+    ints whose folded total, 2 (M + 1) sum_j mult_j, stays below 2**63
+    (the spectrum stores them as int64).
     """
 
     base: tuple  # (eigenvalue, multiplicity) pairs
@@ -812,8 +829,12 @@ class CrossedProductTriple:
         if self.cutoff < 0:
             raise InvalidParameter("Fourier cutoff must be >= 0",
                                    witness=self.cutoff)
+        check_crossed_size(len(self.base) * (self.cutoff + 1))
         total = 0
         for lam, mult in self.base:
+            if not math.isfinite(lam):
+                raise InvalidParameter("base eigenvalues must be finite",
+                                       witness=(lam, mult))
             if not isinstance(mult, int):
                 raise InvalidParameter("multiplicities must be ints",
                                        witness=(lam, mult))
@@ -829,22 +850,61 @@ class CrossedProductTriple:
         return crossed_product_spectrum(self)
 
 
-def crossed_product_spectrum(c: CrossedProductTriple):
-    """The crossed-product operator's spectrum as a SPECTRUM_DTYPE array.
+def crossed_product_half(c: CrossedProductTriple):
+    """The k >= 0 half of the crossed-product spectrum, folded: the
+    values sqrt(lambda^2 + k^2), 0 <= k <= M, as a SPECTRUM_DTYPE array.
 
-    The k >= 0 half is folded and then mirrored; a zero value (a zero
-    base eigenvalue at k = 0) is its own mirror image and counts twice.
-    Values are math.hypot(lambda, k): np.hypot can differ in the last
-    bit, which would split or merge eigenvalues.
+    A row whose lambda is an integer with lambda^2 + M^2 < 2**53 holds
+    exact squares and sums, so np.sqrt of the sum is the correctly
+    rounded root; every other row (a non-integer or a large lambda) is
+    math.hypot(lambda, k), point by point.  That the root of the exact
+    sum equals math.hypot bit for bit is an equality checked by tests
+    (the CLI goldens, and rows on both sides of the 2**53 limit), not a
+    theorem; it also held on every point of the linear 3000 x 3000 and
+    quadratic 2000 x 2000 CLI grids.  np.hypot is not used: it can
+    differ from math.hypot in the last bit, which would split or merge
+    eigenvalues.
     """
     import numpy as np
 
+    if not c.base:  # any cutoff, however large
+        return np.empty(0, dtype=SPECTRUM_DTYPE)
+    mults = np.array([m for _, m in c.base], dtype=np.int64)
+    # the grid is passed on unnamed, so _fold frees it once it has sorted
+    return _fold(_crossed_grid(c).reshape(-1), np.repeat(mults, c.cutoff + 1))
+
+
+def _crossed_grid(c: CrossedProductTriple):
+    """The len(base) x (M + 1) array of sqrt(lambda^2 + k^2)."""
+    import numpy as np
+
     modes = c.cutoff + 1
-    lams = chain.from_iterable(repeat(lam, modes) for lam, _ in c.base)
-    ks = chain.from_iterable(repeat(range(modes), len(c.base)))
-    half = _fold(np.fromiter(map(math.hypot, lams, ks), dtype=np.float64,
-                             count=modes * len(c.base)),
-                 np.repeat(np.array([m for _, m in c.base], dtype=np.int64), modes))
+    lams = np.array([lam for lam, _ in c.base], dtype=np.float64)
+    with np.errstate(over="ignore"):
+        squares = lams * lams
+    # float comparisons that are exact: a sum of exact integers is
+    # rounded to >= 2**53 exactly when it is >= 2**53
+    exact = (np.floor(lams) == lams) & (squares + min(c.cutoff ** 2, 2 ** 53) < 2 ** 53)
+    grid = np.empty((len(lams), modes))
+    ks = np.arange(modes, dtype=np.float64)
+    np.add.outer(np.where(exact, squares, 0.0), ks * ks, out=grid)
+    np.sqrt(grid, out=grid)
+    for row in np.flatnonzero(~exact):
+        grid[row] = np.fromiter(map(math.hypot, repeat(float(lams[row]), modes),
+                                    range(modes)), dtype=np.float64, count=modes)
+    return grid
+
+
+def crossed_product_spectrum(c: CrossedProductTriple):
+    """The crossed-product operator's spectrum as a SPECTRUM_DTYPE array.
+
+    The folded k >= 0 half (:func:`crossed_product_half`) is mirrored; a
+    zero value (a zero base eigenvalue at k = 0) is its own mirror image
+    and counts twice.
+    """
+    import numpy as np
+
+    half = crossed_product_half(c)
     if len(half) and half["value"][0] == 0:
         half["multiplicity"][0] *= 2
         negative = half[:0:-1].copy()
@@ -860,7 +920,10 @@ def _fold(values, mults):
     import numpy as np
 
     order = np.argsort(values, kind="stable")
-    values, mults = values[order], mults[order]
+    # one permuted copy at a time, each replacing its source
+    values = values[order]
+    mults = mults[order]
+    del order
     first = np.ones(len(values), dtype=bool)
     first[1:] = values[1:] != values[:-1]
     starts = np.flatnonzero(first)
@@ -881,18 +944,25 @@ def summability_exponent_fit(spectrum, min_distinct: int = 50) -> SlopeFit:
     """Least-squares growth exponent of the eigenvalue counting function.
 
     ``spectrum`` is a SPECTRUM_DTYPE array (as crossed_product_spectrum
-    returns) or any sequence of (value, multiplicity) pairs, in any order
-    and with repeats.  The counting function N(L) = #{positive
+    returns, or the half crossed_product_half returns: only positive
+    values count) or any sequence of (value, multiplicity) pairs, in any
+    order and with repeats.  The counting function N(L) = #{positive
     eigenvalues <= L} (with multiplicity) is fitted as
     log N ~ slope * log L over the middle two quartiles of the distinct
     positive values; the slope estimates the summability degree.
+    A spectrum whose values are already strictly increasing (a folded
+    one) is read in place; any other is folded first.
     """
     import numpy as np
 
     if not isinstance(spectrum, np.ndarray):
         spectrum = np.array(list(spectrum), dtype=SPECTRUM_DTYPE)
-    positive = spectrum[spectrum["value"] > 0]
-    folded = _fold(positive["value"], positive["multiplicity"])
+    values = spectrum["value"]
+    if np.all(values[1:] > values[:-1]):  # folded: the positive values end it
+        folded = spectrum[np.searchsorted(values, 0, side="right"):]
+    else:
+        positive = spectrum[values > 0]
+        folded = _fold(positive["value"], positive["multiplicity"])
     values = folded["value"]
     if len(values) < min_distinct:
         raise InsufficientSpectrum(

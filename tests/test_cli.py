@@ -1,9 +1,11 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -159,6 +161,54 @@ def test_crossed_golden(capsysbinary):
                          "--cutoff", "500"], capsysbinary)
     assert code == 0
     assert out == (GOLDEN / "crossed_quadratic_500.json").read_bytes()
+
+
+def test_crossed_quadratic_12000_golden(capsysbinary):
+    """Rows j^2 with j > 9741 have lambda^2 + 50^2 >= 2**53: the last
+    2,259 rows take the math.hypot path."""
+    code, out = run_cli(["crossed", "--base", "quadratic", "--count", "12000",
+                         "--cutoff", "50"], capsysbinary)
+    assert code == 0
+    assert out == (GOLDEN / "crossed_quadratic_12000_50.json").read_bytes()
+
+
+def test_crossed_takes_no_hypot_on_integer_rows(monkeypatch, capsysbinary):
+    def forbidden(*args):
+        raise AssertionError("math.hypot on an exact integer row")
+    monkeypatch.setattr(math, "hypot", forbidden)
+    code, out = run_cli(["crossed", "--base", "quadratic", "--count", "500",
+                         "--cutoff", "500"], capsysbinary)
+    assert code == 0
+    assert out == (GOLDEN / "crossed_quadratic_500.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv, points", [
+    (["--count", str(triples.CROSSED_MAX_POINTS + 1), "--cutoff", "0"],
+     triples.CROSSED_MAX_POINTS + 1),
+    (["--base", "zero", "--cutoff", str(triples.CROSSED_MAX_POINTS)],
+     triples.CROSSED_MAX_POINTS + 1),
+    (["--count", "100000", "--cutoff", "100000"], 100000 * 100001),
+])
+def test_crossed_oversized_grid_is_refused(argv, points, capsys):
+    """Checked before the base tuple or the grid is built."""
+    tracemalloc.start()
+    try:
+        code = main(["crossed", *argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    assert json.loads(captured.out) == {"error": {"code": "InvalidParameter",
+                                                  "witness": str(points)}}
+    assert peak < 1 << 20
+
+
+def test_crossed_empty_base_is_insufficient(capsysbinary):
+    code, out = run_cli(["crossed", "--count", "0", "--cutoff", str(10**21)],
+                        capsysbinary)
+    assert (code, json.loads(out)) == (2, {"error": {"code": "InsufficientSpectrum",
+                                                     "witness": "0"}})
 
 
 def test_cohomology_report(capsysbinary):

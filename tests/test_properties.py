@@ -7,6 +7,7 @@ from itertools import permutations
 
 import pytest
 
+from graphspectra import triples
 from graphspectra.buildings import (
     BipartiteGraph,
     solve_tau,
@@ -43,6 +44,7 @@ from graphspectra.shift import (
 )
 from graphspectra.triples import (
     CrossedProductTriple,
+    crossed_product_half,
     crossed_product_spectrum,
     jlo_phi0,
     summability_exponent_fit,
@@ -361,6 +363,39 @@ def test_crossed_fold_matches_dict_fold_random():
             # the pair-sequence form reads the same multiset
             got = summability_exponent_fit(list(reversed(expected)), min_distinct=10)
             assert (got.slope, got.window, got.points) == fit
+
+
+def test_crossed_fold_matches_dict_fold_on_exact_and_hypot_rows():
+    """Integer rows with lambda^2 + M^2 < 2**53 are np.sqrt of exact sums;
+    94906265^2 + 40^2 is below 2**53 and 94906266^2 above it, so these
+    bases mix such rows with math.hypot rows (large or non-integer
+    lambda), and the signed bits of every value must agree."""
+    rng = random.Random(2323)
+    pool = [94906264.0, 94906265.0, 94906266.0, -94906265.0, -94906266.0,
+            -7.0, -0.0, 0.0, 3.0, 2.5, -0.125, 1e300, -1e300, 4503599627370497.0]
+    for _ in range(CASES):
+        base = tuple((rng.choice(pool), rng.randint(1, 3))
+                     for _ in range(rng.randint(1, 5)))
+        cutoff = rng.choice([0, 40, rng.randint(0, 60)])
+        spectrum = crossed_product_spectrum(CrossedProductTriple(base, cutoff))
+        assert signed_bits(spectrum.tolist()) == signed_bits(
+            reference_crossed_spectrum(base, cutoff))
+
+
+def test_crossed_fit_on_the_half_equals_the_fit_on_the_spectrum(monkeypatch):
+    rng = random.Random(2324)
+    for _ in range(CASES // 4):
+        base = tuple((float(rng.choice([0, rng.randint(-40, 40)])), rng.randint(1, 3))
+                     for _ in range(rng.randint(1, 8)))
+        c = CrossedProductTriple(base, rng.randint(10, 60))
+        half, spectrum = crossed_product_half(c), crossed_product_spectrum(c)
+        assert half.tolist() == [(v, m // 2 if v == 0 else m)
+                                 for v, m in spectrum.tolist() if v >= 0]
+        with monkeypatch.context() as patch:  # both inputs are already folded
+            patch.setattr(triples, "_fold", None)
+            got = summability_exponent_fit(half, min_distinct=10)
+            assert got == summability_exponent_fit(spectrum, min_distinct=10)
+        assert got == summability_exponent_fit(half[::-1], min_distinct=10)
 
 
 def test_crossed_fold_uses_math_hypot():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -653,6 +654,34 @@ def test_crossed_multiplicity_guard():
     root2 = math.hypot(1, 1)
     assert spectrum.tolist() == [(-root2, 1), (-1.0, 2**60), (0.0, 2**61 - 2),
                                  (1.0, 2**60), (root2, 1)]
+
+
+def test_crossed_base_must_be_finite():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParameter) as err:
+            CrossedProductTriple(((1.0, 1), (bad, 2)), 3)
+        lam, mult = err.value.witness
+        assert (math.isnan(lam) or lam == bad) and mult == 2
+
+
+def test_crossed_grid_size_is_refused_before_allocating():
+    limit = triples.CROSSED_MAX_POINTS
+    assert limit == 1 << 24
+    triples.check_crossed_size(limit)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameter) as err:
+            CrossedProductTriple(((1.0, 1),), limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.witness == limit + 1
+    assert peak < 1 << 20  # the grid alone would take 128 MB
+
+
+def test_crossed_empty_base_with_any_cutoff():
+    c = CrossedProductTriple((), 10**21)
+    assert len(c.spectrum()) == len(triples.crossed_product_half(c)) == 0
 
 
 def test_slope_linear_base():
