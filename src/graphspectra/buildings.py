@@ -588,7 +588,7 @@ def product_dim_table(g: int, max_h: int, max_v: int) -> list[list[int]]:
     if g < 2:
         raise InvalidRank("product table needs rank >= 2", witness=g)
     from .graphs import cayley_schottky_matrix
-    a = cayley_schottky_matrix(g).matrix
+    succ = cayley_schottky_matrix(g).succ
     counts = [product_word_counts(g, n) for n in range(1, max(max_h, max_v) + 2)]
     horizontal, vertical = counts[:max_h + 1], counts[:max_v + 1]
     table = []
@@ -596,8 +596,7 @@ def product_dim_table(g: int, max_h: int, max_v: int) -> list[list[int]]:
         row = []
         for k in range(max_v + 1):
             row.append(sum(horizontal[l][i] * vertical[k][j]
-                           for i in range(2 * g) for j in range(2 * g)
-                           if a[i][j]))
+                           for i, js in enumerate(succ) for j in js))
         table.append(row)
     return table
 

@@ -12,9 +12,12 @@ deterministic: edges sorted by id, forward orientation before backward.
 
 :class:`EdgeMatrix` is the package's one transition-matrix type: the
 K-groups, the shift (``shift.SFTData`` is the same class) and the
-truncations all read it.  It is validated once, on construction, and
-caches its successor and predecessor lists, so strong connectivity and
-every later pass run in O(letters + transitions).
+truncations all read it.  It is stored once, as its successor lists, and
+validated once, on construction, when its predecessor lists are built;
+so strong connectivity and every later pass run in O(letters +
+transitions).  Dense 0/1 rows (matrix files, tests) enter through
+``EdgeMatrix.from_rows``, the one dense-row validator, and the dense
+``matrix`` view is built only when read: by the isomorphism search.
 
 :func:`isomorphisms` is the one search for index bijections between
 square integer matrices; permutation equivalence, link-graph isomorphism
@@ -115,59 +118,74 @@ class OrientedEdge:
 
 @dataclass(frozen=True)
 class EdgeMatrix:
-    """The one transition-matrix type: square 0/1 rows indexed by letters
+    """The one transition-matrix type: each letter's successor list
     (oriented edges, or abstract letters), one label per letter, and an
-    optional inverse-letter involution.  Validated once, on construction
-    (InvalidTransitionMatrix, a bad row as its own witness), when the
-    successor and predecessor lists are cached too."""
+    optional inverse-letter involution.  Validated once, on construction,
+    in O(letters + transitions) (InvalidTransitionMatrix), when the
+    predecessor lists are built too.  Dense 0/1 rows enter through
+    :meth:`from_rows`, and :attr:`matrix` is their view on demand."""
 
-    matrix: tuple  # rows of 0/1 entries
+    succ: tuple  # succ[i]: the letters j with A[i][j] = 1, ascending
     labels: tuple  # one label per letter
     involution: tuple | None = None  # involution[i] = index of the inverse letter
-    # successor and predecessor letter lists, ascending, built once
-    _succ: tuple = field(init=False, repr=False, compare=False)
-    _pred: tuple = field(init=False, repr=False, compare=False)
+    # pred[j]: the letters i with A[i][j] = 1, ascending, built once
+    pred: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = len(self.matrix)
-        for row in self.matrix:
-            if len(row) != n or not {0, 1}.issuperset(row):
-                raise InvalidTransitionMatrix("transition matrix must be square 0/1",
-                                              witness=row)
+        n = len(self.succ)
+        pred = [[] for _ in range(n)]
+        for i, js in enumerate(self.succ):
+            prev = -1
+            for j in js:
+                if type(j) is not int or not prev < j < n:
+                    raise InvalidTransitionMatrix(
+                        "successor lists must ascend within the alphabet", witness=js)
+                pred[j].append(i)
+                prev = j
         if len(self.labels) != n:
             raise InvalidTransitionMatrix("label count does not match matrix")
         if self.involution is not None:
             inv = self.involution
-            if len(inv) != n or sorted(inv) != list(range(n)):
+            if any(type(k) is not int for k in inv) or len(inv) != n \
+                    or set(inv) != set(range(n)):
                 raise InvalidTransitionMatrix("involution must permute the alphabet",
                                               witness=inv)
             if any(inv[i] == i or inv[inv[i]] != i for i in range(n)):
                 raise InvalidTransitionMatrix(
                     "involution must be fixed-point-free of order two", witness=inv)
-        succ = tuple(tuple(compress(range(n), row)) for row in self.matrix)
-        pred = [[] for _ in range(n)]
-        for i, js in enumerate(succ):
+        object.__setattr__(self, "pred", tuple(map(tuple, pred)))
+
+    @classmethod
+    def from_rows(cls, rows, labels, involution=None) -> "EdgeMatrix":
+        """The transition matrix of square 0/1 rows; a cell equal to 0 or 1
+        (True and 1.0 among them) is accepted, anything else or a ragged
+        row raises InvalidTransitionMatrix with the row as witness."""
+        n = len(rows)
+        for row in rows:
+            if len(row) != n or not {0, 1}.issuperset(row):
+                raise InvalidTransitionMatrix("transition matrix must be square 0/1",
+                                              witness=row)
+        return cls(tuple(tuple(compress(range(n), row)) for row in rows),
+                   labels, involution)
+
+    @cached_property
+    def matrix(self) -> tuple:
+        """The dense 0/1 rows as int tuples, built on the first read: n^2
+        cells, for the isomorphism search and for tests."""
+        rows = [[0] * len(self.succ) for _ in self.succ]
+        for row, js in zip(rows, self.succ):
             for j in js:
-                pred[j].append(i)
-        object.__setattr__(self, "_succ", succ)
-        object.__setattr__(self, "_pred", tuple(map(tuple, pred)))
+                row[j] = 1
+        return tuple(map(tuple, rows))
 
     @property
     def size(self) -> int:
-        return len(self.matrix)
+        return len(self.succ)
 
     alphabet_size = size
 
-    def successors(self, letter: int) -> tuple[int, ...]:
-        """The letters j with A[letter][j] = 1, ascending (cached)."""
-        return self._succ[letter]
-
-    def predecessors(self, letter: int) -> tuple[int, ...]:
-        """The letters i with A[i][letter] = 1, ascending (cached)."""
-        return self._pred[letter]
-
     def row_sums(self) -> list[int]:
-        return [len(js) for js in self._succ]
+        return [len(js) for js in self.succ]
 
     def is_irreducible(self) -> bool:
         return self._irreducible
@@ -175,14 +193,14 @@ class EdgeMatrix:
     @cached_property
     def _irreducible(self) -> bool:
         """Strong connectivity, decided on the first call."""
-        return strongly_connected(self._succ, self._pred)
+        return strongly_connected(self.succ, self.pred)
 
     def is_admissible(self, word: tuple) -> bool:
         if not word:
             return False
         if any(not 0 <= a < self.size for a in word):
             return False
-        return all(self.matrix[a][b] for a, b in zip(word, word[1:]))
+        return all(b in self.succ[a] for a, b in zip(word, word[1:]))
 
 
 def strongly_connected(succ, pred) -> bool:
@@ -211,20 +229,20 @@ def directed_edge_matrix(g: FiniteGraph) -> EdgeMatrix:
     """Directed edge matrix of a finite graph on its 2#edges oriented edges.
 
     Entry (e, e') is 1 iff target(e) = source(e') and e' != reversal(e).
+    The oriented edges leaving each vertex are grouped once, and as
+    :meth:`FiniteGraph.oriented_edges` lists each edge forward then
+    backward, the reversal of index k is k ^ 1: O(sum of deg^2).
     Raises InvalidGraph on an edgeless graph.
     """
     if not g.edges:
         raise InvalidGraph("graph has no edges")
     oriented = g.oriented_edges()
-    n = len(oriented)
-    rows = []
-    for e in oriented:
-        rev = e.reversal()
-        rows.append(tuple(
-            1 if (e.target == f.source and f != rev) else 0
-            for f in oriented
-        ))
-    return EdgeMatrix(tuple(rows), tuple(e.label for e in oriented))
+    leaving: dict = {}
+    for k, e in enumerate(oriented):
+        leaving.setdefault(e.source, []).append(k)
+    succ = tuple(tuple(f for f in leaving[e.target] if f != k ^ 1)
+                 for k, e in enumerate(oriented))
+    return EdgeMatrix(succ, tuple(e.label for e in oriented))
 
 
 def cayley_schottky_matrix(g: int) -> EdgeMatrix:
@@ -237,15 +255,12 @@ def cayley_schottky_matrix(g: int) -> EdgeMatrix:
     if g < 1:
         raise InvalidRank("rank must be a positive integer", witness=g)
     n = 2 * g
-    rows = tuple(
-        tuple(1 if abs(i - j) != g else 0 for j in range(n))
-        for i in range(n)
-    )
+    succ = tuple((*range((i + g) % n), *range((i + g) % n + 1, n)) for i in range(n))
     labels = tuple(
         f"a{i + 1}" if i < g else f"A{i - g + 1}"
         for i in range(n)
     )
-    return EdgeMatrix(rows, labels)
+    return EdgeMatrix(succ, labels)
 
 
 def wedge_of_two_loops() -> FiniteGraph:

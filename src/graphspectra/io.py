@@ -55,7 +55,7 @@ def load_matrix(source) -> EdgeMatrix:
     """Matrix file as a validated square 0/1 EdgeMatrix."""
     from .graphs import EdgeMatrix
     rows, labels, _ = _matrix_file(source)
-    return EdgeMatrix(rows, labels)
+    return EdgeMatrix.from_rows(rows, labels)
 
 
 def load_sft(source) -> EdgeMatrix:
@@ -75,7 +75,7 @@ def load_sft(source) -> EdgeMatrix:
             involution[i] = j
             involution[j] = i
         involution = tuple(involution)
-    return EdgeMatrix(rows, labels, involution)
+    return EdgeMatrix.from_rows(rows, labels, involution)
 
 
 def presentation_to_dict(p: PolygonalPresentation) -> dict:

@@ -9,10 +9,11 @@ no floating point is used anywhere.  For a 0/1 matrix A,
 The functions of A (``ck_k_theory``, ``irreducibility_check``,
 ``is_permutation_matrix``, ``stable_iso_verdict``) take a
 :class:`graphs.EdgeMatrix` as it is, or build one from a sequence of
-rows, and so share its one validation: an entry other than 0/1 (a
-fraction included) or a ragged row raises InvalidTransitionMatrix with
-the row as witness.  They then read its cached successor and
-predecessor lists; 1 - A^t is built from the predecessors.
+rows with ``EdgeMatrix.from_rows``, and so share its one validation: an
+entry other than 0/1 (a fraction included) or a ragged row raises
+InvalidTransitionMatrix with the row as witness.  They then read its
+successor and predecessor lists ``succ`` and ``pred``, never the dense
+rows; 1 - A^t is built from the predecessors.
 
 ``ck_k_theory`` reduces 1 - A^t in two phases.  The unit-pivot phase
 holds the matrix as sparse rows and columns and eliminates one +-1 entry
@@ -44,11 +45,12 @@ from .graphs import EdgeMatrix
 
 def _transition_matrix(a) -> EdgeMatrix:
     """``a`` itself when it is an EdgeMatrix; otherwise a sequence of
-    rows, built into one (and so validated) once."""
+    rows, built into one by ``EdgeMatrix.from_rows`` (and so validated)
+    once."""
     if isinstance(a, EdgeMatrix):
         return a
     rows = tuple(map(tuple, a))
-    return EdgeMatrix(rows, tuple(map(str, range(len(rows)))))
+    return EdgeMatrix.from_rows(rows, tuple(map(str, range(len(rows)))))
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -300,7 +302,7 @@ def _k_groups(a: EdgeMatrix) -> tuple[AbelianGroup, AbelianGroup]:
     n = a.size
     # 1 - A^t as sparse rows: row j is +1 at j and -1 at each predecessor of j
     m = []
-    for j, pred in enumerate(a._pred):
+    for j, pred in enumerate(a.pred):
         row = {j: 1}
         row.update(dict.fromkeys(pred, -1))
         if row[j] == -1:  # a loop at j: 1 - 1 = 0
@@ -371,7 +373,7 @@ def irreducibility_check(a) -> bool:
 
 def is_permutation_matrix(a) -> bool:
     a = _transition_matrix(a)
-    return all(len(js) == 1 for js in chain(a._succ, a._pred))
+    return all(len(js) == 1 for js in chain(a.succ, a.pred))
 
 
 class Verdict(Enum):

@@ -2,14 +2,17 @@
 
 An SFT is its 0/1 transition matrix A over a finite alphabet:
 ``SFTData`` is another name for :class:`graphs.EdgeMatrix`, which is
-validated once and carries the successor and predecessor lists that
-every function here reads (an involution, when given, pairs inverse
-letters).  Words are tuples of letter indices, admissible when every
-consecutive pair (a, b) has A[a][b] = 1.  The level-n filtration space
-V_n is spanned by indicator functions of cylinders of length n+1, so
-dim V_n equals the number of admissible words of length n+1.  Every
-such count reads from one engine, :func:`word_count_vectors`, which
-steps the exact integer row vector 1^T A^(n-1) one level at a time.
+stored as the successor lists ``succ`` and validated once, when the
+predecessor lists ``pred`` are built; every function here reads those
+two, and only :func:`alphabet_automorphisms` reads the dense ``matrix``
+view (an involution, when given, pairs inverse letters).  The builders
+below pass successor lists on and never form dense rows.  Words are
+tuples of letter indices, admissible when every consecutive pair (a, b)
+has A[a][b] = 1.  The level-n filtration space V_n is spanned by
+indicator functions of cylinders of length n+1, so dim V_n equals the
+number of admissible words of length n+1.  Every such count reads from
+one engine, :func:`word_count_vectors`, which steps the exact integer
+row vector 1^T A^(n-1) one level at a time.
 
 The conformal measure on the boundary is realized as the Parry measure:
 with left/right Perron eigenvectors l, r (normalized to sum 1) and
@@ -82,7 +85,7 @@ def from_edge_matrix(em: EdgeMatrix) -> SFTData:
         except KeyError:
             raise InvalidTransitionMatrix("label has no reversed orientation",
                                           witness=lab) from None
-    return SFTData(em.matrix, labels, tuple(inv))
+    return SFTData(em.succ, labels, tuple(inv))
 
 
 def full_schottky_sft(g: int) -> SFTData:
@@ -90,7 +93,7 @@ def full_schottky_sft(g: int) -> SFTData:
     from .graphs import cayley_schottky_matrix
     em = cayley_schottky_matrix(g)
     inv = tuple((i + g) % (2 * g) for i in range(2 * g))
-    return SFTData(em.matrix, em.labels, inv)
+    return SFTData(em.succ, em.labels, inv)
 
 
 def word_count_vectors(s: SFTData) -> Iterator[tuple]:
@@ -99,7 +102,7 @@ def word_count_vectors(s: SFTData) -> Iterator[tuple]:
 
     v_1 is all ones and v_{n+1}[j] sums v_n over the predecessors of j.
     """
-    preds = s._pred
+    preds = s.pred
     vec = (1,) * s.alphabet_size
     while True:
         yield vec
@@ -134,7 +137,7 @@ def enumerate_words(s: SFTData, n: int, budget: int | None = None) -> list[tuple
         if len(w) == n:
             words.append(w)
             continue
-        for b in reversed(s.successors(w[-1])):
+        for b in reversed(s.succ[w[-1]]):
             stack.append(w + (b,))
     return words
 
@@ -145,7 +148,7 @@ def word_table(s: SFTData, n: int, budget: int | None = None):
     letter index (uint8 up to 256 letters, uint16 above).
 
     The table grows a column per level: every row is repeated once per
-    successor of its last letter, and the successors (cached on the SFT,
+    successor of its last letter, and the successors (``s.succ``,
     ascending) are appended, which keeps the rows lexicographic.  The word
     budget is checked on the exact count before anything is allocated.
     """
@@ -167,12 +170,12 @@ def word_table(s: SFTData, n: int, budget: int | None = None):
 
 
 def successor_arrays(s: SFTData):
-    """Each letter's out-degree, and the cached successor lists joined in
+    """Each letter's out-degree, and the successor lists joined in
     letter order (the pairs (i, j) with A[i][j] = 1, lexicographic) in
     the smallest unsigned dtype that holds every letter index."""
     import numpy as np
 
-    return _joined(s._succ, np.min_scalar_type(max(s.alphabet_size - 1, 0)))
+    return _joined(s.succ, np.min_scalar_type(max(s.alphabet_size - 1, 0)))
 
 
 def _joined(lists, dtype):
@@ -262,14 +265,15 @@ def perron_data(s: SFTData, tol: float = 1e-12) -> PerronData:
     B = n for a full shift, whose letters all branch.  A^t contracts the
     letters of in-degree 1 the same way.  B = 0 only for a bare cycle
     (the one-letter shift among them), which like a full shift starts on
-    an exact eigenvector and needs no solve.  A v, l^T A r and the residuals sum over the cached successor
-    and predecessor lists, so no n x n array is built.
+    an exact eigenvector and needs no solve.  A v, l^T A r and the
+    residuals sum over the successor and predecessor lists, so no n x n
+    array is built.
     """
     import numpy as np
 
     if not s.is_irreducible():
         raise RequiresIrreducible("transition matrix must be irreducible")
-    a, at = _Rows(s._succ), _Rows(s._pred)
+    a, at = _Rows(s.succ), _Rows(s.pred)
     right, r_lo, r_hi = _noda(a, tol)
     left, l_lo, l_hi = _noda(at, tol)
     # rounding in the ratios can leave the quotient just outside the
@@ -409,10 +413,6 @@ class ParryMeasure:
         lam = self.perron.value
         return l[word[0]] * r[word[-1]] * lam ** (-(len(word) - 1)) / self._norm
 
-    def level_weights(self, n: int, budget: int | None = None) -> dict:
-        """Map word -> mu(word) over all admissible words of length n."""
-        return {w: self.weight(w) for w in enumerate_words(self.sft, n, budget)}
-
 
 def parry_cylinder_measure(s: SFTData, word: tuple) -> float:
     return ParryMeasure(s).weight(word)
@@ -432,9 +432,9 @@ def coboundary_matrix(s: SFTData, n: int, budget: int | None = None) -> list[lis
     index = {w: i for i, w in enumerate(longer)}
     mat = [[0] * len(shorter) for _ in longer]
     for col, u in enumerate(shorter):
-        for b in s.successors(u[-1]):
+        for b in s.succ[u[-1]]:
             mat[index[u + (b,)]][col] += 1
-        for a in s.predecessors(u[0]):
+        for a in s.pred[u[0]]:
             mat[index[(a,) + u]][col] -= 1
     return mat
 
@@ -485,11 +485,11 @@ def _cohomology_dims(s: SFTData, budget: int) -> Iterator[int]:
     within the word budget, and a spanning forest of their edges has
     |W_n| - c_n edges.
     """
-    if all(s._succ) and all(s._pred):
+    if all(s.succ) and all(s.pred):
         counts = map(sum, word_count_vectors(s))  # |W_1|, |W_2|, ...
         shorter = next(counts)
         components = shorter - forest_size(
-            (i, j) for i, js in enumerate(s._succ) for j in js)
+            (i, j) for i, js in enumerate(s.succ) for j in js)
         for longer in counts:
             yield longer - shorter + components
             shorter = longer

@@ -431,8 +431,8 @@ def build_truncation(s: SFTData, level: int, twist: tuple | None = None,
         n = s.alphabet_size
         if sorted(twist) != list(range(n)):
             raise InvalidParameter("twist must permute the alphabet", witness=twist)
-        image = [tuple(sorted(twist[j] for j in s.successors(i))) for i in range(n)]
-        if any(image[i] != s.successors(twist[i]) for i in range(n)):
+        image = [tuple(sorted(twist[j] for j in s.succ[i])) for i in range(n)]
+        if any(image[i] != s.succ[twist[i]] for i in range(n)):
             raise InvalidParameter("twist must preserve the transition matrix",
                                    witness=twist)
         twist = tuple(twist)
@@ -696,6 +696,11 @@ class AFTriple:
         if self.parity not in ("odd", "even"):
             raise InvalidParameter("parity must be 'odd' or 'even'",
                                    witness=self.parity)
+        try:  # the largest eigenvalue, and its square in the summability terms
+            (float(max(self.dims, default=1)) ** self.q) ** 2
+        except OverflowError:
+            raise InvalidParameter("squared eigenvalue (dim A_N)^(2q) exceeds "
+                                   "float range", witness=(self.p, self.q)) from None
 
     def eigenvalues(self) -> tuple:
         vals = tuple(float(d) ** self.q for d in self.dims)

@@ -85,6 +85,48 @@ def test_ktheory_compare(capsysbinary):
     assert json.loads(out)["verdict"] == "StablyIsomorphic"
 
 
+def test_catalog_golden(capsysbinary):
+    code, out = run_cli(["catalog"], capsysbinary)
+    assert code == 0
+    assert out == (GOLDEN / "catalog.json").read_bytes()
+
+
+def test_ktheory_csv_compared_with_json_golden(capsysbinary):
+    code, out = run_cli(["ktheory", "--matrix", str(DATA / "a1.csv"),
+                         "--compare", str(DATA / "theta_edge.json")], capsysbinary)
+    assert code == 0
+    assert out == (GOLDEN / "ktheory_a1csv_vs_theta.json").read_bytes()
+
+
+@pytest.mark.parametrize("subcommand", ["spectra", "cohomology"])
+def test_unpaired_involution_letter_is_a_documented_error(subcommand, capsysbinary):
+    # the pair [0, 1] leaves letter 2 without an inverse
+    code, out = run_cli([subcommand, "--matrix", str(DATA / "unpaired_involution.json")],
+                        capsysbinary)
+    assert (code, json.loads(out)) == (2, {"error": {"code": "InvalidTransitionMatrix",
+                                                     "witness": "(1, 0, None)"}})
+
+
+def test_no_cli_path_builds_the_dense_matrix_view(monkeypatch, capsysbinary):
+    argvs = [["catalog"],
+             ["ktheory", "--matrix", str(DATA / "a1.json"),
+              "--compare", str(DATA / "theta_edge.json")],
+             ["spectra", "--matrix", str(DATA / "theta_edge.json"), "--levels", "4"],
+             ["spectra", "--matrix", str(DATA / "theta_edge.json"), "--levels", "4",
+              "--twist", "1,0,3,2,5,4"],
+             ["cohomology", "--matrix", str(DATA / "red9.json"), "--levels", "5"],
+             ["af"]]
+    expected = [run_cli(argv, capsysbinary) for argv in argvs]
+
+    def forbidden(self):
+        raise AssertionError("dense transition-matrix rows on a CLI path")
+    monkeypatch.setattr(graphs.EdgeMatrix, "matrix", property(forbidden))
+    assert [code for code, _ in expected] == [0] * len(argvs)
+    assert [run_cli(argv, capsysbinary) for argv in argvs] == expected
+    assert expected[0][1] == (GOLDEN / "catalog.json").read_bytes()
+    assert expected[4][1] == (GOLDEN / "cohomology_red9_5.json").read_bytes()
+
+
 def test_ktheory_compare_checks_and_reduces_each_matrix_once(capsysbinary, monkeypatch):
     calls = {"check": 0, "reduce": 0}
 
@@ -94,7 +136,7 @@ def test_ktheory_compare_checks_and_reduces_each_matrix_once(capsysbinary, monke
             return fn(*args)
         return wrapper
 
-    # EdgeMatrix.__post_init__ is the one 0/1-square validator
+    # every EdgeMatrix is validated once, in __post_init__
     monkeypatch.setattr(graphs.EdgeMatrix, "__post_init__",
                         counted("check", graphs.EdgeMatrix.__post_init__))
     monkeypatch.setattr(ktheory, "_k_groups", counted("reduce", ktheory._k_groups))
@@ -749,6 +791,17 @@ def test_cold_start_loads_numpy_and_scipy_only_where_used(tmp_path, argv, code,
     got_code, _, stderr, loaded = _fresh_run(tmp_path, argv)
     assert (got_code, stderr) == (code, b"")
     assert loaded == {"libraries": libraries, "modules": modules}
+
+
+@pytest.mark.parametrize("argv, witness", [
+    (["--genus", "2", "--q", "400"], "(1.0, 400.0)"),
+    (["--genus", "2", "--q", "29"], "(1.0, 29.0)"),  # (dim A_6)^q fits, its square not
+    (["--levels", "3", "--p", "0.1", "--q", "1e308"], "(0.1, 1e+308)"),
+], ids=["q400", "q29", "q1e308"])
+def test_af_eigenvalue_past_float_range_is_an_error(tmp_path, argv, witness):
+    code, out, stderr, _ = _fresh_run(tmp_path, ["af", *argv])
+    assert (code, stderr) == (2, b"")
+    assert json.loads(out) == {"error": {"code": "InvalidParameter", "witness": witness}}
 
 
 def test_cohomology_dim_past_the_digit_limit_is_an_error(tmp_path):

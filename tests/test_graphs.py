@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphspectra import graphs
-from graphspectra.errors import InvalidGraph, InvalidRank
+from graphspectra.errors import InvalidGraph, InvalidRank, InvalidTransitionMatrix
 from graphspectra.graphs import (
     FiniteGraph,
     cayley_schottky_matrix,
@@ -115,7 +117,7 @@ def test_irreducibility_is_decided_once_per_matrix(monkeypatch):
     search = graphs.strongly_connected
     monkeypatch.setattr(graphs, "strongly_connected",
                         lambda succ, pred: calls.append(1) or search(succ, pred))
-    a = graphs.EdgeMatrix(A1, tuple("abcd"))
+    a = graphs.EdgeMatrix.from_rows(A1, tuple("abcd"))
     assert a.is_irreducible() and a.is_irreducible()
     assert len(calls) == 1
 
@@ -178,3 +180,68 @@ def test_permutation_equivalence_cap():
     assert p is not None
     assert all(em.matrix[i][j] == relabeled[p[i]][p[j]]
                for i in range(em.size) for j in range(em.size))
+
+
+# a cell equal to 0 or 1, in any of the forms the dense-row check accepts
+CELLS = st.sampled_from([0, 1, True, False, 1.0, 0.0])
+
+
+@st.composite
+def dense_rows(draw):
+    n = draw(st.integers(0, 7))
+    return tuple(tuple(draw(st.lists(CELLS, min_size=n, max_size=n))) for _ in range(n))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rows=dense_rows())
+def test_from_rows_stores_the_successor_lists_of_the_rows(rows):
+    n = len(rows)
+    labels = tuple(f"l{i}" for i in range(n))
+    em = graphs.EdgeMatrix.from_rows(rows, labels)
+    assert em.succ == tuple(tuple(j for j in range(n) if rows[i][j]) for i in range(n))
+    assert em.pred == tuple(tuple(i for i in range(n) if rows[i][j]) for j in range(n))
+    assert em.matrix == rows
+    assert all(type(x) is int for row in em.matrix for x in row)
+    again = graphs.EdgeMatrix.from_rows(rows, labels)
+    assert again == em and hash(again) == hash(em)
+    assert graphs.EdgeMatrix(em.succ, labels) == em
+
+
+def test_successor_lists_are_checked_with_the_list_as_witness():
+    for bad in ((1, 0), (0, 0), (2,), (-1,), (True,), (0.0,)):
+        with pytest.raises(InvalidTransitionMatrix) as err:
+            graphs.EdgeMatrix(((0, 1), bad), ("a", "b"))
+        assert err.value.witness == bad
+    with pytest.raises(InvalidTransitionMatrix):
+        graphs.EdgeMatrix(((0,),), ("a", "b"))  # label count
+    for inv in ((1, 0, None), (1, 0, 1.0), (1, 0), (1, 2, 0)):
+        with pytest.raises(InvalidTransitionMatrix) as err:
+            graphs.EdgeMatrix(((0,), (1,), (2,)), tuple("abc"), inv)
+        assert err.value.witness == inv
+
+
+@st.composite
+def connected_multigraphs(draw):
+    """Random connected multigraphs: a random spanning tree plus extra
+    edges that may be loops or parallel to others."""
+    n = draw(st.integers(1, 5))
+    vertices = tuple(f"v{i}" for i in range(n))
+    edges = [(f"t{i}", vertices[draw(st.integers(0, i - 1))], vertices[i])
+             for i in range(1, n)]
+    ends = st.sampled_from(vertices)
+    extra = draw(st.lists(st.tuples(ends, ends), min_size=0 if n > 1 else 1, max_size=5))
+    edges += [(f"e{k}", u, v) for k, (u, v) in enumerate(extra)]
+    return FiniteGraph(vertices, tuple(edges))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(g=connected_multigraphs())
+def test_directed_edge_matrix_matches_the_all_pairs_definition(g):
+    oriented = g.oriented_edges()
+    # the definition: e' continues e when target(e) = source(e') and e' is
+    # not the reversal of e
+    expected = tuple(tuple(int(e.target == f.source and f != e.reversal())
+                           for f in oriented) for e in oriented)
+    em = directed_edge_matrix(g)
+    assert em.matrix == expected
+    assert em.labels == tuple(e.label for e in oriented)

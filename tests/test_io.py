@@ -1,11 +1,13 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphspectra.buildings import family_presentation
+from graphspectra.errors import InvalidTransitionMatrix
 from graphspectra.graphs import directed_edge_matrix, theta_graph
 from graphspectra.io import (
     emit,
@@ -35,6 +37,13 @@ def test_sft_with_involution(tmp_path):
     }))
     s = load_sft(path)
     assert s.involution == (2, 3, 0, 1)
+
+
+def test_sft_with_an_unpaired_involution_letter_is_invalid():
+    # the pair [0, 1] names no inverse for letter 2
+    with pytest.raises(InvalidTransitionMatrix) as err:
+        load_sft(Path(__file__).parent / "data" / "unpaired_involution.json")
+    assert err.value.witness == (1, 0, None)
 
 
 def test_presentation_round_trip(tmp_path):

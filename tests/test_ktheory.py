@@ -286,10 +286,10 @@ def _reaches_everything(rows) -> bool:
 @given(a=zero_one_matrices(8))
 def test_raw_rows_and_the_matrix_type_agree(a):
     n = len(a)
-    em = EdgeMatrix(tuple(map(tuple, a)), tuple(f"l{i}" for i in range(n)))
+    em = EdgeMatrix.from_rows(tuple(map(tuple, a)), tuple(f"l{i}" for i in range(n)))
     for i in range(n):
-        assert em.successors(i) == tuple(j for j in range(n) if a[i][j])
-        assert em.predecessors(i) == tuple(j for j in range(n) if a[j][i])
+        assert em.succ[i] == tuple(j for j in range(n) if a[i][j])
+        assert em.pred[i] == tuple(j for j in range(n) if a[j][i])
     assert em.row_sums() == [sum(row) for row in a]
     assert ck_k_theory(a) == ck_k_theory(em)
     assert irreducibility_check(a) == irreducibility_check(em) == _reaches_everything(a)

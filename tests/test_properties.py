@@ -131,7 +131,7 @@ def random_irreducible_sft(rng: random.Random) -> SFTData:
                 matrix[i][rng.randrange(n)] = 1
         rows = tuple(tuple(r) for r in matrix)
         if irreducibility_check(rows):
-            return SFTData(rows, tuple(f"l{i}" for i in range(n)))
+            return SFTData.from_rows(rows, tuple(f"l{i}" for i in range(n)))
 
 
 def test_parry_measure_additivity_random():
@@ -146,7 +146,7 @@ def test_parry_measure_additivity_random():
         total = sum(pm.weight((a,)) for a in range(s.alphabet_size))
         assert total == pytest.approx(1.0, abs=1e-11)
         for w in enumerate_words(s, rng.randint(1, 3)):
-            extended = sum(pm.weight(w + (b,)) for b in s.successors(w[-1]))
+            extended = sum(pm.weight(w + (b,)) for b in s.succ[w[-1]])
             assert extended == pytest.approx(pm.weight(w), abs=1e-11)
         done += 1
 
@@ -230,7 +230,7 @@ def test_matcher_agrees_with_brute_force_random():
             for i, j in zip(letters[::2], letters[1::2]):
                 pairing[i], pairing[j] = j, i
             involution = tuple(pairing)
-        s = SFTData(rows, tuple(f"l{i}" for i in range(n)), involution)
+        s = SFTData.from_rows(rows, tuple(f"l{i}" for i in range(n)), involution)
         expected = [p for p in brute_isomorphisms(rows, rows)
                     if involution is None
                     or all(p[involution[i]] == involution[p[i]] for i in range(n))]

@@ -34,7 +34,7 @@ from graphspectra.shift import (
     word_table,
 )
 
-ONE_LETTER = SFTData(((1,),), ("a",))
+ONE_LETTER = SFTData.from_rows(((1,),), ("a",))
 
 
 def test_word_enumeration_counts(schottky2, theta_sft):
@@ -112,7 +112,7 @@ def test_perron_one_letter():
 
 def test_perron_requires_irreducible():
     with pytest.raises(RequiresIrreducible):
-        perron_data(SFTData(((1, 1), (0, 1)), ("a", "b")))
+        perron_data(SFTData.from_rows(((1, 1), (0, 1)), ("a", "b")))
 
 
 @st.composite
@@ -132,7 +132,7 @@ def periodic_shifts(draw):
                   or (extra[i][j] and (position[j] - position[i] - 1) % period == 0))
               for j in range(k))
         for i in range(k))
-    return SFTData(matrix, tuple(f"l{i}" for i in range(k)))
+    return SFTData.from_rows(matrix, tuple(f"l{i}" for i in range(k)))
 
 
 def eig_perron(a):
@@ -169,7 +169,7 @@ def count_solves(monkeypatch, s):
     solve for the right vector contracts the rows of A (the successor
     lists), one for the left vector those of A^t."""
     counts, sizes, side = {"right": 0, "left": 0}, set(), []
-    rows_of_a = list(chain.from_iterable(s._succ))
+    rows_of_a = list(chain.from_iterable(s.succ))
     contracted, solve = shift._Rows.solve, np.linalg.solve
 
     def tagged(rows, sigma, v):
@@ -202,7 +202,7 @@ def test_perron_exact_start_needs_no_solve(monkeypatch, schottky2, theta_sft):
     """A bare cycle and the one-letter shift have no branch letter (B = 0):
     like the full shifts they start on an exact eigenvector, and the
     contraction is never built."""
-    cycle = SFTData(((0, 1, 0), (0, 0, 1), (1, 0, 0)), ("a", "b", "c"))
+    cycle = SFTData.from_rows(((0, 1, 0), (0, 0, 1), (1, 0, 0)), ("a", "b", "c"))
     monkeypatch.setattr(shift._Rows, "_contraction",
                         property(lambda rows: pytest.fail("contracted")))
     for s, lam in ((cycle, 1.0), (schottky2, 3.0), (theta_sft, 2.0), (ONE_LETTER, 1.0)):
@@ -218,11 +218,11 @@ def in_tree_shift():
     succ = {0: (2, 5, 6, 9), 1: (0, 1, 6), 2: (3,), 3: (4,), 4: (8,), 5: (8,),
             6: (7,), 7: (8,), 8: (0,), 9: (1,)}
     matrix = tuple(tuple(int(j in succ[i]) for j in range(10)) for i in range(10))
-    return SFTData(matrix, tuple(f"l{i}" for i in range(10)))
+    return SFTData.from_rows(matrix, tuple(f"l{i}" for i in range(10)))
 
 
 def transposed(s):
-    return SFTData(tuple(zip(*s.matrix)), s.labels)
+    return SFTData.from_rows(tuple(zip(*s.matrix)), s.labels)
 
 
 def assert_matches_eig(s, pd):
@@ -238,7 +238,7 @@ def assert_matches_eig(s, pd):
 
 def test_perron_contracts_chains_feeding_in_trees(monkeypatch):
     s = in_tree_shift()
-    assert shift._Rows(s._succ).solve(3.0, np.ones(10)) == pytest.approx(
+    assert shift._Rows(s.succ).solve(3.0, np.ones(10)) == pytest.approx(
         np.linalg.solve(3.0 * np.eye(10) - np.array(s.matrix), np.ones(10)), rel=1e-14)
     counts, sizes = count_solves(monkeypatch, s)
     pd = perron_data(s)
@@ -254,7 +254,7 @@ def test_perron_transposed_side_contracts_in_degree_one():
     branch apart, and its left side contracts the in-tree of A."""
     s = in_tree_shift()
     t = transposed(s)
-    assert t._pred == s._succ
+    assert t.pred == s.succ
     pd, pt = perron_data(s), perron_data(t)
     assert_matches_eig(t, pt)
     assert pt.value == pytest.approx(pd.value, rel=1e-15)
@@ -283,7 +283,7 @@ def test_perron_singular_shift_is_not_a_linalg_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", lambda m, v: pytest.fail("solved"))
     for rows in (((1, 1), (0, 1)), ((1, 0), (0, 1)), ((0, 1, 0), (1, 0, 0), (1, 1, 1))):
         with pytest.raises(RequiresIrreducible):
-            perron_data(SFTData(rows, tuple("abc"[:len(rows)])))
+            perron_data(SFTData.from_rows(rows, tuple("abc"[:len(rows)])))
 
 
 def test_perron_retry_rebuilds_the_contracted_system(monkeypatch):
@@ -335,14 +335,6 @@ def test_parry_one_letter_full_shift():
     assert pm.weight((0, 0, 0)) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_parry_level_weights(schottky2):
-    pm = ParryMeasure(schottky2)
-    weights = pm.level_weights(2)
-    assert len(weights) == 12
-    assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
-    assert weights[(0, 1)] == pytest.approx(1 / 12, abs=1e-13)
-
-
 def test_filtration_dims_validation():
     with pytest.raises(ValueError):
         FiltrationDims((4, 3))
@@ -354,7 +346,7 @@ def test_parry_additivity(schottky2, theta_sft):
         level1 = sum(pm.weight((a,)) for a in range(s.alphabet_size))
         assert level1 == pytest.approx(1.0, abs=1e-12)
         for w in enumerate_words(s, 2):
-            extended = sum(pm.weight(w + (b,)) for b in s.successors(w[-1]))
+            extended = sum(pm.weight(w + (b,)) for b in s.succ[w[-1]])
             assert extended == pytest.approx(pm.weight(w), abs=1e-12)
 
 
@@ -398,7 +390,7 @@ def irreducible_shifts(draw):
     succ = {a: b for a, b in zip(cycle, cycle[1:] + cycle[:1])}
     matrix = tuple(tuple(1 if succ[i] == j else x for j, x in enumerate(row))
                    for i, row in enumerate(rows))
-    return SFTData(matrix, tuple(f"l{i}" for i in range(k)))
+    return SFTData.from_rows(matrix, tuple(f"l{i}" for i in range(k)))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -431,7 +423,7 @@ def block_shifts(draw):
         letters = [i for i in range(k) if block[i] == b]
         for i, j in zip(letters, letters[1:] + letters[:1]):
             rows[i][j] = 1
-    return SFTData(tuple(map(tuple, rows)), tuple(f"l{i}" for i in range(k)))
+    return SFTData.from_rows(tuple(map(tuple, rows)), tuple(f"l{i}" for i in range(k)))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -452,13 +444,13 @@ def test_cohomology_monotone_on_catalog(schottky2, theta_sft, dumbbell_sft):
 
 
 def test_automorphisms_schottky(schottky2):
-    no_involution = SFTData(schottky2.matrix, schottky2.labels)
+    no_involution = SFTData.from_rows(schottky2.matrix, schottky2.labels)
     assert len(alphabet_automorphisms(no_involution)) == 8
     assert len(alphabet_automorphisms(schottky2)) == 8
 
 
 def test_automorphisms_identity_matrix():
-    s = SFTData(((1, 0, 0), (0, 1, 0), (0, 0, 1)), ("a", "b", "c"))
+    s = SFTData.from_rows(((1, 0, 0), (0, 1, 0), (0, 0, 1)), ("a", "b", "c"))
     assert len(alphabet_automorphisms(s)) == 6  # all of S_3
 
 
@@ -485,7 +477,7 @@ def test_automorphisms_kato1():
 
 
 def test_automorphism_cap():
-    big = SFTData(tuple(tuple(1 for _ in range(12)) for _ in range(12)),
+    big = SFTData.from_rows(tuple(tuple(1 for _ in range(12)) for _ in range(12)),
                   tuple(str(i) for i in range(12)))
     with pytest.raises(EnumerationBudgetExceeded):
         alphabet_automorphisms(big, budget=1000)
@@ -518,20 +510,46 @@ def test_word_table_checks_the_budget_before_allocating(monkeypatch):
         word_table(s, 0)
 
 
+def test_kato1000_pipeline_runs_on_successor_lists(monkeypatch):
+    """Edge matrix, K-theory, Perron data and six cohomology levels of
+    kato_graph(1000), 12,012 letters, without the dense view: its
+    144 M cells alone would dwarf the bound."""
+    from graphspectra.ktheory import ck_k_theory
+
+    def forbidden(self):
+        raise AssertionError("dense transition-matrix rows")
+    monkeypatch.setattr(graphs.EdgeMatrix, "matrix", property(forbidden))
+    tracemalloc.start()
+    try:
+        s = from_edge_matrix(directed_edge_matrix(kato_graph(1000)))
+        k0, k1 = ck_k_theory(s)
+        lam = perron_data(s).value
+        dims = cohomology_filtration_dims(s, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.alphabet_size == 12012
+    assert (k0.rank, k0.torsion, k1.rank) == (2, (), 2)
+    assert 1 < lam < 1.01
+    assert dims == tuple(count_words(s, n + 1) - count_words(s, n) + 1
+                         for n in range(1, 7))
+    assert peak < 32 << 20
+
+
 def test_matrix_rows_are_checked_whole_with_the_row_as_witness():
-    accepted = SFTData(((True, 1.0), (1, 0)), ("a", "b"))
-    assert accepted.successors(0) == (0, 1) and accepted.predecessors(1) == (0,)
+    accepted = SFTData.from_rows(((True, 1.0), (1, 0)), ("a", "b"))
+    assert accepted.succ[0] == (0, 1) and accepted.pred[1] == (0,)
     for bad_row in ((1, 2), (1,), (1, 0.5), (1, None)):
         with pytest.raises(InvalidTransitionMatrix) as err:
-            SFTData(((1, 1), bad_row), ("a", "b"))
+            SFTData.from_rows(((1, 1), bad_row), ("a", "b"))
         assert err.value.witness == bad_row
 
 
 def test_involution_validation():
     with pytest.raises(InvalidTransitionMatrix):
-        SFTData(((1, 1), (1, 1)), ("a", "b"), (0, 1))  # has fixed points
+        SFTData.from_rows(((1, 1), (1, 1)), ("a", "b"), (0, 1))  # has fixed points
     with pytest.raises(InvalidTransitionMatrix):
-        SFTData(((1, 1), (1, 1)), ("a", "b"), (1, 1))  # not a permutation
+        SFTData.from_rows(((1, 1), (1, 1)), ("a", "b"), (1, 1))  # not a permutation
 
 
 def test_from_edge_matrix_needs_both_orientations_of_each_label():
@@ -543,7 +561,7 @@ def test_from_edge_matrix_needs_both_orientations_of_each_label():
     s = from_edge_matrix(directed_edge_matrix(kato_graph(1)))
     assert all(s.labels[s.involution[i]][:-1] == label[:-1]
                for i, label in enumerate(s.labels))
-    em = graphs.EdgeMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)), ("e+", "e-", "f+"))
+    em = graphs.EdgeMatrix.from_rows(((1, 0, 0), (0, 1, 0), (0, 0, 1)), ("e+", "e-", "f+"))
     with pytest.raises(InvalidTransitionMatrix) as err:
         from_edge_matrix(em)
     assert err.value.witness == "f+"

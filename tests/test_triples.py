@@ -118,14 +118,14 @@ def reference_ck_residuals(t):
     isometries = [t.isometry(i) for i in range(t.sft.alphabet_size)]
     ranges = [s @ s.T for s in isometries]
     unit = sum(ranges) - sp.identity(t.dimension)
-    per_letter = [s.T @ s - sum(ranges[j] for j in t.sft.successors(i))
+    per_letter = [s.T @ s - sum(ranges[j] for j in t.sft.succ[i])
                   for i, s in enumerate(isometries)]
     return [sp.linalg.norm(p @ x @ p) for x in (unit, *per_letter)]
 
 
 # Row sums of A^2 are (3, 1, 2) but column sums are (3, 2, 1): a count by
 # first letter and a count by last letter differ on this matrix.
-NONSYMMETRIC = SFTData(((1, 1, 0), (0, 0, 1), (1, 0, 0)), ("a", "b", "c"))
+NONSYMMETRIC = SFTData.from_rows(((1, 1, 0), (0, 0, 1), (1, 0, 0)), ("a", "b", "c"))
 
 AGREEMENT_SHIFTS = {
     "schottky2": full_schottky_sft(2),
@@ -416,7 +416,7 @@ def test_twist_must_preserve_matrix(theta_sft):
     # swapping b and c keeps every out-degree (2, 1, 1) but sends the
     # transition a -> b to a -> c, which is not one
     swap = (0, 2, 1)
-    assert [len(NONSYMMETRIC.successors(swap[i])) for i in range(3)] == \
+    assert [len(NONSYMMETRIC.succ[swap[i]]) for i in range(3)] == \
         NONSYMMETRIC.row_sums()
     with pytest.raises(InvalidParameter) as err:
         build_truncation(NONSYMMETRIC, 3, twist=swap)
@@ -576,6 +576,19 @@ def test_af_triple_validation():
         AFTriple((4, 36), 1.0, 1.5)  # q <= 2/p
     with pytest.raises(SummabilityViolation):
         AFTriple((4, 4), 1.0, 3.0)  # not strictly increasing
+
+
+def test_af_triple_past_float_range_is_invalid():
+    # the summability terms square the largest eigenvalue (dim A_N)^q
+    dims = (4, 36, 324, 2916, 26244, 236196)
+    assert af_summability_report(AFTriple(dims, 1.0, 28.6)).partials_ok
+    for q in (29.0, 400.0):
+        with pytest.raises(InvalidParameter) as err:
+            AFTriple(dims, 1.0, q)
+        assert err.value.witness == (1.0, q)
+    with pytest.raises(InvalidParameter) as err:
+        AFTriple((4, 36, 324), 0.1, 1e308)
+    assert err.value.witness == (0.1, 1e308)
 
 
 @pytest.mark.parametrize("p, q, witness", [
