@@ -16,9 +16,10 @@ indicators of length N+1 of an irreducible SFT, carrying
 * one partial isometry per letter, acting on mu^(1/2)-normalized
   cylinder indicators by prepending the letter with a conformal weight
   drawn from the Parry measure.  Their ranges partition the basis (the
-  range of S_i is the cylinder of i), so they are stored as the three
-  CSR arrays (indptr, indices, data) of S = sum_i S_i, whose row block i
-  is S_i.
+  range of S_i is the cylinder of i), so S = sum_i S_i, whose row block
+  i is S_i, is stored as the tail of each row alone: row (i,) + u holds
+  u's block, and its values are generated from the words and the Perron
+  data when read.
 
 The stored isometries are the members of the adjoint pair (prepend /
 chop) that satisfy the defining relations
@@ -30,7 +31,7 @@ level by one.  Each S_j S_j^* is diagonal in the cylinder basis, and
 each row of S_i collects the words of a single length-N prefix, so both
 relations compressed to levels <= N-1 are diagonal per length-N prefix:
 ``ck_residuals`` evaluates them in one pass over the entries of S,
-after checking that pattern on the entries.
+after checking that pattern on the words of each row.
 
 Commutator norms have a closed form.  Let E_n = range(P_n - P_{n-1}).
 Since S_i^* maps V_n = range(P_n) into V_{n-1} (and V_0 into V_0), S_i
@@ -87,6 +88,7 @@ from .shift import (
     FiltrationDims,
     PerronData,
     SFTData,
+    _Rows,
     filtration_dims,
     perron_data,
     successor_arrays,
@@ -191,8 +193,9 @@ class SpectralTruncation:
     refinements.  The column of Q_n for u holds sqrt(mu(w) / mu(u)) on
     u's block.  For each n < N only the block starts are stored, and the
     weights are derived from them and ``mu`` when used, O(N dim) in all,
-    next to the CSR arrays of S = sum_i S_i, whose row block i is S_i,
-    and the index of u among the length-N prefixes for each row (i,) + u.
+    next to the index of u among the length-N prefixes for each row
+    (i,) + u, from which ``_entries`` generates the rows of
+    S = sum_i S_i (row block i is S_i) with the Perron data.
     P_n X = Q_n (Q_n^T X) is a block sum and a broadcast, and
     D = lambda_N - sum_{n<N} (lambda_{n+1} - lambda_n) P_n.
     ``isometry``, ``projection`` and ``grading_matrix`` assemble scipy
@@ -201,19 +204,16 @@ class SpectralTruncation:
     """
 
     def __init__(self, sft: SFTData, level: int, table: np.ndarray, mu: np.ndarray,
-                 indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
-                 tail: np.ndarray, starts: list, counts: list, twist: tuple | None):
-        import numpy as np
-
+                 perron: PerronData, tail: np.ndarray, starts: list, counts: list,
+                 twist: tuple | None):
         self.sft = sft
         self.level = level
         self._table = table  # the basis words, one row each
         self.mu = mu
-        self._indptr, self._indices, self._data = indptr, indices, data  # CSR of S
+        self.perron = perron
         self._tail = tail  # row (i,) + u: the index of u among the length-N prefixes
         self._starts = starts  # block starts of the length-(n+1) prefixes
         self._counts = counts  # length-(n+1) prefixes per first letter
-        self._sizes = [np.diff(s, append=len(table)) for s in starts]
         self.twist = twist
         self.dimension = len(table)
 
@@ -222,24 +222,49 @@ class SpectralTruncation:
         """The basis words as tuples, in basis order."""
         return list(map(tuple, self._table.tolist()))
 
+    def _sizes(self, n: int) -> np.ndarray:
+        """The block sizes of the length-(n+1) prefixes."""
+        import numpy as np
+
+        return np.diff(self._starts[n], append=self.dimension)
+
     def _weight(self, n: int) -> np.ndarray:
         """Column (dim, 1) of sqrt(mu(w) / mu(u)), u the length-(n+1)
         prefix of the basis word w."""
         import numpy as np
 
-        block_mu = np.repeat(np.add.reduceat(self.mu, self._starts[n]), self._sizes[n])
+        block_mu = np.repeat(np.add.reduceat(self.mu, self._starts[n]), self._sizes(n))
         return np.sqrt(self.mu / block_mu)[:, None]
+
+    def _entries(self, lo: int, hi: int, top_sizes: np.ndarray):
+        """Rows lo..hi-1 of S, row by row: row offsets from lo, columns and
+        values.  Row (i,) + u holds the block of u (top_sizes: the blocks of
+        the length-N prefixes).  The conformal weight cancels the measure
+        ratio on mu^(1/2)-normalized cylinders, so each value is the top
+        level's compression, sqrt(mu(iw) / mu(i w_0..w_{N-1})).
+        """
+        import numpy as np
+
+        tail = self._tail[lo:hi]
+        sizes = top_sizes[tail]
+        rows = np.repeat(np.arange(hi - lo), sizes)
+        cols = _ranges(self._starts[-1][tail], sizes)
+        left, right = np.array(self.perron.left), np.array(self.perron.right)
+        lam, norm = self.perron.value, float(left @ right)
+        li = np.repeat(left[self._table[lo:hi, 0]], sizes)
+        mu_iw = li * right[self._table[cols, -1]] * lam ** (-(self.level + 1)) / norm
+        mu_tgt = li * right[self._table[cols, -2]] * lam ** (-self.level) / norm
+        return rows, cols, np.sqrt(mu_iw / mu_tgt)
 
     def isometry(self, letter: int):
         """S_i as a new dim x dim CSR matrix: the rows of S in the block of
         the words starting with the letter, every other row empty."""
-        import numpy as np
         import scipy.sparse as sp
 
         lo = self._starts[0][letter]
-        a, b = self._indptr[[lo, lo + self._sizes[0][letter]]]
-        return sp.csr_matrix((self._data[a:b].copy(), self._indices[a:b].copy(),
-                              np.clip(self._indptr, a, b) - a),
+        rows, cols, vals = self._entries(lo, lo + self._sizes(0)[letter],
+                                         self._sizes(self.level - 1))
+        return sp.csr_matrix((vals, (rows + lo, cols)),
                              shape=(self.dimension, self.dimension))
 
     def twisted_isometry(self, letter: int):
@@ -252,7 +277,7 @@ class SpectralTruncation:
         import numpy as np
         import scipy.sparse as sp
 
-        sizes = self._sizes[n]
+        sizes = self._sizes(n)
         rows = np.arange(self.dimension)
         cols = np.repeat(np.arange(len(sizes)), sizes)
         return sp.csr_matrix((self._weight(n)[:, 0], (rows, cols)),
@@ -295,7 +320,7 @@ class SpectralTruncation:
 
         g = self._weight(n)
         sums = np.add.reduceat(g * x, self._starts[n], axis=0)
-        return g * np.repeat(sums, self._sizes[n], axis=0)
+        return g * np.repeat(sums, self._sizes(n), axis=0)
 
     def _grading(self, eigenvalues):
         """The map x -> D x on (dim, k) blocks."""
@@ -313,46 +338,41 @@ class SpectralTruncation:
     def ck_residuals(self) -> dict:
         """Frobenius norms (upper bounds for the operator norm) of both
         defining relations, compressed to levels <= N-1, from one pass
-        over the entries of the stored S = sum_i S_i.
+        over the entries of S = sum_i S_i.
 
         ||P X P||_F = ||Q^T X Q||_F for Q = Q_{N-1}, whose columns (the
         length-N prefixes u, weights g_w on their words w) are orthonormal.
-        The pass first checks on the entries the pattern it relies on:
-        every entry (r, c) lies in the row r of a word i u (so in S_i),
-        where u is the prefix of the column c, and no (row, column) pair
-        repeats.  Then S_j S_j^* is diagonal with entries t_w (row sums of
-        squares), S_i Q maps u to c_{iu} times the word i u (c the row sums
-        of g-weighted entries), and both compressed relations are diagonal
-        per prefix.  The unit-sum residual is the norm over u of
+        The pass first checks, on the words, the pattern it relies on: the
+        row r of each word i u (so in S_i) holds the block of u, that is,
+        its tail index names a block whose words start with u.  Then
+        S_j S_j^* is diagonal with entries t_w (row sums of squares), S_i Q
+        maps u to c_{iu} times the word i u (c the row sums of g-weighted
+        entries), and both compressed relations are diagonal per prefix.
+        The unit-sum residual is the norm over u of
         sum_{w in u} g_w^2 (t_w - 1).  The words i u are the pairs with
         A_{i u_0} = 1, and the one surviving summand of
         sum_j A_ij S_j S_j^* on u is the range of S_{u_0}, with entry
         e_u = sum_{w in u} g_w^2 t_w; so the residual of letter i is the
         norm over the words i u of c_{iu}^2 - e_u.  A broken pattern
-        raises RuntimeError.  The entries are read a block of rows at a
-        time, at most ENTRY_BATCH of them under the pattern, so the
-        per-entry temporaries stay bounded whatever the dimension.
+        raises RuntimeError.  The entries are generated a block of rows
+        at a time, at most ENTRY_BATCH of them, so the per-entry
+        temporaries stay bounded whatever the dimension.
         """
         import numpy as np
 
         size, dim = self.sft.alphabet_size, self.dimension
         top = self.level - 1
-        starts = self._starts[top]
+        starts, sizes = self._starts[top], self._sizes(top)
         g = self._weight(top)[:, 0]
-        owner = np.repeat(np.arange(len(starts)), self._sizes[top])
-        indptr, tail = self._indptr, self._tail
+        table, tail = self._table, self._tail
         sq, lifted = np.zeros(dim), np.zeros(dim)
         # a row of the pattern holds at most max-out-degree entries
         step = max(ENTRY_BATCH // max(self.sft.row_sums()), 1)
         for lo in range(0, dim, step):
             hi = min(lo + step, dim)
-            a, b = indptr[[lo, hi]]
-            rows = np.repeat(np.arange(hi - lo), np.diff(indptr[lo:hi + 1]))
-            cols, vals = self._indices[a:b], self._data[a:b]
-            row_step, col_step = np.diff(rows), np.diff(cols)
-            if not (np.all(tail[lo:hi][rows] == owner[cols])
-                    and np.all((row_step > 0) | ((row_step == 0) & (col_step > 0)))):
+            if not np.array_equal(table[lo:hi, 1:], table[starts[tail[lo:hi]], :-1]):
                 raise RuntimeError("isometry entries leave the cylinder pattern")
+            rows, cols, vals = self._entries(lo, hi, sizes)
             sq[lo:hi] = np.bincount(rows, weights=vals * vals, minlength=hi - lo)
             lifted[lo:hi] = np.bincount(rows, weights=g[cols] * vals, minlength=hi - lo)
         g *= g
@@ -414,14 +434,14 @@ class SpectralTruncation:
 def build_truncation(s: SFTData, level: int, twist: tuple | None = None,
                      budget: int | None = None,
                      perron: PerronData | None = None) -> SpectralTruncation:
-    """Assemble the level-N cylinder basis, prefix blocks and isometries.
+    """Lay out the level-N cylinder basis, prefix blocks and isometry rows.
 
     ``perron`` is the SFT's Perron data when the caller already holds it.
     The basis is the word table of length N+1 (the word budget is checked
-    before it is allocated).  S = sum_i S_i is assembled as CSR arrays
-    directly: row (i,) + u holds the block of the words with length-N
-    prefix u, and the index of u is laid out for all rows at once from
-    the prefix counts by first letter.
+    before it is allocated).  Row (i,) + u of S = sum_i S_i holds the
+    block of the words with length-N prefix u, and the index of u is laid
+    out for all rows at once from the prefix counts by first letter; the
+    entries themselves are generated when read.
     """
     import numpy as np
 
@@ -442,13 +462,8 @@ def build_truncation(s: SFTData, level: int, twist: tuple | None = None,
     dim = len(table)
     left = np.array(perron.left)
     right = np.array(perron.right)
-    lam = perron.value
-    norm = float(left @ right)
-
     first = table[:, 0]
-    last = table[:, -1]
-    second_last = table[:, -2]
-    mu = left[first] * right[last] * lam ** (-level) / norm
+    mu = left[first] * right[table[:, -1]] * perron.value ** (-level) / float(left @ right)
 
     # lexicographic order: a prefix block starts where any of its letters changes
     starts, counts = [], []
@@ -463,28 +478,15 @@ def build_truncation(s: SFTData, level: int, twist: tuple | None = None,
     # S_i sends the basis word c = u b (u of length N, u_0 a successor of
     # i) to the word (i,) + u.  Lexicographically, the rows (i,) + u run
     # through the pairs (i, u_0) with A[i][u_0] = 1 in order and, within a
-    # pair, through the length-N prefixes u starting with u_0; row
-    # (i,) + u holds u's block of columns.
-    top_starts, top_by_first = starts[-1], counts[-1]
+    # pair, through the length-N prefixes u starting with u_0.
+    top_by_first = counts[-1]
     top_first = np.cumsum(top_by_first) - top_by_first
-    index = np.int32 if dim < 2 ** 31 else np.int64  # as scipy picks for CSR
     _, pair_next = successor_arrays(s)
-    tail = _ranges(top_first[pair_next], top_by_first[pair_next], index)
+    tail = _ranges(top_first[pair_next], top_by_first[pair_next],
+                   np.int32 if dim < 2 ** 31 else np.int64)
     if len(tail) != dim:
         raise RuntimeError("isometry rows leave the cylinder pattern")
-    row_sizes = np.diff(top_starts, append=dim)[tail]
-    indptr = np.zeros(dim + 1, dtype=index)
-    indptr[1:] = np.cumsum(row_sizes)
-    cols = _ranges(top_starts[tail], row_sizes, index)
-    # On mu^(1/2)-normalized cylinders the conformal weight cancels the
-    # measure ratio, so the raising isometry prepends the letter with
-    # coefficient 1; compressing the top level to its length-(N+1) prefix
-    # contributes sqrt(mu(iw) / mu(i w_0..w_{N-1})).
-    li = np.repeat(left[first], row_sizes)
-    mu_iw = li * right[last[cols]] * lam ** (-(level + 1)) / norm
-    mu_tgt = li * right[second_last[cols]] * lam ** (-level) / norm
-    return SpectralTruncation(s, level, table, mu, indptr, cols,
-                              np.sqrt(mu_iw / mu_tgt), tail, starts, counts, twist)
+    return SpectralTruncation(s, level, table, mu, perron, tail, starts, counts, twist)
 
 
 def _ranges(starts, lengths, dtype=None):
@@ -542,9 +544,7 @@ class SFTGradings:
         if perron is None:
             perron = perron_data(s)
         r = np.array(perron.right)
-        degree, successors = successor_arrays(s)  # (A r)_i sums r over succ(i)
-        ar = np.bincount(np.repeat(np.arange(len(degree)), degree),
-                         weights=r[successors], minlength=len(degree))
+        ar = _Rows(s.succ).times(r)
         rho = perron.value * (1 + 1e-9)
         if np.any(ar > rho * r):
             # inflate until the entrywise certificate A r <= rho r holds

@@ -630,9 +630,13 @@ def test_spectra_computes_one_grading_certificate(monkeypatch, capsysbinary):
     assert len(stepped) == 513
 
 
-def test_spectra_past_the_word_budget_is_a_documented_error(monkeypatch, capsysbinary):
+@pytest.mark.parametrize("levels", ["12", "20000", "1000000"])
+def test_spectra_past_the_word_budget_is_a_documented_error(monkeypatch, capsysbinary,
+                                                            levels):
+    """The witness is the first word count past the budget (length 13):
+    counts of the rank-2 shift never fall, so longer words are not counted."""
     monkeypatch.delenv("GRAPHSPECTRA_WORD_BUDGET", raising=False)
-    code, out = run_cli(["spectra", "--genus", "2", "--levels", "12"], capsysbinary)
+    code, out = run_cli(["spectra", "--genus", "2", "--levels", levels], capsysbinary)
     assert code == 2
     assert json.loads(out) == {"error": {"code": "EnumerationBudgetExceeded",
                                          "witness": "2125764"}}
@@ -791,6 +795,30 @@ def test_cold_start_loads_numpy_and_scipy_only_where_used(tmp_path, argv, code,
     got_code, _, stderr, loaded = _fresh_run(tmp_path, argv)
     assert (got_code, stderr) == (code, b"")
     assert loaded == {"libraries": libraries, "modules": modules}
+
+
+# Runs the CLI on argv[1:] in a child, its stdout discarded, and prints
+# the child's peak RSS in KiB: the wrapper's RUSAGE_CHILDREN counts that
+# child alone, not the other children of the test process.
+_PEAK = """
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-m", "graphspectra.cli", *sys.argv[1:]],
+               stdout=subprocess.DEVNULL, check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_spectra_at_level_11_peaks_under_100_mb(tmp_path):
+    """The largest g=2 truncation within the default word budget (dim
+    708,588) holds its words and no entries of S: a fresh run peaked at
+    153 MB while S was stored as CSR arrays."""
+    environ = {k: v for k, v in os.environ.items() if k != "GRAPHSPECTRA_WORD_BUDGET"}
+    environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _PEAK, "spectra", "--genus", "2", "--levels", "11"],
+        cwd=tmp_path, env=environ, capture_output=True, text=True, check=True)
+    assert int(result.stdout) < 100 << 10
 
 
 @pytest.mark.parametrize("argv, witness", [

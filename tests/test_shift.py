@@ -56,6 +56,17 @@ def test_enumeration_budget():
         enumerate_words(full_schottky_sft(2), 4, budget=5)
 
 
+def test_enumeration_budget_reads_the_asked_length_when_counts_can_fall():
+    """0 -> 1, 2 and 1, 2 -> 3, a sink: 4, 4, 2 and 0 words of lengths 1-4,
+    so the two words of length 3 fit a budget that four of length 1 exceed."""
+    s = SFTData.from_rows(((0, 1, 1, 0), (0, 0, 0, 1), (0, 0, 0, 1), (0, 0, 0, 0)),
+                          tuple("abcd"))
+    assert enumerate_words(s, 3, budget=3) == [(0, 1, 3), (0, 2, 3)]
+    with pytest.raises(EnumerationBudgetExceeded) as err:
+        enumerate_words(s, 2, budget=3)
+    assert err.value.witness == 4
+
+
 def test_enumeration_budget_env_override(monkeypatch):
     monkeypatch.setenv("GRAPHSPECTRA_WORD_BUDGET", "5")
     with pytest.raises(EnumerationBudgetExceeded):

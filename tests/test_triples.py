@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -186,13 +187,17 @@ def test_ck_residuals_match_the_assembled_relations(name, level):
 
 @pytest.mark.parametrize("name", ["schottky2", "kato5"])
 def test_ck_residuals_see_a_perturbed_isometry_entry(name):
-    t = build_truncation(CK_SHIFTS[name], 4)
-    assert max(flat_residuals(t)) < 1e-12
-    letter = 1
-    # the first entry of the letter's row block of the stored S = sum_i S_i
-    t._data[t._indptr[t._starts[0][letter]]] *= 1 + 1e-6
+    """Scaling one letter's right Perron entry by 1 + 1e-6 scales the
+    entries of S in the columns ending in it, which breaks both relations;
+    the pass sees that, and agrees with the assembled reference."""
+    s = CK_SHIFTS[name]
+    perron = perron_data(s)
+    assert max(flat_residuals(build_truncation(s, 4, perron=perron))) < 1e-12
+    right = list(perron.right)
+    right[1] *= 1 + 1e-6
+    t = build_truncation(s, 4, perron=dataclasses.replace(perron, right=tuple(right)))
     residuals = flat_residuals(t)
-    assert residuals[0] > 1e-9 and residuals[1 + letter] > 1e-9
+    assert residuals[0] > 1e-9 and max(residuals[1:]) > 1e-9
     assert residuals == pytest.approx(reference_ck_residuals(t), abs=1e-12)
 
 
@@ -266,32 +271,15 @@ def test_ck_residuals_do_not_depend_on_the_entry_batch(name, monkeypatch):
 
 @pytest.mark.parametrize("batch", [5, triples.ENTRY_BATCH])
 def test_ck_residuals_check_the_pattern_in_every_batch(schottky2, monkeypatch, batch):
-    """An entry moved into an empty row, or repeated within its row, is
-    refused whichever batch it falls in."""
+    """A row whose tail names the block of another length-N prefix breaks
+    the diagonal form the residual pass relies on; the pass refuses
+    instead of under-reporting, in the first batch and in the last."""
     monkeypatch.setattr(triples, "ENTRY_BATCH", batch)
-    t = build_truncation(schottky2, 4)
-    rows = np.repeat(np.arange(t.dimension), np.diff(t._indptr))
-    rows[-1] = 0  # the last column's prefix is not the tail of row 0's word
-    moved = sp.csr_matrix((t._data, (rows, t._indices)), shape=(t.dimension,) * 2)
-    indices = t._indices.copy()
-    indices[-1] = indices[-2]  # the last row's last two entries
-    for broken in ((moved.indptr, moved.indices, moved.data),
-                   (t._indptr, indices, t._data)):
-        t._indptr, t._indices, t._data = broken
+    for row in (0, -1):
+        t = build_truncation(schottky2, 4)
+        t._tail[row] = (t._tail[row] + 1) % len(t._starts[-1])
         with pytest.raises(RuntimeError, match="cylinder pattern"):
             t.ck_residuals()
-
-
-def test_ck_residuals_check_the_isometry_pattern(schottky2):
-    """An entry moved to another row breaks the diagonal form the residual
-    pass relies on; the pass refuses instead of under-reporting."""
-    t = build_truncation(schottky2, 3)
-    rows = np.repeat(np.arange(t.dimension), np.diff(t._indptr))
-    rows[0] = (rows[0] + 1) % t.dimension
-    moved = sp.csr_matrix((t._data, (rows, t._indices)), shape=(t.dimension,) * 2)
-    t._indptr, t._indices, t._data = moved.indptr, moved.indices, moved.data
-    with pytest.raises(RuntimeError, match="cylinder pattern"):
-        t.ck_residuals()
 
 
 def test_zero_schedule_on_the_lanczos_branch_is_exactly_zero(schottky2):
@@ -314,8 +302,21 @@ def test_lanczos_converges_on_a_highly_degenerate_top_singular_value(schottky2):
 
 
 def test_truncation_stores_order_n_dim_entries():
-    """Prefix factors, isometries and words only: no dim x dim projection,
+    """The words, their prefix blocks and the row tails only: no stored
+    entries of S, at most 30 array bytes per basis vector at g=2 N=9 (70
+    while S was held as CSR arrays); and at N=7 no dim x dim projection,
     and no dim-long index array per letter (kato5 has 72 letters)."""
+    t = build_truncation(CK_SHIFTS["schottky2"], 9)
+
+    def nbytes(value):
+        if isinstance(value, np.ndarray):
+            return value.nbytes
+        if isinstance(value, (list, tuple)):
+            return sum(map(nbytes, value))
+        return 0
+
+    assert t.dimension == 78732
+    assert sum(map(nbytes, vars(t).values())) <= 30 * t.dimension
     for name, dim in (("schottky2", 8748), ("kato5", 114)):
         s = CK_SHIFTS[name]
         t = build_truncation(s, 7)
