@@ -61,7 +61,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--levels", type=int, default=6)
     p.add_argument("--t", default="1.0", help="comma-separated heat parameters")
     p.add_argument("--s", type=float, default=2.0)
-    p.add_argument("--twist", default=None, help="comma-separated letter permutation")
     common(p)
 
     p = sub.add_parser("af", help="filtered-algebra summability schedule")
@@ -211,14 +210,12 @@ def _run_spectra(plan: RunPlan):
     levels = int(plan.option("levels", 6))
     ts = _number_list(plan, "t", float, "1.0")
     zeta_s = float(plan.option("s", 2.0))
-    twist = tuple(_number_list(plan, "twist", int)) if plan.option("twist") else None
-    for t in ts:  # before the truncation is built
+    for t in ts:  # before any work
         triples.check_heat_parameter(t)
     triples.check_zeta_exponent(zeta_s)
 
     perron = shift.perron_data(s)
-    trunc = triples.build_truncation(s, levels, twist=twist, perron=perron)
-    residuals = trunc.ck_residuals()
+    triples.check_truncation_level(s, levels)
     gradings = triples.SFTGradings(s, perron)
     theta_rows = []
     for t in ts:
@@ -226,18 +223,16 @@ def _run_spectra(plan: RunPlan):
         theta_rows.append({"t": res.t, "partial": res.partial,
                            "tail_bound": res.tail_bound})
     zeta = triples.zeta_partial(gradings(max(levels, 48)), zeta_s)
-    commutators = []
-    for letter in range(s.alphabet_size):
-        norm, depth = trunc.commutator_norm(letter)
-        commutators.append({"letter": s.labels[letter], "norm": norm, "k_i": depth})
+    # k_i = 1 for every letter: see SpectralTruncation.weight_depth
+    commutators = [{"letter": label, "norm": norm, "k_i": 1}
+                   for label, norm in zip(s.labels, triples.commutator_norms(s, levels))]
     report = {
         "lambda_max": perron.value,
         "delta_h": perron.exponent,
         "theta": theta_rows if len(theta_rows) > 1 else theta_rows[0],
         "zeta": {"s": zeta_s, "partial": zeta.partial, "diagnosis": zeta.diagnosis},
         "commutators": commutators,
-        "ck_residuals": {"unit_sum": residuals["unit_sum"],
-                         "range_relation": residuals["range_relation"]},
+        "ck_residuals": triples.ck_residuals(s, levels, perron),
     }
     return report, theta_rows
 

@@ -294,11 +294,7 @@ def ck_k_theory(a) -> tuple[AbelianGroup, AbelianGroup]:
     K1 is free of rank equal to the nullity of 1 - A^t.  Unit pivots are
     eliminated sparsely first and Smith runs on the remainder only.
     """
-    return _k_groups(_transition_matrix(a))
-
-
-def _k_groups(a: EdgeMatrix) -> tuple[AbelianGroup, AbelianGroup]:
-    """ck_k_theory of an EdgeMatrix."""
+    a = _transition_matrix(a)
     n = a.size
     # 1 - A^t as sparse rows: row j is +1 at j and -1 at each predecessor of j
     m = []
@@ -403,7 +399,7 @@ def _stable_iso_verdict(a: EdgeMatrix, k0_a, b) -> Verdict:
     if is_permutation_matrix(a) or is_permutation_matrix(b):
         return Verdict.INCONCLUSIVE
     if k0_a is None:
-        k0_a = _k_groups(a)[0]
-    if k0_a == _k_groups(b)[0]:
+        k0_a = ck_k_theory(a)[0]
+    if k0_a == ck_k_theory(b)[0]:
         return Verdict.STABLY_ISOMORPHIC
     return Verdict.INCONCLUSIVE

@@ -158,27 +158,35 @@ def word_table(s: SFTData, n: int, budget: int | None = None):
     _check_word_budget(s, n, budget)
     import numpy as np
 
-    degree, successors = successor_arrays(s)
-    first_successor = np.cumsum(degree) - degree
+    degree, first, successors = successor_arrays(s)
     table = np.arange(s.alphabet_size, dtype=successors.dtype)[:, None]
     for _ in range(n - 1):
-        last = table[:, -1]
-        reps = degree[last]
-        ends = np.cumsum(reps)
-        pick = np.repeat(first_successor[last] - (ends - reps), reps)
-        pick += np.arange(len(pick))
+        reps = degree[table[:, -1]]
+        pick = _ranges(first[table[:, -1]], reps)
         table = np.concatenate([np.repeat(table, reps, axis=0),
                                 successors[pick][:, None]], axis=1)
     return table
 
 
-def successor_arrays(s: SFTData):
-    """Each letter's out-degree, and the successor lists joined in
-    letter order (the pairs (i, j) with A[i][j] = 1, lexicographic) in
-    the smallest unsigned dtype that holds every letter index."""
+def _ranges(starts, lengths):
+    """The concatenated ranges starts[k] + [0, lengths[k])."""
     import numpy as np
 
-    return _joined(s.succ, np.min_scalar_type(max(s.alphabet_size - 1, 0)))
+    ends = np.cumsum(lengths)
+    out = np.arange(lengths.sum())
+    out += np.repeat(np.asarray(starts - (ends - lengths), dtype=out.dtype), lengths)
+    return out
+
+
+def successor_arrays(s: SFTData):
+    """Each letter's out-degree, the offset of its successors, and the
+    successor lists joined in letter order (the pairs (i, j) with
+    A[i][j] = 1, lexicographic) in the smallest unsigned dtype that holds
+    every letter index."""
+    import numpy as np
+
+    degree, joined = _joined(s.succ, np.min_scalar_type(max(s.alphabet_size - 1, 0)))
+    return degree, np.cumsum(degree) - degree, joined
 
 
 def _joined(lists, dtype):

@@ -1,25 +1,18 @@
 """Finite-dimensional spectral data for shift algebras.
 
-The central object is :class:`SpectralTruncation`: the span of cylinder
+The central object is the level-N truncation: the span of cylinder
 indicators of length N+1 of an irreducible SFT, carrying
 
-* its basis, the admissible words of length N+1 in lexicographic order,
-  held as one numpy word table (one small-integer row per word); each
-  isometry row is found from the table's prefix counts by rank
-  arithmetic, not by looking words up;
+* its basis, the admissible words of length N+1 in lexicographic order;
 * the grading operator D = sum_n n (P_n - P_{n-1}), where P_n projects
   onto functions of the first n+1 coordinates.  P_n = Q_n Q_n^T for the
   prefix factor Q_n, a dim x #prefixes matrix with orthonormal columns
-  and nnz = dim; only the block starts of the Q_n are stored (their
-  weights are derived from the measure when used), and
-  D = N - sum_{n<N} P_n is applied in O(N dim) per vector;
+  and nnz = dim, and D = N - sum_{n<N} P_n;
 * one partial isometry per letter, acting on mu^(1/2)-normalized
   cylinder indicators by prepending the letter with a conformal weight
   drawn from the Parry measure.  Their ranges partition the basis (the
-  range of S_i is the cylinder of i), so S = sum_i S_i, whose row block
-  i is S_i, is stored as the tail of each row alone: row (i,) + u holds
-  u's block, and its values are generated from the words and the Perron
-  data when read.
+  range of S_i is the cylinder of i), so S = sum_i S_i has row block i
+  equal to S_i: row (i,) + u holds the words of the length-N prefix u.
 
 The stored isometries are the members of the adjoint pair (prepend /
 chop) that satisfy the defining relations
@@ -29,9 +22,11 @@ chop) that satisfy the defining relations
 exactly on levels <= N-1 of the truncation; their adjoints lower the
 level by one.  Each S_j S_j^* is diagonal in the cylinder basis, and
 each row of S_i collects the words of a single length-N prefix, so both
-relations compressed to levels <= N-1 are diagonal per length-N prefix:
-``ck_residuals`` evaluates them in one pass over the entries of S,
-after checking that pattern on the words of each row.
+relations compressed to levels <= N-1 are diagonal per length-N prefix,
+and :func:`ck_residuals` evaluates them per class of letters, with no
+basis laid out.  Its Frobenius norms grow like sqrt(dim) times one
+entry's rounding (3.2e-9 at g = 2, N = 30), so the word budget still
+bounds the level that ``spectra`` certifies.
 
 Commutator norms have a closed form.  Let E_n = range(P_n - P_{n-1}).
 Since S_i^* maps V_n = range(P_n) into V_{n-1} (and V_0 into V_0), S_i
@@ -41,11 +36,12 @@ orthogonal sum over n <= N-2 of the blocks (lambda_{n+1} - lambda_n)
 times S_i (times (1 - P_0) S_i at n = 0) from E_n to E_{n+1}, each 0
 or a partial isometry.  A block is nonzero exactly when more
 length-(n+2) than length-(n+1) prefixes of the basis start with i, and
-the norm is the largest |lambda_{n+1} - lambda_n| over those levels.
-The Parry weight ratio mu(iw) / mu(w) = l_i / (l_{w_0} lambda) depends
-on w_0 alone, so every letter has stabilization level k_i = 1.  The
-restricted commutator is also available as a LinearOperator, normed by
-spectral_norm: the reference the closed form is tested against.
+the norm is the largest |lambda_{n+1} - lambda_n| over those levels
+(:func:`commutator_norms`).  The Parry weight ratio
+mu(iw) / mu(w) = l_i / (l_{w_0} lambda) depends on w_0 alone, so every
+letter has stabilization level k_i = 1.  :class:`SpectralTruncation`
+assembles the basis and the operators: the reference both are tested
+against.
 
 Cylinder indicators are normalized to unit vectors; commutator norms
 depend on this normalization choice.
@@ -61,14 +57,15 @@ slope fit.
 numpy and scipy are imported inside the functions that compute with
 them, so that importing the package loads neither: the reference views
 (``spectral_norm`` and the sparse views of a truncation) load both; the
-truncation itself, the Perron-data grading, the crossed-product spectrum
-and the slope fit load numpy only; the other dimension-sequence
-functions load neither.
+truncation itself, the CK residuals, the commutator norms, the
+Perron-data grading, the crossed-product spectrum and the slope fit load
+numpy only; the other dimension-sequence functions load neither.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, islice, repeat
@@ -88,6 +85,8 @@ from .shift import (
     FiltrationDims,
     PerronData,
     SFTData,
+    _check_word_budget,
+    _ranges,
     _Rows,
     filtration_dims,
     perron_data,
@@ -109,9 +108,6 @@ DENSE_NORM_CUTOFF = 256
 # stalled there and raised NormNotConverged after ~67 s, where 20
 # converges in ~20 ms.
 LANCZOS_NCV = 20
-# Isometry entries per batch of the ck_residuals pass, at most: bounds its
-# per-entry temporaries whatever the dimension.
-ENTRY_BATCH = 1 << 16
 
 
 def spectral_norm(mat) -> float:
@@ -192,28 +188,20 @@ class SpectralTruncation:
     block of basis vectors; coarser cylinders are sums over their
     refinements.  The column of Q_n for u holds sqrt(mu(w) / mu(u)) on
     u's block.  For each n < N only the block starts are stored, and the
-    weights are derived from them and ``mu`` when used, O(N dim) in all,
-    next to the index of u among the length-N prefixes for each row
-    (i,) + u, from which ``_entries`` generates the rows of
-    S = sum_i S_i (row block i is S_i) with the Perron data.
+    weights are derived from them and ``mu`` when used, O(N dim) in all.
     P_n X = Q_n (Q_n^T X) is a block sum and a broadcast, and
     D = lambda_N - sum_{n<N} (lambda_{n+1} - lambda_n) P_n.
     ``isometry``, ``projection`` and ``grading_matrix`` assemble scipy
-    reference views on demand.  ``commutator_norm`` needs none of this:
-    it reads the counts of the length-(n+1) prefixes by first letter.
-    """
+    reference views on demand."""
 
     def __init__(self, sft: SFTData, level: int, table: np.ndarray, mu: np.ndarray,
-                 perron: PerronData, tail: np.ndarray, starts: list, counts: list,
-                 twist: tuple | None):
+                 perron: PerronData, starts: list, twist: tuple | None):
         self.sft = sft
         self.level = level
         self._table = table  # the basis words, one row each
         self.mu = mu
         self.perron = perron
-        self._tail = tail  # row (i,) + u: the index of u among the length-N prefixes
         self._starts = starts  # block starts of the length-(n+1) prefixes
-        self._counts = counts  # length-(n+1) prefixes per first letter
         self.twist = twist
         self.dimension = len(table)
 
@@ -236,35 +224,24 @@ class SpectralTruncation:
         block_mu = np.repeat(np.add.reduceat(self.mu, self._starts[n]), self._sizes(n))
         return np.sqrt(self.mu / block_mu)[:, None]
 
-    def _entries(self, lo: int, hi: int, top_sizes: np.ndarray):
-        """Rows lo..hi-1 of S, row by row: row offsets from lo, columns and
-        values.  Row (i,) + u holds the block of u (top_sizes: the blocks of
-        the length-N prefixes).  The conformal weight cancels the measure
-        ratio on mu^(1/2)-normalized cylinders, so each value is the top
-        level's compression, sqrt(mu(iw) / mu(i w_0..w_{N-1})).
-        """
-        import numpy as np
-
-        tail = self._tail[lo:hi]
-        sizes = top_sizes[tail]
-        rows = np.repeat(np.arange(hi - lo), sizes)
-        cols = _ranges(self._starts[-1][tail], sizes)
-        left, right = np.array(self.perron.left), np.array(self.perron.right)
-        lam, norm = self.perron.value, float(left @ right)
-        li = np.repeat(left[self._table[lo:hi, 0]], sizes)
-        mu_iw = li * right[self._table[cols, -1]] * lam ** (-(self.level + 1)) / norm
-        mu_tgt = li * right[self._table[cols, -2]] * lam ** (-self.level) / norm
-        return rows, cols, np.sqrt(mu_iw / mu_tgt)
-
     def isometry(self, letter: int):
-        """S_i as a new dim x dim CSR matrix: the rows of S in the block of
-        the words starting with the letter, every other row empty."""
+        """S_i as a new dim x dim CSR matrix: the basis word w = u b goes
+        to (i,) + u with value sqrt(mu(iw) / mu(iu)), the top level's
+        compression.  In order, the rows (i,) + u whose last letter has a
+        successor hold the blocks of the length-N prefixes starting with a
+        successor of i; the other rows are empty."""
+        import numpy as np
         import scipy.sparse as sp
 
-        lo = self._starts[0][letter]
-        rows, cols, vals = self._entries(lo, lo + self._sizes(0)[letter],
-                                         self._sizes(self.level - 1))
-        return sp.csr_matrix((vals, (rows + lo, cols)),
+        table, top = self._table, self._starts[-1]
+        lo, hi = np.searchsorted(table[:, 0], [letter, letter + 1])
+        rows = lo + np.flatnonzero(successor_arrays(self.sft)[0][table[lo:hi, -1]])
+        blocks = np.flatnonzero(np.isin(table[top, 0], self.sft.succ[letter]))
+        sizes = self._sizes(self.level - 1)[blocks]
+        cols = _ranges(top[blocks], sizes)
+        vals = np.sqrt(_measure(self.perron, self.level + 1, letter, table[cols, -1])
+                       / _measure(self.perron, self.level, letter, table[cols, -2]))
+        return sp.csr_matrix((vals, (np.repeat(rows, sizes), cols)),
                              shape=(self.dimension, self.dimension))
 
     def twisted_isometry(self, letter: int):
@@ -294,20 +271,12 @@ class SpectralTruncation:
         q = self.prefix_factor(n)
         return (q @ q.T).tocsr()
 
-    def _schedule(self, eigenvalues) -> list:
-        if eigenvalues is None:
-            return list(range(self.level + 1))
-        if len(eigenvalues) != self.level + 1:
-            raise InvalidParameter("need one eigenvalue per level",
-                                   witness=len(eigenvalues))
-        return list(eigenvalues)
-
     def grading_matrix(self, eigenvalues=None):
         """D = sum_n lambda_n (P_n - P_{n-1}) as a sparse matrix (a reference
         view); default schedule lambda_n = n."""
         import scipy.sparse as sp
 
-        lam = self._schedule(eigenvalues)
+        lam = _schedule(self.level, eigenvalues)
         d = lam[-1] * sp.identity(self.dimension, format="csr")
         for n in range(self.level):
             if lam[n + 1] != lam[n]:
@@ -324,7 +293,7 @@ class SpectralTruncation:
 
     def _grading(self, eigenvalues):
         """The map x -> D x on (dim, k) blocks."""
-        lam = self._schedule(eigenvalues)
+        lam = _schedule(self.level, eigenvalues)
         steps = [(n, lam[n + 1] - lam[n]) for n in range(self.level)
                  if lam[n + 1] != lam[n]]
 
@@ -336,56 +305,8 @@ class SpectralTruncation:
         return grade
 
     def ck_residuals(self) -> dict:
-        """Frobenius norms (upper bounds for the operator norm) of both
-        defining relations, compressed to levels <= N-1, from one pass
-        over the entries of S = sum_i S_i.
-
-        ||P X P||_F = ||Q^T X Q||_F for Q = Q_{N-1}, whose columns (the
-        length-N prefixes u, weights g_w on their words w) are orthonormal.
-        The pass first checks, on the words, the pattern it relies on: the
-        row r of each word i u (so in S_i) holds the block of u, that is,
-        its tail index names a block whose words start with u.  Then
-        S_j S_j^* is diagonal with entries t_w (row sums of squares), S_i Q
-        maps u to c_{iu} times the word i u (c the row sums of g-weighted
-        entries), and both compressed relations are diagonal per prefix.
-        The unit-sum residual is the norm over u of
-        sum_{w in u} g_w^2 (t_w - 1).  The words i u are the pairs with
-        A_{i u_0} = 1, and the one surviving summand of
-        sum_j A_ij S_j S_j^* on u is the range of S_{u_0}, with entry
-        e_u = sum_{w in u} g_w^2 t_w; so the residual of letter i is the
-        norm over the words i u of c_{iu}^2 - e_u.  A broken pattern
-        raises RuntimeError.  The entries are generated a block of rows
-        at a time, at most ENTRY_BATCH of them, so the per-entry
-        temporaries stay bounded whatever the dimension.
-        """
-        import numpy as np
-
-        size, dim = self.sft.alphabet_size, self.dimension
-        top = self.level - 1
-        starts, sizes = self._starts[top], self._sizes(top)
-        g = self._weight(top)[:, 0]
-        table, tail = self._table, self._tail
-        sq, lifted = np.zeros(dim), np.zeros(dim)
-        # a row of the pattern holds at most max-out-degree entries
-        step = max(ENTRY_BATCH // max(self.sft.row_sums()), 1)
-        for lo in range(0, dim, step):
-            hi = min(lo + step, dim)
-            if not np.array_equal(table[lo:hi, 1:], table[starts[tail[lo:hi]], :-1]):
-                raise RuntimeError("isometry entries leave the cylinder pattern")
-            rows, cols, vals = self._entries(lo, hi, sizes)
-            sq[lo:hi] = np.bincount(rows, weights=vals * vals, minlength=hi - lo)
-            lifted[lo:hi] = np.bincount(rows, weights=g[cols] * vals, minlength=hi - lo)
-        g *= g
-        unit = np.add.reduceat(g * (sq - 1), starts)
-        ranges = np.add.reduceat(g * sq, starts)
-        gap = lifted
-        gap *= lifted
-        gap -= ranges[tail]
-        gap *= gap
-        per_letter = np.sqrt(np.bincount(self._table[:, 0], weights=gap,
-                                         minlength=size))
-        return {"unit_sum": float(np.linalg.norm(unit)),
-                "range_relation": [float(x) for x in per_letter]}
+        """:func:`ck_residuals` of this truncation's shift, level and Perron data."""
+        return ck_residuals(self.sft, self.level, self.perron)
 
     def weight_depth(self, letter: int) -> int:
         """Number of leading coordinates the conformal weight of the letter
@@ -418,17 +339,16 @@ class SpectralTruncation:
             rmatvec=lambda x: adjoint(x.reshape(-1, 1)), rmatmat=adjoint)
 
     def commutator_norm(self, letter: int, eigenvalues=None) -> tuple[float, int]:
-        """Operator norm of the restricted commutator and the weight depth.
+        """The letter's :func:`commutator_norms` entry and weight depth."""
+        return (commutator_norms(self.sft, self.level, eigenvalues)[letter],
+                self.weight_depth(letter))
 
-        The norm is max |lambda_{n+1} - lambda_n| over the levels
-        n <= N-2 where the letter starts more length-(n+2) than
-        length-(n+1) prefixes, and 0.0 when there is no such level.
-        """
-        lam = self._schedule(eigenvalues)
-        counts = [c[letter] for c in self._counts]
-        steps = [abs(lam[n + 1] - lam[n]) for n in range(self.level - 1)
-                 if counts[n + 1] > counts[n]]
-        return float(max(steps, default=0.0)), self.weight_depth(letter)
+
+def check_truncation_level(s: SFTData, level: int, budget: int | None = None) -> None:
+    """TruncationTooSmall below level 2, then the budget on the N+1-letter words."""
+    if level < 2:
+        raise TruncationTooSmall("truncation level must be >= 2", witness=level)
+    _check_word_budget(s, level + 1, budget)
 
 
 def build_truncation(s: SFTData, level: int, twist: tuple | None = None,
@@ -437,16 +357,13 @@ def build_truncation(s: SFTData, level: int, twist: tuple | None = None,
     """Lay out the level-N cylinder basis, prefix blocks and isometry rows.
 
     ``perron`` is the SFT's Perron data when the caller already holds it.
-    The basis is the word table of length N+1 (the word budget is checked
-    before it is allocated).  Row (i,) + u of S = sum_i S_i holds the
-    block of the words with length-N prefix u, and the index of u is laid
-    out for all rows at once from the prefix counts by first letter; the
-    entries themselves are generated when read.
+    The basis is the word table of length N+1, after
+    :func:`check_truncation_level`; the isometries are generated when
+    read.
     """
     import numpy as np
 
-    if level < 2:
-        raise TruncationTooSmall("truncation level must be >= 2", witness=level)
+    check_truncation_level(s, level, budget)
     if twist is not None:
         n = s.alphabet_size
         if sorted(twist) != list(range(n)):
@@ -459,44 +376,126 @@ def build_truncation(s: SFTData, level: int, twist: tuple | None = None,
     if perron is None:
         perron = perron_data(s)
     table = word_table(s, level + 1, budget)
-    dim = len(table)
-    left = np.array(perron.left)
-    right = np.array(perron.right)
-    first = table[:, 0]
-    mu = left[first] * right[table[:, -1]] * perron.value ** (-level) / float(left @ right)
+    mu = _measure(perron, level, table[:, 0], table[:, -1])
 
     # lexicographic order: a prefix block starts where any of its letters changes
-    starts, counts = [], []
-    changed = np.zeros(dim, dtype=bool)
-    changed[0] = True
+    starts = []
+    changed = np.zeros(len(table), dtype=bool)
+    changed[:1] = True
     for n in range(level):
         changed[1:] |= table[1:, n] != table[:-1, n]
-        block = np.flatnonzero(changed)
-        starts.append(block)
-        counts.append(np.bincount(first[block], minlength=s.alphabet_size))
-
-    # S_i sends the basis word c = u b (u of length N, u_0 a successor of
-    # i) to the word (i,) + u.  Lexicographically, the rows (i,) + u run
-    # through the pairs (i, u_0) with A[i][u_0] = 1 in order and, within a
-    # pair, through the length-N prefixes u starting with u_0.
-    top_by_first = counts[-1]
-    top_first = np.cumsum(top_by_first) - top_by_first
-    _, pair_next = successor_arrays(s)
-    tail = _ranges(top_first[pair_next], top_by_first[pair_next],
-                   np.int32 if dim < 2 ** 31 else np.int64)
-    if len(tail) != dim:
-        raise RuntimeError("isometry rows leave the cylinder pattern")
-    return SpectralTruncation(s, level, table, mu, perron, tail, starts, counts, twist)
+        starts.append(np.flatnonzero(changed))
+    return SpectralTruncation(s, level, table, mu, perron, starts, twist)
 
 
-def _ranges(starts, lengths, dtype=None):
-    """The concatenated ranges starts[k] + [0, lengths[k])."""
+def _schedule(level: int, eigenvalues) -> list:
+    if eigenvalues is None:
+        return list(range(level + 1))
+    if len(eigenvalues) != level + 1:
+        raise InvalidParameter("need one eigenvalue per level",
+                               witness=len(eigenvalues))
+    return list(eigenvalues)
+
+
+def _measure(perron: PerronData, level: int, heads, lasts):
+    """mu of the words of length N+1 with these first and last letters."""
     import numpy as np
 
-    ends = np.cumsum(lengths)
-    out = np.arange(lengths.sum(), dtype=dtype)
-    out += np.repeat(np.asarray(starts - (ends - lengths), dtype=out.dtype), lengths)
-    return out
+    left, right = np.array(perron.left), np.array(perron.right)
+    return left[heads] * right[lasts] * perron.value ** (-level) / float(left @ right)
+
+
+def ck_residuals(s: SFTData, level: int, perron: PerronData) -> dict:
+    """Frobenius norms (upper bounds for the operator norm) of both
+    defining relations at level N, compressed to levels <= N-1.
+
+    With Q = Q_{N-1} (columns the length-N prefixes u, weights g_w on
+    their words w), S_j S_j^* is diagonal with entries t_w (row w of S
+    squared and summed) and S_i Q maps u to c_{iu} times the word i u (c
+    its row's g-weighted sum).  So the unit-sum residual is the norm over
+    u of sum_{w in u} g_w^2 (t_w - 1), and letter i's is the norm over
+    the words i u of c_{iu}^2 - sum_{w in u} g_w^2 t_w.  An entry of S
+    depends on its row's first letter and its column's last two letters,
+    so these depend on (u_0, u_{N-1}) and (i, u_0, u_{N-1}) alone: each
+    is computed once, as the assembled rows compute it, and weighted by
+    (A^{N-1})[u_0][u_{N-1}].  A u whose last letter has no successor is
+    no prefix; its rows are empty.
+    """
+    import numpy as np
+
+    n = s.alphabet_size
+    degree, first, successors = successor_arrays(s)
+    source, target, count = next(islice(_paths(s), level - 1, None))
+    keep = degree[target] > 0
+    source, target, count = source[keep], target[keep], count[keep]
+
+    def rows(heads, ends):  # entries of S in rows with these first and last letters
+        row = np.repeat(np.arange(len(ends)), degree[ends])
+        lasts = successors[_ranges(first[ends], degree[ends])]
+        heads, ends = heads[row], ends[row]
+        return row, lasts, np.sqrt(_measure(perron, level + 1, heads, lasts)
+                                   / _measure(perron, level, heads, ends))
+
+    # the words u b of the prefix classes, b ascending
+    word, lasts, _ = rows(source, target)
+    block = np.searchsorted(word, np.arange(len(target)))
+    mu = _measure(perron, level, source[word], lasts)
+    g = np.sqrt(mu / np.add.reduceat(mu, block)[word])
+    row, _, vals = rows(source[word], lasts)
+    t = np.bincount(row, weights=vals * vals, minlength=len(word))
+    unit = np.add.reduceat(g * g * (t - 1), block)
+    ranges = np.add.reduceat(g * g * t, block)
+
+    # the rows i u: per pair (i, u_0) of A, the prefix classes starting with u_0
+    per_source = np.bincount(source, minlength=n)
+    prefix = _ranges(np.searchsorted(source, successors), per_source[successors])
+    letter = np.repeat(np.repeat(np.arange(n), degree), per_source[successors])
+    row, _, vals = rows(letter, target[prefix])
+    lifted = np.bincount(row, weights=g[_ranges(block[prefix], degree[target[prefix]])]
+                         * vals, minlength=len(prefix))
+    gap = lifted * lifted - ranges[prefix]
+    gap *= gap
+    per_letter = np.sqrt(np.bincount(letter, weights=count[prefix] * gap, minlength=n))
+    return {"unit_sum": math.sqrt(float(count @ (unit * unit))),
+            "range_relation": [float(x) for x in per_letter]}
+
+
+def _paths(s: SFTData) -> Iterator[tuple]:
+    """Yield, for k = 0, 1, ..., the sources, targets and numbers (float,
+    exact below 2**53) of the paths of k steps, ordered by source, then
+    target: a frontier stepped over successor lists, merged each step."""
+    import numpy as np
+
+    n = s.alphabet_size
+    degree, first, successors = successor_arrays(s)
+    source, target, count = np.arange(n), np.arange(n), np.ones(n)
+    while True:
+        yield source, target, count
+        sizes = degree[target]
+        key = np.repeat(source * n, sizes) + successors[_ranges(first[target], sizes)]
+        key, merged = np.unique(key, return_inverse=True)
+        count = np.bincount(merged, weights=np.repeat(count, sizes), minlength=len(key))
+        source, target = np.divmod(key, n)
+
+
+def commutator_norms(s: SFTData, level: int, eigenvalues=None) -> list[float]:
+    """Norm of P_{N-1}[D, S_i]P_{N-1} per letter i at level N, by the
+    closed form of the module docstring (lambda_n = n by default).  The
+    length-(n+1) prefixes of the basis starting with i number
+    sum_j (A^n)[i][j] e_{N-n}[j], e_k marking the letters that start a
+    word of length k+1."""
+    import numpy as np
+
+    lam = _schedule(level, eigenvalues)
+    a, ends = _Rows(s.succ), [np.ones(s.alphabet_size)]
+    for _ in range(level):
+        ends.append(a.times(ends[-1]) > 0)
+    counts = [np.bincount(source, weights=count * ends[level - n][target],
+                          minlength=s.alphabet_size)
+              for n, (source, target, count) in zip(range(level), _paths(s))]
+    return [float(max((abs(lam[n + 1] - lam[n]) for n in range(level - 1)
+                       if counts[n + 1][i] > counts[n][i]), default=0.0))
+            for i in range(s.alphabet_size)]
 
 
 @dataclass(frozen=True)

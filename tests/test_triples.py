@@ -259,27 +259,47 @@ def test_words_are_a_view_made_when_read(schottky2):
     assert t.words == enumerate_words(schottky2, 4)
 
 
-@pytest.mark.parametrize("name", ["schottky2", "kato5", "nonsymmetric"])
-def test_ck_residuals_do_not_depend_on_the_entry_batch(name, monkeypatch):
-    """Batches of 1, 7 and 100 entries (blocks of rows) give the same bits."""
-    t = build_truncation(CK_SHIFTS[name], 5)
-    whole = flat_residuals(t)
-    for batch in (1, 7, 100):
-        monkeypatch.setattr(triples, "ENTRY_BATCH", batch)
-        assert flat_residuals(t) == whole
+@st.composite
+def shifts_with_perron_data(draw):
+    """A random 1-8-letter shift, reducible or not, some letters stripped
+    of every successor or every predecessor, with random positive Perron
+    data (so any shift builds), and a level N in 2..5, lowered while the
+    basis holds more than 2,000 words."""
+    n = draw(st.integers(1, 8))
+    cells = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    sinks = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    sources = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    rows = tuple(tuple(int(cells[i * n + j] and i not in sinks and j not in sources)
+                       for j in range(n)) for i in range(n))
+    s = SFTData.from_rows(rows, tuple(map(str, range(n))))
+    side = st.lists(st.floats(0.5, 1.0), min_size=n, max_size=n).map(tuple)
+    value = draw(st.floats(1.0, 3.0))
+    perron = PerronData(value, draw(side), draw(side), (value, value))
+    level = draw(st.integers(2, 5))
+    while level > 2 and count_words(s, level + 1) > 2000:
+        level -= 1
+    return s, perron, level
 
 
-@pytest.mark.parametrize("batch", [5, triples.ENTRY_BATCH])
-def test_ck_residuals_check_the_pattern_in_every_batch(schottky2, monkeypatch, batch):
-    """A row whose tail names the block of another length-N prefix breaks
-    the diagonal form the residual pass relies on; the pass refuses
-    instead of under-reporting, in the first batch and in the last."""
-    monkeypatch.setattr(triples, "ENTRY_BATCH", batch)
-    for row in (0, -1):
-        t = build_truncation(schottky2, 4)
-        t._tail[row] = (t._tail[row] + 1) % len(t._starts[-1])
-        with pytest.raises(RuntimeError, match="cylinder pattern"):
-            t.ck_residuals()
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=shifts_with_perron_data())
+def test_class_passes_match_the_assembled_truncation(case):
+    """The class pass against the relations assembled from the basis,
+    also where a letter has no successor (its rows are empty: a sum over
+    an empty segment must read 0) or no predecessor; and the commutator
+    norms against the prefix counts of the basis, one schedule step at a
+    time."""
+    s, perron, level = case
+    t = build_truncation(s, level, perron=perron)
+    res = triples.ck_residuals(s, level, perron)
+    assert [res["unit_sum"], *res["range_relation"]] == pytest.approx(
+        reference_ck_residuals(t), abs=1e-12)
+    by_first = [np.bincount(t._table[block, 0], minlength=s.alphabet_size)
+                for block in t._starts]
+    for n in range(level - 1):
+        schedule = [0.0] * (n + 1) + [1.0] * (level - n)
+        assert triples.commutator_norms(s, level, schedule) == [
+            float(by_first[n + 1][i] > by_first[n][i]) for i in range(s.alphabet_size)]
 
 
 def test_zero_schedule_on_the_lanczos_branch_is_exactly_zero(schottky2):
@@ -302,8 +322,8 @@ def test_lanczos_converges_on_a_highly_degenerate_top_singular_value(schottky2):
 
 
 def test_truncation_stores_order_n_dim_entries():
-    """The words, their prefix blocks and the row tails only: no stored
-    entries of S, at most 30 array bytes per basis vector at g=2 N=9 (70
+    """The words and their prefix blocks only: no stored entries or row
+    tails of S, at most 30 array bytes per basis vector at g=2 N=9 (70
     while S was held as CSR arrays); and at N=7 no dim x dim projection,
     and no dim-long index array per letter (kato5 has 72 letters)."""
     t = build_truncation(CK_SHIFTS["schottky2"], 9)
