@@ -12,7 +12,8 @@ has A[a][b] = 1.  The level-n filtration space V_n is spanned by
 indicator functions of cylinders of length n+1, so dim V_n equals the
 number of admissible words of length n+1.  Every such count reads from
 one engine, :func:`word_count_vectors`, which steps the exact integer
-row vector 1^T A^(n-1) one level at a time.
+row vector 1^T A^(n-1) a level at a time: a chain letter copies its one
+predecessor's count, and only a branch letter sums its several.
 
 The conformal measure on the boundary is realized as the Parry measure:
 with left/right Perron eigenvectors l, r (normalized to sum 1) and
@@ -40,6 +41,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, islice
+from operator import itemgetter
 
 from .errors import (
     EnumerationBudgetExceeded,
@@ -101,12 +103,20 @@ def word_count_vectors(s: SFTData) -> Iterator[tuple]:
     ending in letter j, so v_n = 1^T A^(n-1) in exact integers.
 
     v_1 is all ones and v_{n+1}[j] sums v_n over the predecessors of j.
+    One gather over v_n with a 0 appended gives each chain letter its one
+    predecessor's count (a letter with none, the 0); branch letters sum.
     """
-    preds = s.pred
-    vec = (1,) * s.alphabet_size
+    n = s.alphabet_size
+    index = [pred[0] if len(pred) == 1 else n for pred in s.pred]
+    branches = [(j, itemgetter(*pred)) for j, pred in enumerate(s.pred) if len(pred) > 1]
+    vec = (1,) * n
     while True:
         yield vec
-        vec = tuple(sum(vec[i] for i in pred) for pred in preds)
+        ext = (*vec, 0)
+        step = list(map(ext.__getitem__, index))
+        for j, pick in branches:
+            step[j] = sum(pick(ext))
+        vec = tuple(step)
 
 
 def count_words(s: SFTData, n: int) -> int:

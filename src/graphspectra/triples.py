@@ -493,9 +493,9 @@ def commutator_norms(s: SFTData, level: int, eigenvalues=None) -> list[float]:
     counts = [np.bincount(source, weights=count * ends[level - n][target],
                           minlength=s.alphabet_size)
               for n, (source, target, count) in zip(range(level), _paths(s))]
-    return [float(max((abs(lam[n + 1] - lam[n]) for n in range(level - 1)
-                       if counts[n + 1][i] > counts[n][i]), default=0.0))
-            for i in range(s.alphabet_size)]
+    steps = np.array([float(abs(b - a)) for a, b in zip(lam, lam[1:level])])[:, None]
+    counts = np.reshape(counts, (-1, s.alphabet_size))
+    return np.where(counts[1:] > counts[:-1], steps, 0.0).max(axis=0, initial=0.0).tolist()
 
 
 @dataclass(frozen=True)

@@ -723,6 +723,18 @@ def test_cohomology_red9_golden(capsysbinary):
     assert out == (GOLDEN / "cohomology_red9_5.json").read_bytes()
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (["spectra", "--levels", "7"], "spectra_kato3_7.json"),
+    (["cohomology", "--levels", "12"], "cohomology_kato3_12.json"),
+], ids=["spectra", "cohomology"])
+def test_kato3_goldens(argv, golden, capsysbinary):
+    """kato3 is 42 chain letters and 6 branch letters: the goldens whose
+    word counts are mostly copied, not summed."""
+    code, out = run_cli([*argv, "--matrix", str(DATA / "kato3.json")], capsysbinary)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_bytes()
+
+
 def test_cohomology_dims_past_the_digit_cap_are_an_error(monkeypatch, capsysbinary):
     # the g=2 dims 9, 25, 73, 217, 649, 1945 count 2, 2, 3, 3, 4, 4 digits
     # from their bit lengths: 14 through level 5, 18 through level 6

@@ -1,11 +1,11 @@
 import math
 import tracemalloc
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphspectra import graphs, io, shift
@@ -31,6 +31,7 @@ from graphspectra.shift import (
     full_schottky_sft,
     parry_cylinder_measure,
     perron_data,
+    word_count_vectors,
     word_table,
 )
 
@@ -83,6 +84,45 @@ def test_filtration_dims(schottky2):
     g = 2
     for n in range(1, 5):
         assert fd.new_dims()[n] == 2 * g * (2 * g - 1) ** (n - 1) * (2 * g - 2)
+
+
+def per_letter_word_counts(s):
+    """The word-count step as a sum over every letter's predecessors."""
+    vec = (1,) * s.alphabet_size
+    while True:
+        yield vec
+        vec = tuple(sum(vec[i] for i in pred) for pred in s.pred)
+
+
+@st.composite
+def zero_one_rows(draw):
+    """0/1 matrices on 0-9 letters, from nearly empty to nearly full, so
+    reducible shifts, letters without a predecessor, self-loops and chain
+    letters fed by branch letters all occur."""
+    n = draw(st.integers(0, 9))
+    density = draw(st.integers(1, 4))
+    cells = draw(st.lists(st.integers(0, 4), min_size=n * n, max_size=n * n))
+    return tuple(tuple(int(cells[i * n + j] < density) for j in range(n))
+                 for i in range(n))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rows=zero_one_rows())
+# letter 0: a self-loop and two more predecessors; letter 1: its one
+# predecessor is letter 0; letter 2: no predecessor, so the shift is reducible
+@example(rows=((1, 1, 0), (1, 0, 0), (1, 0, 0)))
+def test_word_count_gather_matches_the_per_letter_sum(rows):
+    s = SFTData.from_rows(rows, tuple(map(str, range(len(rows)))))
+    assert (list(islice(word_count_vectors(s), 12))
+            == list(islice(per_letter_word_counts(s), 12)))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_word_count_gather_on_kato_graphs(r):
+    s = from_edge_matrix(directed_edge_matrix(kato_graph(r)))
+    assert sum(len(pred) > 1 for pred in s.pred) == 6  # the rest are chain letters
+    assert (list(islice(word_count_vectors(s), 40))
+            == list(islice(per_letter_word_counts(s), 40)))
 
 
 @pytest.mark.parametrize("g", [2, 3])

@@ -302,6 +302,27 @@ def test_class_passes_match_the_assembled_truncation(case):
             float(by_first[n + 1][i] > by_first[n][i]) for i in range(s.alphabet_size)]
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=shifts_with_perron_data(), data=st.data())
+def test_commutator_norms_match_the_per_letter_max(case, data):
+    """The masked max against the per-letter max over the schedule's
+    steps, on the basis prefix counts, for float schedules and for int
+    schedules past 2**53 (taking float of the max or the max of floats
+    gives the same value, as float is monotone)."""
+    s, perron, level = case
+    t = build_truncation(s, level, perron=perron)
+    counts = [np.bincount(t._table[block, 0], minlength=s.alphabet_size)
+              for block in t._starts]
+    lam = data.draw(st.one_of(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                 min_size=level + 1, max_size=level + 1),
+        st.lists(st.integers(-2 ** 200, 2 ** 200), min_size=level + 1, max_size=level + 1)))
+    assert triples.commutator_norms(s, level, lam) == [
+        float(max((abs(lam[n + 1] - lam[n]) for n in range(level - 1)
+                   if counts[n + 1][i] > counts[n][i]), default=0.0))
+        for i in range(s.alphabet_size)]
+
+
 def test_zero_schedule_on_the_lanczos_branch_is_exactly_zero(schottky2):
     t = build_truncation(schottky2, 5)
     assert t.dimension > DENSE_NORM_CUTOFF
