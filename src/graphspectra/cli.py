@@ -352,11 +352,11 @@ def main(argv=None) -> int:
     try:
         plan = parse_invocation(argv)
         report, rows = execute(plan)
-        payload = io.emit(report, plan.fmt, rows)
+        pieces = io.emit_pieces(report, plan.fmt, rows)
         if plan.out:
             try:
                 with open(plan.out, "wb") as handle:
-                    handle.write(payload)
+                    handle.writelines(pieces)
             except OSError as exc:
                 raise InvalidInput(f"cannot write {plan.out}: {exc}",
                                    witness=plan.out) from None
@@ -371,7 +371,7 @@ def main(argv=None) -> int:
                        else str(exc)}}, "json"))
         return 2
     if not plan.out:
-        sys.stdout.buffer.write(payload)
+        sys.stdout.buffer.writelines(pieces)
     return 0
 
 

@@ -7,10 +7,17 @@ words.  Reports are emitted with stable field ordering and every float
 rounded to 12 significant digits, so identical inputs produce identical
 bytes.  JSON output is strict RFC 8259: a non-finite float is written as
 the string "Infinity", "-Infinity" or "NaN".  The JSON text has the
-bytes of ``json.dumps(..., indent=2)`` but joins each container's items
-once instead of going through json's pure-Python indenting encoder, and
-is encoded once.  A file that cannot be read or parsed raises
-InvalidInput.
+bytes of ``json.dumps(..., indent=2)`` without going through json's
+pure-Python indenting encoder.  A list of lists whose leaves all sit at
+one depth and are exact str, int, bool or None (a word or relation
+list) is written by one compact pass of json's C encoder, with "\x00"
+between items, and re-indented by one ``str.replace`` per level.  Any
+other list (one holding a float, a dict, an empty container, a subclass
+or items of mixed depth, or a list of leaves) joins its items' texts
+once.  A long list is written in chunks of ``_CHUNK`` items.  The text
+comes out as byte pieces, one per dict value and per chunk, which the
+CLI writes in turn, so the whole text is never held twice.  A file that
+cannot be read or parsed raises InvalidInput.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import itertools
 import json
 import math
 from functools import cache
-from json.encoder import encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 from .errors import InvalidInput, UsageError
@@ -209,6 +216,26 @@ _JSON_LEAF = {
     type(None): lambda _: "null",
 }
 
+# Leaf types the C encoder writes as _JSON_LEAF does, and the containers
+# a uniform list is made of
+_UNIFORM_LEAVES = frozenset({str, int, bool, type(None)})
+_UNIFORM_ARRAYS = frozenset({list, tuple})
+
+# Items per chunk of a long list: each chunk is checked, encoded and
+# re-indented on its own, and its text is one piece of the output
+_CHUNK = 1000
+
+# Compact JSON of a uniform list, with "\x00" between items; a string's
+# own NUL is escaped as \u0000, so every "\x00" is a separator
+if c_make_encoder is None:
+    _compact = json.JSONEncoder(separators=("\x00", ": "), check_circular=False).encode
+else:
+    _c_encode = c_make_encoder(None, None, encode_basestring_ascii, None,
+                               ": ", "\x00", False, False, False)
+
+    def _compact(items) -> str:
+        return "".join(_c_encode(items, 0))
+
 
 @cache
 def _pads(level: int) -> tuple[str, str, str]:
@@ -219,50 +246,105 @@ def _pads(level: int) -> tuple[str, str, str]:
     return first, "," + first, "\n" + "  " * level
 
 
-def _json_text(obj, level: int, seen: dict, end: str = "") -> str:
-    """``json.dumps(obj, indent=2, allow_nan=False)`` with every float
-    written by :func:`_json_float`, for an object nested ``level`` deep,
-    followed by ``end``.
+@cache
+def _reindent(level: int, k: int) -> tuple[list, str, str]:
+    """For the items of a list nested ``level`` deep that is uniform of
+    height ``k``: the (compact, indented) separator pairs, outermost
+    first, and the openers and closers its first and last item start and
+    end with.  Between two items of a container ``d`` levels below the
+    list sit k-1-d closing brackets, the "\x00" and k-1-d opening ones."""
+    pads = [_pads(level + d) for d in range(k)]
 
-    A container's text is one join of its item texts, with the brackets
-    and indents joined onto its first and last items.  A str, int or float
-    item is written in place; any other item's text is kept in ``seen``
-    (see :func:`_item_text`).  A leaf of a subclass type takes json's own
+    def openers(d):
+        return "".join("[" + pads[a][0] for a in range(d + 1, k))
+
+    def closers(d):
+        return "".join(pads[a][2] + "]" for a in reversed(range(d + 1, k)))
+
+    seps = [("]" * (k - 1 - d) + "\x00" + "[" * (k - 1 - d),
+             closers(d) + pads[d][1] + openers(d)) for d in range(k)]
+    return seps, openers(0), closers(0)
+
+
+def _height(items) -> int:
+    """k when the non-empty list ``items`` is uniform of height k: every
+    container below it is a non-empty list or tuple of exact type, and
+    every leaf, k levels deep, is an exact str, int, bool or None.  0
+    when it is not uniform."""
+    k = 1
+    while not (types := set(map(type, items))) <= _UNIFORM_LEAVES:
+        if not (types <= _UNIFORM_ARRAYS and all(items)):
+            return 0
+        items = list(itertools.chain.from_iterable(items))
+        k += 1
+    return k
+
+
+def _items_text(items, level: int, sep: str) -> str:
+    """The texts of the non-empty ``items`` of a list nested ``level``
+    deep, joined by ``sep``.  A uniform list of lists is encoded once by
+    the C encoder and re-indented by one ``str.replace`` per level.  Any
+    other list takes one step per item, with a str, int or float item
+    written in place; so does a list of leaves, which that way is as fast
+    as the C pass or faster (for str items at every length from 1 to
+    1000)."""
+    k = type(items[0]) in _UNIFORM_ARRAYS and _height(items)
+    if k:
+        seps, head, tail = _reindent(level, k)
+        text = _compact(items)
+        for old, new in seps:
+            text = text.replace(old, new)
+        return head + text[k:-k] + tail
+    return sep.join([encode_basestring_ascii(v) if (t := type(v)) is str
+                     else int.__repr__(v) if t is int else _json_float(v) if t is float
+                     else _json_text(v, level + 1) for v in items])
+
+
+def _json_write(obj, level: int, out: list, prefix: str = "") -> None:
+    """Append ``prefix`` and ``json.dumps(obj, indent=2, allow_nan=False)``,
+    with every float written by :func:`_json_float`, for an object nested
+    ``level`` deep, to ``out`` as str pieces.
+
+    A piece starts at each dict value and at each chunk of ``_CHUNK``
+    items of a list, whose text comes from :func:`_items_text`; so no
+    step copies a whole long list, and brackets and keys ride on the
+    pieces next to them.  A leaf of a subclass type takes json's own
     rules, and a type json cannot write raises its TypeError.
     """
     if isinstance(obj, dict):
-        items = [_json_key(k) + ": " + _json_text(v, level + 1, seen)
-                 for k, v in obj.items()]
-        brackets = "{}"
+        if not obj:
+            out.append(prefix + "{}")
+            return
+        first, sep, last = _pads(level)
+        prefix += "{" + first
+        for key, value in obj.items():
+            _json_write(value, level + 1, out, prefix + _json_key(key) + ": ")
+            prefix = sep
+        out[-1] += last + "}"
     elif isinstance(obj, (list, tuple)):
-        items = [encode_basestring_ascii(v) if (t := type(v)) is str
-                 else int.__repr__(v) if t is int else _json_float(v) if t is float
-                 else seen.get((id(v), level + 1)) or _item_text(v, level + 1, seen)
-                 for v in obj]
-        brackets = "[]"
+        if not obj:
+            out.append(prefix + "[]")
+            return
+        first, sep, last = _pads(level)
+        if len(obj) <= _CHUNK:
+            out.append(prefix + "[" + first + _items_text(obj, level, sep) + last + "]")
+            return
+        text = prefix + "[" + first + _items_text(obj[:_CHUNK], level, sep)
+        for start in range(_CHUNK, len(obj), _CHUNK):
+            out.append(text)
+            text = sep + _items_text(obj[start:start + _CHUNK], level, sep)
+        out.append(text + last + "]")
     else:
         leaf = _JSON_LEAF.get(type(obj))
-        return (leaf(obj) if leaf is not None else _json_float(obj)
-                if isinstance(obj, float) else json.dumps(obj)) + end
-    if not items:
-        return brackets + end
-    first, sep, last = _pads(level)
-    items[0] = brackets[0] + first + items[0]
-    items[-1] += last + brackets[1] + end
-    return sep.join(items)
+        out.append(prefix + (leaf(obj) if leaf is not None else _json_float(obj)
+                             if isinstance(obj, float) else json.dumps(obj)))
 
 
-def _item_text(obj, level: int, seen: dict) -> str:
-    """The text of a list item nested ``level`` deep, kept in ``seen`` by
-    identity and depth, so an item met again (one tuple shared by many
-    relations) is written once.  An item is held by its list, and the
-    report by the caller of :func:`emit`, so no identity is reused while
-    ``seen`` lives; it is emptied when it holds 4096 texts."""
-    text = _json_text(obj, level, seen)
-    if len(seen) >= 4096:
-        seen.clear()
-    seen[id(obj), level] = text
-    return text
+def _json_text(obj, level: int) -> str:
+    """The text :func:`_json_write` appends, as one str."""
+    out = []
+    _json_write(obj, level, out)
+    return "".join(out)
 
 
 def _json_key(key) -> str:
@@ -273,14 +355,26 @@ def _json_key(key) -> str:
 
 
 def emit(report: dict, fmt: str, rows: list[dict] | None = None) -> bytes:
-    """Render a report deterministically.
+    """Render a report deterministically: the join of :func:`emit_pieces`."""
+    return b"".join(emit_pieces(report, fmt, rows))
+
+
+def emit_pieces(report: dict, fmt: str, rows: list[dict] | None = None) -> list[bytes]:
+    """Render a report deterministically, as pieces to write in order.
 
     json: the report object with insertion-ordered keys.
     csv: the tabular view (``rows``), header from the first row.
     table: aligned key/value or tabular text.
     """
     if fmt == "json":
-        return _json_text(report, 0, {}, "\n").encode()
+        out = []
+        _json_write(report, 0, out)
+        out[-1] += "\n"
+        # each str piece is dropped as its bytes are made, so the text is
+        # held once
+        for i, text in enumerate(out):
+            out[i] = text.encode()
+        return out
     report = round_floats(report)
     if fmt == "csv":
         import csv
@@ -291,13 +385,13 @@ def emit(report: dict, fmt: str, rows: list[dict] | None = None) -> bytes:
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()) if rows else [])
         writer.writeheader()
         writer.writerows(rows)
-        return buf.getvalue().encode()
+        return [buf.getvalue().encode()]
     if fmt == "table":
         if rows is None:
             rows = _flatten_to_rows(report)
         rows = [round_floats(r) for r in rows]
         if not rows:
-            return b""
+            return [b""]
         cols = list(rows[0].keys())
         cells = [[str(r.get(c, "")) for c in cols] for r in rows]
         widths = [max(len(c), *(len(row[i]) for row in cells))
@@ -305,7 +399,7 @@ def emit(report: dict, fmt: str, rows: list[dict] | None = None) -> bytes:
         lines = ["  ".join(c.ljust(w) for c, w in zip(cols, widths))]
         lines.extend("  ".join(v.ljust(w) for v, w in zip(row, widths))
                      for row in cells)
-        return ("\n".join(lines) + "\n").encode()
+        return [("\n".join(lines) + "\n").encode()]
     raise UsageError(f"unsupported format: {fmt}", witness=fmt)
 
 

@@ -835,6 +835,21 @@ def test_spectra_at_level_11_peaks_under_100_mb(tmp_path):
     assert int(result.stdout) < 40 << 10
 
 
+def test_building_at_q64_peaks_under_90_mb(tmp_path):
+    """A fresh q = 64 building run writes 20.6 MB of JSON.  The report is
+    emitted as byte pieces written in turn, never as one text and its
+    bytes copy: the run peaks at about 73 MB on a 2-core host, where
+    joining the text first took it to 103-110 MB."""
+    environ = dict(os.environ)
+    environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _PEAK, "building", "--q", "64", "--cover", "--validate",
+         "--links", "--stable-pairs", "--bm"],
+        cwd=tmp_path, env=environ, capture_output=True, text=True, check=True)
+    assert int(result.stdout) < 90 << 10
+
+
 def test_spectra_at_level_11_allocates_nothing_of_size_dim(monkeypatch):
     """In process, the whole g=2 N=11 run (dim 708,588) peaks under 5 MB
     of traced allocations: the word table alone would take 8.5 MB."""

@@ -1,11 +1,14 @@
+import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphspectra.io
 from graphspectra.buildings import family_presentation
 from graphspectra.errors import InvalidTransitionMatrix
 from graphspectra.graphs import directed_edge_matrix, theta_graph
@@ -142,12 +145,102 @@ def test_emit_json_matches_json_dumps_on_random_reports(report):
     assert emit(report, "json") == _reference_json(report)
 
 
-def test_emit_json_of_a_building_report():
+def _building_report(q: int) -> dict:
     from graphspectra.cli import execute, parse_invocation
-    plan = parse_invocation(["building", "--q", "2", "--cover", "--validate", "--links",
-                             "--stable-pairs", "--bm"])
-    report, _ = execute(plan)
+    plan = parse_invocation(["building", "--q", str(q), "--cover", "--validate",
+                             "--links", "--stable-pairs", "--bm"])
+    return execute(plan)[0]
+
+
+def test_emit_json_of_a_building_report():
+    report = _building_report(2)
     assert emit(report, "json") == _reference_json(report)
+
+
+def test_emit_json_without_the_c_encoder(monkeypatch):
+    """Where json has no C encoder, the compact pass is json's own
+    pure-Python encoder, with the same text."""
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    spec = importlib.util.spec_from_file_location("graphspectra._io_without_c",
+                                                  graphspectra.io.__file__)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module._compact([("a\x00", 1)]) == '[["a\\u0000"\x001]]'
+    report = _building_report(2)
+    assert module.emit(report, "json") == _reference_json(report)
+
+
+# Leaves of a uniform list: strings holding the separator, the brackets
+# and escapes the re-indent must not touch, and ints past 64 bits
+_uniform_leaves = (
+    st.sampled_from(["]", "[", ",", "\n", "\x00", '"', "\\", "\u2028", "naïve ☃ 𝄞",
+                     "]\x00[", "]],\n[[", ""])
+    | st.text(max_size=3) | st.booleans() | st.none()
+    | st.integers(-10 ** 6, 10 ** 6)
+    | st.integers(2 ** 64 - 2, 2 ** 64 + 2).flatmap(lambda n: st.sampled_from([n, -n])))
+
+
+def _uniform(height: int):
+    """Uniform trees of the given height: lists and tuples, mixed."""
+    if height == 0:
+        return _uniform_leaves
+    inner = _uniform(height - 1)
+    return (st.lists(inner, min_size=1, max_size=3)
+            | st.lists(inner, min_size=1, max_size=3).map(tuple))
+
+
+# Items that, planted in a uniform list, take it off the C pass or keep it
+# on: a float, an empty container, a dict, a subclass, a leaf or a subtree
+_odd_items = (
+    st.floats() | st.sampled_from([[], (), {}])
+    | st.dictionaries(st.text(max_size=2), _uniform_leaves, min_size=1, max_size=2)
+    | st.text(max_size=2).map(_Str) | st.integers().map(_Int)
+    | st.lists(_uniform_leaves, max_size=2).map(_List)
+    | _uniform_leaves | _uniform(2))
+
+
+@st.composite
+def _planted(draw, tree, item):
+    """``tree`` with one item, at a random position and depth, replaced
+    by ``item``."""
+    i = draw(st.integers(0, len(tree) - 1))
+    old = tree[i]
+    if type(old) in (list, tuple) and draw(st.booleans()):
+        item = draw(_planted(old, item))
+    return type(tree)([*tree[:i], item, *tree[i + 1:]])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), height=st.integers(1, 4), long=st.booleans(),
+       plant=st.booleans(), as_tuple=st.booleans())
+def test_emit_json_of_uniform_lists_matches_json_dumps(data, height, long, plant, as_tuple):
+    tree = data.draw(st.lists(_uniform(height - 1), min_size=1, max_size=4))
+    if long:
+        # one short of, at or one past one or two chunks
+        length = (graphspectra.io._CHUNK * data.draw(st.integers(1, 2))
+                  + data.draw(st.integers(-1, 1)))
+        tree = (tree * length)[:length]
+    if plant:
+        tree = data.draw(_planted(tree, data.draw(_odd_items)))
+    if as_tuple:
+        tree = tuple(tree)
+    report = {"tree": tree, "nested": {"tree": tree}}
+    assert emit(report, "json") == _reference_json(report)
+    assert emit(tree, "json") == _reference_json(tree)
+
+
+@pytest.mark.parametrize("tree", [lambda big: [[1, 2], (3, big)], lambda big: [big]],
+                         ids=["uniform", "leaves"])
+def test_emit_json_of_an_int_past_the_digit_limit_raises_what_json_raises(tree):
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not digits:
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    report = {"x": tree(10 ** digits)}
+    with pytest.raises(ValueError) as expected:
+        json.dumps(report)
+    with pytest.raises(ValueError) as err:
+        emit(report, "json")
+    assert str(err.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("report", [{"x": {1, 2}}, {"x": [object()]}, {(1, 2): 0}])
