@@ -27,7 +27,7 @@ import itertools
 import json
 import math
 from functools import cache
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import InvalidInput, UsageError
@@ -225,16 +225,10 @@ _UNIFORM_ARRAYS = frozenset({list, tuple})
 # re-indented on its own, and its text is one piece of the output
 _CHUNK = 1000
 
-# Compact JSON of a uniform list, with "\x00" between items; a string's
-# own NUL is escaped as \u0000, so every "\x00" is a separator
-if c_make_encoder is None:
-    _compact = json.JSONEncoder(separators=("\x00", ": "), check_circular=False).encode
-else:
-    _c_encode = c_make_encoder(None, None, encode_basestring_ascii, None,
-                               ": ", "\x00", False, False, False)
-
-    def _compact(items) -> str:
-        return "".join(_c_encode(items, 0))
+# Compact JSON of a uniform list, with "\x00" between items; with no
+# indent, json takes its C encoder when it has one.  A string's own NUL
+# is escaped as \u0000, so every "\x00" is a separator
+_compact = json.JSONEncoder(separators=("\x00", ": "), check_circular=False).encode
 
 
 @cache
