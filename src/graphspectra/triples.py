@@ -68,7 +68,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 
 from .errors import (
     EnumerationBudgetExceeded,
@@ -799,9 +799,9 @@ def af_summability_report(a: AFTriple) -> AFSummabilityReport:
 SPECTRUM_DTYPE = [("value", "float64"), ("multiplicity", "int64")]
 
 # The largest crossed-product grid, count * (M + 1) points, that is folded.
-# The fold and the slope fit peak at 32-56 B per point (the most when
-# nearly every value is distinct), so the largest accepted grid takes
-# under 1 GB.
+# The fold and the fit each peak at about 33 B per point, and the base's
+# pairs take about 90 B per eigenvalue, so a grid of large count passes
+# 1 GB (README gives measured peaks).
 CROSSED_MAX_POINTS = 1 << 24
 
 
@@ -826,7 +826,7 @@ class CrossedProductTriple:
     (the spectrum stores them as int64).
     """
 
-    base: tuple  # (eigenvalue, multiplicity) pairs
+    base: tuple  # (eigenvalue, multiplicity) tuples
     cutoff: int
 
     def __post_init__(self):
@@ -839,11 +839,8 @@ class CrossedProductTriple:
             if not math.isfinite(lam):
                 raise InvalidParameter("base eigenvalues must be finite",
                                        witness=(lam, mult))
-            if not isinstance(mult, int):
-                raise InvalidParameter("multiplicities must be ints",
-                                       witness=(lam, mult))
-            if mult < 1:
-                raise InvalidParameter("multiplicities must be positive",
+            if not isinstance(mult, int) or mult < 1:
+                raise InvalidParameter("multiplicities must be positive ints",
                                        witness=(lam, mult))
             total += mult
             if 2 * (self.cutoff + 1) * total >= 1 << 63:
@@ -873,29 +870,27 @@ def crossed_product_half(c: CrossedProductTriple):
 
     if not c.base:  # any cutoff, however large
         return np.empty(0, dtype=SPECTRUM_DTYPE)
-    mults = np.array([m for _, m in c.base], dtype=np.int64)
+    base = np.fromiter(c.base, dtype=SPECTRUM_DTYPE, count=len(c.base))
     # the grid is passed on unnamed, so _fold frees it once it has sorted
-    return _fold(_crossed_grid(c).reshape(-1), np.repeat(mults, c.cutoff + 1))
+    return _fold(_crossed_grid(base["value"], c.cutoff + 1).reshape(-1),
+                 base["multiplicity"], c.cutoff + 1)
 
 
-def _crossed_grid(c: CrossedProductTriple):
-    """The len(base) x (M + 1) array of sqrt(lambda^2 + k^2)."""
+def _crossed_grid(lams, modes: int):
+    """The len(lams) x modes array of sqrt(lambda^2 + k^2)."""
     import numpy as np
 
-    modes = c.cutoff + 1
-    lams = np.array([lam for lam, _ in c.base], dtype=np.float64)
     with np.errstate(over="ignore"):
         squares = lams * lams
     # float comparisons that are exact: a sum of exact integers is
     # rounded to >= 2**53 exactly when it is >= 2**53
-    exact = (np.floor(lams) == lams) & (squares + min(c.cutoff ** 2, 2 ** 53) < 2 ** 53)
-    grid = np.empty((len(lams), modes))
-    ks = np.arange(modes, dtype=np.float64)
-    np.add.outer(np.where(exact, squares, 0.0), ks * ks, out=grid)
+    exact = (np.floor(lams) == lams) & (squares + min((modes - 1) ** 2, 2 ** 53) < 2 ** 53)
+    grid = np.add.outer(np.where(exact, squares, 0.0), np.arange(modes, dtype=np.float64) ** 2)
     np.sqrt(grid, out=grid)
-    for row in np.flatnonzero(~exact):
-        grid[row] = np.fromiter(map(math.hypot, repeat(float(lams[row]), modes),
-                                    range(modes)), dtype=np.float64, count=modes)
+    rows = np.flatnonzero(~exact)  # one math.hypot pass over all their points
+    xs = chain.from_iterable(map(repeat, map(float, lams[rows]), repeat(modes)))
+    points = map(math.hypot, xs, chain.from_iterable(repeat(range(modes), len(rows))))
+    grid[rows] = np.fromiter(points, np.float64, len(rows) * modes).reshape(-1, modes)
     return grid
 
 
@@ -909,31 +904,30 @@ def crossed_product_spectrum(c: CrossedProductTriple):
     import numpy as np
 
     half = crossed_product_half(c)
-    if len(half) and half["value"][0] == 0:
-        half["multiplicity"][0] *= 2
-        negative = half[:0:-1].copy()
-    else:
-        negative = half[::-1].copy()
+    zero = int(len(half) > 0 and half["value"][0] == 0)  # its own mirror image
+    half["multiplicity"][:zero] *= 2
+    negative = half[zero:][::-1].copy()
     negative["value"] *= -1
     return np.concatenate((negative, half))
 
 
-def _fold(values, mults):
+def _fold(values, mults, width: int = 1):
     """Distinct values in increasing order, each with the sum of its
-    multiplicities, as a SPECTRUM_DTYPE array."""
+    multiplicities, as a SPECTRUM_DTYPE array; values[i] has mults[i // width]."""
     import numpy as np
 
     order = np.argsort(values, kind="stable")
-    # one permuted copy at a time, each replacing its source
-    values = values[order]
-    mults = mults[order]
+    values = values[order]  # frees an unnamed input: two n-long arrays at a time
+    order //= width  # each sorted value's row
+    totals = mults[order]
     del order
-    first = np.ones(len(values), dtype=bool)
-    first[1:] = values[1:] != values[:-1]
-    starts = np.flatnonzero(first)
-    out = np.empty(len(starts), dtype=SPECTRUM_DTYPE)
-    out["value"] = values[starts]
-    out["multiplicity"] = np.add.reduceat(mults, starts)
+    np.cumsum(totals, out=totals)
+    last = np.append(values[1:] != values[:-1], True)  # the last value of each run
+    values, totals = values[last], totals[last]
+    out = np.empty(len(values), dtype=SPECTRUM_DTYPE)
+    out["value"] = values
+    out["multiplicity"] = totals
+    out["multiplicity"][1:] -= totals[:-1]
     return out
 
 
@@ -968,17 +962,23 @@ def summability_exponent_fit(spectrum, min_distinct: int = 50) -> SlopeFit:
         positive = spectrum[values > 0]
         folded = _fold(positive["value"], positive["multiplicity"])
     values = folded["value"]
-    if len(values) < min_distinct:
+    if len(values) < max(min_distinct, 3):  # a window of two or more points
         raise InsufficientSpectrum(
-            f"need >= {min_distinct} distinct positive eigenvalues, got {len(values)}",
+            f"need >= {max(min_distinct, 3)} distinct positive eigenvalues, got {len(values)}",
             witness=len(values))
-    counts = np.cumsum(folded["multiplicity"])
     lo = len(values) // 4
     hi = (3 * len(values)) // 4
+    window = (float(values[lo]), float(values[hi - 1]))
     xs = np.log(values[lo:hi])
-    ys = np.log(counts[lo:hi].astype(float))
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return SlopeFit(slope, (float(values[lo]), float(values[hi - 1])), hi - lo)
+    ys = np.log(np.cumsum(folded["multiplicity"][:hi])[lo:])
+    # the centred least-squares slope, in place on the logs
+    xs -= xs.mean()
+    ys -= ys.mean()
+    ys *= xs
+    spread = float(np.square(xs, out=xs).sum())
+    if spread == 0:  # the window's values have one logarithm
+        raise InsufficientSpectrum("the fit window has no spread", witness=window)
+    return SlopeFit(float(ys.sum()) / spread, window, hi - lo)
 
 
 @dataclass(frozen=True)

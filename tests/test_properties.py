@@ -312,8 +312,9 @@ def reference_crossed_spectrum(base, cutoff):
     return sorted(acc.items())
 
 
-def reference_slope_fit(spectrum, min_distinct=50):
-    """The dict-fold slope fit, returning (slope, window, points)."""
+def reference_fit_window(spectrum, min_distinct=50):
+    """The dict-folded fit window: (log L, log N, window, points), or None
+    below ``min_distinct`` distinct positive values."""
     import numpy as np
 
     pairs: dict = {}
@@ -328,7 +329,22 @@ def reference_slope_fit(spectrum, min_distinct=50):
     hi = (3 * len(values)) // 4
     xs = np.log(np.array(values[lo:hi]))
     ys = np.log(counts[lo:hi].astype(float))
-    return float(np.polyfit(xs, ys, 1)[0]), (values[lo], values[hi - 1]), hi - lo
+    return xs, ys, (values[lo], values[hi - 1]), hi - lo
+
+
+def reference_slope_fit(spectrum, min_distinct=50):
+    """The dict-fold slope fit, returning (slope, window, points): the
+    centred least-squares slope sum (x - x')(y - y') / sum (x - x')^2,
+    x' and y' the means."""
+    import numpy as np
+
+    found = reference_fit_window(spectrum, min_distinct)
+    if found is None:
+        return None
+    xs, ys, window, points = found
+    xs = xs - xs.mean()
+    ys = ys - ys.mean()
+    return float(np.sum(xs * ys) / np.sum(xs * xs)), window, points
 
 
 def signed_bits(spectrum):
@@ -403,6 +419,56 @@ def test_crossed_fold_uses_math_hypot():
     spectrum = crossed_product_spectrum(CrossedProductTriple(((36.0, 1),), 350))
     assert spectrum.tolist() == reference_crossed_spectrum(((36.0, 1),), 350)
     assert 351.8465574650404 in spectrum["value"]
+
+
+def test_crossed_fit_slope_agrees_with_polyfit_random():
+    """The closed-form slope is the least-squares slope np.polyfit finds,
+    to rounding."""
+    import numpy as np
+
+    rng = random.Random(2626)
+    grids = 0
+    while grids < 60:
+        base = tuple((rng.choice([float(rng.randint(0, 60)), round(rng.uniform(0, 60), 3)]),
+                      rng.randint(1, 4)) for _ in range(rng.randint(1, 12)))
+        c = CrossedProductTriple(base, rng.randint(0, 80))
+        found = reference_fit_window(reference_crossed_spectrum(base, c.cutoff), 10)
+        if found is None:
+            continue
+        grids += 1
+        xs, ys, window, points = found
+        expected = float(np.polyfit(xs, ys, 1)[0])
+        got = summability_exponent_fit(crossed_product_half(c), min_distinct=10)
+        assert (got.window, got.points) == (window, points)
+        assert got.slope == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_crossed_hypot_rows_take_one_call_per_point(monkeypatch):
+    """Rows that are not exact integer sums below 2**53 take one
+    math.hypot call per point, and no other row takes any."""
+    rng = random.Random(2727)
+    pool = [2.5, -0.125, 7.75, 1e300, -94906266.0, 4503599627370497.0, 3.0, 0.0]
+    real = math.hypot
+    calls = 0
+
+    def counting(x, k):
+        nonlocal calls
+        calls += 1
+        return real(x, k)
+
+    for _ in range(CASES // 4):
+        base = tuple((rng.choice(pool) if rng.random() < 0.8 else round(rng.uniform(-9, 9), 2),
+                      rng.randint(1, 3)) for _ in range(rng.randint(1, 8)))
+        for cutoff in (0, 1, 40):
+            inexact = sum(1 for lam, _ in base
+                          if lam != int(lam) or int(lam) ** 2 + cutoff ** 2 >= 2 ** 53)
+            expected = reference_crossed_spectrum(base, cutoff)
+            calls = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(math, "hypot", counting)
+                spectrum = crossed_product_spectrum(CrossedProductTriple(base, cutoff))
+            assert calls == inexact * (cutoff + 1)
+            assert signed_bits(spectrum.tolist()) == signed_bits(expected)
 
 
 def test_plan_round_trip_random():

@@ -734,6 +734,26 @@ def test_crossed_grid_size_is_refused_before_allocating():
     assert peak < 1 << 20  # the grid alone would take 128 MB
 
 
+def test_crossed_half_and_fit_peak_per_point():
+    """At quadratic 1000 x 1000 nearly every value is distinct, so the
+    folded half is as large as the grid; the fold and the fit each peak
+    at no more than 40 B per grid point, the half's own 16 included."""
+    c = CrossedProductTriple(tuple((float(j * j), 1) for j in range(1, 1001)), 999)
+    points = len(c.base) * (c.cutoff + 1)
+    tracemalloc.start()
+    try:
+        half = triples.crossed_product_half(c)
+        half_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        summability_exponent_fit(half)
+        fit_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(half) > 0.99 * points
+    assert half_peak <= 40 * points
+    assert fit_peak <= 40 * points
+
+
 def test_crossed_empty_base_with_any_cutoff():
     c = CrossedProductTriple((), 10**21)
     assert len(c.spectrum()) == len(triples.crossed_product_half(c)) == 0
@@ -770,6 +790,17 @@ def test_slope_shift_by_one():
 def test_slope_requires_enough_values():
     with pytest.raises(InsufficientSpectrum):
         summability_exponent_fit([(1.0, 5), (2.0, 5)])
+
+
+def test_slope_of_a_window_without_spread_is_refused():
+    """A window of one point, or of values whose logarithms are all
+    equal, has no slope: InsufficientSpectrum, never inf or nan."""
+    with pytest.raises(InsufficientSpectrum):
+        summability_exponent_fit([(1.0, 5), (2.0, 5)], min_distinct=1)
+    crowded = [(1.0, 1), (1e300, 1), (math.nextafter(1e300, math.inf), 1), (2e300, 1)]
+    assert math.log(crowded[1][0]) == math.log(crowded[2][0])
+    with pytest.raises(InsufficientSpectrum):
+        summability_exponent_fit(crowded, min_distinct=4)
 
 
 def test_jlo_square_block_vanishes(schottky2):
