@@ -261,22 +261,29 @@ def _run_af(plan: RunPlan):
     return report, rows
 
 
-def _base_spectrum(kind: str, count: int) -> tuple:
-    if kind == "zero":
-        return ((0.0, 1),)
-    if kind == "linear":
-        return tuple((float(j), 1) for j in range(1, count + 1))
-    return tuple((float(j * j), 1) for j in range(1, count + 1))
+def _base_spectrum(kind: str, count: int):
+    """The base as one SPECTRUM_DTYPE array: 0 once, or j (linear) or j^2
+    for j = 1..count, each once."""
+    import numpy as np
+
+    from . import triples
+    values = np.zeros(1) if kind == "zero" else np.arange(1, count + 1, dtype=np.float64)
+    if kind == "quadratic":
+        values *= values
+    base = np.empty(len(values), dtype=triples.SPECTRUM_DTYPE)
+    base["value"] = values
+    base["multiplicity"] = 1
+    return base
 
 
 def _run_crossed(plan: RunPlan):
     from . import triples
     kind, count = plan.option("base", "linear"), int(plan.option("count", 200))
     cutoff = int(plan.option("cutoff", 200))
-    # refused before the base tuple is built
+    # refused before the base array is built
     triples.check_crossed_size((1 if kind == "zero" else max(count, 0)) * (cutoff + 1))
     triple = triples.CrossedProductTriple(_base_spectrum(kind, count), cutoff)
-    fit = triples.summability_exponent_fit(triples.crossed_product_half(triple))
+    fit = triples.summability_exponent_fit(triple)
     report = {"slope": fit.slope, "window": list(fit.window), "points": fit.points}
     return report, [report]
 

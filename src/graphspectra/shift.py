@@ -126,18 +126,21 @@ def count_words(s: SFTData, n: int) -> int:
     return sum(next(islice(word_count_vectors(s), n - 1, None)))
 
 
-def _check_word_budget(s: SFTData, n: int, budget: int | None) -> None:
-    """Raise unless n >= 1 and the words of length n fit the word budget.
+def _check_word_budget(s: SFTData, n: int, budget: int | None) -> list[int]:
+    """Raise unless n >= 1 and the words of length n fit the word budget;
+    return the numbers of words of lengths 1..n.
     If every letter has a predecessor and a successor, counts never fall,
     so the first count past the budget is the witness for any longer n."""
     if n < 1:
         raise InvalidTransitionMatrix("word length must be >= 1", witness=n)
     cap = budget if budget is not None else word_budget()
-    counts = map(sum, islice(word_count_vectors(s), n))
-    for length, total in enumerate(counts, start=1):
+    counts = []
+    for length, total in enumerate(map(sum, islice(word_count_vectors(s), n)), start=1):
         if total > cap and (length == n or all(s.succ) and all(s.pred)):
             raise EnumerationBudgetExceeded(
                 f"{total} words of length {length} exceed budget {cap}", witness=total)
+        counts.append(total)
+    return counts
 
 
 def enumerate_words(s: SFTData, n: int, budget: int | None = None) -> list[tuple]:

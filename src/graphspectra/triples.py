@@ -58,17 +58,18 @@ numpy and scipy are imported inside the functions that compute with
 them, so that importing the package loads neither: the reference views
 (``spectral_norm`` and the sparse views of a truncation) load both; the
 truncation itself, the CK residuals, the commutator norms, the
-Perron-data grading, the crossed-product spectrum and the slope fit load
-numpy only; the other dimension-sequence functions load neither.
+Perron-data grading, the crossed-product triple (its base is checked as
+arrays), its spectrum and the slope fit load numpy only; the other
+dimension-sequence functions load neither.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, islice, repeat
 
 from .errors import (
     EnumerationBudgetExceeded,
@@ -344,11 +345,21 @@ class SpectralTruncation:
                 self.weight_depth(letter))
 
 
+# The least int that float() refuses: it rounds to 2**1024.
+_FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970
+
+
 def check_truncation_level(s: SFTData, level: int, budget: int | None = None) -> None:
-    """TruncationTooSmall below level 2, then the budget on the N+1-letter words."""
+    """TruncationTooSmall below level 2, then the budget on the N+1-letter
+    words, then InvalidParameter, the level as witness, if an eigenspace
+    dimension dim V_n - dim V_{n-1} (n <= N) is past float range: the zeta
+    partial sum converts each to float, and at g = 2 lambda^(N+1) leaves
+    float range at the same level."""
     if level < 2:
         raise TruncationTooSmall("truncation level must be >= 2", witness=level)
-    _check_word_budget(s, level + 1, budget)
+    dims = _check_word_budget(s, level + 1, budget)  # dim V_n: the words of length n+1
+    if any(b - a >= _FLOAT_OVERFLOW for a, b in zip([0, *dims], dims)):
+        raise InvalidParameter("an eigenspace dimension passes float range", witness=level)
 
 
 def build_truncation(s: SFTData, level: int, twist: tuple | None = None,
@@ -799,9 +810,9 @@ def af_summability_report(a: AFTriple) -> AFSummabilityReport:
 SPECTRUM_DTYPE = [("value", "float64"), ("multiplicity", "int64")]
 
 # The largest crossed-product grid, count * (M + 1) points, that is folded.
-# The fold and the fit each peak at about 33 B per point, and the base's
-# pairs take about 90 B per eigenvalue, so a grid of large count passes
-# 1 GB (README gives measured peaks).
+# The fold peaks at about 25 B per point and the fit reads its totals in
+# place; the base adds 16 B per eigenvalue, so a fresh run at the cap
+# stays near 0.4-0.5 GB (README gives measured peaks).
 CROSSED_MAX_POINTS = 1 << 24
 
 
@@ -819,41 +830,121 @@ class CrossedProductTriple:
 
     The derived spectrum is the folded multiset
     { +-sqrt(lambda_j^2 + k^2) : 0 <= k <= M } with the base
-    multiplicities, symmetric about zero by construction.  Base
-    eigenvalues must be finite, and the grid of len(base) * (M + 1)
-    values at most CROSSED_MAX_POINTS.  Multiplicities must be positive
-    ints whose folded total, 2 (M + 1) sum_j mult_j, stays below 2**63
-    (the spectrum stores them as int64).
+    multiplicities, symmetric about zero by construction.  The base is a
+    sequence of (eigenvalue, multiplicity) pairs, or a SPECTRUM_DTYPE
+    array of them (in any order, repeats allowed).  Base eigenvalues must
+    be finite, and the grid of len(base) * (M + 1) values at most
+    CROSSED_MAX_POINTS.  Multiplicities must be positive ints (int64 in
+    an array) whose folded total, 2 (M + 1) sum_j mult_j, stays below
+    2**63 (the spectrum stores them as int64).  The base is checked once,
+    at construction, and kept as arrays (see :func:`_checked_base`); an
+    array base is kept as a read-only copy.
     """
 
-    base: tuple  # (eigenvalue, multiplicity) tuples
+    base: tuple  # (eigenvalue, multiplicity) pairs, or a SPECTRUM_DTYPE array
     cutoff: int
+    _arrays: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.cutoff < 0:
             raise InvalidParameter("Fourier cutoff must be >= 0",
                                    witness=self.cutoff)
         check_crossed_size(len(self.base) * (self.cutoff + 1))
-        total = 0
-        for lam, mult in self.base:
-            if not math.isfinite(lam):
-                raise InvalidParameter("base eigenvalues must be finite",
-                                       witness=(lam, mult))
-            if not isinstance(mult, int) or mult < 1:
-                raise InvalidParameter("multiplicities must be positive ints",
-                                       witness=(lam, mult))
-            total += mult
-            if 2 * (self.cutoff + 1) * total >= 1 << 63:
-                raise InvalidParameter("total multiplicity must stay below 2**63",
-                                       witness=(lam, mult))
+        base, *arrays = _checked_base(self.base, self.cutoff + 1)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "_arrays", tuple(arrays))
+
+    # Equal, and hashed alike, when the cutoffs and the checked bases are
+    # equal: the generated methods would compare an array base elementwise
+    # and could not hash it.
+    def __eq__(self, other):
+        import numpy as np
+
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.cutoff == other.cutoff and all(
+            map(np.array_equal, self._arrays, other._arrays))
+
+    def __hash__(self):
+        values, counts = self._arrays
+        # + 0.0 maps -0.0 to 0.0, which it equals
+        return hash((self.cutoff, (values + 0.0).tobytes(), counts.tobytes()))
 
     def spectrum(self):
         return crossed_product_spectrum(self)
 
 
+def _checked_base(base, modes: int) -> tuple:
+    """(base, eigenvalues, multiplicities): the base to keep (a read-only
+    copy of an array base), its float64 eigenvalues and its int64
+    multiplicities, checked in one vectorised pass.  The first bad pair is the witness of
+    InvalidParameter: a non-finite eigenvalue, a multiplicity that is not
+    a positive int, or the pair at which the folded total
+    2 * modes * sum(mult) reaches 2**63; of two faults at one pair, the
+    first named.  Pairs are unpacked as a loop over them would, their
+    multiplicities typed in Python: a non-int counts as 0, and an int at
+    the limit as the limit, so either fails at its own pair."""
+    import numpy as np
+
+    limit = -(-(1 << 62) // modes)  # the least running total refused
+    array = isinstance(base, np.ndarray) and base.ndim == 1 and base.dtype == SPECTRUM_DTYPE
+    if array:  # kept as a read-only copy: writes to the caller's array change nothing
+        base = base.copy()
+        base.flags.writeable = False
+        values, counts = base["value"], base["multiplicity"]
+    else:
+        try:  # math.isfinite refuses what float() would parse, as str
+            lams = [lam for lam, _ in base]
+            np.fromiter(map(math.isfinite, lams), bool, len(lams))
+        except Exception:
+            _raise_at_failing_pair(base, modes)
+            raise
+        mults = [mult for _, mult in base]
+        values = np.fromiter(map(float, lams), np.float64, len(lams))
+        counts = np.fromiter((min(m, limit) if isinstance(m, int) and m > 0 else 0
+                              for m in mults), np.int64, len(mults))
+    faults = (("base eigenvalues must be finite", ~np.isfinite(values)),
+              ("multiplicities must be positive ints", counts < 1),
+              ("total multiplicity must stay below 2**63",
+               np.cumsum(np.minimum(counts, limit)) >= limit))
+    first = [(int(bad.argmax()), rank) for rank, (_, bad) in enumerate(faults) if bad.any()]
+    if first:
+        at, rank = min(first)
+        raise InvalidParameter(faults[rank][0], witness=base[at].item() if array
+                               else (lams[at], mults[at]))
+    return base, values, counts
+
+
+def _raise_at_failing_pair(base, modes: int):
+    """The error of the first pair that cannot be unpacked or tested with
+    math.isfinite, raised as a loop over the pairs would raise it: after
+    any fault in the pairs before it."""
+    for at, pair in enumerate(base):
+        try:
+            lam, _ = pair
+            math.isfinite(lam)
+        except Exception:
+            _checked_base(base[:at], modes)
+            raise
+
+
 def crossed_product_half(c: CrossedProductTriple):
     """The k >= 0 half of the crossed-product spectrum, folded: the
-    values sqrt(lambda^2 + k^2), 0 <= k <= M, as a SPECTRUM_DTYPE array.
+    values sqrt(lambda^2 + k^2), 0 <= k <= M, as a SPECTRUM_DTYPE array
+    (:func:`_crossed_fold`, its running totals differenced)."""
+    import numpy as np
+
+    values, totals = _crossed_fold(c)
+    half = np.empty(len(values), dtype=SPECTRUM_DTYPE)
+    half["value"] = values
+    half["multiplicity"] = totals
+    half["multiplicity"][1:] -= totals[:-1]
+    return half
+
+
+def _crossed_fold(c: CrossedProductTriple) -> tuple:
+    """The k >= 0 half of the crossed-product spectrum as :func:`_fold`
+    returns it: its distinct values and the running multiplicity totals.
 
     A row whose lambda is an integer with lambda^2 + M^2 < 2**53 holds
     exact squares and sums, so np.sqrt of the sum is the correctly
@@ -868,12 +959,11 @@ def crossed_product_half(c: CrossedProductTriple):
     """
     import numpy as np
 
-    if not c.base:  # any cutoff, however large
-        return np.empty(0, dtype=SPECTRUM_DTYPE)
-    base = np.fromiter(c.base, dtype=SPECTRUM_DTYPE, count=len(c.base))
+    lams, mults = c._arrays
+    if not len(lams):  # any cutoff, however large
+        return np.empty(0), np.empty(0, dtype=np.int64)
     # the grid is passed on unnamed, so _fold frees it once it has sorted
-    return _fold(_crossed_grid(base["value"], c.cutoff + 1).reshape(-1),
-                 base["multiplicity"], c.cutoff + 1)
+    return _fold(_crossed_grid(lams, c.cutoff + 1).reshape(-1), mults, c.cutoff + 1)
 
 
 def _crossed_grid(lams, modes: int):
@@ -887,10 +977,10 @@ def _crossed_grid(lams, modes: int):
     exact = (np.floor(lams) == lams) & (squares + min((modes - 1) ** 2, 2 ** 53) < 2 ** 53)
     grid = np.add.outer(np.where(exact, squares, 0.0), np.arange(modes, dtype=np.float64) ** 2)
     np.sqrt(grid, out=grid)
-    rows = np.flatnonzero(~exact)  # one math.hypot pass over all their points
-    xs = chain.from_iterable(map(repeat, map(float, lams[rows]), repeat(modes)))
-    points = map(math.hypot, xs, chain.from_iterable(repeat(range(modes), len(rows))))
-    grid[rows] = np.fromiter(points, np.float64, len(rows) * modes).reshape(-1, modes)
+    rows = np.flatnonzero(~exact)
+    xs = lams[rows].tolist()  # one Python float per math.hypot row, read by every pass
+    for k in range(modes):  # one math.hypot pass per mode column
+        grid[rows, k] = np.fromiter(map(math.hypot, xs, repeat(k)), np.float64, len(xs))
     return grid
 
 
@@ -911,24 +1001,24 @@ def crossed_product_spectrum(c: CrossedProductTriple):
     return np.concatenate((negative, half))
 
 
-def _fold(values, mults, width: int = 1):
-    """Distinct values in increasing order, each with the sum of its
-    multiplicities, as a SPECTRUM_DTYPE array; values[i] has mults[i // width]."""
+def _fold(values, mults, width: int = 1) -> tuple:
+    """Distinct values in increasing order, each with the running total of
+    the multiplicities up to and including it: (values, totals), where
+    values[i] has multiplicity mults[i // width]."""
     import numpy as np
 
     order = np.argsort(values, kind="stable")
     values = values[order]  # frees an unnamed input: two n-long arrays at a time
     order //= width  # each sorted value's row
-    totals = mults[order]
-    del order
+    # gathered into the argsort buffer: with mode="clip" (every index is
+    # in range) take writes in place, where "raise" would buffer the output
+    totals = mults.take(order, out=order, mode="clip")
     np.cumsum(totals, out=totals)
-    last = np.append(values[1:] != values[:-1], True)  # the last value of each run
-    values, totals = values[last], totals[last]
-    out = np.empty(len(values), dtype=SPECTRUM_DTYPE)
-    out["value"] = values
-    out["multiplicity"] = totals
-    out["multiplicity"][1:] -= totals[:-1]
-    return out
+    last = np.empty(len(values), dtype=bool)  # the last value of each run
+    np.not_equal(values[1:], values[:-1], out=last[:-1])
+    last[-1:] = True
+    values = values[last]  # one gather at a time, each freeing its source
+    return values, totals[last]
 
 
 @dataclass(frozen=True)
@@ -941,36 +1031,53 @@ class SlopeFit:
 def summability_exponent_fit(spectrum, min_distinct: int = 50) -> SlopeFit:
     """Least-squares growth exponent of the eigenvalue counting function.
 
-    ``spectrum`` is a SPECTRUM_DTYPE array (as crossed_product_spectrum
-    returns, or the half crossed_product_half returns: only positive
-    values count) or any sequence of (value, multiplicity) pairs, in any
-    order and with repeats.  The counting function N(L) = #{positive
-    eigenvalues <= L} (with multiplicity) is fitted as
-    log N ~ slope * log L over the middle two quartiles of the distinct
-    positive values; the slope estimates the summability degree.
+    ``spectrum`` is a CrossedProductTriple (its k >= 0 half is folded and
+    fitted, never built as records), a SPECTRUM_DTYPE array (as
+    crossed_product_spectrum returns, or the half crossed_product_half
+    returns: only positive values count) or any sequence of (value,
+    multiplicity) pairs, in any order and with repeats.  The counting
+    function N(L) = #{positive eigenvalues <= L} (with multiplicity) is
+    fitted as log N ~ slope * log L over the middle two quartiles of the
+    distinct positive values; the slope estimates the summability degree.
     A spectrum whose values are already strictly increasing (a folded
     one) is read in place; any other is folded first.
     """
     import numpy as np
 
+    if isinstance(spectrum, CrossedProductTriple):
+        return _slope_fit(*_crossed_fold(spectrum), min_distinct)
     if not isinstance(spectrum, np.ndarray):
         spectrum = np.array(list(spectrum), dtype=SPECTRUM_DTYPE)
     values = spectrum["value"]
     if np.all(values[1:] > values[:-1]):  # folded: the positive values end it
-        folded = spectrum[np.searchsorted(values, 0, side="right"):]
-    else:
-        positive = spectrum[values > 0]
-        folded = _fold(positive["value"], positive["multiplicity"])
-    values = folded["value"]
-    if len(values) < max(min_distinct, 3):  # a window of two or more points
+        positive = spectrum[np.searchsorted(values, 0, side="right"):]
+        return _slope_fit(positive["value"], np.cumsum(positive["multiplicity"]),
+                          min_distinct)
+    positive = spectrum[values > 0]
+    return _slope_fit(*_fold(positive["value"], positive["multiplicity"]), min_distinct)
+
+
+def _slope_fit(values, totals, min_distinct: int) -> SlopeFit:
+    """The fit of :func:`summability_exponent_fit`, read from a folded
+    spectrum's strictly increasing values and the running multiplicity
+    total at each (as :func:`_fold` returns them).  Values <= 0 lead it
+    when present; they and their multiplicities are left out."""
+    import numpy as np
+
+    start = int(np.searchsorted(values, 0, side="right"))
+    distinct = len(values) - start
+    if distinct < max(min_distinct, 3):  # a window of two or more points
         raise InsufficientSpectrum(
-            f"need >= {max(min_distinct, 3)} distinct positive eigenvalues, got {len(values)}",
-            witness=len(values))
-    lo = len(values) // 4
-    hi = (3 * len(values)) // 4
+            f"need >= {max(min_distinct, 3)} distinct positive eigenvalues, got {distinct}",
+            witness=distinct)
+    lo = start + distinct // 4
+    hi = start + (3 * distinct) // 4
     window = (float(values[lo]), float(values[hi - 1]))
+    counts = totals[lo:hi]
+    if start:  # N(L) counts positive eigenvalues only
+        counts = counts - totals[start - 1]
     xs = np.log(values[lo:hi])
-    ys = np.log(np.cumsum(folded["multiplicity"][:hi])[lo:])
+    ys = np.log(counts)
     # the centred least-squares slope, in place on the logs
     xs -= xs.mean()
     ys -= ys.mean()

@@ -642,6 +642,41 @@ def test_spectra_past_the_word_budget_is_a_documented_error(monkeypatch, capsysb
                                          "witness": "2125764"}}
 
 
+@pytest.mark.parametrize("source, last, sha256", [
+    (["--genus", "2"], 645,
+     "9e5d4b7d1029a2944ccf0dc0b7c2b5b996848bdcc37df37ec535f100be880946"),
+    (["--matrix", str(DATA / "theta_edge.json")], 1022,
+     "005d25985528219b1fee63f2d526bea541f5b174a8d40578f01569df1d5a9357"),
+], ids=["genus-2", "theta-edge"])
+def test_spectra_past_float_range_is_a_documented_error(monkeypatch, capsysbinary,
+                                                        source, last, sha256):
+    """With the word budget past float range, the last level whose
+    eigenspace dimensions all convert to float runs and prints the bytes
+    it printed before the check existed; from the next level on, the
+    level is refused as InvalidParameter, with nothing on stderr and
+    before the grading is stepped."""
+    monkeypatch.setenv("GRAPHSPECTRA_WORD_BUDGET", str(10 ** 400))
+    code, out = run_cli(["spectra", *source, "--levels", str(last)], capsysbinary)
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == sha256
+
+    def refused(*args, **kwargs):
+        raise AssertionError("spectra worked past the float-range check")
+    monkeypatch.setattr(triples, "SFTGradings", refused)
+    for level in (last + 1, last + 60):
+        main(["spectra", *source, "--levels", str(level)])
+        captured = capsysbinary.readouterr()
+        assert json.loads(captured.out) == {"error": {"code": "InvalidParameter",
+                                                      "witness": str(level)}}
+        assert captured.err == b""
+
+
+def test_float_overflow_bound_is_the_least_int_float_refuses():
+    float(triples._FLOAT_OVERFLOW - 1)
+    with pytest.raises(OverflowError):
+        float(triples._FLOAT_OVERFLOW)
+
+
 @pytest.mark.parametrize("argv", [
     ["--levels", "11", "--t", "nan"],
     ["--levels", "11", "--t", "1.0,nan"],

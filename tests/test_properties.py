@@ -443,6 +443,43 @@ def test_crossed_fit_slope_agrees_with_polyfit_random():
         assert got.slope == pytest.approx(expected, rel=1e-12, abs=0)
 
 
+def test_crossed_fit_from_fold_totals_is_bit_identical_to_dict_fold():
+    """The fit of a triple, read from the fold's running totals without
+    building the half, equals the dict-folded reference fit bit for bit:
+    on bases with a zero eigenvalue (whose multiplicity the positive count
+    leaves out), multiplicities above 1, repeated values, and rows on both
+    sides of 2**53 (94906265^2 + 40^2 is below it, 94906266^2 above); and
+    an array base gives what its equal pair base gives."""
+    import numpy as np
+
+    rng = random.Random(3131)
+    pool = [0.0, -0.0, 3.0, -7.0, 2.5, 94906265.0, 94906266.0, -94906265.0,
+            4503599627370497.0, 1e300]
+    for _ in range(CASES):
+        base = [(rng.choice(pool) if rng.random() < 0.4 else float(rng.randint(0, 40)),
+                 rng.randint(1, 4)) for _ in range(rng.randint(1, 8))]
+        if rng.random() < 0.5:
+            base.append(rng.choice(base))  # a repeated eigenvalue
+        if rng.random() < 0.5:
+            base.insert(rng.randint(0, len(base)), (0.0, rng.randint(1, 4)))
+        cutoff = rng.choice([0, 40, rng.randint(0, 60)])
+        pairs = CrossedProductTriple(tuple(base), cutoff)
+        array = CrossedProductTriple(np.array(base, dtype=triples.SPECTRUM_DTYPE), cutoff)
+        assert signed_bits(crossed_product_half(array).tolist()) == signed_bits(
+            crossed_product_half(pairs).tolist())
+        expected = reference_slope_fit(reference_crossed_spectrum(base, cutoff), 10)
+        for c in (pairs, array):
+            if expected is None:
+                with pytest.raises(InsufficientSpectrum):
+                    summability_exponent_fit(c, min_distinct=10)
+                continue
+            got = summability_exponent_fit(c, min_distinct=10)
+            assert (got.slope, got.window, got.points) == expected
+            assert type(got.slope) is float and type(got.points) is int
+            assert all(type(v) is float for v in got.window)
+            assert summability_exponent_fit(crossed_product_half(c), min_distinct=10) == got
+
+
 def test_crossed_hypot_rows_take_one_call_per_point(monkeypatch):
     """Rows that are not exact integer sums below 2**53 take one
     math.hypot call per point, and no other row takes any."""

@@ -719,6 +719,78 @@ def test_crossed_base_must_be_finite():
         assert (math.isnan(lam) or lam == bad) and mult == 2
 
 
+def test_crossed_list_pair_base_works_like_the_tuple_base():
+    """Pairs are unpacked once, at construction: list pairs give the
+    spectrum of the equal tuple pairs, and a bad list pair is the witness."""
+    listed = CrossedProductTriple([[1.0, 1], [2.0, 1]], 3)
+    tupled = CrossedProductTriple(((1.0, 1), (2.0, 1)), 3)
+    assert crossed_product_spectrum(listed).tolist() == crossed_product_spectrum(tupled).tolist()
+    assert summability_exponent_fit(listed, min_distinct=3) == summability_exponent_fit(
+        tupled, min_distinct=3)
+    with pytest.raises(InvalidParameter) as err:
+        CrossedProductTriple([[1.0, 1], [2.0, 1.5]], 3)
+    assert err.value.witness == (2.0, 1.5)
+
+
+def test_crossed_array_base_is_checked_with_the_first_bad_pair_as_witness():
+    """A SPECTRUM_DTYPE base is checked by the rules of a pair base, and
+    the witness is the first bad record as a (float, int) pair; of two
+    faults at one record the first in the order finite, positive, total
+    is named, as the loop over pairs named it."""
+    def array(pairs):
+        return np.array(pairs, dtype=triples.SPECTRUM_DTYPE)
+
+    cases = [
+        ([(1.0, 1), (math.inf, 0), (2.0, -3)], "finite", (math.inf, 0)),
+        ([(1.0, 1), (2.0, 0), (math.nan, 1)], "positive", (2.0, 0)),
+        ([(1.0, 2**61), (2.0, 2**61), (math.inf, 1)], "2**63", (2.0, 2**61)),
+        ([(1.0, 2**63 - 1), (2.0, 2**63 - 1)], "2**63", (1.0, 2**63 - 1)),
+    ]
+    for pairs, message, witness in cases:
+        for base in (array(pairs), tuple(pairs)):
+            with pytest.raises(InvalidParameter, match=message.replace("*", r"\*")) as err:
+                CrossedProductTriple(base, 0)
+            assert err.value.witness == witness
+            assert [type(v) for v in err.value.witness] == [float, int]
+    accepted = CrossedProductTriple(array([(0.0, 2**60 - 1), (1.0, 1)]), 1)
+    assert accepted.spectrum().tolist() == CrossedProductTriple(
+        ((0.0, 2**60 - 1), (1.0, 1)), 1).spectrum().tolist()
+    # any other array is read as pairs: a float multiplicity is no int
+    with pytest.raises(InvalidParameter, match="positive ints") as err:
+        CrossedProductTriple(np.array([[1.0, 1.0], [2.0, 1.0]]), 3)
+    assert err.value.witness == (1.0, 1.0)
+
+
+def test_crossed_pair_base_keeps_the_type_checks_of_a_loop_over_pairs():
+    """An eigenvalue that math.isfinite refuses (a str float() would parse)
+    or a pair that does not unpack raises its own error, unless an earlier
+    pair holds a fault, which is then the witness."""
+    for bad in ("1e3", b"1", 10**400):
+        with pytest.raises((TypeError, OverflowError)):
+            CrossedProductTriple(((1.0, 1), (bad, 1)), 3)
+        with pytest.raises(InvalidParameter) as err:
+            CrossedProductTriple(((1.0, 0), (bad, 1)), 3)
+        assert err.value.witness == (1.0, 0)
+    with pytest.raises(ValueError, match="unpack"):
+        CrossedProductTriple(((1.0, 1), (2.0, 1, 1)), 3)
+
+
+def test_crossed_array_base_is_copied_and_compared_by_value():
+    """Writes to an array base after construction change nothing, and a
+    triple is equal to (and hashed as) the one with the equal pair base."""
+    base = np.array([(1.0, 1), (2.5, 2), (-0.0, 1)], dtype=triples.SPECTRUM_DTYPE)
+    c = CrossedProductTriple(base, 3)
+    before = crossed_product_spectrum(c).tolist()
+    base["value"][0] = math.nan
+    base["multiplicity"][1] = 0
+    assert crossed_product_spectrum(c).tolist() == before
+    assert not c.base.flags.writeable
+    pairs = CrossedProductTriple(((1.0, 1), (2.5, 2), (0.0, 1)), 3)
+    assert c == pairs and hash(c) == hash(pairs) and len({c, pairs}) == 1
+    assert c != CrossedProductTriple(((1.0, 1), (2.5, 2), (0.0, 1)), 4)
+    assert c != CrossedProductTriple(((1.0, 1), (2.5, 2)), 3)
+
+
 def test_crossed_grid_size_is_refused_before_allocating():
     limit = triples.CROSSED_MAX_POINTS
     assert limit == 1 << 24
