@@ -59,13 +59,18 @@ MAX_COHOMOLOGY_DIGITS = 2 ** 25  # about 32 MB of printed dims
 
 
 def word_budget() -> int:
+    """GRAPHSPECTRA_WORD_BUDGET, or the default when it is unset or empty;
+    InvalidInput, the text as witness, unless it is an integer >= 0."""
     raw = os.environ.get(BUDGET_ENV_VAR)
     if not raw:
         return DEFAULT_WORD_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
+        if budget >= 0:
+            return budget
     except ValueError:
-        raise InvalidInput(f"{BUDGET_ENV_VAR} must be an integer", witness=raw) from None
+        pass
+    raise InvalidInput(f"{BUDGET_ENV_VAR} must be a nonnegative integer", witness=raw)
 
 
 SFTData = EdgeMatrix  # an SFT is its validated transition matrix
@@ -126,14 +131,14 @@ def count_words(s: SFTData, n: int) -> int:
     return sum(next(islice(word_count_vectors(s), n - 1, None)))
 
 
-def _check_word_budget(s: SFTData, n: int, budget: int | None) -> list[int]:
+def _check_word_budget(s: SFTData, n: int) -> list[int]:
     """Raise unless n >= 1 and the words of length n fit the word budget;
     return the numbers of words of lengths 1..n.
     If every letter has a predecessor and a successor, counts never fall,
     so the first count past the budget is the witness for any longer n."""
     if n < 1:
         raise InvalidTransitionMatrix("word length must be >= 1", witness=n)
-    cap = budget if budget is not None else word_budget()
+    cap = word_budget()
     counts = []
     for length, total in enumerate(map(sum, islice(word_count_vectors(s), n)), start=1):
         if total > cap and (length == n or all(s.succ) and all(s.pred)):
@@ -143,9 +148,9 @@ def _check_word_budget(s: SFTData, n: int, budget: int | None) -> list[int]:
     return counts
 
 
-def enumerate_words(s: SFTData, n: int, budget: int | None = None) -> list[tuple]:
+def enumerate_words(s: SFTData, n: int) -> list[tuple]:
     """All admissible words of length n in lexicographic order."""
-    _check_word_budget(s, n, budget)
+    _check_word_budget(s, n)
     words: list[tuple] = []
     stack = [(a,) for a in reversed(range(s.alphabet_size))]
     while stack:
@@ -158,57 +163,16 @@ def enumerate_words(s: SFTData, n: int, budget: int | None = None) -> list[tuple
     return words
 
 
-def word_table(s: SFTData, n: int, budget: int | None = None):
-    """The words of :func:`enumerate_words` as one (count, n) numpy array,
+def word_table(s: SFTData, n: int):
+    """The list of :func:`enumerate_words` as one (count, n) numpy array,
     row k the k-th word, in the smallest unsigned dtype that holds every
-    letter index (uint8 up to 256 letters, uint16 above).
-
-    The table grows a column per level: every row is repeated once per
-    successor of its last letter, and the successors (``s.succ``,
-    ascending) are appended, which keeps the rows lexicographic.  The word
-    budget is checked on the exact count before anything is allocated.
-    """
-    _check_word_budget(s, n, budget)
+    letter index (uint8 up to 256 letters, uint16 above)."""
     import numpy as np
 
-    degree, first, successors = successor_arrays(s)
-    table = np.arange(s.alphabet_size, dtype=successors.dtype)[:, None]
-    for _ in range(n - 1):
-        reps = degree[table[:, -1]]
-        pick = _ranges(first[table[:, -1]], reps)
-        table = np.concatenate([np.repeat(table, reps, axis=0),
-                                successors[pick][:, None]], axis=1)
-    return table
-
-
-def _ranges(starts, lengths):
-    """The concatenated ranges starts[k] + [0, lengths[k])."""
-    import numpy as np
-
-    ends = np.cumsum(lengths)
-    out = np.arange(lengths.sum())
-    out += np.repeat(np.asarray(starts - (ends - lengths), dtype=out.dtype), lengths)
-    return out
-
-
-def successor_arrays(s: SFTData):
-    """Each letter's out-degree, the offset of its successors, and the
-    successor lists joined in letter order (the pairs (i, j) with
-    A[i][j] = 1, lexicographic) in the smallest unsigned dtype that holds
-    every letter index."""
-    import numpy as np
-
-    degree, joined = _joined(s.succ, np.min_scalar_type(max(s.alphabet_size - 1, 0)))
-    return degree, np.cumsum(degree) - degree, joined
-
-
-def _joined(lists, dtype):
-    """The length of each list, and the lists joined in order as ``dtype``."""
-    import numpy as np
-
-    degree = np.array([len(js) for js in lists], dtype=np.intp)
-    return degree, np.fromiter(chain.from_iterable(lists), dtype=dtype,
-                               count=int(degree.sum()))
+    words = enumerate_words(s, n)
+    dtype = np.min_scalar_type(max(s.alphabet_size - 1, 0))
+    flat = np.fromiter(chain.from_iterable(words), dtype=dtype, count=len(words) * n)
+    return flat.reshape(len(words), n)
 
 
 @dataclass(frozen=True)
@@ -347,13 +311,19 @@ def _noda(m: "_Rows", tol: float):
 
 class _Rows:
     """A 0/1 matrix M as its rows' column lists (the successor lists for
-    A, the predecessor lists for A^t), with M v and the chain-contracted
-    solve of (sigma I - M) w = v that :func:`perron_data` uses."""
+    A, the predecessor lists for A^t): each list's length ``degree`` and
+    offset ``first``, the lists joined in row order ``cols`` (for A, the
+    pairs (i, j) with A[i][j] = 1, lexicographic) and each entry's row
+    ``rows``; with M v and the chain-contracted solve of (sigma I - M) w
+    = v that :func:`perron_data` uses."""
 
     def __init__(self, lists):
         import numpy as np
 
-        self.degree, self.cols = _joined(lists, np.intp)
+        self.degree = np.array([len(js) for js in lists], dtype=np.intp)
+        self.first = np.cumsum(self.degree) - self.degree
+        self.cols = np.fromiter(chain.from_iterable(lists), dtype=np.intp,
+                                count=int(self.degree.sum()))
         self.rows = np.repeat(np.arange(len(lists)), self.degree)
 
     def times(self, v):
@@ -442,7 +412,7 @@ def parry_cylinder_measure(s: SFTData, word: tuple) -> float:
     return ParryMeasure(s).weight(word)
 
 
-def coboundary_matrix(s: SFTData, n: int, budget: int | None = None) -> list[list[int]]:
+def coboundary_matrix(s: SFTData, n: int) -> list[list[int]]:
     """Integer matrix of delta f = f - f o T from V_{n-1} to V_n.
 
     Columns are indexed by cylinders of length n, rows by cylinders of
@@ -451,8 +421,8 @@ def coboundary_matrix(s: SFTData, n: int, budget: int | None = None) -> list[lis
     """
     if n < 1:
         raise InvalidTransitionMatrix("coboundary needs level >= 1", witness=n)
-    shorter = enumerate_words(s, n, budget)
-    longer = enumerate_words(s, n + 1, budget)
+    shorter = enumerate_words(s, n)
+    longer = enumerate_words(s, n + 1)
     index = {w: i for i, w in enumerate(longer)}
     mat = [[0] * len(shorter) for _ in longer]
     for col, u in enumerate(shorter):
@@ -463,8 +433,7 @@ def coboundary_matrix(s: SFTData, n: int, budget: int | None = None) -> list[lis
     return mat
 
 
-def cohomology_filtration_dims(s: SFTData, max_level: int,
-                               budget: int | None = None) -> tuple:
+def cohomology_filtration_dims(s: SFTData, max_level: int) -> tuple:
     """dim(V_n / delta V_{n-1}) for n = 1..max_level.
 
     :func:`coboundary_matrix` is the transposed incidence matrix of the
@@ -480,13 +449,12 @@ def cohomology_filtration_dims(s: SFTData, max_level: int,
     """
     if max_level < 1:
         raise InvalidTransitionMatrix("level must be >= 1", witness=max_level)
-    if budget is None:
-        budget = word_budget()  # read on every path, so a malformed value is an error
+    word_budget()  # read on every path, so a malformed value is an error
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     limit = 10 ** digits
     total = 0
     out = []
-    for n, dim in enumerate(islice(_cohomology_dims(s, budget), max_level), start=1):
+    for n, dim in enumerate(islice(_cohomology_dims(s), max_level), start=1):
         total += int(dim.bit_length() * math.log10(2)) + 1
         if digits and dim >= limit or total > MAX_COHOMOLOGY_DIGITS:
             raise InvalidParameter(f"cohomology dims at level {n} exceed {digits} "
@@ -495,7 +463,7 @@ def cohomology_filtration_dims(s: SFTData, max_level: int,
     return tuple(out)
 
 
-def _cohomology_dims(s: SFTData, budget: int) -> Iterator[int]:
+def _cohomology_dims(s: SFTData) -> Iterator[int]:
     """Yield dim_n = |W_{n+1}| - |W_n| + c_n for n = 1, 2, ...; see
     :func:`cohomology_filtration_dims`.
 
@@ -519,11 +487,11 @@ def _cohomology_dims(s: SFTData, budget: int) -> Iterator[int]:
             shorter = longer
     else:
         for n in count(1):
-            words = enumerate_words(s, n + 1, budget)
+            words = enumerate_words(s, n + 1)
             yield len(words) - forest_size((w[:-1], w[1:]) for w in words)
 
 
-def alphabet_automorphisms(s: SFTData, budget: int | None = None) -> list[tuple]:
+def alphabet_automorphisms(s: SFTData) -> list[tuple]:
     """All letter permutations preserving the transition matrix, sorted.
 
     With an involution, only those commuting with it: the search matches
@@ -534,7 +502,7 @@ def alphabet_automorphisms(s: SFTData, budget: int | None = None) -> list[tuple]
     inv = s.involution or (None,) * n
     coded = [[x + 2 * (j == inv[i]) for j, x in enumerate(row)]
              for i, row in enumerate(s.matrix)]
-    cap = budget if budget is not None else word_budget()
+    cap = word_budget()
     found = list(islice(isomorphisms(coded, coded), cap + 1))
     if len(found) > cap:
         raise EnumerationBudgetExceeded(

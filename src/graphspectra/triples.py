@@ -87,11 +87,9 @@ from .shift import (
     PerronData,
     SFTData,
     _check_word_budget,
-    _ranges,
     _Rows,
     filtration_dims,
     perron_data,
-    successor_arrays,
     word_budget,
     word_count_vectors,
     word_table,
@@ -236,7 +234,7 @@ class SpectralTruncation:
 
         table, top = self._table, self._starts[-1]
         lo, hi = np.searchsorted(table[:, 0], [letter, letter + 1])
-        rows = lo + np.flatnonzero(successor_arrays(self.sft)[0][table[lo:hi, -1]])
+        rows = lo + np.flatnonzero(_Rows(self.sft.succ).degree[table[lo:hi, -1]])
         blocks = np.flatnonzero(np.isin(table[top, 0], self.sft.succ[letter]))
         sizes = self._sizes(self.level - 1)[blocks]
         cols = _ranges(top[blocks], sizes)
@@ -349,7 +347,7 @@ class SpectralTruncation:
 _FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970
 
 
-def check_truncation_level(s: SFTData, level: int, budget: int | None = None) -> None:
+def check_truncation_level(s: SFTData, level: int) -> None:
     """TruncationTooSmall below level 2, then the budget on the N+1-letter
     words, then InvalidParameter, the level as witness, if an eigenspace
     dimension dim V_n - dim V_{n-1} (n <= N) is past float range: the zeta
@@ -357,13 +355,12 @@ def check_truncation_level(s: SFTData, level: int, budget: int | None = None) ->
     float range at the same level."""
     if level < 2:
         raise TruncationTooSmall("truncation level must be >= 2", witness=level)
-    dims = _check_word_budget(s, level + 1, budget)  # dim V_n: the words of length n+1
+    dims = _check_word_budget(s, level + 1)  # dim V_n: the words of length n+1
     if any(b - a >= _FLOAT_OVERFLOW for a, b in zip([0, *dims], dims)):
         raise InvalidParameter("an eigenspace dimension passes float range", witness=level)
 
 
 def build_truncation(s: SFTData, level: int, twist: tuple | None = None,
-                     budget: int | None = None,
                      perron: PerronData | None = None) -> SpectralTruncation:
     """Lay out the level-N cylinder basis, prefix blocks and isometry rows.
 
@@ -374,7 +371,7 @@ def build_truncation(s: SFTData, level: int, twist: tuple | None = None,
     """
     import numpy as np
 
-    check_truncation_level(s, level, budget)
+    check_truncation_level(s, level)
     if twist is not None:
         n = s.alphabet_size
         if sorted(twist) != list(range(n)):
@@ -386,7 +383,7 @@ def build_truncation(s: SFTData, level: int, twist: tuple | None = None,
         twist = tuple(twist)
     if perron is None:
         perron = perron_data(s)
-    table = word_table(s, level + 1, budget)
+    table = word_table(s, level + 1)
     mu = _measure(perron, level, table[:, 0], table[:, -1])
 
     # lexicographic order: a prefix block starts where any of its letters changes
@@ -416,6 +413,16 @@ def _measure(perron: PerronData, level: int, heads, lasts):
     return left[heads] * right[lasts] * perron.value ** (-level) / float(left @ right)
 
 
+def _ranges(starts, lengths):
+    """The concatenated ranges starts[k] + [0, lengths[k])."""
+    import numpy as np
+
+    ends = np.cumsum(lengths)
+    out = np.arange(lengths.sum())
+    out += np.repeat(np.asarray(starts - (ends - lengths), dtype=out.dtype), lengths)
+    return out
+
+
 def ck_residuals(s: SFTData, level: int, perron: PerronData) -> dict:
     """Frobenius norms (upper bounds for the operator norm) of both
     defining relations at level N, compressed to levels <= N-1.
@@ -435,14 +442,14 @@ def ck_residuals(s: SFTData, level: int, perron: PerronData) -> dict:
     import numpy as np
 
     n = s.alphabet_size
-    degree, first, successors = successor_arrays(s)
+    a = _Rows(s.succ)
     source, target, count = next(islice(_paths(s), level - 1, None))
-    keep = degree[target] > 0
+    keep = a.degree[target] > 0
     source, target, count = source[keep], target[keep], count[keep]
 
     def rows(heads, ends):  # entries of S in rows with these first and last letters
-        row = np.repeat(np.arange(len(ends)), degree[ends])
-        lasts = successors[_ranges(first[ends], degree[ends])]
+        row = np.repeat(np.arange(len(ends)), a.degree[ends])
+        lasts = a.cols[_ranges(a.first[ends], a.degree[ends])]
         heads, ends = heads[row], ends[row]
         return row, lasts, np.sqrt(_measure(perron, level + 1, heads, lasts)
                                    / _measure(perron, level, heads, ends))
@@ -459,10 +466,10 @@ def ck_residuals(s: SFTData, level: int, perron: PerronData) -> dict:
 
     # the rows i u: per pair (i, u_0) of A, the prefix classes starting with u_0
     per_source = np.bincount(source, minlength=n)
-    prefix = _ranges(np.searchsorted(source, successors), per_source[successors])
-    letter = np.repeat(np.repeat(np.arange(n), degree), per_source[successors])
+    prefix = _ranges(np.searchsorted(source, a.cols), per_source[a.cols])
+    letter = np.repeat(a.rows, per_source[a.cols])
     row, _, vals = rows(letter, target[prefix])
-    lifted = np.bincount(row, weights=g[_ranges(block[prefix], degree[target[prefix]])]
+    lifted = np.bincount(row, weights=g[_ranges(block[prefix], a.degree[target[prefix]])]
                          * vals, minlength=len(prefix))
     gap = lifted * lifted - ranges[prefix]
     gap *= gap
@@ -478,12 +485,12 @@ def _paths(s: SFTData) -> Iterator[tuple]:
     import numpy as np
 
     n = s.alphabet_size
-    degree, first, successors = successor_arrays(s)
+    a = _Rows(s.succ)
     source, target, count = np.arange(n), np.arange(n), np.ones(n)
     while True:
         yield source, target, count
-        sizes = degree[target]
-        key = np.repeat(source * n, sizes) + successors[_ranges(first[target], sizes)]
+        sizes = a.degree[target]
+        key = np.repeat(source * n, sizes) + a.cols[_ranges(a.first[target], sizes)]
         key, merged = np.unique(key, return_inverse=True)
         count = np.bincount(merged, weights=np.repeat(count, sizes), minlength=len(key))
         source, target = np.divmod(key, n)
@@ -545,7 +552,8 @@ class SFTGradings:
     are asked for: the bound is computed once, the word counts are
     stepped once and only as far as the most levels asked for so far, and
     each call hands out a slice.  ``perron`` is the SFT's Perron data
-    when the caller already holds it.
+    when the caller already holds it.  If every letter has one successor,
+    no level past 0 has words to add, and the ratio is 0.0 (C 0^0 = C).
     """
 
     def __init__(self, s: SFTData, perron: PerronData | None = None):
@@ -556,7 +564,9 @@ class SFTGradings:
         r = np.array(perron.right)
         ar = _Rows(s.succ).times(r)
         rho = perron.value * (1 + 1e-9)
-        if np.any(ar > rho * r):
+        if all(len(js) == 1 for js in s.succ):
+            rho = 0.0
+        elif np.any(ar > rho * r):
             # inflate until the entrywise certificate A r <= rho r holds
             rho = float(np.max(ar / r)) * (1 + 1e-12)
         self.growth_const = float(r.sum() / r.min())
@@ -650,8 +660,9 @@ def zeta_partial(d: GradingOperator, s: float) -> ZetaPartial:
     divergence diagnosis for the implied infinite schedule.
 
     Geometric eigenspace growth against a polynomial eigenvalue schedule
-    diverges for every s; power schedules lambda_n = (dim A_n)^q converge
-    exactly when s q > 2, with tail majorant sum n^(1-sq).
+    diverges for every s; growth ratio 0 leaves nothing past level 0;
+    power schedules lambda_n = (dim A_n)^q converge exactly when s q > 2,
+    with tail majorant sum n^(1-sq).
     """
     check_zeta_exponent(s)
     partial = float(sum(m * (1 + abs(lam) ** 2) ** (-s / 2)
@@ -664,6 +675,8 @@ def zeta_partial(d: GradingOperator, s: float) -> ZetaPartial:
             return ZetaPartial(s, partial, "Convergent", tail)
         return ZetaPartial(s, partial, "Divergent", math.inf)
     if d.growth_ratio is not None:
+        if d.growth_ratio == 0:
+            return ZetaPartial(s, partial, "Convergent", 0.0)
         if d.growth_ratio > 1:
             return ZetaPartial(s, partial, "Divergent", math.inf)
         if s > 1:
@@ -742,8 +755,7 @@ class AFLevel:
     total: int
 
 
-def af_core_dims(s: SFTData, max_level: int,
-                 budget: int | None = None) -> list[AFLevel]:
+def af_core_dims(s: SFTData, max_level: int) -> list[AFLevel]:
     """Matrix-block sizes of the filtered core at each level.
 
     Level n has one block per letter i of size
@@ -753,7 +765,7 @@ def af_core_dims(s: SFTData, max_level: int,
     """
     if not s.is_irreducible():
         raise RequiresIrreducible("core dimensions need an irreducible matrix")
-    cap = budget if budget is not None else word_budget()
+    cap = word_budget()
     out = []
     for n, vec in zip(range(max_level + 1), word_count_vectors(s)):
         total = sum(c * c for c in vec)

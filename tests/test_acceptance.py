@@ -107,12 +107,12 @@ def test_criterion_06_not_finitely_summable():
             assert triples.zeta_partial(grading, s).diagnosis == "Divergent"
 
 
-def test_criterion_07_af_summability():
+def test_criterion_07_af_summability(monkeypatch):
+    monkeypatch.setenv("GRAPHSPECTRA_WORD_BUDGET", str(10 ** 9))
     with criterion(7, "filtered-core partial sums stay below the majorant "
                       "termwise (p=1, q=3)", 1.0):
         s = shift.full_schottky_sft(2)
-        dims = tuple(level.total
-                     for level in triples.af_core_dims(s, 7, budget=10 ** 9))
+        dims = tuple(level.total for level in triples.af_core_dims(s, 7))
         report = triples.af_summability_report(triples.AFTriple(dims, 1.0, 3.0))
         assert report.termwise_ok
         assert report.partials_ok

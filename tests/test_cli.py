@@ -144,6 +144,18 @@ def test_ktheory_compare_checks_and_reduces_each_matrix_once(capsysbinary, monke
     assert calls == {"check": 2, "reduce": 2}
 
 
+def test_spectra_on_a_permutation_shift_converges(tmp_path, capsysbinary):
+    """Past level 0 the 2-cycle has no words to add: its zeta sum converges
+    and the heat trace has no tail."""
+    path = tmp_path / "swap.json"
+    path.write_text('{"matrix": [[0, 1], [1, 0]]}')
+    code, out = run_cli(["spectra", "--matrix", str(path)], capsysbinary)
+    assert code == 0
+    report = json.loads(out)
+    assert report["zeta"] == {"s": 2.0, "partial": 2.0, "diagnosis": "Convergent"}
+    assert (report["theta"]["partial"], report["theta"]["tail_bound"]) == (2.0, 0.0)
+
+
 def test_spectra_report(capsysbinary):
     code, out = run_cli(["spectra", "--genus", "2", "--levels", "3",
                          "--t", "1.0", "--s", "2.0"], capsysbinary)
@@ -827,6 +839,9 @@ _BUILDINGS = ["buildings", "cli", "errors", "io"]
     (["af", "--genus", "2", "--levels", "7"], 2, [], _TRIPLES),  # word budget
     (["cohomology", "--genus", "2", "--levels", "3"], 0, [],
      ["cli", "errors", "graphs", "io", "shift"]),
+    # red9 has a sink letter, so its dims come from enumerated words
+    (["cohomology", "--matrix", str(DATA / "red9.json"), "--levels", "5"], 0, [],
+     ["cli", "errors", "graphs", "io", "shift"]),
     (["building", "--q", "1", "--cover", "--bm"], 0, [], _BUILDINGS),
     (["tau", "--weights", "2,2,2,2,2"], 0, [], _BUILDINGS),
     (["crossed"], 0, ["numpy"], _TRIPLES),
@@ -834,7 +849,7 @@ _BUILDINGS = ["buildings", "cli", "errors", "io"]
     (["spectra", "--matrix", str(DATA / "a1.json"), "--levels", "3"], 0, ["numpy"],
      _TRIPLES),
 ], ids=["import", "usage-error", "catalog", "ktheory", "af", "af-budget",
-        "cohomology", "building", "tau", "crossed", "spectra", "spectra-matrix"])
+        "cohomology", "cohomology-red9", "building", "tau", "crossed", "spectra", "spectra-matrix"])
 def test_cold_start_loads_numpy_and_scipy_only_where_used(tmp_path, argv, code,
                                                           libraries, modules):
     """Each subcommand imports only the graphspectra modules it runs, and
@@ -1007,3 +1022,13 @@ def test_bad_input_is_a_documented_error(tmp_path, argv, env, witness):
     assert (code, stderr) == (2, b"")
     assert json.loads(out) == {"error": {"code": "InvalidInput", "witness": witness}}
     assert loaded["libraries"] == []
+
+
+@pytest.mark.parametrize("subcommand", ["spectra", "cohomology"])
+def test_negative_word_budget_is_a_documented_error(tmp_path, subcommand):
+    """A negative budget is refused: by the level check of spectra, and by
+    cohomology on the rank-2 shift, whose dims need no words listed."""
+    code, out, stderr, _ = _fresh_run(tmp_path, [subcommand, "--genus", "2", "--levels", "3"],
+                                      {"GRAPHSPECTRA_WORD_BUDGET": "-1"})
+    assert (code, stderr) == (2, b"")
+    assert json.loads(out) == {"error": {"code": "InvalidInput", "witness": "'-1'"}}

@@ -52,19 +52,21 @@ def test_enumeration_matches_matrix_power_counts(schottky2, theta_sft):
             assert count_words(s, n) == len(enumerate_words(s, n))
 
 
-def test_enumeration_budget():
+def test_enumeration_budget(monkeypatch):
+    monkeypatch.setenv("GRAPHSPECTRA_WORD_BUDGET", "5")
     with pytest.raises(EnumerationBudgetExceeded):
-        enumerate_words(full_schottky_sft(2), 4, budget=5)
+        enumerate_words(full_schottky_sft(2), 4)
 
 
-def test_enumeration_budget_reads_the_asked_length_when_counts_can_fall():
+def test_enumeration_budget_reads_the_asked_length_when_counts_can_fall(monkeypatch):
     """0 -> 1, 2 and 1, 2 -> 3, a sink: 4, 4, 2 and 0 words of lengths 1-4,
     so the two words of length 3 fit a budget that four of length 1 exceed."""
     s = SFTData.from_rows(((0, 1, 1, 0), (0, 0, 0, 1), (0, 0, 0, 1), (0, 0, 0, 0)),
                           tuple("abcd"))
-    assert enumerate_words(s, 3, budget=3) == [(0, 1, 3), (0, 2, 3)]
+    monkeypatch.setenv("GRAPHSPECTRA_WORD_BUDGET", "3")
+    assert enumerate_words(s, 3) == [(0, 1, 3), (0, 2, 3)]
     with pytest.raises(EnumerationBudgetExceeded) as err:
-        enumerate_words(s, 2, budget=3)
+        enumerate_words(s, 2)
     assert err.value.witness == 4
 
 
@@ -527,11 +529,12 @@ def test_automorphisms_kato1():
                    for i in range(24))
 
 
-def test_automorphism_cap():
+def test_automorphism_cap(monkeypatch):
     big = SFTData.from_rows(tuple(tuple(1 for _ in range(12)) for _ in range(12)),
                   tuple(str(i) for i in range(12)))
+    monkeypatch.setenv("GRAPHSPECTRA_WORD_BUDGET", "1000")
     with pytest.raises(EnumerationBudgetExceeded):
-        alphabet_automorphisms(big, budget=1000)
+        alphabet_automorphisms(big)
 
 
 def test_word_table_takes_uint16_past_256_letters():

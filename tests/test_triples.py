@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphspectra import triples
+from graphspectra import io, triples
 from graphspectra.errors import (
+    EnumerationBudgetExceeded,
     InsufficientSpectrum,
     InvalidParameter,
     NormNotConverged,
@@ -23,6 +25,8 @@ from graphspectra.shift import (
     PerronData,
     SFTData,
     alphabet_automorphisms,
+    coboundary_matrix,
+    cohomology_filtration_dims,
     count_words,
     enumerate_words,
     from_edge_matrix,
@@ -37,6 +41,7 @@ from graphspectra.triples import (
     EvenBlock,
     GradingOperator,
     SFTGradings,
+    ZetaPartial,
     af_core_dims,
     af_summability_report,
     build_truncation,
@@ -573,8 +578,9 @@ def test_zeta_divergent_for_schottky(schottky2):
         assert zeta_partial(g, s).diagnosis == "Divergent"
 
 
-def test_zeta_af_schedule_converges(schottky2):
-    dims = tuple(level.total for level in af_core_dims(schottky2, 6, budget=10**8))
+def test_zeta_af_schedule_converges(schottky2, monkeypatch):
+    monkeypatch.setenv("GRAPHSPECTRA_WORD_BUDGET", str(10**8))
+    dims = tuple(level.total for level in af_core_dims(schottky2, 6))
     af = AFTriple(dims, 1.0, 3.0)
     z = zeta_partial(af.grading(), 1.0)  # s = p, s q = 3 > 2
     assert z.diagnosis == "Convergent"
@@ -587,6 +593,49 @@ def test_zeta_single_level():
     assert z.diagnosis == "Convergent"
     assert z.tail_bound == 0.0
     assert z.partial == pytest.approx(5 * (1 + 4) ** -1.5)
+
+
+def _cycle(n):
+    """The shift of the n-cycle: letter i has the one successor i + 1 mod n."""
+    return SFTData.from_rows(tuple(tuple(int(j == (i + 1) % n) for j in range(n))
+                                   for i in range(n)), tuple(map(str, range(n))))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_zeta_converges_on_a_permutation_shift(n):
+    """Every level past 0 of a cycle is empty, so the growth ratio is 0 and
+    the zeta sum is its level-0 term, with no tail, for every s."""
+    g = grading_from_sft(_cycle(n), 48)
+    assert g.new_dims == (n,) + (0,) * 48
+    assert g.growth_ratio == 0.0
+    assert g.growth_const >= n
+    for s in (-1.0, 0.5, 2.0, 20.0):
+        assert zeta_partial(g, s) == ZetaPartial(s, float(n), "Convergent", 0.0)
+    assert theta_trace(g, 1.0).tail_bound == 0.0
+
+
+RED9 = Path(__file__).parent / "data" / "red9.json"
+
+
+@pytest.mark.parametrize("read", [
+    lambda s: enumerate_words(s, 4),
+    lambda s: word_table(s, 4),
+    lambda s: coboundary_matrix(s, 3),
+    lambda s: cohomology_filtration_dims(io.load_sft(RED9), 5),
+    alphabet_automorphisms,
+    lambda s: build_truncation(s, 3),
+    lambda s: af_core_dims(s, 3),
+], ids=["enumerate_words", "word_table", "coboundary_matrix",
+        "cohomology_filtration_dims-red9", "alphabet_automorphisms",
+        "build_truncation", "af_core_dims"])
+def test_word_budget_readers_take_the_variable(schottky2, monkeypatch, read):
+    """Each reader of the word budget takes it from GRAPHSPECTRA_WORD_BUDGET:
+    it runs under the default budget and refuses a budget of 5."""
+    monkeypatch.delenv("GRAPHSPECTRA_WORD_BUDGET", raising=False)
+    read(schottky2)
+    monkeypatch.setenv("GRAPHSPECTRA_WORD_BUDGET", "5")
+    with pytest.raises(EnumerationBudgetExceeded):
+        read(schottky2)
 
 
 def test_af_core_dims(schottky2):
@@ -642,8 +691,9 @@ def test_af_triple_rejects_non_finite_p_and_q(p, q, witness):
     assert repr(err.value.witness) == repr(witness)
 
 
-def test_af_summability_schottky_core(schottky2):
-    dims = tuple(level.total for level in af_core_dims(schottky2, 7, budget=10**9))
+def test_af_summability_schottky_core(schottky2, monkeypatch):
+    monkeypatch.setenv("GRAPHSPECTRA_WORD_BUDGET", str(10**9))
+    dims = tuple(level.total for level in af_core_dims(schottky2, 7))
     report = af_summability_report(AFTriple(dims, 1.0, 3.0))
     assert report.termwise_ok and report.partials_ok
 
