@@ -16,9 +16,7 @@ import sys
 from dataclasses import dataclass
 
 from . import io
-from .errors import GraphSpectraError, InvalidInput, UsageError
-
-TRACE_TAIL_TOL = 1e-12
+from .errors import GraphSpectraError, InvalidInput, InvalidParameter, UsageError
 
 
 @dataclass(frozen=True)
@@ -28,8 +26,8 @@ class RunPlan:
     fmt: str = "json"
     out: str | None = None
 
-    def option(self, key, default=None):
-        return dict(self.options).get(key, default)
+    def option(self, key):
+        return dict(self.options).get(key)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,9 +105,9 @@ def parse_invocation(argv) -> RunPlan:
     return RunPlan(ns.subcommand, tuple(sorted(options.items())), ns.format, ns.out)
 
 
-def _number_list(plan: RunPlan, key: str, kind, default=None) -> list:
+def _number_list(plan: RunPlan, key: str, kind) -> list:
     """A comma-separated option value as a list of ``kind`` numbers."""
-    raw = str(plan.option(key, default))
+    raw = plan.option(key)
     try:
         return [kind(x) for x in raw.split(",")]
     except ValueError:
@@ -132,25 +130,24 @@ def render_plan(plan: RunPlan) -> list[str]:
     return argv
 
 
-def _sft_from_options(plan: RunPlan, default_genus=None) -> shift.SFTData:
+def _sft_from_options(plan: RunPlan) -> shift.SFTData:
     from . import shift
-    genus = plan.option("genus", default_genus)
+    genus = plan.option("genus")
     matrix = plan.option("matrix")
     if matrix is not None:
         return io.load_sft(matrix)
     if genus is None:
         raise UsageError("need --genus or --matrix")
-    return shift.full_schottky_sft(int(genus))
+    return shift.full_schottky_sft(genus)
 
 
-def adaptive_theta(gradings: triples.SFTGradings, t: float,
-                   tol: float = TRACE_TAIL_TOL) -> triples.ThetaTrace:
+def adaptive_theta(gradings: triples.SFTGradings, t: float) -> triples.ThetaTrace:
     """Heat-trace partial sum at the smallest power-of-two level count
-    whose certified tail drops below tol (capped at 512 levels)."""
+    whose certified tail meets theta_trace's tolerance (capped at 512)."""
     from . import triples
     levels = 16
     while True:
-        result = triples.theta_trace(gradings(levels), t, tol)
+        result = triples.theta_trace(gradings(levels), t)
         if result.converged or levels >= 512:
             return result
         levels *= 2
@@ -207,9 +204,9 @@ def _run_ktheory(plan: RunPlan):
 def _run_spectra(plan: RunPlan):
     from . import shift, triples
     s = _sft_from_options(plan)
-    levels = int(plan.option("levels", 6))
-    ts = _number_list(plan, "t", float, "1.0")
-    zeta_s = float(plan.option("s", 2.0))
+    levels = plan.option("levels")
+    ts = _number_list(plan, "t", float)
+    zeta_s = plan.option("s")
     for t in ts:  # before any work
         triples.check_heat_parameter(t)
     triples.check_zeta_exponent(zeta_s)
@@ -239,10 +236,10 @@ def _run_spectra(plan: RunPlan):
 
 def _run_af(plan: RunPlan):
     from . import shift, triples
-    s = shift.full_schottky_sft(int(plan.option("genus", 2)))
-    levels = int(plan.option("levels", 6))
-    p_val = float(plan.option("p", 1.0))
-    q_val = float(plan.option("q", 3.0))
+    s = shift.full_schottky_sft(plan.option("genus"))
+    levels, p_val, q_val = plan.option("levels"), plan.option("p"), plan.option("q")
+    if levels < 1:  # before any level is stepped
+        raise InvalidParameter("--levels must be at least 1", witness=levels)
     core = triples.af_core_dims(s, levels - 1)
     af = triples.AFTriple(tuple(level.total for level in core), p_val, q_val)
     rep = triples.af_summability_report(af)
@@ -278,10 +275,11 @@ def _base_spectrum(kind: str, count: int):
 
 def _run_crossed(plan: RunPlan):
     from . import triples
-    kind, count = plan.option("base", "linear"), int(plan.option("count", 200))
-    cutoff = int(plan.option("cutoff", 200))
+    kind, count, cutoff = plan.option("base"), plan.option("count"), plan.option("cutoff")
     # refused before the base array is built
-    triples.check_crossed_size((1 if kind == "zero" else max(count, 0)) * (cutoff + 1))
+    if count < 0:
+        raise InvalidParameter("--count must be >= 0", witness=count)
+    triples.check_crossed_size((1 if kind == "zero" else count) * (cutoff + 1))
     triple = triples.CrossedProductTriple(_base_spectrum(kind, count), cutoff)
     fit = triples.summability_exponent_fit(triple)
     report = {"slope": fit.slope, "window": list(fit.window), "points": fit.points}
@@ -291,7 +289,7 @@ def _run_crossed(plan: RunPlan):
 def _run_cohomology(plan: RunPlan):
     from . import shift
     s = _sft_from_options(plan)
-    levels = int(plan.option("levels", 3))
+    levels = plan.option("levels")
     dims = shift.cohomology_filtration_dims(s, levels)
     rows = [{"n": n + 1, "dim": d} for n, d in enumerate(dims)]
     return {"dims": list(dims)}, rows
@@ -303,7 +301,7 @@ def _run_building(plan: RunPlan):
     source = plan.option("file")
     if (q is None) == (source is None):
         raise UsageError("need exactly one of --q or --file")
-    pres = buildings.family_presentation(int(q)) if q is not None \
+    pres = buildings.family_presentation(q) if q is not None \
         else io.load_presentation(source)
     covered = bool(plan.option("cover"))
     if covered:
@@ -312,8 +310,8 @@ def _run_building(plan: RunPlan):
     if plan.option("validate"):
         expected = None
         if q is not None:
-            expected = (buildings.family_cover_link_graphs(int(q)) if covered
-                        else [buildings.family_link_graph(int(q))])
+            expected = (buildings.family_cover_link_graphs(q) if covered
+                        else [buildings.family_link_graph(q)])
         rep = buildings.validate_presentation(pres, expected)
         report["validation"] = {
             "rotation_closure": rep.rotation_closure.passed,

@@ -64,48 +64,23 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[sum(ar[i] * bc[i] for i in range(k)) for bc in bt] for ar in a]
 
 
-def determinant(a: list[list[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def exact_rank(a: list[list[int]]) -> int:
-    """Rank over the rationals, computed by fraction-free elimination."""
+def _bareiss(a: list[list[int]]) -> tuple[int, int, int]:
+    """(rank, row swaps, last pivot) of fraction-free (Bareiss) elimination
+    over the rationals, pivoting on the first nonzero entry of each column.
+    At full rank the last pivot is the determinant up to the swaps' sign."""
     if not a or not a[0]:
-        return 0
+        return 0, 0, 1
     m = [row[:] for row in a]
     rows, cols = len(m), len(m[0])
-    rank = 0
+    rank = swaps = 0
     prev = 1
     for col in range(cols):
-        pivot = None
-        for i in range(rank, rows):
-            if m[i][col] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(rank, rows) if m[i][col] != 0), None)
         if pivot is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            swaps += 1
         for i in range(rank + 1, rows):
             for j in range(col + 1, cols):
                 m[i][j] = (m[i][j] * m[rank][col] - m[i][col] * m[rank][j]) // prev
@@ -114,7 +89,20 @@ def exact_rank(a: list[list[int]]) -> int:
         rank += 1
         if rank == rows:
             break
-    return rank
+    return rank, swaps, prev
+
+
+def determinant(a: list[list[int]]) -> int:
+    """Exact determinant of a square matrix by Bareiss elimination."""
+    rank, swaps, pivot = _bareiss(a)
+    if rank < len(a):
+        return 0
+    return -pivot if swaps % 2 else pivot
+
+
+def exact_rank(a: list[list[int]]) -> int:
+    """Rank over the rationals, computed by fraction-free elimination."""
+    return _bareiss(a)[0]
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 
 from .errors import (
     EnumerationBudgetExceeded,
@@ -88,7 +88,6 @@ from .shift import (
     SFTData,
     _check_word_budget,
     _Rows,
-    filtration_dims,
     perron_data,
     word_budget,
     word_count_vectors,
@@ -96,16 +95,17 @@ from .shift import (
 )
 
 # Largest smaller side decomposed densely by spectral_norm; above it,
-# Lanczos.  Timed on truncation commutators (with 6 Lanczos vectors): on
-# shifts with few letters Lanczos wins from dim ~150, on subdivided theta
-# graphs (many letters, mostly one successor) dense wins up to dim ~280.
+# Lanczos.  Timed on truncation commutators (with 6 Lanczos vectors) when
+# ``spectra`` ran spectral_norm (now only the reference views and tests
+# do): on few letters Lanczos won from dim ~150, on subdivided theta
+# graphs (many letters, mostly one successor) dense won up to dim ~280.
 DENSE_NORM_CUTOFF = 256
-# Lanczos vectors per ARPACK restart cycle: ARPACK's default.  The top
-# singular value of a truncation commutator is a schedule step, repeated
-# as often as the rank of its level's block (18 times at g=2, N=5 on
-# letter 0 of a random schedule); with 6 vectors the tol=0 iteration
-# stalled there and raised NormNotConverged after ~67 s, where 20
-# converges in ~20 ms.
+# Lanczos vectors per ARPACK restart cycle: ARPACK's default, timed when
+# ``spectra`` ran spectral_norm.  The top singular value of a truncation
+# commutator is a schedule step, repeated as often as the rank of its
+# level's block (18 times at g=2, N=5 on letter 0 of a random schedule);
+# with 6 vectors the tol=0 iteration stalled there and raised
+# NormNotConverged after ~67 s, where 20 converged in ~20 ms.
 LANCZOS_NCV = 20
 
 
@@ -248,26 +248,20 @@ class SpectralTruncation:
         for a letter permutation this is the isometry of the image letter."""
         return self.isometry(letter if self.twist is None else self.twist[letter])
 
-    def prefix_factor(self, n: int):
-        """Q_n as a sparse dim x #prefixes matrix with orthonormal columns."""
-        import numpy as np
-        import scipy.sparse as sp
-
-        sizes = self._sizes(n)
-        rows = np.arange(self.dimension)
-        cols = np.repeat(np.arange(len(sizes)), sizes)
-        return sp.csr_matrix((self._weight(n)[:, 0], (rows, cols)),
-                             shape=(self.dimension, len(sizes)))
-
     def projection(self, n: int):
-        """P_n = Q_n Q_n^T as a sparse matrix (a reference view)."""
+        """P_n = Q_n Q_n^T as a sparse matrix (a reference view), Q_n the
+        dim x #prefixes factor with orthonormal columns."""
+        import numpy as np
         import scipy.sparse as sp
 
         if n < 0:
             return sp.csr_matrix((self.dimension, self.dimension))
         if n >= self.level:
             return sp.identity(self.dimension, format="csr")
-        q = self.prefix_factor(n)
+        sizes = self._sizes(n)
+        cols = np.repeat(np.arange(len(sizes)), sizes)
+        q = sp.csr_matrix((self._weight(n)[:, 0], (np.arange(self.dimension), cols)),
+                          shape=(self.dimension, len(sizes)))
         return (q @ q.T).tocsr()
 
     def grading_matrix(self, eigenvalues=None):
@@ -655,6 +649,12 @@ class ZetaPartial:
     tail_bound: float
 
 
+def _zeta_terms(d: GradingOperator, s: float) -> Iterator[float]:
+    """m (1 + |lambda|^2)^(-s/2) per level, m the level's multiplicity."""
+    return (m * (1 + abs(lam) ** 2) ** (-s / 2)
+            for m, lam in zip(d.new_dims, d.eigenvalues))
+
+
 def zeta_partial(d: GradingOperator, s: float) -> ZetaPartial:
     """Partial sum of sum_n new_dims[n] (1 + |lambda_n|^2)^(-s/2) with a
     divergence diagnosis for the implied infinite schedule.
@@ -665,8 +665,7 @@ def zeta_partial(d: GradingOperator, s: float) -> ZetaPartial:
     with tail majorant sum n^(1-sq).
     """
     check_zeta_exponent(s)
-    partial = float(sum(m * (1 + abs(lam) ** 2) ** (-s / 2)
-                        for m, lam in zip(d.new_dims, d.eigenvalues)))
+    partial = float(sum(_zeta_terms(d, s)))
     if d.power_exponent is not None:
         sq = s * d.power_exponent
         if sq > 2:
@@ -732,21 +731,14 @@ class AFTriple:
         return vals
 
     def grading(self) -> GradingOperator:
-        mults = tuple(d - (self.dims[i - 1] if i else 0)
-                      for i, d in enumerate(self.dims))
-        return GradingOperator(mults, self.eigenvalues(),
+        return GradingOperator(FiltrationDims(self.dims).new_dims(), self.eigenvalues(),
                                power_exponent=self.q)
 
     def even_block(self) -> "EvenBlock":
         """Doubled block form: equal graded halves coupled by the schedule."""
         if self.parity != "even":
             raise RequiresEvenTriple("odd schedule has no block form")
-        singulars = []
-        prev = 0
-        for d, lam in zip(self.dims, self.eigenvalues()):
-            singulars.extend([abs(lam)] * (d - prev))
-            prev = d
-        return EvenBlock(self.dims[-1], self.dims[-1], tuple(singulars))
+        return EvenBlock(self.dims[-1], self.dims[-1], _coupling(self.grading()))
 
 
 @dataclass(frozen=True)
@@ -802,18 +794,10 @@ def af_summability_report(a: AFTriple) -> AFSummabilityReport:
     (1+|lambda_n|^2)^(-p/2) (dim A_n - dim A_{n-1})
         <= |lambda_n|^(-p) dim A_n = (dim A_n)^(1-pq) <= n^(1-pq).
     """
-    terms = []
-    majorants = []
-    prev = 0
-    for n, (d, lam) in enumerate(zip(a.dims, a.eigenvalues()), start=1):
-        mult = d - prev
-        prev = d
-        terms.append((1 + abs(lam) ** 2) ** (-a.p / 2) * mult)
-        majorants.append(float(n) ** (1 - a.p * a.q))
-    partials = tuple(accumulate(terms))
-    majorant_partials = tuple(accumulate(majorants))
-    return AFSummabilityReport(a.p, a.q, tuple(terms), partials,
-                               tuple(majorants), majorant_partials)
+    terms = tuple(_zeta_terms(a.grading(), a.p))
+    majorants = tuple(float(n) ** (1 - a.p * a.q) for n in range(1, len(terms) + 1))
+    return AFSummabilityReport(a.p, a.q, terms, tuple(accumulate(terms)),
+                               majorants, tuple(accumulate(majorants)))
 
 
 # A folded spectrum: one record per distinct eigenvalue, values strictly
@@ -1117,14 +1101,17 @@ class EvenBlock:
             raise InvalidParameter("more singular values than block dimensions")
 
 
+def _coupling(d: GradingOperator) -> tuple:
+    """The even double's coupling: each nonzero |lambda_n| as a float,
+    repeated new_dims[n] times."""
+    return tuple(chain.from_iterable(repeat(float(abs(lam)), m)
+                                     for m, lam in zip(d.new_dims, d.eigenvalues) if lam))
+
+
 def even_double(t: SpectralTruncation) -> EvenBlock:
     """Doubled form of a truncation: two copies coupled by the grading."""
-    dims = filtration_dims(t.sft, t.level).new_dims()
-    singulars = []
-    for n, mult in enumerate(dims):
-        if n:
-            singulars.extend([float(n)] * mult)
-    return EvenBlock(t.dimension, t.dimension, tuple(singulars))
+    grading = grading_from_sft(t.sft, t.level, t.perron)
+    return EvenBlock(t.dimension, t.dimension, _coupling(grading))
 
 
 def jlo_phi0(triple, scale: float) -> float:

@@ -265,6 +265,30 @@ def test_crossed_empty_base_is_insufficient(capsysbinary):
                                                      "witness": "0"}})
 
 
+@pytest.mark.parametrize("argv, witness", [
+    (["crossed", "--count", "-5"], "-5"),
+    (["crossed", "--base", "zero", "--count", "-7", "--cutoff", "100"], "-7"),
+    (["af", "--genus", "2", "--levels", "0"], "0"),
+    (["af", "--genus", "2", "--levels", "-5"], "-5"),
+    (["af", "--genus", "2", "--levels", "0", "--format", "csv"], "0"),
+    (["af", "--genus", "2", "--levels", "-5", "--format", "csv"], "-5"),
+], ids=["count-5", "zero-count-7", "levels0", "levels-5", "levels0-csv",
+        "levels-5-csv"])
+def test_negative_count_and_empty_af_schedule_are_refused(monkeypatch, capsys,
+                                                          argv, witness):
+    """A negative crossed count is not an empty base, and an af run needs
+    a level: both are refused before the base is built or a level stepped."""
+    def forbidden(*args):
+        raise AssertionError("built before the option was checked")
+    monkeypatch.setattr(cli, "_base_spectrum", forbidden)
+    monkeypatch.setattr(triples, "af_core_dims", forbidden)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    assert json.loads(captured.out) == {"error": {"code": "InvalidParameter",
+                                                  "witness": witness}}
+
+
 def test_cohomology_report(capsysbinary):
     code, out = run_cli(["cohomology", "--genus", "2", "--levels", "2"], capsysbinary)
     assert code == 0

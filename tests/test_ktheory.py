@@ -1,3 +1,6 @@
+import itertools
+import math
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -196,6 +199,29 @@ def test_determinant_matches_factor_product():
     for d in snf.diagonal:
         product *= d
     assert abs(determinant(m)) == product
+
+
+def _leibniz(m):
+    """The determinant as the signed sum over permutations."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += (-1) ** inversions * math.prod(m[i][j] for i, j in enumerate(perm))
+    return total
+
+
+def test_determinant_and_rank_against_oracles():
+    """Sparse entries force row swaps and rank deficiency, so the sign of
+    the swaps and the zero below full rank are both exercised."""
+    rng = random.Random(5)
+    for _ in range(400):
+        n = rng.randint(0, 4)
+        m = [[rng.choice((0, 0, 0, 1, -2, 3)) for _ in range(n)] for _ in range(n)]
+        assert determinant(m) == _leibniz(m)
+        if n:
+            assert exact_rank(m) == _fraction_rank(m)
+    assert determinant([[0, 1], [1, 0]]) == -1
+    assert determinant([]) == 1
 
 
 def test_snf_medium_sparse_matrix():

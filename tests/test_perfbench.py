@@ -20,6 +20,15 @@ def test_perfbench_selftest_passes():
     assert result.returncode == 0, result.stderr
 
 
+def test_truncation_nnz_counter_reads_the_reference_views(monkeypatch):
+    """The traced build_truncation span counts the nnz of every projection
+    and isometry view; no other test calls that counter."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    t = triples.build_truncation(shift.full_schottky_sft(2), 3)
+    assert spans._truncation_nnz((), {}, t) == {"dim": 108, "nnz": 4644}
+
+
 def test_every_name_the_baseline_reaches_resolves():
     """``run.py --trace 1`` times perfbench/baseline.py; resolve what it
     reads without running its timings."""

@@ -595,6 +595,19 @@ def test_zeta_single_level():
     assert z.partial == pytest.approx(5 * (1 + 4) ** -1.5)
 
 
+@pytest.mark.parametrize("dims, p, q", [
+    ((4, 36, 324, 2916), 1.0, 3.0),
+    ((2, 5, 9), 2.0, 1.5),
+    (tuple(range(1, 25)), 2.0, 2.0),
+])
+def test_af_partials_end_at_the_zeta_partial(dims, p, q):
+    """Both sums read one term generator and add left to right: the
+    report's last partial is zeta_partial's, bit for bit."""
+    a = AFTriple(dims, p, q)
+    last = af_summability_report(a).partials[-1]
+    assert last.hex() == zeta_partial(a.grading(), a.p).partial.hex()
+
+
 def _cycle(n):
     """The shift of the n-cycle: letter i has the one successor i + 1 mod n."""
     return SFTData.from_rows(tuple(tuple(int(j == (i + 1) % n) for j in range(n))
@@ -950,6 +963,17 @@ def test_af_even_block():
     block = af.even_block()
     assert block.plus_dim == block.minus_dim == 9
     assert jlo_phi0(block, 0.5) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_even_couplings_repeat_each_nonzero_eigenvalue(schottky2):
+    """|lambda_n| as a float, new_dims[n] times: for the truncation
+    lambda_n = n with new dims (4, 8, 24, 72), where level 0 couples
+    nothing; for the AF schedule (dim A_n)^3."""
+    coupling = even_double(build_truncation(schottky2, 3)).coupling
+    assert coupling == (1.0,) * 8 + (2.0,) * 24 + (3.0,) * 72
+    block = AFTriple((2, 5, 9), 1.0, 3.0, parity="even").even_block().coupling
+    assert block == (8.0,) * 2 + (125.0,) * 3 + (729.0,) * 4
+    assert {type(x) for x in coupling + block} == {float}
 
 
 def test_spectral_norm_matches_dense():
