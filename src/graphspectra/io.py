@@ -27,6 +27,7 @@ import itertools
 import json
 import math
 from functools import cache
+from json.decoder import WHITESPACE, scanstring
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -35,6 +36,9 @@ from .errors import InvalidInput, UsageError
 # The graphs, ktheory and buildings types in annotations are not imported
 # here: each loader imports what it builds, so a run loads only its modules.
 
+_ws = WHITESPACE.match
+_JSON_WS = dict.fromkeys(map(ord, " \t\n\r"))  # deleted from a matrix row's text
+
 
 def load_matrix_rows(source) -> tuple:
     """Raw (rows, labels) from matrix JSON ({"matrix": rows, "labels":
@@ -42,33 +46,42 @@ def load_matrix_rows(source) -> tuple:
     return _matrix_file(source)[:2]
 
 
-def _matrix_file(source) -> tuple:
-    """(rows, labels, JSON object or {} for CSV).  The loaders share this
-    rather than call one another, so one read is one io.load span when
-    perfbench traces them."""
+def _matrix_file(source, dense: bool = False) -> tuple:
+    """(rows, labels, JSON object or {} for CSV, whether the rows are
+    successor lists).  With ``dense``, a JSON file that
+    :func:`_dense_object` accepts gives its successor lists; any other
+    file is parsed by json.loads.  The loaders share this rather than call
+    one another, so one read is one io.load span when perfbench traces
+    them."""
     if not isinstance(source, dict) and Path(source).suffix.lower() == ".csv":
         import csv
         reader = csv.reader(_stdio.StringIO(_read(source), newline=""))
         rows = _int_rows(row for row in reader if row)
-        return rows, tuple(str(i) for i in range(len(rows))), {}
-    data = _load_json(source)
-    rows = _json_rows(_array(data, "matrix"))
+        return rows, tuple(str(i) for i in range(len(rows))), {}, False
+    text = None if isinstance(source, dict) else _read(source)
+    data = _dense_object(text) if dense and text is not None else None
+    succ = data is not None
+    if succ:
+        rows = data["matrix"]
+    else:
+        data = _load_json(source, text)
+        rows = _json_rows(_array(data, "matrix"))
     labels = tuple(_array(data, "labels", optional=True)
                    or [str(i) for i in range(len(rows))])
-    return rows, labels, data
+    return rows, labels, data, succ
 
 
 def load_matrix(source) -> EdgeMatrix:
     """Matrix file as a validated square 0/1 EdgeMatrix."""
     from .graphs import EdgeMatrix
-    rows, labels, _ = _matrix_file(source)
-    return EdgeMatrix.from_rows(rows, labels)
+    rows, labels, _, succ = _matrix_file(source, dense=True)
+    return (EdgeMatrix if succ else EdgeMatrix.from_rows)(rows, labels)
 
 
 def load_sft(source) -> EdgeMatrix:
     """SFT of a matrix file; JSON may add an "involution" pair list."""
     from .graphs import EdgeMatrix
-    rows, labels, data = _matrix_file(source)
+    rows, labels, data, succ = _matrix_file(source, dense=True)
     pairs = _array(data, "involution", optional=True)
     involution = None
     if pairs:
@@ -82,7 +95,7 @@ def load_sft(source) -> EdgeMatrix:
             involution[i] = j
             involution[j] = i
         involution = tuple(involution)
-    return EdgeMatrix.from_rows(rows, labels, involution)
+    return (EdgeMatrix if succ else EdgeMatrix.from_rows)(rows, labels, involution)
 
 
 def presentation_to_dict(p: PolygonalPresentation) -> dict:
@@ -134,16 +147,69 @@ def _read(path) -> str:
         raise InvalidInput(f"cannot read {path}: {exc}", witness=str(path)) from None
 
 
-def _load_json(source) -> dict:
+def _load_json(source, text: str | None = None) -> dict:
     if isinstance(source, dict):
         return source
     try:
-        data = json.loads(_read(source))
+        data = json.loads(_read(source) if text is None else text)
     except ValueError as exc:
         raise InvalidInput(f"{source} is not JSON: {exc}", witness=str(source)) from None
     if not isinstance(data, dict):
         raise InvalidInput(f"{source} must hold a JSON object", witness=str(source))
     return data
+
+
+def _dense_object(text: str) -> dict | None:
+    """The object json.loads reads from ``text``, but with the "matrix"
+    member as successor lists read by :func:`_dense_succ`; every other
+    member is one call of json's own scanner, so a repeated key keeps its
+    last value.  None for any text this does not accept in full, for
+    json.loads to read or reject as before."""
+    scan = json.JSONDecoder().scan_once
+    data, pos, sep = {}, _ws(text).end(), "{"
+    try:
+        while text.startswith(sep, pos):
+            pos = _ws(text, pos + 1).end()
+            if not text.startswith('"', pos):
+                return None
+            key, pos = scanstring(text, pos + 1)
+            pos = _ws(text, pos).end()
+            if not text.startswith(":", pos):
+                return None
+            read = _dense_succ if key == "matrix" else scan
+            data[key], pos = read(text, _ws(text, pos + 1).end())
+            pos, sep = _ws(text, pos).end(), ","
+    except (ValueError, StopIteration):
+        return None
+    done = text.startswith("}", pos) and _ws(text, pos + 1).end() == len(text)
+    return data if done and "matrix" in data else None
+
+
+def _dense_succ(text: str, pos: int) -> tuple:
+    """(successor lists, end) of the matrix array at text[pos]: n rows of
+    exactly n one-character cells 0 or 1 joined by commas, with any JSON
+    whitespace between characters.  A row is read from its text without
+    whitespace: its successors are the positions of its 1s, found by
+    ``str.find``.  ValueError for any other value."""
+    succ, sep, commas = [], "[", ""
+    while text.startswith(sep, pos):
+        pos = _ws(text, pos + 1).end()
+        end = text.find("]", pos)
+        row = text[pos + 1:end].translate(_JSON_WS)
+        if not succ:
+            commas = "," * (len(row) // 2)  # n - 1, n from the first row
+        if (end < 0 or not text.startswith("[", pos) or len(row) != 2 * len(commas) + 1
+                or row[1::2] != commas or row.count("0") + row.count("1") != len(commas) + 1):
+            raise ValueError(pos)
+        js, j = [], row.find("1")
+        while j >= 0:
+            js.append(j // 2)
+            j = row.find("1", j + 2)
+        succ.append(tuple(js))
+        pos, sep = _ws(text, end + 1).end(), ","
+    if len(succ) != len(commas) + 1 or not text.startswith("]", pos):
+        raise ValueError(pos)
+    return tuple(succ), pos + 1
 
 
 def _field(data: dict, key: str):

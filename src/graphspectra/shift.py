@@ -137,7 +137,7 @@ def _check_word_budget(s: SFTData, n: int) -> list[int]:
     If every letter has a predecessor and a successor, counts never fall,
     so the first count past the budget is the witness for any longer n."""
     if n < 1:
-        raise InvalidTransitionMatrix("word length must be >= 1", witness=n)
+        raise InvalidParameter("word length must be >= 1", witness=n)
     cap = word_budget()
     counts = []
     for length, total in enumerate(map(sum, islice(word_count_vectors(s), n)), start=1):
@@ -198,7 +198,7 @@ class FiltrationDims:
 
 def filtration_dims(s: SFTData, max_level: int) -> FiltrationDims:
     if max_level < 0:
-        raise InvalidTransitionMatrix("level must be >= 0", witness=max_level)
+        raise InvalidParameter("level must be >= 0", witness=max_level)
     return FiltrationDims(tuple(
         sum(v) for v in islice(word_count_vectors(s), max_level + 1)))
 
@@ -420,7 +420,7 @@ def coboundary_matrix(s: SFTData, n: int) -> list[list[int]]:
     -1 on each left-prolongation au.
     """
     if n < 1:
-        raise InvalidTransitionMatrix("coboundary needs level >= 1", witness=n)
+        raise InvalidParameter("coboundary needs level >= 1", witness=n)
     shorter = enumerate_words(s, n)
     longer = enumerate_words(s, n + 1)
     index = {w: i for i, w in enumerate(longer)}
@@ -448,7 +448,7 @@ def cohomology_filtration_dims(s: SFTData, max_level: int) -> tuple:
     dims so far more than MAX_COHOMOLOGY_DIGITS, counted from bit lengths.
     """
     if max_level < 1:
-        raise InvalidTransitionMatrix("level must be >= 1", witness=max_level)
+        raise InvalidParameter("level must be >= 1", witness=max_level)
     word_budget()  # read on every path, so a malformed value is an error
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     limit = 10 ** digits

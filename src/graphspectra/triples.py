@@ -75,7 +75,6 @@ from .errors import (
     EnumerationBudgetExceeded,
     InsufficientSpectrum,
     InvalidParameter,
-    InvalidTransitionMatrix,
     NormNotConverged,
     RequiresEvenTriple,
     RequiresIrreducible,
@@ -571,7 +570,7 @@ class SFTGradings:
     def __call__(self, max_level: int) -> GradingOperator:
         """The grading of levels 0..max_level."""
         if max_level < 0:
-            raise InvalidTransitionMatrix("level must be >= 0", witness=max_level)
+            raise InvalidParameter("level must be >= 0", witness=max_level)
         self._dims.extend(islice(self._counts, max(max_level + 1 - len(self._dims), 0)))
         dims = FiltrationDims(tuple(self._dims[:max_level + 1])).new_dims()
         return GradingOperator(dims, tuple(range(max_level + 1)),
@@ -975,7 +974,7 @@ def _crossed_grid(lams, modes: int):
     np.sqrt(grid, out=grid)
     rows = np.flatnonzero(~exact)
     xs = lams[rows].tolist()  # one Python float per math.hypot row, read by every pass
-    for k in range(modes):  # one math.hypot pass per mode column
+    for k in range(modes if xs else 0):  # one math.hypot pass per mode column
         grid[rows, k] = np.fromiter(map(math.hypot, xs, repeat(k)), np.float64, len(xs))
     return grid
 

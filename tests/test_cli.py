@@ -448,6 +448,72 @@ def test_label_count_is_checked_in_every_subcommand(tmp_path, capsysbinary, subc
                                          "witness": "label count does not match matrix"}}
 
 
+# Matrix files at the edge of what the dense text reader accepts, each
+# with the verdict json.loads gives it: (exit code, error code, witness),
+# "{path}" standing for the file's path, or None for the output of
+# _GOOD_MATRIX.  Keyed by subcommand where ktheory and spectra differ.
+_GOOD_MATRIX = '{"matrix": [[1, 1], [1, 0]]}'
+_BOUNDARY = {
+    "cell-float": ('{"matrix": [[1.0, 1], [1, 0]]}', (2, "InvalidInput", "[1.0, 1]")),
+    "cell-true": ('{"matrix": [[true, 1], [1, 0]]}', (2, "InvalidInput", "[True, 1]")),
+    "cell-2": ('{"matrix": [[1, 2], [1, 0]]}', (2, "InvalidTransitionMatrix", "(1, 2)")),
+    "cell-minus-zero": ('{"matrix": [[1, 1], [1, -0]]}', None),
+    "cell-01": ('{"matrix": [[1, 1], [1, 01]]}', (2, "InvalidInput", "{path}")),
+    "cell-string": ('{"matrix": [[1, "1"], [1, 0]]}', (2, "InvalidInput", "[1, '1']")),
+    "ragged-row": ('{"matrix": [[1, 1], [1]]}', (2, "InvalidTransitionMatrix", "(1,)")),
+    "empty-row": ('{"matrix": [[1, 1], []]}', (2, "InvalidTransitionMatrix", "()")),
+    "empty-matrix": ('{"matrix": []}', {
+        "ktheory": (0, {"k0": {"rank": 0, "torsion": []}, "k1": {"rank": 0}}),
+        "spectra": (2, "RequiresIrreducible", "transition matrix must be irreducible")}),
+    "nested-array": ('{"matrix": [[1, [1]], [1, 0]]}', (2, "InvalidInput", "[1, [1]]")),
+    "bom": ("\ufeff" + _GOOD_MATRIX, (2, "InvalidInput", "{path}")),
+    "top-level-array": ("[[1, 1], [1, 0]]", (2, "InvalidInput", "{path}")),
+    "trailing-text": (_GOOD_MATRIX + " x", (2, "InvalidInput", "{path}")),
+    "trailing-comma": ('{"matrix": [[1, 1], [1, 0]],}', (2, "InvalidInput", "{path}")),
+    "labels-first": ('{"labels": ["0", "1"], "matrix": [[1, 1], [1, 0]]}', None),
+    "labels-first-short": ('{"labels": ["a"], "matrix": [[1, 1], [1, 0]]}',
+                           (2, "InvalidTransitionMatrix", "label count does not match matrix")),
+    "labels-not-array": ('{"matrix": [[1, 1], [1, 0]], "labels": "ab"}',
+                         (2, "InvalidInput", "'labels'")),
+    "missing-matrix": ('{"labels": ["a", "b"]}', (2, "InvalidInput", "'matrix'")),
+    "later-matrix-bad": ('{"matrix": [[1, 1], [1, 0]], "matrix": [[1, 1], [2, 0]]}',
+                         (2, "InvalidTransitionMatrix", "(2, 0)")),
+    "later-matrix-good": ('{"matrix": [[1, 2], [1, 0]], "matrix": [[1, 1], [1, 0]]}', None),
+}
+
+
+@pytest.mark.parametrize("subcommand", ["ktheory", "spectra"])
+@pytest.mark.parametrize("case", list(_BOUNDARY))
+def test_matrix_file_boundary_keeps_the_json_verdict(tmp_path, capsysbinary, subcommand,
+                                                     case):
+    """A file the text reader does not accept in full is read by json.loads,
+    so its exit code and error are those json.loads leads to."""
+    text, verdict = _BOUNDARY[case]
+    verdict = verdict.get(subcommand) if isinstance(verdict, dict) else verdict
+    path = tmp_path / "m.json"
+    path.write_bytes(text.encode())
+    code, out = run_cli([subcommand, "--matrix", str(path)], capsysbinary)
+    if verdict is None:
+        (tmp_path / "good.json").write_text(_GOOD_MATRIX)
+        assert (code, out) == run_cli([subcommand, "--matrix", str(tmp_path / "good.json")],
+                                      capsysbinary)
+    elif len(verdict) == 2:
+        assert (code, json.loads(out)) == verdict
+    else:
+        exit_code, error, witness = verdict
+        witness = witness.replace("{path}", repr(str(path)))
+        assert (code, json.loads(out)) == (exit_code, {"error": {"code": error,
+                                                                 "witness": witness}})
+
+
+def test_level_below_range_is_an_invalid_parameter(capsys):
+    code = main(["cohomology", "--genus", "2", "--levels", "0"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    assert json.loads(captured.out) == {"error": {"code": "InvalidParameter",
+                                                  "witness": "0"}}
+
+
 @pytest.mark.parametrize("name", ["numeric_letters.json", "no_superscripts.json"])
 def test_building_without_superscript_classes(name, capsysbinary):
     path = str(DATA / name)

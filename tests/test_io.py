@@ -2,6 +2,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import graphspectra.io
 from graphspectra.buildings import family_presentation
-from graphspectra.errors import InvalidTransitionMatrix
+from graphspectra.errors import GraphSpectraError, InvalidTransitionMatrix
 from graphspectra.graphs import directed_edge_matrix, theta_graph
 from graphspectra.io import (
     emit,
@@ -46,6 +47,65 @@ def test_sft_with_an_unpaired_involution_letter_is_invalid():
     with pytest.raises(InvalidTransitionMatrix) as err:
         load_sft(Path(__file__).parent / "data" / "unpaired_involution.json")
     assert err.value.witness == (1, 0, None)
+
+
+@st.composite
+def matrix_files(draw):
+    """(text, n): a matrix file of n letters with random JSON whitespace
+    between tokens, its members in random order, optional labels and
+    involution, and members repeated, of which json keeps the last."""
+    n = draw(st.integers(0, 8))
+    ws = st.text(" \t\n\r", max_size=2)
+    values = {
+        "matrix": st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                           min_size=n, max_size=n),
+        "labels": st.one_of(st.lists(st.text(max_size=2), min_size=n, max_size=n),
+                            st.lists(st.text(max_size=2), max_size=9), st.none()),
+        "involution": st.one_of(
+            st.permutations(range(n)).map(
+                lambda p: [list(p[i:i + 2]) for i in range(0, len(p) - 1, 2)]),
+            st.lists(st.lists(st.integers(-1, n), min_size=2, max_size=2), max_size=3)),
+    }
+    keys = draw(st.permutations(["matrix"] + draw(st.lists(st.sampled_from(list(values)),
+                                                           max_size=4))))
+
+    def write(value):
+        if isinstance(value, list) and value:
+            return "[" + ",".join(draw(ws) + write(v) + draw(ws) for v in value) + "]"
+        return json.dumps(value) if value != [] else "[" + draw(ws) + "]"
+
+    members = (draw(ws) + json.dumps(k) + draw(ws) + ":" + draw(ws) + write(draw(values[k]))
+               + draw(ws) for k in keys)
+    return draw(ws) + "{" + ",".join(members) + "}" + draw(ws), n
+
+
+def _outcome(loader, path):
+    """The EdgeMatrix a loader returns, or the type, witness and message
+    of its error."""
+    try:
+        return loader(path)
+    except GraphSpectraError as exc:
+        return type(exc), exc.witness, str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(drawn=matrix_files(), data=st.data())
+def test_text_reader_agrees_with_json_loads(tmp_path_factory, drawn, data):
+    """Both loaders give what they give through json.loads, on the file
+    and on a one-character corruption of it; the text reader accepts
+    every file of at least one letter."""
+    text, n = drawn
+    assert (graphspectra.io._dense_object(text) is not None) == (n > 0)
+    marks = [i for i, c in enumerate(text) if c in '{}[]:," \t\n\r']  # half the time, one of these
+    at = data.draw(st.one_of(st.integers(0, len(text) - 1), st.sampled_from(marks)))
+    corrupt = text[:at] + data.draw(st.sampled_from('01 2[],{}:"-.e\t\x0b\xa0')) + text[at + 1:]
+    path = tmp_path_factory.getbasetemp() / "matrix.json"
+    for version in (text, corrupt):
+        path.write_bytes(version.encode())
+        for loader in (load_matrix, load_sft):
+            fast = _outcome(loader, path)
+            with mock.patch.object(graphspectra.io, "_dense_object", lambda text: None):
+                assert fast == _outcome(loader, path)
 
 
 def test_presentation_round_trip(tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from graphspectra import graphs, io, shift
 from graphspectra.errors import (
     EnumerationBudgetExceeded,
+    InvalidParameter,
     InvalidTransitionMatrix,
     NotAdmissible,
     RequiresIrreducible,
@@ -560,7 +561,7 @@ def test_word_table_checks_the_budget_before_allocating(monkeypatch):
         tracemalloc.stop()
     assert err.value.witness == 2125764 == count_words(s, 13)
     assert peak < 1 << 20
-    with pytest.raises(InvalidTransitionMatrix):
+    with pytest.raises(InvalidParameter):
         word_table(s, 0)
 
 
