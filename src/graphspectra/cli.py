@@ -220,16 +220,17 @@ def _run_spectra(plan: RunPlan):
         theta_rows.append({"t": res.t, "partial": res.partial,
                            "tail_bound": res.tail_bound})
     zeta = triples.zeta_partial(gradings(max(levels, 48)), zeta_s)
+    norms, residuals = triples.level_certificates(s, levels, perron)
     # k_i = 1 for every letter: see SpectralTruncation.weight_depth
     commutators = [{"letter": label, "norm": norm, "k_i": 1}
-                   for label, norm in zip(s.labels, triples.commutator_norms(s, levels))]
+                   for label, norm in zip(s.labels, norms)]
     report = {
         "lambda_max": perron.value,
         "delta_h": perron.exponent,
         "theta": theta_rows if len(theta_rows) > 1 else theta_rows[0],
         "zeta": {"s": zeta_s, "partial": zeta.partial, "diagnosis": zeta.diagnosis},
         "commutators": commutators,
-        "ck_residuals": triples.ck_residuals(s, levels, perron),
+        "ck_residuals": residuals,
     }
     return report, theta_rows
 

@@ -15,7 +15,9 @@ K-groups, the shift (``shift.SFTData`` is the same class) and the
 truncations all read it.  It is stored once, as its successor lists, and
 validated once, on construction, when its predecessor lists are built;
 so strong connectivity and every later pass run in O(letters +
-transitions).  Dense 0/1 rows (matrix files, tests) enter through
+transitions).  The numerical passes read both lists as read-only numpy
+arrays (``succ_arrays``, ``pred_arrays``), built once, on first read.
+Dense 0/1 rows (matrix files, tests) enter through
 ``EdgeMatrix.from_rows``, the one dense-row validator, and the dense
 ``matrix`` view is built only when read: by the isomorphism search.
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 
 from .errors import InvalidGraph, InvalidRank, InvalidTransitionMatrix
 
@@ -187,6 +189,17 @@ class EdgeMatrix:
     def row_sums(self) -> list[int]:
         return [len(js) for js in self.succ]
 
+    @cached_property
+    def succ_arrays(self) -> "_Rows":
+        """The successor lists as arrays, built on the first read and
+        shared by every numerical pass over A."""
+        return _Rows(self.succ)
+
+    @cached_property
+    def pred_arrays(self) -> "_Rows":
+        """The predecessor lists as arrays (the rows of A^t), likewise."""
+        return _Rows(self.pred)
+
     def is_irreducible(self) -> bool:
         return self._irreducible
 
@@ -223,6 +236,99 @@ def strongly_connected(succ, pred) -> bool:
         return seen
 
     return len(reach(0, succ)) == n and len(reach(0, pred)) == n
+
+
+def read_only(*arrays) -> None:
+    """Mark numpy arrays read-only: they are shared, so a write raises
+    ValueError."""
+    for array in arrays:
+        array.flags.writeable = False
+
+
+class _Rows:
+    """A 0/1 matrix M as its rows' column lists (the successor lists for
+    A, the predecessor lists for A^t): each list's length ``degree`` and
+    offset ``first``, the lists joined in row order ``cols`` (for A, the
+    pairs (i, j) with A[i][j] = 1, lexicographic) and each entry's row
+    ``rows``; with M v and the chain-contracted solve of (sigma I - M) w
+    = v that :func:`shift.perron_data` uses.  An :class:`EdgeMatrix`
+    builds one for A and one for A^t on first read and shares them, so
+    every array here is read-only."""
+
+    def __init__(self, lists):
+        import numpy as np
+
+        self.degree = np.array([len(js) for js in lists], dtype=np.intp)
+        self.first = np.cumsum(self.degree) - self.degree
+        self.cols = np.fromiter(chain.from_iterable(lists), dtype=np.intp,
+                                count=int(self.degree.sum()))
+        self.rows = np.repeat(np.arange(len(lists)), self.degree)
+        read_only(self.degree, self.first, self.cols, self.rows)
+
+    def times(self, v):
+        """M v."""
+        import numpy as np
+
+        return np.bincount(self.rows, weights=v[self.cols], minlength=len(v))
+
+    @cached_property
+    def _contraction(self):
+        """The chain letters (degree 1) and the B branch letters, built
+        at the first solve.
+
+        ``root`` maps every letter to the index, among the branch letters,
+        of the branch letter it reaches by following single columns (a
+        branch letter to its own index), and ``depth`` counts the steps.
+        ``levels`` pairs the chain letters of depth 1, 2, ... with their
+        columns.  ``edges`` are the columns of the branch rows, ``heads``
+        the rows' indices and ``cells`` the entries' flat positions in the
+        B x B system.  M is irreducible, so every chain letter reaches a
+        branch letter when B > 0; when B = 0, M is a bare cycle, which
+        needs no solve, so this is never built for it.
+        """
+        import numpy as np
+
+        n = len(self.degree)
+        chain_letter = self.degree == 1
+        branch = np.flatnonzero(~chain_letter)
+        on_chain = chain_letter[self.rows]
+        nxt = np.zeros(n, dtype=np.intp)
+        nxt[self.rows[on_chain]] = self.cols[on_chain]
+        root = np.full(n, -1)
+        root[branch] = np.arange(len(branch))
+        depth = np.zeros(n)
+        levels = []
+        pending = np.flatnonzero(chain_letter)
+        while pending.size:
+            ready = root[nxt[pending]] >= 0
+            level = pending[ready]
+            after = nxt[level]
+            root[level] = root[after]
+            depth[level] = depth[after] + 1
+            levels.append((level, after))
+            pending = pending[~ready]
+        edges = self.cols[~on_chain]
+        heads = root[self.rows[~on_chain]]
+        cells = heads * len(branch) + root[edges]
+        read_only(branch, root, depth, edges, heads, cells, *chain.from_iterable(levels))
+        return branch, root, depth, levels, edges, heads, cells
+
+    def solve(self, sigma: float, v):
+        """w with (sigma I - M) w = v: the chain letters are eliminated
+        (w_i = c_i + sigma^-depth w_root) and one B x B system is solved."""
+        import numpy as np
+
+        branch, root, depth, levels, edges, heads, cells = self._contraction
+        c = np.zeros(len(v))
+        for level, after in levels:
+            c[level] = (v[level] + c[after]) / sigma
+        scale = sigma ** -depth
+        size = len(branch)
+        system = np.bincount(cells, weights=-scale[edges],
+                             minlength=size * size).reshape(size, size)
+        system.flat[::size + 1] += sigma
+        rhs = v[branch] + np.bincount(heads, weights=c[edges], minlength=size)
+        return c + scale * np.linalg.solve(system, rhs)[root]
 
 
 def directed_edge_matrix(g: FiniteGraph) -> EdgeMatrix:

@@ -4,16 +4,18 @@ An SFT is its 0/1 transition matrix A over a finite alphabet:
 ``SFTData`` is another name for :class:`graphs.EdgeMatrix`, which is
 stored as the successor lists ``succ`` and validated once, when the
 predecessor lists ``pred`` are built; every function here reads those
-two, and only :func:`alphabet_automorphisms` reads the dense ``matrix``
-view (an involution, when given, pairs inverse letters).  The builders
-below pass successor lists on and never form dense rows.  Words are
-tuples of letter indices, admissible when every consecutive pair (a, b)
-has A[a][b] = 1.  The level-n filtration space V_n is spanned by
-indicator functions of cylinders of length n+1, so dim V_n equals the
-number of admissible words of length n+1.  Every such count reads from
-one engine, :func:`word_count_vectors`, which steps the exact integer
-row vector 1^T A^(n-1) a level at a time: a chain letter copies its one
-predecessor's count, and only a branch letter sums its several.
+two (the numerical passes as ``succ_arrays`` and ``pred_arrays``, each
+built once per SFT), and only :func:`alphabet_automorphisms` reads the
+dense ``matrix`` view (an involution, when given, pairs inverse
+letters).  The builders below pass successor lists on and never form
+dense rows.  Words are tuples of letter indices, admissible when every
+consecutive pair (a, b) has A[a][b] = 1.  The level-n filtration space
+V_n is spanned by indicator functions of cylinders of length n+1, so
+dim V_n equals the number of admissible words of length n+1.  Every
+such count reads from one engine, :func:`word_count_vectors`, which
+steps the exact integer row vector 1^T A^(n-1) a level at a time: a
+chain letter copies its one predecessor's count, and only a branch
+letter sums its several.
 
 The conformal measure on the boundary is realized as the Parry measure:
 with left/right Perron eigenvectors l, r (normalized to sum 1) and
@@ -51,7 +53,7 @@ from .errors import (
     NotAdmissible,
     RequiresIrreducible,
 )
-from .graphs import EdgeMatrix, forest_size, isomorphisms
+from .graphs import EdgeMatrix, forest_size, isomorphisms, read_only
 
 DEFAULT_WORD_BUDGET = 10 ** 6
 BUDGET_ENV_VAR = "GRAPHSPECTRA_WORD_BUDGET"
@@ -226,6 +228,16 @@ class PerronData:
     def exponent(self) -> float:
         return math.log(self.value)
 
+    @cached_property
+    def arrays(self) -> tuple:
+        """(left, right, l . r): the vectors as read-only float64 arrays
+        and their dot product, made on the first read."""
+        import numpy as np
+
+        left, right = np.array(self.left), np.array(self.right)
+        read_only(left, right)
+        return left, right, float(left @ right)
+
 
 def perron_data(s: SFTData, tol: float = 1e-12) -> PerronData:
     """Perron eigenvalue and eigenvectors by Noda iteration (T. Noda,
@@ -261,7 +273,7 @@ def perron_data(s: SFTData, tol: float = 1e-12) -> PerronData:
 
     if not s.is_irreducible():
         raise RequiresIrreducible("transition matrix must be irreducible")
-    a, at = _Rows(s.succ), _Rows(s.pred)
+    a, at = s.succ_arrays, s.pred_arrays
     right, r_lo, r_hi = _noda(a, tol)
     left, l_lo, l_hi = _noda(at, tol)
     # rounding in the ratios can leave the quotient just outside the
@@ -279,9 +291,10 @@ def perron_data(s: SFTData, tol: float = 1e-12) -> PerronData:
                       (lo, hi))
 
 
-def _noda(m: "_Rows", tol: float):
+def _noda(m, tol: float):
     """Noda iteration for the Perron vector of the 0/1 irreducible matrix
-    ``m``; returns the vector and its final ratio bracket.
+    ``m`` (a :class:`graphs._Rows`); returns the vector and its final
+    ratio bracket.
 
     A shift sigma that is singular to working precision equals lam to
     working precision, so the solve then takes sigma (1 + tol), still
@@ -307,88 +320,6 @@ def _noda(m: "_Rows", tol: float):
         except np.linalg.LinAlgError:
             w = m.solve(hi * (1 + tol), v)
         v = w / w.max()
-
-
-class _Rows:
-    """A 0/1 matrix M as its rows' column lists (the successor lists for
-    A, the predecessor lists for A^t): each list's length ``degree`` and
-    offset ``first``, the lists joined in row order ``cols`` (for A, the
-    pairs (i, j) with A[i][j] = 1, lexicographic) and each entry's row
-    ``rows``; with M v and the chain-contracted solve of (sigma I - M) w
-    = v that :func:`perron_data` uses."""
-
-    def __init__(self, lists):
-        import numpy as np
-
-        self.degree = np.array([len(js) for js in lists], dtype=np.intp)
-        self.first = np.cumsum(self.degree) - self.degree
-        self.cols = np.fromiter(chain.from_iterable(lists), dtype=np.intp,
-                                count=int(self.degree.sum()))
-        self.rows = np.repeat(np.arange(len(lists)), self.degree)
-
-    def times(self, v):
-        """M v."""
-        import numpy as np
-
-        return np.bincount(self.rows, weights=v[self.cols], minlength=len(v))
-
-    @cached_property
-    def _contraction(self):
-        """The chain letters (degree 1) and the B branch letters, built
-        at the first solve.
-
-        ``root`` maps every letter to the index, among the branch letters,
-        of the branch letter it reaches by following single columns (a
-        branch letter to its own index), and ``depth`` counts the steps.
-        ``levels`` pairs the chain letters of depth 1, 2, ... with their
-        columns.  ``edges`` are the columns of the branch rows, ``heads``
-        the rows' indices and ``cells`` the entries' flat positions in the
-        B x B system.  M is irreducible, so every chain letter reaches a
-        branch letter when B > 0; when B = 0, M is a bare cycle, which
-        needs no solve, so this is never built for it.
-        """
-        import numpy as np
-
-        n = len(self.degree)
-        chain_letter = self.degree == 1
-        branch = np.flatnonzero(~chain_letter)
-        on_chain = chain_letter[self.rows]
-        nxt = np.zeros(n, dtype=np.intp)
-        nxt[self.rows[on_chain]] = self.cols[on_chain]
-        root = np.full(n, -1)
-        root[branch] = np.arange(len(branch))
-        depth = np.zeros(n)
-        levels = []
-        pending = np.flatnonzero(chain_letter)
-        while pending.size:
-            ready = root[nxt[pending]] >= 0
-            level = pending[ready]
-            after = nxt[level]
-            root[level] = root[after]
-            depth[level] = depth[after] + 1
-            levels.append((level, after))
-            pending = pending[~ready]
-        edges = self.cols[~on_chain]
-        heads = root[self.rows[~on_chain]]
-        cells = heads * len(branch) + root[edges]
-        return branch, root, depth, levels, edges, heads, cells
-
-    def solve(self, sigma: float, v):
-        """w with (sigma I - M) w = v: the chain letters are eliminated
-        (w_i = c_i + sigma^-depth w_root) and one B x B system is solved."""
-        import numpy as np
-
-        branch, root, depth, levels, edges, heads, cells = self._contraction
-        c = np.zeros(len(v))
-        for level, after in levels:
-            c[level] = (v[level] + c[after]) / sigma
-        scale = sigma ** -depth
-        size = len(branch)
-        system = np.bincount(cells, weights=-scale[edges],
-                             minlength=size * size).reshape(size, size)
-        system.flat[::size + 1] += sigma
-        rhs = v[branch] + np.bincount(heads, weights=c[edges], minlength=size)
-        return c + scale * np.linalg.solve(system, rhs)[root]
 
 
 class ParryMeasure:

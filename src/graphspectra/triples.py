@@ -37,9 +37,11 @@ times S_i (times (1 - P_0) S_i at n = 0) from E_n to E_{n+1}, each 0
 or a partial isometry.  A block is nonzero exactly when more
 length-(n+2) than length-(n+1) prefixes of the basis start with i, and
 the norm is the largest |lambda_{n+1} - lambda_n| over those levels
-(:func:`commutator_norms`).  The Parry weight ratio
-mu(iw) / mu(w) = l_i / (l_{w_0} lambda) depends on w_0 alone, so every
-letter has stabilization level k_i = 1.  :class:`SpectralTruncation`
+(:func:`commutator_norms`).  These prefix counts at levels 0..N-1 and
+the CK classes at level N-1 read the same path counts of A, so one walk
+of the path frontier serves both (:func:`level_certificates`).  The
+Parry weight ratio mu(iw) / mu(w) = l_i / (l_{w_0} lambda) depends on
+w_0 alone, so every letter has stabilization level k_i = 1.  :class:`SpectralTruncation`
 assembles the basis and the operators: the reference both are tested
 against.
 
@@ -86,7 +88,6 @@ from .shift import (
     PerronData,
     SFTData,
     _check_word_budget,
-    _Rows,
     perron_data,
     word_budget,
     word_count_vectors,
@@ -233,7 +234,7 @@ class SpectralTruncation:
 
         table, top = self._table, self._starts[-1]
         lo, hi = np.searchsorted(table[:, 0], [letter, letter + 1])
-        rows = lo + np.flatnonzero(_Rows(self.sft.succ).degree[table[lo:hi, -1]])
+        rows = lo + np.flatnonzero(self.sft.succ_arrays.degree[table[lo:hi, -1]])
         blocks = np.flatnonzero(np.isin(table[top, 0], self.sft.succ[letter]))
         sizes = self._sizes(self.level - 1)[blocks]
         cols = _ranges(top[blocks], sizes)
@@ -389,9 +390,11 @@ def build_truncation(s: SFTData, level: int, twist: tuple | None = None,
     return SpectralTruncation(s, level, table, mu, perron, starts, twist)
 
 
-def _schedule(level: int, eigenvalues) -> list:
+def _schedule(level: int, eigenvalues):
+    """lambda_0..lambda_N: the given eigenvalues as a list, by default
+    range(N + 1)."""
     if eigenvalues is None:
-        return list(range(level + 1))
+        return range(level + 1)
     if len(eigenvalues) != level + 1:
         raise InvalidParameter("need one eigenvalue per level",
                                witness=len(eigenvalues))
@@ -400,10 +403,8 @@ def _schedule(level: int, eigenvalues) -> list:
 
 def _measure(perron: PerronData, level: int, heads, lasts):
     """mu of the words of length N+1 with these first and last letters."""
-    import numpy as np
-
-    left, right = np.array(perron.left), np.array(perron.right)
-    return left[heads] * right[lasts] * perron.value ** (-level) / float(left @ right)
+    left, right, norm = perron.arrays
+    return left[heads] * right[lasts] * perron.value ** (-level) / norm
 
 
 def _ranges(starts, lengths):
@@ -417,8 +418,20 @@ def _ranges(starts, lengths):
 
 
 def ck_residuals(s: SFTData, level: int, perron: PerronData) -> dict:
-    """Frobenius norms (upper bounds for the operator norm) of both
-    defining relations at level N, compressed to levels <= N-1.
+    """The CK residuals of :func:`level_certificates`."""
+    return level_certificates(s, level, perron)[1]
+
+
+def commutator_norms(s: SFTData, level: int, eigenvalues=None) -> list[float]:
+    """Norm of P_{N-1}[D, S_i]P_{N-1} per letter i at level N under this
+    schedule (lambda_n = n by default), by the walk of :func:`_walk`."""
+    return _walk(s, level, eigenvalues)[0]
+
+
+def level_certificates(s: SFTData, level: int, perron: PerronData) -> tuple[list, dict]:
+    """The commutator norms (lambda_n = n) and the Frobenius norms of both
+    defining relations at level N, compressed to levels <= N-1, from one
+    walk of the path frontier (:func:`_walk`).
 
     With Q = Q_{N-1} (columns the length-N prefixes u, weights g_w on
     their words w), S_j S_j^* is diagonal with entries t_w (row w of S
@@ -429,14 +442,14 @@ def ck_residuals(s: SFTData, level: int, perron: PerronData) -> dict:
     depends on its row's first letter and its column's last two letters,
     so these depend on (u_0, u_{N-1}) and (i, u_0, u_{N-1}) alone: each
     is computed once, as the assembled rows compute it, and weighted by
-    (A^{N-1})[u_0][u_{N-1}].  A u whose last letter has no successor is
-    no prefix; its rows are empty.
+    (A^{N-1})[u_0][u_{N-1}], read from the walk's last frontier.  A u
+    whose last letter has no successor is no prefix; its rows are empty.
     """
     import numpy as np
 
     n = s.alphabet_size
-    a = _Rows(s.succ)
-    source, target, count = next(islice(_paths(s), level - 1, None))
+    a = s.succ_arrays
+    norms, (source, target, count) = _walk(s, level)
     keep = a.degree[target] > 0
     source, target, count = source[keep], target[keep], count[keep]
 
@@ -467,8 +480,41 @@ def ck_residuals(s: SFTData, level: int, perron: PerronData) -> dict:
     gap = lifted * lifted - ranges[prefix]
     gap *= gap
     per_letter = np.sqrt(np.bincount(letter, weights=count[prefix] * gap, minlength=n))
-    return {"unit_sum": math.sqrt(float(count @ (unit * unit))),
-            "range_relation": [float(x) for x in per_letter]}
+    return norms, {"unit_sum": math.sqrt(float(count @ (unit * unit))),
+                   "range_relation": [float(x) for x in per_letter]}
+
+
+def _walk(s: SFTData, level: int, eigenvalues=None) -> tuple:
+    """The commutator norms at level N under this schedule, by the closed
+    form of the module docstring, and the frontier of level N-1, from one
+    pass over the frontiers of levels 0..N-1 that holds one at a time.
+
+    The length-(n+1) prefixes of the basis starting with i number
+    sum_j (A^n)[i][j] e_{N-n}[j], e_k marking the letters that start a
+    word of length k+1.  The sets e_k shrink as k grows and stay fixed
+    from the first k where they do not, so only the distinct ones are
+    kept.
+    """
+    import numpy as np
+
+    lam = _schedule(level, eigenvalues)
+    n, a = s.alphabet_size, s.succ_arrays
+    ends = [np.ones(n, dtype=bool)]
+    while len(ends) <= level:
+        shorter = a.times(ends[-1]) > 0
+        if np.array_equal(shorter, ends[-1]):
+            break
+        ends.append(shorter)
+    norms, frontier, previous = np.zeros(n), None, None
+    for k, frontier in zip(range(level), _paths(s)):
+        source, target, count = frontier
+        end = ends[min(level - k, len(ends) - 1)]
+        counts = np.bincount(source, weights=count * end[target], minlength=n)
+        if k:
+            step = float(abs(lam[k] - lam[k - 1]))
+            norms = np.maximum(norms, np.where(counts > previous, step, 0.0))
+        previous = counts
+    return norms.tolist(), frontier
 
 
 def _paths(s: SFTData) -> Iterator[tuple]:
@@ -478,35 +524,19 @@ def _paths(s: SFTData) -> Iterator[tuple]:
     import numpy as np
 
     n = s.alphabet_size
-    a = _Rows(s.succ)
+    a = s.succ_arrays
     source, target, count = np.arange(n), np.arange(n), np.ones(n)
     while True:
         yield source, target, count
         sizes = a.degree[target]
-        key = np.repeat(source * n, sizes) + a.cols[_ranges(a.first[target], sizes)]
-        key, merged = np.unique(key, return_inverse=True)
-        count = np.bincount(merged, weights=np.repeat(count, sizes), minlength=len(key))
-        source, target = np.divmod(key, n)
-
-
-def commutator_norms(s: SFTData, level: int, eigenvalues=None) -> list[float]:
-    """Norm of P_{N-1}[D, S_i]P_{N-1} per letter i at level N, by the
-    closed form of the module docstring (lambda_n = n by default).  The
-    length-(n+1) prefixes of the basis starting with i number
-    sum_j (A^n)[i][j] e_{N-n}[j], e_k marking the letters that start a
-    word of length k+1."""
-    import numpy as np
-
-    lam = _schedule(level, eigenvalues)
-    a, ends = _Rows(s.succ), [np.ones(s.alphabet_size)]
-    for _ in range(level):
-        ends.append(a.times(ends[-1]) > 0)
-    counts = [np.bincount(source, weights=count * ends[level - n][target],
-                          minlength=s.alphabet_size)
-              for n, (source, target, count) in zip(range(level), _paths(s))]
-    steps = np.array([float(abs(b - a)) for a, b in zip(lam, lam[1:level])])[:, None]
-    counts = np.reshape(counts, (-1, s.alphabet_size))
-    return np.where(counts[1:] > counts[:-1], steps, 0.0).max(axis=0, initial=0.0).tolist()
+        key = (source * n).repeat(sizes) + a.cols[_ranges(a.first[target], sizes)]
+        order = key.argsort(kind="stable")  # equal keys keep their order,
+        key = key[order]  # so each count sums in frontier order
+        new = np.empty(len(key), dtype=bool)
+        new[:1] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        count = np.bincount(new.cumsum() - 1, weights=count.repeat(sizes)[order])
+        source, target = np.divmod(key[new], n)
 
 
 @dataclass(frozen=True)
@@ -554,8 +584,8 @@ class SFTGradings:
 
         if perron is None:
             perron = perron_data(s)
-        r = np.array(perron.right)
-        ar = _Rows(s.succ).times(r)
+        r = perron.arrays[1]
+        ar = s.succ_arrays.times(r)
         rho = perron.value * (1 + 1e-9)
         if all(len(js) == 1 for js in s.succ):
             rho = 0.0

@@ -732,6 +732,60 @@ def test_spectra_computes_one_grading_certificate(monkeypatch, capsysbinary):
     assert len(stepped) == 513
 
 
+def _arrays(nested) -> list:
+    """The numpy arrays in nested tuples and lists."""
+    if hasattr(nested, "flags"):
+        return [nested]
+    return [array for part in nested for array in _arrays(part)]
+
+
+@pytest.mark.parametrize("source, level", [
+    (["--genus", "2"], 5),
+    (["--matrix", str(DATA / "theta_edge.json")], 9),
+    (["--matrix", str(DATA / "kato3.json")], 7),
+], ids=["genus-2", "theta-edge", "kato3"])
+def test_spectra_derives_each_shift_array_once(monkeypatch, capsysbinary, source, level):
+    """One spectra run builds the successor arrays once and the
+    predecessor arrays once, and both level certificates read one
+    frontier walk of N-1 steps (N yields, level 0 needing none).  Every
+    array the run shares through the SFT or the Perron data is
+    read-only."""
+    argv = ["spectra", *source, "--levels", str(level)]
+    expected = run_cli(argv, capsysbinary)
+    built, walks, perrons = [], [], []
+    init, paths, perron_data = graphs._Rows.__init__, triples._paths, shift.perron_data
+
+    def counted_init(rows, lists):
+        built.append((rows, lists))
+        init(rows, lists)
+
+    def counted_paths(s):
+        walks.append(0)
+        for frontier in paths(s):
+            walks[-1] += 1
+            yield frontier
+
+    def kept_perron(s):
+        perrons.append(perron_data(s))
+        return perrons[-1]
+    monkeypatch.setattr(graphs._Rows, "__init__", counted_init)
+    monkeypatch.setattr(triples, "_paths", counted_paths)
+    monkeypatch.setattr(shift, "perron_data", kept_perron)
+    assert run_cli(argv, capsysbinary) == expected
+    assert expected[0] == 0
+    s = shift.full_schottky_sft(2) if source[0] == "--genus" else io.load_sft(source[1])
+    assert [lists for _, lists in built] == [s.succ, s.pred]
+    assert walks == [level]
+    # kato3 has chain letters, so its Perron solves build both contractions
+    contracted = [vars(rows).get("_contraction", ()) for rows, _ in built]
+    assert [bool(c) for c in contracted] == [source[-1].endswith("kato3.json")] * 2
+    shared = _arrays([perrons[0].arrays[:2], contracted,
+                      [(rows.degree, rows.first, rows.cols, rows.rows) for rows, _ in built]])
+    for array in shared:
+        with pytest.raises(ValueError):
+            array[...] = 0
+
+
 @pytest.mark.parametrize("levels", ["12", "20000", "1000000"])
 def test_spectra_past_the_word_budget_is_a_documented_error(monkeypatch, capsysbinary,
                                                             levels):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphspectra import graphs, io, shift
+from graphspectra import graphs, io
 from graphspectra.errors import (
     EnumerationBudgetExceeded,
     InvalidParameter,
@@ -224,7 +224,7 @@ def count_solves(monkeypatch, s):
     lists), one for the left vector those of A^t."""
     counts, sizes, side = {"right": 0, "left": 0}, set(), []
     rows_of_a = list(chain.from_iterable(s.succ))
-    contracted, solve = shift._Rows.solve, np.linalg.solve
+    contracted, solve = graphs._Rows.solve, np.linalg.solve
 
     def tagged(rows, sigma, v):
         side.append("right" if np.array_equal(rows.cols, rows_of_a) else "left")
@@ -234,7 +234,7 @@ def count_solves(monkeypatch, s):
         counts[side[-1]] += 1
         sizes.add(m.shape)
         return solve(m, v)
-    monkeypatch.setattr(shift._Rows, "solve", tagged)
+    monkeypatch.setattr(graphs._Rows, "solve", tagged)
     monkeypatch.setattr(np.linalg, "solve", counting)
     return counts, sizes
 
@@ -257,7 +257,7 @@ def test_perron_exact_start_needs_no_solve(monkeypatch, schottky2, theta_sft):
     like the full shifts they start on an exact eigenvector, and the
     contraction is never built."""
     cycle = SFTData.from_rows(((0, 1, 0), (0, 0, 1), (1, 0, 0)), ("a", "b", "c"))
-    monkeypatch.setattr(shift._Rows, "_contraction",
+    monkeypatch.setattr(graphs._Rows, "_contraction",
                         property(lambda rows: pytest.fail("contracted")))
     for s, lam in ((cycle, 1.0), (schottky2, 3.0), (theta_sft, 2.0), (ONE_LETTER, 1.0)):
         counts, _ = count_solves(monkeypatch, s)
@@ -292,7 +292,7 @@ def assert_matches_eig(s, pd):
 
 def test_perron_contracts_chains_feeding_in_trees(monkeypatch):
     s = in_tree_shift()
-    assert shift._Rows(s.succ).solve(3.0, np.ones(10)) == pytest.approx(
+    assert s.succ_arrays.solve(3.0, np.ones(10)) == pytest.approx(
         np.linalg.solve(3.0 * np.eye(10) - np.array(s.matrix), np.ones(10)), rel=1e-14)
     counts, sizes = count_solves(monkeypatch, s)
     pd = perron_data(s)

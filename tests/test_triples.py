@@ -10,6 +10,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from graphspectra import io, triples
 from graphspectra.errors import (
     EnumerationBudgetExceeded,
@@ -326,6 +327,44 @@ def test_commutator_norms_match_the_per_letter_max(case, data):
         float(max((abs(lam[n + 1] - lam[n]) for n in range(level - 1)
                    if counts[n + 1][i] > counts[n][i]), default=0.0))
         for i in range(s.alphabet_size)]
+
+
+@st.composite
+def shifts_of_any_density(draw):
+    """A random 1-8-letter shift whose transitions each hold with a drawn
+    density from 1/8 to 1, so that sparse ones have letters that reach
+    no infinite path, with random positive Perron data (so any shift
+    builds)."""
+    n = draw(st.integers(1, 8))
+    density = draw(st.integers(1, 8))
+    cells = draw(st.lists(st.integers(0, 7), min_size=n * n, max_size=n * n))
+    rows = tuple(tuple(int(cells[i * n + j] < density) for j in range(n))
+                 for i in range(n))
+    side = st.lists(st.floats(0.5, 1.0), min_size=n, max_size=n).map(tuple)
+    value = draw(st.floats(1.0, 3.0))
+    return (SFTData.from_rows(rows, tuple(map(str, range(n)))),
+            PerronData(value, draw(side), draw(side), (value, value)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=shifts_of_any_density(), level=st.integers(2, 8), data=st.data())
+def test_one_walk_equals_the_two_walk_oracles(case, level, data):
+    """The commutator norms and CK residuals of the one frontier walk
+    equal, bit for bit, those of the two walks they replaced (kept in
+    tests/oracles.py), on random shifts, reducible or not, with random
+    positive Perron data, and on the irreducible ones with their own
+    Perron data too, for the default schedule and a random one."""
+    s, perron = case
+    schedule = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=level + 1,
+                                  max_size=level + 1))
+    for eigenvalues in (None, schedule):
+        assert triples.commutator_norms(s, level, eigenvalues) == \
+            oracles.commutator_norms(s, level, eigenvalues)
+    for p in (perron, perron_data(s)) if s.is_irreducible() else (perron,):
+        norms, residuals = triples.level_certificates(s, level, p)
+        assert residuals == triples.ck_residuals(s, level, p) == \
+            oracles.ck_residuals(s, level, p)
+        assert norms == oracles.commutator_norms(s, level)
 
 
 def test_zero_schedule_on_the_lanczos_branch_is_exactly_zero(schottky2):
