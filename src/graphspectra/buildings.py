@@ -572,10 +572,9 @@ def product_word_counts(g: int, length: int) -> dict:
     """Brute-force count of admissible rank-g words of the given length,
     bucketed by first letter (enumeration, no matrix algebra)."""
     from .shift import enumerate_words, full_schottky_sft
-    counts = {a: 0 for a in range(2 * g)}
-    for w in enumerate_words(full_schottky_sft(g), length):
-        counts[w[0]] += 1
-    return counts
+    words = enumerate_words(full_schottky_sft(g), length)  # sorted
+    cuts = [bisect_left(words, (a,)) for a in range(2 * g + 1)]
+    return {a: cuts[a + 1] - cuts[a] for a in range(2 * g)}
 
 
 def product_dim_table(g: int, max_h: int, max_v: int) -> list[list[int]]:

@@ -42,7 +42,7 @@ import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count, islice
+from itertools import accumulate, chain, compress, islice, repeat
 from operator import itemgetter
 
 from .errors import (
@@ -151,17 +151,24 @@ def _check_word_budget(s: SFTData, n: int) -> list[int]:
 
 
 def enumerate_words(s: SFTData, n: int) -> list[tuple]:
-    """All admissible words of length n in lexicographic order."""
+    """All admissible words of length n in lexicographic order.
+
+    The words of length m+1 are those of length m, each followed in turn
+    by its last letter's successors.  A word is kept only while it can
+    still reach length n: the letters that start a path of k more steps
+    are found for k = 0..n-1 first, and each step appends only such
+    letters.  So no length held is longer than the list returned, which
+    the word budget bounds, and at most two lengths are held at once."""
     _check_word_budget(s, n)
-    words: list[tuple] = []
-    stack = [(a,) for a in reversed(range(s.alphabet_size))]
-    while stack:
-        w = stack.pop()
-        if len(w) == n:
-            words.append(w)
-            continue
-        for b in reversed(s.succ[w[-1]]):
-            stack.append(w + (b,))
+    reach = [[True] * s.alphabet_size]  # reach[k][a]: a starts a path of k steps
+    for _ in range(n - 1):
+        reach.append([any(map(reach[-1].__getitem__, bs)) for bs in s.succ])
+    ones = [(a,) for a in range(s.alphabet_size)]
+    words = list(compress(ones, reach.pop()))
+    for live in reversed(reach):
+        tails = [tuple(compress(map(ones.__getitem__, bs), map(live.__getitem__, bs)))
+                 for bs in s.succ]
+        words = [w + b for w in words for b in tails[w[-1]]]
     return words
 
 
@@ -404,22 +411,47 @@ def _cohomology_dims(s: SFTData) -> Iterator[int]:
     Symbolic Dynamics and Coding, Sec. 2.3), which links all edges at a
     vertex of an essential graph, so it keeps the components and is
     essential again.  Then the word counts give every dim, and c_1 the
-    letter graph.  Any other shift enumerates the words of length n+1,
-    within the word budget, and a spanning forest of their edges has
-    |W_n| - c_n edges.
+    letter graph.
+
+    Any other shift walks the tree of its words once, and a spanning
+    forest of each n-block graph has |W_n| - c_n edges.  The words of
+    each length are numbered in lexicographic order, so the extensions of
+    word i of length n take the numbers first[i] up to first[i+1] at
+    length n+1.  An extension w + b is the edge from its prefix w, number
+    i, to its suffix w[1:] + b: an extension of w[1:], whose number at
+    length n-1 is held, at the position of b among the successors of the
+    last letter of w.  The forest runs on these integer pairs, with no
+    word built, and the words of length n+1 are counted against the word
+    budget before they are numbered.
     """
+    counts = map(sum, word_count_vectors(s))  # |W_1|, |W_2|, ...
+    shorter = next(counts)
     if all(s.succ) and all(s.pred):
-        counts = map(sum, word_count_vectors(s))  # |W_1|, |W_2|, ...
-        shorter = next(counts)
         components = shorter - forest_size(
             (i, j) for i, js in enumerate(s.succ) for j in js)
         for longer in counts:
             yield longer - shorter + components
             shorter = longer
-    else:
-        for n in count(1):
-            words = enumerate_words(s, n + 1)
-            yield len(words) - forest_size((w[:-1], w[1:]) for w in words)
+        return
+    cap = word_budget()
+    succ = s.succ
+    degree = [len(bs) for bs in succ]
+    spots = [range(d) for d in degree]
+    last = range(len(succ))  # the last letters of the words of length n
+    for n, total in enumerate(counts, start=1):
+        if total > cap:
+            raise EnumerationBudgetExceeded(
+                f"{total} words of length {n + 1} exceed budget {cap}", witness=total)
+        sizes = [degree[a] for a in last]
+        if n == 1:  # (a, b) has suffix b
+            suffix = [b for bs in succ for b in bs]
+        else:
+            suffix = [base + p for base, a in zip(map(first.__getitem__, suffix), last)
+                      for p in spots[a]]
+        prefix = chain.from_iterable(map(repeat, range(len(last)), sizes))
+        yield total - forest_size(zip(prefix, suffix))
+        first = list(accumulate(sizes, initial=0))
+        last = [b for a in last for b in succ[a]]
 
 
 def alphabet_automorphisms(s: SFTData) -> list[tuple]:

@@ -1,18 +1,49 @@
-"""Reference oracles for the level certificates of ``spectra``.
+"""Reference oracles for the word layer and the level certificates.
 
-These are the two-walk forms that ``triples.commutator_norms`` and
-``triples.ck_residuals`` had before both read one frontier walk: each
-builds its own successor arrays from the lists, steps its own frontier
-of (source, target, count) from level 0, and converts the Perron vectors
-on every measure.  The library must return exactly what these return.
+``enumerate_words`` and ``cohomology_dims`` are the forms the word layer
+had before it walked the word tree a level at a time: a depth-first
+search that builds every word from its first letter, and a spanning
+forest of the n-block graph over tuple slices of those words.
+
+``commutator_norms`` and ``ck_residuals`` are the two-walk forms that
+``triples.commutator_norms`` and ``triples.ck_residuals`` had before both
+read one frontier walk: each builds its own successor arrays from the
+lists, steps its own frontier of (source, target, count) from level 0,
+and converts the Perron vectors on every measure.
+
+The library must return exactly what these return.
 """
 
 import math
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 
-from graphspectra.graphs import _Rows
+from graphspectra.graphs import _Rows, forest_size
+
+
+def enumerate_words(s, n):
+    """All admissible words of length n >= 1, depth first, in the order
+    of the successor lists."""
+    words = []
+    stack = [(a,) for a in reversed(range(s.alphabet_size))]
+    while stack:
+        w = stack.pop()
+        if len(w) == n:
+            words.append(w)
+            continue
+        for b in reversed(s.succ[w[-1]]):
+            stack.append(w + (b,))
+    return words
+
+
+def cohomology_dims(s):
+    """Yield dim_n = |W_{n+1}| - (|W_n| - c_n) for n = 1, 2, ...: a
+    spanning forest of the n-block graph, whose edges join w[:-1] to
+    w[1:] for each word w of length n+1."""
+    for n in count(1):
+        words = enumerate_words(s, n + 1)
+        yield len(words) - forest_size((w[:-1], w[1:]) for w in words)
 
 
 def _schedule(level, eigenvalues):

@@ -12,7 +12,7 @@ import pytest
 
 from graphspectra import buildings, cli, graphs, io, ktheory, shift, triples
 from graphspectra.cli import execute, main, parse_invocation, render_plan
-from graphspectra.errors import UsageError
+from graphspectra.errors import EnumerationBudgetExceeded, UsageError
 from graphspectra.io import emit
 
 DATA = Path(__file__).parent / "data"
@@ -912,6 +912,33 @@ def test_cohomology_red9_golden(capsysbinary):
                         capsysbinary)
     assert code == 0
     assert out == (GOLDEN / "cohomology_red9_5.json").read_bytes()
+
+
+# red9 refuses level n once its 9, 22, 59, 166, 471, 1359, ... words of
+# length n+1 exceed the budget; the exit code, error code and witness of
+# `cohomology --levels 1..8` recorded from the depth-first enumeration
+RED9_BUDGET_TABLE = {
+    5: [(2, "EnumerationBudgetExceeded", "22")] * 8,
+    100: [(0, None, None)] * 2 + [(2, "EnumerationBudgetExceeded", "166")] * 6,
+    1000: [(0, None, None)] * 4 + [(2, "EnumerationBudgetExceeded", "1359")] * 4,
+}
+
+
+@pytest.mark.parametrize("budget", sorted(RED9_BUDGET_TABLE))
+def test_cohomology_red9_budget_table(budget, monkeypatch, capsysbinary):
+    monkeypatch.setenv("GRAPHSPECTRA_WORD_BUDGET", str(budget))
+    got = []
+    for level in range(1, 9):
+        code, out = run_cli(["cohomology", "--matrix", str(DATA / "red9.json"),
+                             "--levels", str(level)], capsysbinary)
+        error = json.loads(out).get("error", {})
+        got.append((code, error.get("code"), error.get("witness")))
+    assert got == RED9_BUDGET_TABLE[budget]
+    witness = RED9_BUDGET_TABLE[budget][-1][2]
+    length = [9, 22, 59, 166, 471, 1359].index(int(witness)) + 1
+    with pytest.raises(EnumerationBudgetExceeded,
+                       match=f"^{witness} words of length {length} exceed budget {budget}$"):
+        shift.cohomology_filtration_dims(io.load_sft(DATA / "red9.json"), 8)
 
 
 @pytest.mark.parametrize("argv, golden", [

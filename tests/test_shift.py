@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from graphspectra import graphs, io
 from graphspectra.errors import (
     EnumerationBudgetExceeded,
@@ -77,6 +78,68 @@ def test_enumeration_budget_env_override(monkeypatch):
         enumerate_words(full_schottky_sft(2), 4)
     monkeypatch.delenv("GRAPHSPECTRA_WORD_BUDGET")
     assert len(enumerate_words(full_schottky_sft(2), 4)) == 108
+
+
+def funnel():
+    """0 -> each of 1..300 -> each of 301..600, and only 301 -> 601, a
+    sink: 602, 90,301, 90,300 and 300 words of lengths 1-4."""
+    middle, last = range(1, 301), range(301, 601)
+    succ = ((*middle,), *[(*last,)] * 300, (601,), *[()] * 300)
+    return SFTData(succ, tuple(map(str, range(602))))
+
+
+def test_enumeration_fits_the_budget_where_counts_fall_past_a_sink(monkeypatch):
+    s = funnel()
+    assert [count_words(s, n) for n in range(1, 5)] == [602, 90301, 90300, 300]
+    monkeypatch.setenv("GRAPHSPECTRA_WORD_BUDGET", "1000")
+    tracemalloc.start()
+    try:
+        words = enumerate_words(s, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert words == oracles.enumerate_words(s, 4)
+    assert len(words) == 300
+    # the successor lists as 1-tuples take 0.8 MB; a length that kept every
+    # word of 3 letters would hold 90,300 tuples, over 6 MB
+    assert peak < 2_000_000
+    with pytest.raises(EnumerationBudgetExceeded) as err:
+        enumerate_words(s, 3)
+    assert err.value.witness == 90300
+
+
+@st.composite
+def sink_source_shifts(draw):
+    """0/1 matrices on 1-8 letters of random density, with up to two rows
+    cleared (sinks) and up to two columns cleared (sources)."""
+    k = draw(st.integers(1, 8))
+    density = draw(st.floats(0.0, 1.0))
+    cells = draw(st.lists(st.floats(0.0, 1.0), min_size=k * k, max_size=k * k))
+    sinks = draw(st.sets(st.integers(0, k - 1), max_size=2))
+    sources = draw(st.sets(st.integers(0, k - 1), max_size=2))
+    rows = tuple(tuple(int(cells[i * k + j] < density and i not in sinks and j not in sources)
+                       for j in range(k)) for i in range(k))
+    return SFTData.from_rows(rows, tuple(f"l{i}" for i in range(k)))
+
+
+ORACLE_WORDS = 20_000  # the most words the depth-first oracles build
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(s=sink_source_shifts(), n=st.integers(1, 7), level=st.integers(1, 6))
+@example(s=funnel(), n=4, level=1)
+def test_level_walks_match_the_depth_first_oracles(s, n, level):
+    """enumerate_words returns the depth-first search's list, and the
+    cohomology dims those of the forest on tuple slices: by the walk on
+    integer word numbers for a shift that is not essential."""
+    counts = [sum(v) for v in islice(word_count_vectors(s), level + 1)]
+    if count_words(s, n) <= ORACLE_WORDS:
+        assert enumerate_words(s, n) == oracles.enumerate_words(s, n)
+    while level and max(counts[1:level + 1]) > ORACLE_WORDS:
+        level -= 1
+    if level:
+        dims = tuple(islice(oracles.cohomology_dims(s), level))
+        assert cohomology_filtration_dims(s, level) == dims
 
 
 def test_filtration_dims(schottky2):
