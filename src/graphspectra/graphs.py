@@ -36,6 +36,8 @@ from itertools import chain, compress
 
 from .errors import InvalidGraph, InvalidRank, InvalidTransitionMatrix
 
+MAX_SCHOTTKY_TRANSITIONS = 10 ** 6  # 2g(2g-1) <= 10^6 admits g <= 500
+
 
 @dataclass(frozen=True)
 class FiniteGraph:
@@ -356,10 +358,12 @@ def cayley_schottky_matrix(g: int) -> EdgeMatrix:
 
     Letters 1..2g stand for g generators followed by their inverses;
     entry (i, j) is 1 iff |i - j| != g, so a letter may be followed by
-    anything except its inverse.
+    anything except its inverse.  Below rank 1 or past
+    MAX_SCHOTTKY_TRANSITIONS, InvalidRank (g as witness) before building.
     """
-    if g < 1:
-        raise InvalidRank("rank must be a positive integer", witness=g)
+    if g < 1 or 2 * g * (2 * g - 1) > MAX_SCHOTTKY_TRANSITIONS:
+        raise InvalidRank(f"rank must be >= 1 with <= {MAX_SCHOTTKY_TRANSITIONS} transitions",
+                          witness=g)
     n = 2 * g
     succ = tuple((*range((i + g) % n), *range((i + g) % n + 1, n)) for i in range(n))
     labels = tuple(

@@ -42,7 +42,7 @@ import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import chain, compress, islice, pairwise, repeat, takewhile
 from operator import itemgetter
 
 from .errors import (
@@ -105,18 +105,19 @@ def full_schottky_sft(g: int) -> SFTData:
     return SFTData(em.succ, em.labels, inv)
 
 
-def word_count_vectors(s: SFTData) -> Iterator[tuple]:
-    """Yield v_1, v_2, ...: v_n[j] counts admissible words of length n
-    ending in letter j, so v_n = 1^T A^(n-1) in exact integers.
+def word_count_vectors(s: SFTData, start=None) -> Iterator[tuple]:
+    """Yield v_n = u^T A^(n-1) for n = 1, 2, ... in exact integers, u the
+    start vector (all ones when not given): v_n[j] counts the admissible
+    words of length n ending in letter j, each weighted by u at its first.
 
-    v_1 is all ones and v_{n+1}[j] sums v_n over the predecessors of j.
-    One gather over v_n with a 0 appended gives each chain letter its one
-    predecessor's count (a letter with none, the 0); branch letters sum.
+    v_{n+1}[j] sums v_n over the predecessors of j.  One gather over v_n
+    with a 0 appended gives each chain letter its one predecessor's count
+    (a letter with none, the 0); branch letters sum.
     """
     n = s.alphabet_size
     index = [pred[0] if len(pred) == 1 else n for pred in s.pred]
     branches = [(j, itemgetter(*pred)) for j, pred in enumerate(s.pred) if len(pred) > 1]
-    vec = (1,) * n
+    vec = (1,) * n if start is None else tuple(start)
     while True:
         yield vec
         ext = (*vec, 0)
@@ -380,14 +381,16 @@ def cohomology_filtration_dims(s: SFTData, max_level: int) -> tuple:
     matrix is totally unimodular, so its rank over Q is exactly the number
     of vertices minus the number c_n of weakly connected components
     (N. Biggs, Algebraic Graph Theory, Prop. 4.3), and every shift has
-    dim_n = |W_{n+1}| - |W_n| + c_n, W_n its words of length n.  A level
-    raises InvalidParameter, with the level as witness, once its dim has
-    more decimal digits than the interpreter converts to a string, or the
-    dims so far more than MAX_COHOMOLOGY_DIGITS, counted from bit lengths.
+    dim_n = |W_{n+1}| - |W_n| + c_n, W_n its words of length n.  Each
+    term is a count of words (:func:`_cohomology_dims`), so the word
+    budget limits no level.  A level raises InvalidParameter (the level
+    as witness) once its dim has more decimal digits than the interpreter
+    converts to a string, or the dims so far more than
+    MAX_COHOMOLOGY_DIGITS, counted from bit lengths.
     """
     if max_level < 1:
         raise InvalidParameter("level must be >= 1", witness=max_level)
-    word_budget()  # read on every path, so a malformed value is an error
+    word_budget()  # read only so that a malformed value is an error
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     limit = 10 ** digits
     total = 0
@@ -405,53 +408,44 @@ def _cohomology_dims(s: SFTData) -> Iterator[int]:
     """Yield dim_n = |W_{n+1}| - |W_n| + c_n for n = 1, 2, ...; see
     :func:`cohomology_filtration_dims`.
 
-    If every letter has a predecessor and a successor (an essential
-    shift, every irreducible one among them), c_n = c_1: the (n+1)-block
-    graph is the line graph of the n-block graph (D. Lind, B. Marcus,
-    Symbolic Dynamics and Coding, Sec. 2.3), which links all edges at a
-    vertex of an essential graph, so it keeps the components and is
-    essential again.  Then the word counts give every dim, and c_1 the
-    letter graph.
-
-    Any other shift walks the tree of its words once, and a spanning
-    forest of each n-block graph has |W_n| - c_n edges.  The words of
-    each length are numbered in lexicographic order, so the extensions of
-    word i of length n take the numbers first[i] up to first[i+1] at
-    length n+1.  An extension w + b is the edge from its prefix w, number
-    i, to its suffix w[1:] + b: an extension of w[1:], whose number at
-    length n-1 is held, at the position of b among the successors of the
-    last letter of w.  The forest runs on these integer pairs, with no
-    word built, and the words of length n+1 are counted against the word
-    budget before they are numbered.
+    The (n+1)-block graph is the line graph of the n-block graph (D. Lind,
+    B. Marcus, Symbolic Dynamics and Coding, Sec. 2.3): it joins the edges
+    at each vertex with an in-edge and an out-edge, here the words whose
+    first letter has a predecessor and last letter a successor, which are
+    the n-block graph of X_1, the letters of X with both.  So c_{n+1}(X) =
+    c_n(X_1) + i_{n+1}(X), where i_m(Y) = 1_src^T A_Y^(m-1) 1_sink counts
+    the words of length m in Y from a letter with no predecessor to one
+    with no successor.  The pruning chain X_0 = X, X_{k+1} = (X_k)_1 is
+    constant (the essential core, with no i-counts) from some K <=
+    |letters| on, and c_n(X) = c_1(X_{n-1}) + sum_{k=0}^{n-2} i_{n-k}(X_k):
+    c_1 from each X_k's letter graph, the i-counts of each X_k, k < K, from
+    one count vector.  An essential shift, every irreducible one among
+    them, has K = 0 and c_n = c_1.
     """
-    counts = map(sum, word_count_vectors(s))  # |W_1|, |W_2|, ...
-    shorter = next(counts)
-    if all(s.succ) and all(s.pred):
-        components = shorter - forest_size(
-            (i, j) for i, js in enumerate(s.succ) for j in js)
-        for longer in counts:
-            yield longer - shorter + components
-            shorter = longer
-        return
-    cap = word_budget()
-    succ = s.succ
-    degree = [len(bs) for bs in succ]
-    spots = [range(d) for d in degree]
-    last = range(len(succ))  # the last letters of the words of length n
-    for n, total in enumerate(counts, start=1):
-        if total > cap:
-            raise EnumerationBudgetExceeded(
-                f"{total} words of length {n + 1} exceed budget {cap}", witness=total)
-        sizes = [degree[a] for a in last]
-        if n == 1:  # (a, b) has suffix b
-            suffix = [b for bs in succ for b in bs]
-        else:
-            suffix = [base + p for base, a in zip(map(first.__getitem__, suffix), last)
-                      for p in spots[a]]
-        prefix = chain.from_iterable(map(repeat, range(len(last)), sizes))
-        yield total - forest_size(zip(prefix, suffix))
-        first = list(accumulate(sizes, initial=0))
-        last = [b for a in last for b in succ[a]]
+    x = s
+    prunings = [x]  # X_0, ..., X_K
+    while not all(map(all, zip(x.succ, x.pred))):
+        keep = [a for a, ends in enumerate(zip(x.succ, x.pred)) if all(ends)]
+        new = {a: i for i, a in enumerate(keep)}
+        x = SFTData(tuple(tuple(new[b] for b in x.succ[a] if b in new) for a in keep),
+                    tuple(map(x.labels.__getitem__, keep)))
+        prunings.append(x)
+    components = [x.alphabet_size - forest_size(
+        (i, j) for i, js in enumerate(x.succ) for j in js) for x in prunings]
+    # level n adds c_1(X_min(n-1, K)) and i_{n-k}(X_k) for each k <= n-2
+    c1 = chain(components, repeat(components[-1]))
+    ends = [chain(repeat(0, k + 1), _end_counts(x)) for k, x in enumerate(prunings[:-1])]
+    counts = pairwise(map(sum, word_count_vectors(s)))  # (|W_n|, |W_{n+1}|)
+    for (shorter, longer), c, *i in zip(counts, c1, *ends):
+        yield longer - shorter + c + sum(i)
+
+
+def _end_counts(s: SFTData) -> Iterator[int]:
+    """i_2(s), i_3(s), ...: the words of length 2, 3, ... from a letter with
+    no predecessor to one with no successor, all 0 once none is left."""
+    sinks = [a for a, bs in enumerate(s.succ) if not bs]
+    vectors = islice(word_count_vectors(s, [int(not preds) for preds in s.pred]), 1, None)
+    return chain((sum(map(v.__getitem__, sinks)) for v in takewhile(any, vectors)), repeat(0))
 
 
 def alphabet_automorphisms(s: SFTData) -> list[tuple]:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 
 from graphspectra import buildings, cli, graphs, io, ktheory, shift, triples
 from graphspectra.cli import execute, main, parse_invocation, render_plan
-from graphspectra.errors import EnumerationBudgetExceeded, UsageError
+from graphspectra.errors import UsageError
 from graphspectra.io import emit
 
 DATA = Path(__file__).parent / "data"
@@ -883,28 +884,25 @@ def test_cohomology_takes_no_exact_rank(tmp_path, monkeypatch, capsysbinary):
     assert (code, json.loads(out)["dims"][-1]) == (0, 1945)
 
     # red8 is reducible but essential (every letter has a predecessor and a
-    # successor) with one component, so its dims come from word counts alone
+    # successor) with one component, so its dims come from word counts alone;
+    # red9 adds a sink letter, and its dims add one count vector per pruning
+    # level, whatever the word budget (100 here; red9 has 166 words of length 4)
     with monkeypatch.context() as patch:
         patch.setattr(shift, "enumerate_words", forbidden)
         code, out = run_cli(["cohomology", "--matrix", str(DATA / "red8.json"),
                              "--levels", "50"], capsysbinary)
+        red9 = [run_cli(["cohomology", "--matrix", str(DATA / "red9.json"), "--levels", level],
+                        capsysbinary) for level in ("3", "11")]
     red8 = io.load_sft(DATA / "red8.json")
     counts = [shift.count_words(red8, n) for n in range(1, 52)]
     dims = json.loads(out)["dims"]
     assert code == 0
     assert dims == [b - a + 1 for a, b in zip(counts, counts[1:])]
     assert dims[:5] == [14, 37, 103, 295, 859]
-
-    # red9 adds a sink letter, so it enumerates the words of length n+1
-    # within the word budget: 59 words of length 3, 166 of length 4
-    code, out = run_cli(["cohomology", "--matrix", str(DATA / "red9.json"), "--levels", "2"],
-                        capsysbinary)
-    assert (code, json.loads(out)) == (0, {"dims": [14, 38]})
-    code, out = run_cli(["cohomology", "--matrix", str(DATA / "red9.json"), "--levels", "3"],
-                        capsysbinary)
-    assert code == 2
-    assert json.loads(out)["error"] == {"code": "EnumerationBudgetExceeded",
-                                        "witness": "166"}
+    assert [code for code, _ in red9] == [0, 0]
+    assert json.loads(red9[0][1]) == {"dims": [14, 38, 108]}
+    assert hashlib.sha256(red9[1][1]).hexdigest() == (
+        "177f2d933b1de8a343281601177a433f956ab0df8aa5a9f576bcc7234d3a1ae5")
 
 
 def test_cohomology_red9_golden(capsysbinary):
@@ -914,31 +912,22 @@ def test_cohomology_red9_golden(capsysbinary):
     assert out == (GOLDEN / "cohomology_red9_5.json").read_bytes()
 
 
-# red9 refuses level n once its 9, 22, 59, 166, 471, 1359, ... words of
-# length n+1 exceed the budget; the exit code, error code and witness of
-# `cohomology --levels 1..8` recorded from the depth-first enumeration
-RED9_BUDGET_TABLE = {
-    5: [(2, "EnumerationBudgetExceeded", "22")] * 8,
-    100: [(0, None, None)] * 2 + [(2, "EnumerationBudgetExceeded", "166")] * 6,
-    1000: [(0, None, None)] * 4 + [(2, "EnumerationBudgetExceeded", "1359")] * 4,
-}
+# The word budget limits no cohomology level: red9's words of length n+1
+# (9, 22, 59, 166, 471, 1359, ...) pass each of these budgets by level 8,
+# and `cohomology --levels 1..8` prints the bytes of the default budget
+RED9_BUDGETS = (5, 100, 1000)
 
 
-@pytest.mark.parametrize("budget", sorted(RED9_BUDGET_TABLE))
+@pytest.mark.parametrize("budget", RED9_BUDGETS)
 def test_cohomology_red9_budget_table(budget, monkeypatch, capsysbinary):
+    def dims_by_level():
+        return [run_cli(["cohomology", "--matrix", str(DATA / "red9.json"),
+                         "--levels", str(level)], capsysbinary) for level in range(1, 9)]
+    monkeypatch.delenv("GRAPHSPECTRA_WORD_BUDGET", raising=False)
+    expected = dims_by_level()
     monkeypatch.setenv("GRAPHSPECTRA_WORD_BUDGET", str(budget))
-    got = []
-    for level in range(1, 9):
-        code, out = run_cli(["cohomology", "--matrix", str(DATA / "red9.json"),
-                             "--levels", str(level)], capsysbinary)
-        error = json.loads(out).get("error", {})
-        got.append((code, error.get("code"), error.get("witness")))
-    assert got == RED9_BUDGET_TABLE[budget]
-    witness = RED9_BUDGET_TABLE[budget][-1][2]
-    length = [9, 22, 59, 166, 471, 1359].index(int(witness)) + 1
-    with pytest.raises(EnumerationBudgetExceeded,
-                       match=f"^{witness} words of length {length} exceed budget {budget}$"):
-        shift.cohomology_filtration_dims(io.load_sft(DATA / "red9.json"), 8)
+    assert dims_by_level() == expected
+    assert {code for code, _ in expected} == {0}
 
 
 @pytest.mark.parametrize("argv, golden", [
@@ -1010,7 +999,7 @@ _BUILDINGS = ["buildings", "cli", "errors", "io"]
     (["af", "--genus", "2", "--levels", "7"], 2, [], _TRIPLES),  # word budget
     (["cohomology", "--genus", "2", "--levels", "3"], 0, [],
      ["cli", "errors", "graphs", "io", "shift"]),
-    # red9 has a sink letter, so its dims come from enumerated words
+    # red9 has a sink letter, so its dims also step one count vector per pruning level
     (["cohomology", "--matrix", str(DATA / "red9.json"), "--levels", "5"], 0, [],
      ["cli", "errors", "graphs", "io", "shift"]),
     (["building", "--q", "1", "--cover", "--bm"], 0, [], _BUILDINGS),
@@ -1028,6 +1017,34 @@ def test_cold_start_loads_numpy_and_scipy_only_where_used(tmp_path, argv, code,
     got_code, _, stderr, loaded = _fresh_run(tmp_path, argv)
     assert (got_code, stderr) == (code, b"")
     assert loaded == {"libraries": libraries, "modules": modules}
+
+
+# Runs the CLI on argv[1:] with its address space limited to 1 GiB, so a
+# size check that comes after the allocation fails fast instead of taking
+# the host's memory.
+_LIMITED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import graphspectra.cli
+sys.exit(graphspectra.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", ["spectra", "cohomology", "af"])
+def test_genus_past_the_transition_limit_is_refused_before_building(tmp_path, command):
+    """g = 10^6 has 4 * 10^12 transitions, past MAX_SCHOTTKY_TRANSITIONS:
+    each subcommand that builds the free shift exits 2 at once."""
+    environ = dict(os.environ)
+    environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-c", _LIMITED, command, "--genus", "1000000", "--levels", "1"],
+        cwd=tmp_path, env=environ, capture_output=True)
+    assert time.perf_counter() - start < 0.5
+    assert (result.returncode, result.stderr) == (2, b"")
+    assert json.loads(result.stdout) == {"error": {"code": "InvalidRank",
+                                                   "witness": "1000000"}}
 
 
 # Runs the CLI on argv[1:] in a child, its stdout discarded, and prints

@@ -51,6 +51,15 @@ def test_cayley_schottky_rank_zero_rejected():
         cayley_schottky_matrix(0)
 
 
+def test_cayley_schottky_transition_limit():
+    """2g(2g-1) <= 10^6 admits g = 500 (999,000 transitions), not g = 501."""
+    assert graphs.MAX_SCHOTTKY_TRANSITIONS == 10 ** 6
+    assert sum(cayley_schottky_matrix(500).row_sums()) == 999_000
+    with pytest.raises(InvalidRank) as err:
+        cayley_schottky_matrix(501)
+    assert err.value.witness == 501
+
+
 def test_single_loop_edge_matrix():
     g = FiniteGraph(("v",), (("e", "v", "v"),))
     em = directed_edge_matrix(g)

@@ -130,11 +130,59 @@ ORACLE_WORDS = 20_000  # the most words the depth-first oracles build
 @example(s=funnel(), n=4, level=1)
 def test_level_walks_match_the_depth_first_oracles(s, n, level):
     """enumerate_words returns the depth-first search's list, and the
-    cohomology dims those of the forest on tuple slices: by the walk on
-    integer word numbers for a shift that is not essential."""
+    cohomology dims those of the forest on tuple slices."""
     counts = [sum(v) for v in islice(word_count_vectors(s), level + 1)]
     if count_words(s, n) <= ORACLE_WORDS:
         assert enumerate_words(s, n) == oracles.enumerate_words(s, n)
+    while level and max(counts[1:level + 1]) > ORACLE_WORDS:
+        level -= 1
+    if level:
+        dims = tuple(islice(oracles.cohomology_dims(s), level))
+        assert cohomology_filtration_dims(s, level) == dims
+
+
+@st.composite
+def pruning_chain_shifts(draw):
+    """0/1 matrices on 1-8 letters of random density, with up to two sinks,
+    two sources and two isolated letters.  From 4 letters on, a letter
+    with a loop sits between a path in from a source and a path out to a
+    sink, one of them 3 letters or more: each letter of the path in is
+    the only predecessor of the next, and each letter of the path out the
+    only successor of the one before, so the pruning chain takes one
+    path letter from each end per step, 3 steps or more."""
+    k = draw(st.integers(1, 8))
+    density = draw(st.floats(0.0, 1.0))
+    cells = draw(st.lists(st.floats(0.0, 1.0), min_size=k * k, max_size=k * k))
+    rows = [[int(cells[i * k + j] < density) for j in range(k)] for i in range(k)]
+    sinks, sources, isolated = (draw(st.sets(st.integers(0, k - 1), max_size=2))
+                                for _ in range(3))
+    for i in range(k):
+        for j in range(k):
+            if {i} & (sinks | isolated) or {j} & (sources | isolated):
+                rows[i][j] = 0
+    if k >= 4:
+        loop, *rest = draw(st.permutations(range(k)))
+        long = draw(st.integers(3, k - 1))
+        short = draw(st.integers(0, k - 1 - long))
+        into, out = (long, short) if draw(st.booleans()) else (short, long)
+        into, out = rest[:into], rest[into:into + out]
+        for row in rows:
+            for b in into:
+                row[b] = 0
+        for a in out:
+            rows[a] = [0] * k
+        rows[loop][loop] = 1
+        for a, b in chain(zip(into, [*into[1:], loop]), zip([loop, *out], out)):
+            rows[a][b] = 1
+    return SFTData.from_rows(tuple(map(tuple, rows)), tuple(f"l{i}" for i in range(k)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(s=pruning_chain_shifts(), level=st.integers(1, 7))
+def test_cohomology_dims_by_pruning_match_the_forest_oracle(s, level):
+    """The dims from word counts and the pruning chain's i-counts equal
+    those of the spanning forest on tuple slices of the words."""
+    counts = [sum(v) for v in islice(word_count_vectors(s), level + 1)]
     while level and max(counts[1:level + 1]) > ORACLE_WORDS:
         level -= 1
     if level:
