@@ -34,8 +34,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import chain, repeat
 
@@ -63,18 +62,35 @@ def letter_sup(letter) -> int | None:
         return None
 
 
+# The most words family_presentation builds: 4q^2 <= 2^18 admits q <= 256
+# (its four_fold_cover has 16q^2 words; a fresh q = 256 CLI run with every
+# option takes about 12 s and 0.8 GB).
+MAX_FAMILY_WORDS = 1 << 18
+
 # superscripts of a square word -> the rotation that puts them in order
 # (1, 2, 3, 4); in this order, the four copies of four_fold_cover
 _TO_STANDARD = {(1, 2, 3, 4): 0, (4, 1, 2, 3): 1, (3, 4, 1, 2): 2, (2, 3, 4, 1): 3}
 
 
-@dataclass(frozen=True)
 class BipartiteGraph:
-    """Bipartite (multi)graph with black and white vertex sets."""
+    """Bipartite (multi)graph with black and white vertex sets; ``edges``
+    holds (white, black) pairs, repeats = multiplicity.  The fields are
+    read-only, and two graphs of one type are equal when their fields are."""
 
-    blacks: tuple
-    whites: tuple
-    edges: tuple  # (white, black) pairs, repeats = multiplicity
+    def __init__(self, blacks: tuple, whites: tuple, edges: tuple):
+        self.__dict__.update(blacks=blacks, whites=whites, edges=edges)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.blacks, self.whites, self.edges) == (other.blacks, other.whites,
+                                                          other.edges)
+
+    def __hash__(self):
+        return hash((self.blacks, self.whites, self.edges))
 
     def is_complete_bipartite(self) -> bool:
         return self._complete
@@ -128,29 +144,28 @@ def _least_rotations(codes, k: int, bits: int) -> tuple:
     return tuple(sorted(set(map(min, codes, *turned) if turned else codes)))
 
 
-@dataclass(frozen=True)
-class PolygonalPresentation:
+class PolygonalPresentation(namedtuple("PolygonalPresentation", "alphabet lam codes k")):
     """Cyclic k-tuples over a pointed alphabet with basic bijection, kept
     as one packed word per rotation orbit: each of the given ``codes`` is
     replaced by its least rotation (see :func:`make_presentation`).  The
-    alphabet's letters are distinct and are those of lam in type and value."""
+    alphabet's letters are distinct and are those of lam in type and value.
 
-    alphabet: tuple            # pointed letters (the black side)
-    lam: tuple                 # (letter, label) pairs, a bijection P -> L
-    codes: tuple               # least rotation per orbit, packed, sorted
-    k: int
+    ``alphabet``: the pointed letters (the black side); ``lam``: (letter,
+    label) pairs, a bijection P -> L; ``codes``: the least rotation per
+    orbit, packed, sorted."""
 
-    def __post_init__(self):
+    def __new__(cls, alphabet, lam, codes, k):
         seen: set = set()
-        for x in self.alphabet:
+        for x in alphabet:
             if x in seen or seen.add(x):
                 raise PresentationInvalid("alphabet repeats a letter", witness=x)
-        if not (len({l for _, l in self.lam}) == len(self.lam) == len(seen) and
-                {(type(x), x) for x, _ in self.lam} == {(type(x), x) for x in seen}):
+        if not (len({l for _, l in lam}) == len(lam) == len(seen) and
+                {(type(x), x) for x, _ in lam} == {(type(x), x) for x in seen}):
             raise PresentationInvalid("basic bijection must be a bijection on the alphabet")
-        letters, bits = _packing(self.alphabet)
-        self.__dict__.update(letters=letters, bits=bits,
-                             codes=_least_rotations(self.codes, self.k, bits))
+        letters, bits = _packing(alphabet)
+        self = super().__new__(cls, alphabet, lam, _least_rotations(codes, k, bits), k)
+        self.letters, self.bits = letters, bits
+        return self
 
     def decode(self, code: int, n: int) -> tuple:
         """The n letters packed in ``code``."""
@@ -257,10 +272,13 @@ def family_presentation(q: int) -> PolygonalPresentation:
         (x_{2+4i}, x_{2+4j}, x_{3+4i}, x_{3+4j})
 
     The polyhedron has a single vertex with link the complete bipartite
-    graph on 4q + 4q vertices.
+    graph on 4q + 4q vertices.  Past MAX_FAMILY_WORDS words, q is refused
+    before any word is built.
     """
     if q < 1:
         raise InvalidParameter("family parameter must be >= 1", witness=q)
+    if 4 * q * q > MAX_FAMILY_WORDS:
+        raise InvalidParameter(f"family exceeds {MAX_FAMILY_WORDS} words", witness=q)
     x = {m: f"x{m}" for m in range(1, 4 * q + 1)}
     words = [(x[a + 4 * i], x[b + 4 * j], x[c + 4 * i], x[d + 4 * j])
              for i in range(q) for j in range(q)
@@ -285,17 +303,15 @@ def family_cover_link_graphs(q: int) -> list[BipartiteGraph]:
             for s in range(1, 5)]
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    passed: bool
-    witnesses: tuple = ()
+ConditionReport = namedtuple("ConditionReport", "passed witnesses", defaults=((),))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    rotation_closure: ConditionReport
-    incidence: ConditionReport | None  # None: no link graphs to check against
-    unique_continuation: ConditionReport
+class ValidationReport(namedtuple("ValidationReport",
+                                  "rotation_closure incidence unique_continuation")):
+    """The three conditions' reports; ``incidence`` is None when there are
+    no link graphs to check against."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -369,11 +385,11 @@ class LinkGraph(BipartiteGraph):
         return tuple(edges)
 
 
-@dataclass(frozen=True)
-class Polyhedron:
-    faces: tuple          # canonical boundary word per face
-    edge_letters: tuple   # one edge per letter
-    links: tuple          # one LinkGraph per vertex
+class Polyhedron(namedtuple("Polyhedron", "faces edge_letters links")):
+    """The canonical boundary word per face, one edge per letter and one
+    LinkGraph per vertex."""
+
+    __slots__ = ()
 
     @property
     def vertex_count(self) -> int:
@@ -448,12 +464,12 @@ def polyhedron_from_presentation(p: PolygonalPresentation) -> Polyhedron:
                       tuple(links))
 
 
-@dataclass(frozen=True)
-class StablePairsResult:
-    ok: bool
-    witnesses: tuple = ()
-    x_pairing: tuple = ()   # (class-1 letter, class-3 letter) pairs
-    y_pairing: tuple = ()   # (class-2 letter, class-4 letter) pairs
+class StablePairsResult(namedtuple("StablePairsResult", "ok witnesses x_pairing y_pairing",
+                                   defaults=((), (), ()))):
+    """``x_pairing``: (class-1 letter, class-3 letter) pairs; ``y_pairing``:
+    (class-2 letter, class-4 letter) pairs."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -492,14 +508,13 @@ def four_fold_cover(p: PolygonalPresentation) -> PolygonalPresentation:
     return PolygonalPresentation(alphabet, lam, codes, 4)
 
 
-@dataclass(frozen=True)
-class BMGroupData:
+class BMGroupData(namedtuple("BMGroupData",
+                             "horizontal_generators vertical_generators relations")):
     """Generators and commutator-shaped relations of a vertex-transitive
-    product-of-trees group."""
+    product-of-trees group; a relation is a 4-tuple of (generator,
+    exponent) pairs, horizontal first, alternating."""
 
-    horizontal_generators: tuple
-    vertical_generators: tuple
-    relations: tuple   # 4-tuples of (generator, exponent), horizontal first, alternating
+    __slots__ = ()
 
     @property
     def valences(self) -> tuple:
@@ -531,14 +546,13 @@ def bm_group_data(p: PolygonalPresentation) -> BMGroupData:
                              if a != x_star and b != y_star))  # Tietze elimination
 
 
-@dataclass(frozen=True)
-class ProductGradingDims:
-    rank: int
-    dims: tuple
+class ProductGradingDims(namedtuple("ProductGradingDims", "rank dims")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(d <= 0 for d in self.dims):
+    def __new__(cls, rank, dims):
+        if any(d <= 0 for d in dims):
             raise InvalidParameter("grading dimensions must be positive")
+        return super().__new__(cls, rank, dims)
 
 
 def product_grading_dims(g: int, max_level: int) -> ProductGradingDims:

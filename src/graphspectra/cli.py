@@ -13,18 +13,16 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import io
 from .errors import GraphSpectraError, InvalidInput, InvalidParameter, UsageError
 
 
-@dataclass(frozen=True)
-class RunPlan:
-    subcommand: str
-    options: tuple  # sorted (key, value) pairs
-    fmt: str = "json"
-    out: str | None = None
+class RunPlan(namedtuple("RunPlan", "subcommand options fmt out", defaults=("json", None))):
+    """A parsed invocation; ``options`` holds sorted (key, value) pairs."""
+
+    __slots__ = ()
 
     def option(self, key):
         return dict(self.options).get(key)

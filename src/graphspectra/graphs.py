@@ -29,8 +29,8 @@ union-find.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress
 
@@ -39,28 +39,28 @@ from .errors import InvalidGraph, InvalidRank, InvalidTransitionMatrix
 MAX_SCHOTTKY_TRANSITIONS = 10 ** 6  # 2g(2g-1) <= 10^6 admits g <= 500
 
 
-@dataclass(frozen=True)
-class FiniteGraph:
-    """Connected undirected multigraph with explicit edge identifiers."""
+class FiniteGraph(namedtuple("FiniteGraph", "vertices edges")):
+    """Connected undirected multigraph with explicit edge identifiers;
+    ``edges`` holds (edge_id, src, dst) triples."""
 
-    vertices: tuple
-    edges: tuple  # (edge_id, src, dst) triples
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.vertices:
+    def __new__(cls, vertices, edges):
+        if not vertices:
             raise InvalidGraph("graph has no vertices")
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
-            raise InvalidGraph("duplicate vertex ids", witness=self.vertices)
+        vset = set(vertices)
+        if len(vset) != len(vertices):
+            raise InvalidGraph("duplicate vertex ids", witness=vertices)
         seen = set()
-        for eid, src, dst in self.edges:
+        for eid, src, dst in edges:
             if eid in seen:
                 raise InvalidGraph("duplicate edge id", witness=eid)
             seen.add(eid)
             if src not in vset or dst not in vset:
                 raise InvalidGraph("edge endpoint not a vertex", witness=(eid, src, dst))
-        if forest_size((src, dst) for _, src, dst in self.edges) != len(vset) - 1:
+        if forest_size((src, dst) for _, src, dst in edges) != len(vset) - 1:
             raise InvalidGraph("graph is not connected")
+        return super().__new__(cls, vertices, edges)
 
     def degree(self, v) -> int:
         # a loop at v counts twice
@@ -105,12 +105,8 @@ def _sort_key(value):
     return (isinstance(value, str), value)
 
 
-@dataclass(frozen=True)
-class OrientedEdge:
-    edge_id: object
-    forward: bool
-    source: object
-    target: object
+class OrientedEdge(namedtuple("OrientedEdge", "edge_id forward source target")):
+    __slots__ = ()
 
     def reversal(self) -> "OrientedEdge":
         return OrientedEdge(self.edge_id, not self.forward, self.target, self.source)
@@ -120,22 +116,21 @@ class OrientedEdge:
         return f"{self.edge_id}{'+' if self.forward else '-'}"
 
 
-@dataclass(frozen=True)
-class EdgeMatrix:
+class EdgeMatrix(namedtuple("EdgeMatrix", "succ labels involution", defaults=(None,))):
     """The one transition-matrix type: each letter's successor list
     (oriented edges, or abstract letters), one label per letter, and an
     optional inverse-letter involution.  Validated once, on construction,
     in O(letters + transitions) (InvalidTransitionMatrix), when the
     predecessor lists are built too.  Dense 0/1 rows enter through
-    :meth:`from_rows`, and :attr:`matrix` is their view on demand."""
+    :meth:`from_rows`, and :attr:`matrix` is their view on demand.
 
-    succ: tuple  # succ[i]: the letters j with A[i][j] = 1, ascending
-    labels: tuple  # one label per letter
-    involution: tuple | None = None  # involution[i] = index of the inverse letter
-    # pred[j]: the letters i with A[i][j] = 1, ascending, built once
-    pred: tuple = field(init=False, repr=False, compare=False)
+    ``succ[i]``: the letters j with A[i][j] = 1, ascending; ``labels``:
+    one per letter; ``involution[i]``: the index of the inverse letter.
+    ``pred[j]``: the letters i with A[i][j] = 1, ascending, built once
+    and left out of equality."""
 
-    def __post_init__(self):
+    def __new__(cls, succ, labels, involution=None):
+        self = super().__new__(cls, succ, labels, involution)
         n = len(self.succ)
         pred = [[] for _ in range(n)]
         for i, js in enumerate(self.succ):
@@ -157,7 +152,8 @@ class EdgeMatrix:
             if any(inv[i] == i or inv[inv[i]] != i for i in range(n)):
                 raise InvalidTransitionMatrix(
                     "involution must be fixed-point-free of order two", witness=inv)
-        object.__setattr__(self, "pred", tuple(map(tuple, pred)))
+        self.pred = tuple(map(tuple, pred))
+        return self
 
     @classmethod
     def from_rows(cls, rows, labels, involution=None) -> "EdgeMatrix":

@@ -35,7 +35,7 @@ transforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from heapq import heapify, heappop, heappush
 from itertools import chain
@@ -105,19 +105,15 @@ def exact_rank(a: list[list[int]]) -> int:
     return _bareiss(a)[0]
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """U * M * V = diag(invariant factors), with U, V unimodular.
+class SmithDecomposition(namedtuple("SmithDecomposition", "diagonal left right rows cols")):
+    """U * M * V = diag(invariant factors), with U, V unimodular: ``left``
+    is U (rows x rows) and ``right`` is V (cols x cols).
 
     Invariant factors are nonnegative, zeros last, and each nonzero factor
     divides the next.
     """
 
-    diagonal: tuple
-    left: tuple       # U, rows x rows
-    right: tuple      # V, cols x cols
-    rows: int
-    cols: int
+    __slots__ = ()
 
     def nonzero_factors(self) -> list[int]:
         return [d for d in self.diagonal if d != 0]
@@ -251,19 +247,18 @@ def smith_normal_form(m) -> SmithDecomposition:
                               tuple(tuple(r) for r in v), rows, cols)
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(namedtuple("AbelianGroup", "rank torsion")):
     """Finitely generated abelian group: free rank plus invariant factors."""
 
-    rank: int
-    torsion: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        for i, d in enumerate(self.torsion):
+    def __new__(cls, rank, torsion=()):
+        for i, d in enumerate(torsion):
             if d < 2:
                 raise ValueError(f"torsion factors must be >= 2, got {d}")
-            if i and self.torsion[i] % self.torsion[i - 1] != 0:
-                raise ValueError(f"torsion factors must form a divisibility chain: {self.torsion}")
+            if i and torsion[i] % torsion[i - 1] != 0:
+                raise ValueError(f"torsion factors must form a divisibility chain: {torsion}")
+        return super().__new__(cls, rank, torsion)
 
     def __str__(self) -> str:
         parts = [f"Z/{d}" for d in self.torsion]

@@ -39,8 +39,8 @@ from __future__ import annotations
 import math
 import os
 import sys
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, islice, pairwise, repeat, takewhile
 from operator import itemgetter
@@ -185,15 +185,15 @@ def word_table(s: SFTData, n: int):
     return flat.reshape(len(words), n)
 
 
-@dataclass(frozen=True)
-class FiltrationDims:
+class FiltrationDims(namedtuple("FiltrationDims", "dims")):
     """dim V_n for n = 0..N and the derived new-level dimensions."""
 
-    dims: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(b < a for a, b in zip(self.dims, self.dims[1:])):
+    def __new__(cls, dims):
+        if any(b < a for a, b in zip(dims, dims[1:])):
             raise ValueError("filtration dimensions must be nondecreasing")
+        return super().__new__(cls, dims)
 
     @property
     def max_level(self) -> int:
@@ -213,8 +213,7 @@ def filtration_dims(s: SFTData, max_level: int) -> FiltrationDims:
         sum(v) for v in islice(word_count_vectors(s), max_level + 1)))
 
 
-@dataclass(frozen=True)
-class PerronData:
+class PerronData(namedtuple("PerronData", "value left right bracket")):
     """Spectral radius with strictly positive left/right eigenvectors.
 
     Eigenvectors are normalized to sum 1; the residual
@@ -226,11 +225,6 @@ class PerronData:
     the ratios); at the default tolerance hi - lo <= 5e-13 <= 1e-12 lam.
     The Hausdorff exponent of the boundary is log(lam).
     """
-
-    value: float
-    left: tuple
-    right: tuple
-    bracket: tuple
 
     @property
     def exponent(self) -> float:

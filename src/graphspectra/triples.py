@@ -68,8 +68,8 @@ dimension-sequence functions load neither.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
 
@@ -539,8 +539,8 @@ def _paths(s: SFTData) -> Iterator[tuple]:
         source, target = np.divmod(key[new], n)
 
 
-@dataclass(frozen=True)
-class GradingOperator:
+class GradingOperator(namedtuple("GradingOperator", "new_dims eigenvalues growth_const "
+                                 "growth_ratio power_exponent")):
     """Diagonal grading: eigenvalue lambda_n with multiplicity new_dims[n].
 
     ``growth_const``/``growth_ratio`` certify new_dims[n] <= C * rho^n for
@@ -549,17 +549,16 @@ class GradingOperator:
     lambda_n = (dim A_n)^q coming from a filtered algebra.
     """
 
-    new_dims: tuple
-    eigenvalues: tuple
-    growth_const: float | None = None
-    growth_ratio: float | None = None
-    power_exponent: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.new_dims) != len(self.eigenvalues):
+    def __new__(cls, new_dims, eigenvalues, growth_const=None, growth_ratio=None,
+                power_exponent=None):
+        if len(new_dims) != len(eigenvalues):
             raise InvalidParameter("one eigenvalue per level required")
-        if any(d < 0 for d in self.new_dims):
+        if any(d < 0 for d in new_dims):
             raise InvalidParameter("multiplicities must be nonnegative")
+        return super().__new__(cls, new_dims, eigenvalues, growth_const, growth_ratio,
+                               power_exponent)
 
     @property
     def levels(self) -> int:
@@ -629,12 +628,7 @@ def check_zeta_exponent(s: float) -> None:
         raise InvalidParameter("zeta exponent must be finite", witness=s)
 
 
-@dataclass(frozen=True)
-class ThetaTrace:
-    t: float
-    partial: float
-    tail_bound: float
-    converged: bool
+ThetaTrace = namedtuple("ThetaTrace", "t partial tail_bound converged")
 
 
 def theta_trace(d: GradingOperator, t: float, tol: float = 1e-12) -> ThetaTrace:
@@ -670,12 +664,8 @@ def theta_trace(d: GradingOperator, t: float, tol: float = 1e-12) -> ThetaTrace:
     return ThetaTrace(t, partial, tail, tail < tol)
 
 
-@dataclass(frozen=True)
-class ZetaPartial:
-    s: float
-    partial: float
-    diagnosis: str  # "Divergent" or "Convergent"
-    tail_bound: float
+# diagnosis: "Divergent" or "Convergent"
+ZetaPartial = namedtuple("ZetaPartial", "s partial diagnosis tail_bound")
 
 
 def _zeta_terms(d: GradingOperator, s: float) -> Iterator[float]:
@@ -716,8 +706,7 @@ def zeta_partial(d: GradingOperator, s: float) -> ZetaPartial:
     return ZetaPartial(s, partial, "Convergent", 0.0)
 
 
-@dataclass(frozen=True)
-class AFTriple:
+class AFTriple(namedtuple("AFTriple", "dims p q parity")):
     """Eigenvalue schedule for a filtered algebra, |lambda_n| = (dim A_n)^q.
 
     ``dims`` lists dim A_n for n = 1..N (strictly increasing, dim A_n >= n);
@@ -725,12 +714,10 @@ class AFTriple:
     odd real schedule or the even doubled block variant.
     """
 
-    dims: tuple
-    p: float
-    q: float
-    parity: str = "odd"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, dims, p, q, parity="odd"):
+        self = super().__new__(cls, dims, p, q, parity)
         if not 0 < self.p < math.inf:  # NaN fails too
             raise SummabilityViolation("summability degree must be positive "
                                        "and finite", witness=self.p)
@@ -752,6 +739,7 @@ class AFTriple:
         except OverflowError:
             raise InvalidParameter("squared eigenvalue (dim A_N)^(2q) exceeds "
                                    "float range", witness=(self.p, self.q)) from None
+        return self
 
     def eigenvalues(self) -> tuple:
         vals = tuple(float(d) ** self.q for d in self.dims)
@@ -770,10 +758,7 @@ class AFTriple:
         return EvenBlock(self.dims[-1], self.dims[-1], _coupling(self.grading()))
 
 
-@dataclass(frozen=True)
-class AFLevel:
-    blocks: tuple
-    total: int
+AFLevel = namedtuple("AFLevel", "blocks total")
 
 
 def af_core_dims(s: SFTData, max_level: int) -> list[AFLevel]:
@@ -798,14 +783,9 @@ def af_core_dims(s: SFTData, max_level: int) -> list[AFLevel]:
     return out
 
 
-@dataclass(frozen=True)
-class AFSummabilityReport:
-    p: float
-    q: float
-    terms: tuple
-    partials: tuple
-    majorant_terms: tuple
-    majorant_partials: tuple
+class AFSummabilityReport(namedtuple("AFSummabilityReport", "p q terms partials "
+                                     "majorant_terms majorant_partials")):
+    __slots__ = ()
 
     @property
     def termwise_ok(self) -> bool:
@@ -849,7 +829,6 @@ def check_crossed_size(points: int) -> None:
             f"crossed-product grid exceeds {CROSSED_MAX_POINTS} points", witness=points)
 
 
-@dataclass(frozen=True)
 class CrossedProductTriple:
     """Base spectrum crossed with Fourier modes |k| <= M.
 
@@ -863,25 +842,23 @@ class CrossedProductTriple:
     an array) whose folded total, 2 (M + 1) sum_j mult_j, stays below
     2**63 (the spectrum stores them as int64).  The base is checked once,
     at construction, and kept as arrays (see :func:`_checked_base`); an
-    array base is kept as a read-only copy.
+    array base is kept as a read-only copy.  ``base`` and ``cutoff`` are
+    read-only.
     """
 
-    base: tuple  # (eigenvalue, multiplicity) pairs, or a SPECTRUM_DTYPE array
-    cutoff: int
-    _arrays: tuple = field(init=False, repr=False, compare=False)
+    def __init__(self, base, cutoff: int):
+        if cutoff < 0:
+            raise InvalidParameter("Fourier cutoff must be >= 0", witness=cutoff)
+        check_crossed_size(len(base) * (cutoff + 1))
+        base, *arrays = _checked_base(base, cutoff + 1)
+        self.__dict__.update(base=base, cutoff=cutoff, _arrays=tuple(arrays))
 
-    def __post_init__(self):
-        if self.cutoff < 0:
-            raise InvalidParameter("Fourier cutoff must be >= 0",
-                                   witness=self.cutoff)
-        check_crossed_size(len(self.base) * (self.cutoff + 1))
-        base, *arrays = _checked_base(self.base, self.cutoff + 1)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "_arrays", tuple(arrays))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}")
 
     # Equal, and hashed alike, when the cutoffs and the checked bases are
-    # equal: the generated methods would compare an array base elementwise
-    # and could not hash it.
+    # equal: field by field, an array base would compare elementwise and
+    # could not be hashed.
     def __eq__(self, other):
         import numpy as np
 
@@ -1046,11 +1023,8 @@ def _fold(values, mults, width: int = 1) -> tuple:
     return values, totals[last]
 
 
-@dataclass(frozen=True)
-class SlopeFit:
-    slope: float
-    window: tuple  # (low eigenvalue, high eigenvalue) of the fit window
-    points: int
+# window: (low eigenvalue, high eigenvalue) of the fit window
+SlopeFit = namedtuple("SlopeFit", "slope window points")
 
 
 def summability_exponent_fit(spectrum, min_distinct: int = 50) -> SlopeFit:
@@ -1113,21 +1087,19 @@ def _slope_fit(values, totals, min_distinct: int) -> SlopeFit:
     return SlopeFit(float(ys.sum()) / spread, window, hi - lo)
 
 
-@dataclass(frozen=True)
-class EvenBlock:
+class EvenBlock(namedtuple("EvenBlock", "plus_dim minus_dim coupling")):
     """Even block operator [[0, D0*], [D0, 0]] with grading diag(1, -1).
 
     ``coupling`` lists the nonzero singular values of D0; the graded
     halves have dimensions plus_dim and minus_dim.
     """
 
-    plus_dim: int
-    minus_dim: int
-    coupling: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.coupling) > min(self.plus_dim, self.minus_dim):
+    def __new__(cls, plus_dim, minus_dim, coupling=()):
+        if len(coupling) > min(plus_dim, minus_dim):
             raise InvalidParameter("more singular values than block dimensions")
+        return super().__new__(cls, plus_dim, minus_dim, coupling)
 
 
 def _coupling(d: GradingOperator) -> tuple:

@@ -30,6 +30,7 @@ from graphspectra.cli import main
 from graphspectra.graphs import bipartite_isomorphic
 from graphspectra.errors import (
     DegenerateEuclidean,
+    InvalidParameter,
     InvalidPolygon,
     InvalidRank,
     InvalidTable,
@@ -48,6 +49,15 @@ def test_family_q1_words():
         ("x2", "x2", "x3", "x3"),
     )
     assert len(p.codes) == 4  # one stored word per orbit
+
+
+def test_family_word_limit():
+    """4q^2 <= 2^18 admits q = 256 (262,144 words), not q = 257."""
+    assert buildings.MAX_FAMILY_WORDS == 1 << 18
+    assert len(family_presentation(256).codes) == 4 * 256 ** 2
+    with pytest.raises(InvalidParameter) as err:
+        family_presentation(257)
+    assert err.value.witness == 257
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])

@@ -135,9 +135,9 @@ def test_ktheory_compare_checks_and_reduces_each_matrix_once(capsysbinary, monke
             return fn(*args)
         return wrapper
 
-    # every EdgeMatrix is validated once, in __post_init__
-    monkeypatch.setattr(graphs.EdgeMatrix, "__post_init__",
-                        counted("check", graphs.EdgeMatrix.__post_init__))
+    # every EdgeMatrix is validated once, in __new__
+    monkeypatch.setattr(graphs.EdgeMatrix, "__new__",
+                        counted("check", graphs.EdgeMatrix.__new__))
     monkeypatch.setattr(ktheory, "ck_k_theory", counted("reduce", ktheory.ck_k_theory))
     code, out = run_cli(["ktheory", "--matrix", str(DATA / "a1.json"),
                          "--compare", str(DATA / "theta_edge.json")], capsysbinary)
@@ -955,7 +955,9 @@ def test_cohomology_dims_past_the_digit_cap_are_an_error(monkeypatch, capsysbina
 
 # Runs the CLI on argv[2:] (or only imports it when there are none) and
 # writes to argv[1] the numpy/scipy top-level modules loaded by then
-# ("libraries") and the graphspectra submodules ("modules").
+# ("libraries"), the graphspectra submodules ("modules") and whether
+# dataclasses, whose import and class building cost a cold start several
+# milliseconds, is loaded ("dataclasses").
 _PROBE = """
 import json, sys
 import graphspectra.cli
@@ -964,7 +966,8 @@ with open(sys.argv[1], "w") as handle:
     json.dump({"libraries": sorted({m.split(".")[0] for m in sys.modules}
                                    & {"numpy", "scipy"}),
                "modules": sorted(m.split(".")[1] for m in sys.modules
-                                 if m.startswith("graphspectra."))}, handle)
+                                 if m.startswith("graphspectra.")),
+               "dataclasses": "dataclasses" in sys.modules}, handle)
 sys.exit(code)
 """
 
@@ -1012,11 +1015,12 @@ _BUILDINGS = ["buildings", "cli", "errors", "io"]
         "cohomology", "cohomology-red9", "building", "tau", "crossed", "spectra", "spectra-matrix"])
 def test_cold_start_loads_numpy_and_scipy_only_where_used(tmp_path, argv, code,
                                                           libraries, modules):
-    """Each subcommand imports only the graphspectra modules it runs, and
-    numpy (never scipy) only where it computes with it."""
+    """Each subcommand imports only the graphspectra modules it runs,
+    numpy (never scipy) only where it computes with it, and never
+    dataclasses."""
     got_code, _, stderr, loaded = _fresh_run(tmp_path, argv)
     assert (got_code, stderr) == (code, b"")
-    assert loaded == {"libraries": libraries, "modules": modules}
+    assert loaded == {"libraries": libraries, "modules": modules, "dataclasses": False}
 
 
 # Runs the CLI on argv[1:] with its address space limited to 1 GiB, so a
@@ -1030,21 +1034,35 @@ sys.exit(graphspectra.cli.main(sys.argv[1:]))
 """
 
 
-@pytest.mark.parametrize("command", ["spectra", "cohomology", "af"])
-def test_genus_past_the_transition_limit_is_refused_before_building(tmp_path, command):
-    """g = 10^6 has 4 * 10^12 transitions, past MAX_SCHOTTKY_TRANSITIONS:
-    each subcommand that builds the free shift exits 2 at once."""
+def _refused_at_once(tmp_path, argv, code):
+    """The CLI on argv, under _LIMITED, exits 2 within 0.5 s with empty
+    stderr and the error ``code`` with witness 1000000."""
     environ = dict(os.environ)
     environ["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     start = time.perf_counter()
-    result = subprocess.run(
-        [sys.executable, "-c", _LIMITED, command, "--genus", "1000000", "--levels", "1"],
-        cwd=tmp_path, env=environ, capture_output=True)
+    result = subprocess.run([sys.executable, "-c", _LIMITED, *argv],
+                            cwd=tmp_path, env=environ, capture_output=True)
     assert time.perf_counter() - start < 0.5
     assert (result.returncode, result.stderr) == (2, b"")
-    assert json.loads(result.stdout) == {"error": {"code": "InvalidRank",
-                                                   "witness": "1000000"}}
+    assert json.loads(result.stdout) == {"error": {"code": code, "witness": "1000000"}}
+
+
+@pytest.mark.parametrize("command", ["spectra", "cohomology", "af"])
+def test_genus_past_the_transition_limit_is_refused_before_building(tmp_path, command):
+    """g = 10^6 has 4 * 10^12 transitions, past MAX_SCHOTTKY_TRANSITIONS:
+    each subcommand that builds the free shift exits 2 at once."""
+    _refused_at_once(tmp_path, [command, "--genus", "1000000", "--levels", "1"],
+                     "InvalidRank")
+
+
+@pytest.mark.parametrize("options", [[], ["--cover", "--validate"]],
+                         ids=["family", "cover"])
+def test_q_past_the_family_word_limit_is_refused_before_building(tmp_path, options):
+    """q = 10^6 has 4 * 10^12 family words, past MAX_FAMILY_WORDS: the
+    building subcommand exits 2 at once, before any cover is made."""
+    _refused_at_once(tmp_path, ["building", "--q", "1000000", *options],
+                     "InvalidParameter")
 
 
 # Runs the CLI on argv[1:] in a child, its stdout discarded, and prints

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -202,7 +201,8 @@ def test_ck_residuals_see_a_perturbed_isometry_entry(name):
     assert max(flat_residuals(build_truncation(s, 4, perron=perron))) < 1e-12
     right = list(perron.right)
     right[1] *= 1 + 1e-6
-    t = build_truncation(s, 4, perron=dataclasses.replace(perron, right=tuple(right)))
+    t = build_truncation(s, 4, perron=PerronData(perron.value, perron.left,
+                                                 tuple(right), perron.bracket))
     residuals = flat_residuals(t)
     assert residuals[0] > 1e-9 and max(residuals[1:]) > 1e-9
     assert residuals == pytest.approx(reference_ck_residuals(t), abs=1e-12)
