@@ -24,9 +24,8 @@ level by one.  Each S_j S_j^* is diagonal in the cylinder basis, and
 each row of S_i collects the words of a single length-N prefix, so both
 relations compressed to levels <= N-1 are diagonal per length-N prefix,
 and :func:`ck_residuals` evaluates them per class of letters, with no
-basis laid out.  Its Frobenius norms grow like sqrt(dim) times one
-entry's rounding (3.2e-9 at g = 2, N = 30), so the word budget still
-bounds the level that ``spectra`` certifies.
+basis laid out.  Their operator norms are the largest class entries in
+modulus, which do not grow with the basis.
 
 Commutator norms have a closed form.  Let E_n = range(P_n - P_{n-1}).
 Since S_i^* maps V_n = range(P_n) into V_{n-1} (and V_0 into V_0), S_i
@@ -37,11 +36,12 @@ times S_i (times (1 - P_0) S_i at n = 0) from E_n to E_{n+1}, each 0
 or a partial isometry.  A block is nonzero exactly when more
 length-(n+2) than length-(n+1) prefixes of the basis start with i, and
 the norm is the largest |lambda_{n+1} - lambda_n| over those levels
-(:func:`commutator_norms`).  These prefix counts at levels 0..N-1 and
-the CK classes at level N-1 read the same path counts of A, so one walk
-of the path frontier serves both (:func:`level_certificates`).  The
-Parry weight ratio mu(iw) / mu(w) = l_i / (l_{w_0} lambda) depends on
-w_0 alone, so every letter has stabilization level k_i = 1.  :class:`SpectralTruncation`
+(:func:`commutator_norms`).  Where these counts grow, at levels 0..N-1,
+and which CK classes occur, at level N-1, depend only on the supports
+of the powers of A, so one walk of the path supports serves both
+(:func:`level_certificates`).  The Parry weight ratio mu(iw) / mu(w) =
+l_i / (l_{w_0} lambda) depends on w_0 alone, so every letter has
+stabilization level k_i = 1.  :class:`SpectralTruncation`
 assembles the basis and the operators: the reference both are tested
 against.
 
@@ -429,29 +429,30 @@ def commutator_norms(s: SFTData, level: int, eigenvalues=None) -> list[float]:
 
 
 def level_certificates(s: SFTData, level: int, perron: PerronData) -> tuple[list, dict]:
-    """The commutator norms (lambda_n = n) and the Frobenius norms of both
+    """The commutator norms (lambda_n = n) and the operator norms of both
     defining relations at level N, compressed to levels <= N-1, from one
-    walk of the path frontier (:func:`_walk`).
+    walk of the path supports (:func:`_walk`).
 
     With Q = Q_{N-1} (columns the length-N prefixes u, weights g_w on
     their words w), S_j S_j^* is diagonal with entries t_w (row w of S
     squared and summed) and S_i Q maps u to c_{iu} times the word i u (c
-    its row's g-weighted sum).  So the unit-sum residual is the norm over
-    u of sum_{w in u} g_w^2 (t_w - 1), and letter i's is the norm over
-    the words i u of c_{iu}^2 - sum_{w in u} g_w^2 t_w.  An entry of S
-    depends on its row's first letter and its column's last two letters,
-    so these depend on (u_0, u_{N-1}) and (i, u_0, u_{N-1}) alone: each
-    is computed once, as the assembled rows compute it, and weighted by
-    (A^{N-1})[u_0][u_{N-1}], read from the walk's last frontier.  A u
-    whose last letter has no successor is no prefix; its rows are empty.
+    its row's g-weighted sum).  So both compressed relations are diagonal
+    in u, and each norm is the largest modulus of its entries: the unit
+    sum's are sum_{w in u} g_w^2 (t_w - 1), and letter i's are c_{iu}^2 -
+    sum_{w in u} g_w^2 t_w where A_{i u_0} = 1 (0 elsewhere).  An entry
+    of S depends on its row's first letter and its column's last two
+    letters, so these depend on (u_0, u_{N-1}) and (i, u_0, u_{N-1})
+    alone: each is computed once, as the assembled rows compute it, for
+    the pairs joined by a path of N-1 steps.  A u whose last letter has
+    no successor is no prefix; its rows are empty.
     """
     import numpy as np
 
     n = s.alphabet_size
     a = s.succ_arrays
-    norms, (source, target, count) = _walk(s, level)
+    norms, (source, target) = _walk(s, level)
     keep = a.degree[target] > 0
-    source, target, count = source[keep], target[keep], count[keep]
+    source, target = source[keep], target[keep]
 
     def rows(heads, ends):  # entries of S in rows with these first and last letters
         row = np.repeat(np.arange(len(ends)), a.degree[ends])
@@ -477,65 +478,59 @@ def level_certificates(s: SFTData, level: int, perron: PerronData) -> tuple[list
     row, _, vals = rows(letter, target[prefix])
     lifted = np.bincount(row, weights=g[_ranges(block[prefix], a.degree[target[prefix]])]
                          * vals, minlength=len(prefix))
-    gap = lifted * lifted - ranges[prefix]
-    gap *= gap
-    per_letter = np.sqrt(np.bincount(letter, weights=count[prefix] * gap, minlength=n))
-    return norms, {"unit_sum": math.sqrt(float(count @ (unit * unit))),
-                   "range_relation": [float(x) for x in per_letter]}
+    per_letter = np.zeros(n)
+    np.maximum.at(per_letter, letter, np.abs(lifted * lifted - ranges[prefix]))
+    return norms, {"unit_sum": float(np.abs(unit).max(initial=0.0)),
+                   "range_relation": per_letter.tolist()}
 
 
 def _walk(s: SFTData, level: int, eigenvalues=None) -> tuple:
     """The commutator norms at level N under this schedule, by the closed
-    form of the module docstring, and the frontier of level N-1, from one
-    pass over the frontiers of levels 0..N-1 that holds one at a time.
+    form of the module docstring, and the support of level N-1, from one
+    pass over the supports of levels 0..N-1 that holds one at a time.
 
-    The length-(n+1) prefixes of the basis starting with i number
-    sum_j (A^n)[i][j] e_{N-n}[j], e_k marking the letters that start a
-    word of length k+1.  The sets e_k shrink as k grows and stay fixed
-    from the first k where they do not, so only the distinct ones are
-    kept.
+    Let e_m mark the letters that start a word of length m+1.  A basis
+    prefix of length k+1 ending in j extends by as many letters as j has
+    successors in e_{N-k-1}, and at least one.  So letter i gains
+    prefixes at length k+2 exactly when a path of k steps joins it to a
+    fork: a letter with two or more successors in e_{N-k-1}.  The e_m
+    shrink and then stay fixed, so only the distinct fork masks are kept.
     """
     import numpy as np
 
     lam = _schedule(level, eigenvalues)
     n, a = s.alphabet_size, s.succ_arrays
-    ends = [np.ones(n, dtype=bool)]
-    while len(ends) <= level:
-        shorter = a.times(ends[-1]) > 0
-        if np.array_equal(shorter, ends[-1]):
+    live, forks = np.ones(n, dtype=bool), []
+    while len(forks) < level:
+        successors = a.times(live)
+        forks.append(successors >= 2)
+        if np.array_equal(successors > 0, live):
             break
-        ends.append(shorter)
-    norms, frontier, previous = np.zeros(n), None, None
-    for k, frontier in zip(range(level), _paths(s)):
-        source, target, count = frontier
-        end = ends[min(level - k, len(ends) - 1)]
-        counts = np.bincount(source, weights=count * end[target], minlength=n)
-        if k:
-            step = float(abs(lam[k] - lam[k - 1]))
-            norms = np.maximum(norms, np.where(counts > previous, step, 0.0))
-        previous = counts
-    return norms.tolist(), frontier
+        live = successors > 0
+    norms, paths = np.zeros(n), _paths(s)
+    for k, (source, target) in zip(range(level - 1), paths):
+        grows = source[forks[min(level - k - 1, len(forks) - 1)][target]]
+        norms[grows] = np.maximum(norms[grows], float(abs(lam[k + 1] - lam[k])))
+    return norms.tolist(), next(paths)
 
 
 def _paths(s: SFTData) -> Iterator[tuple]:
-    """Yield, for k = 0, 1, ..., the sources, targets and numbers (float,
-    exact below 2**53) of the paths of k steps, ordered by source, then
-    target: a frontier stepped over successor lists, merged each step."""
+    """Yield, for k = 0, 1, ..., the sources and targets of the pairs of
+    letters joined by a path of k steps, each pair once, ordered by
+    source, then target: a support stepped over successor lists."""
     import numpy as np
 
     n = s.alphabet_size
     a = s.succ_arrays
-    source, target, count = np.arange(n), np.arange(n), np.ones(n)
+    source = target = np.arange(n)
     while True:
-        yield source, target, count
+        yield source, target
         sizes = a.degree[target]
         key = (source * n).repeat(sizes) + a.cols[_ranges(a.first[target], sizes)]
-        order = key.argsort(kind="stable")  # equal keys keep their order,
-        key = key[order]  # so each count sums in frontier order
+        key.sort(kind="stable")
         new = np.empty(len(key), dtype=bool)
         new[:1] = True
         np.not_equal(key[1:], key[:-1], out=new[1:])
-        count = np.bincount(new.cumsum() - 1, weights=count.repeat(sizes)[order])
         source, target = np.divmod(key[new], n)
 
 

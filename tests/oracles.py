@@ -7,9 +7,12 @@ forest of the n-block graph over tuple slices of those words.
 
 ``commutator_norms`` and ``ck_residuals`` are the two-walk forms that
 ``triples.commutator_norms`` and ``triples.ck_residuals`` had before both
-read one frontier walk: each builds its own successor arrays from the
-lists, steps its own frontier of (source, target, count) from level 0,
-and converts the Perron vectors on every measure.
+read one walk of path supports: each builds its own successor arrays
+from the lists, steps its own frontier of (source, target, count) from
+level 0, and converts the Perron vectors on every measure.
+``ck_residuals`` weights each class by its path count and returns
+Frobenius norms: an upper bound on the operator norms that
+``triples.ck_residuals`` returns, not their value.
 
 ``smith_normal_form`` is the form ``ktheory.smith_normal_form`` had
 before it worked modulo a Bareiss minor: dense elimination over Z that
@@ -17,7 +20,8 @@ pivots on a minimal nonzero absolute value and tracks the unimodular
 transforms U and V, so that U * M * V = diag(invariant factors) can be
 checked against M itself.
 
-The library must return exactly what these return.
+Apart from ``ck_residuals``, the library must return exactly what these
+return.
 """
 
 import math

