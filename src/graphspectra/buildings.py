@@ -279,13 +279,13 @@ def family_presentation(q: int) -> PolygonalPresentation:
         raise InvalidParameter("family parameter must be >= 1", witness=q)
     if 4 * q * q > MAX_FAMILY_WORDS:
         raise InvalidParameter(f"family exceeds {MAX_FAMILY_WORDS} words", witness=q)
-    x = {m: f"x{m}" for m in range(1, 4 * q + 1)}
-    words = [(x[a + 4 * i], x[b + 4 * j], x[c + 4 * i], x[d + 4 * j])
+    alphabet = tuple(f"x{m}" for m in range(1, 4 * q + 1))
+    letters, bits = _packing(alphabet)
+    r = [None, *map(dict(zip(letters, range(4 * q))).get, alphabet)]  # r[m]: rank of x_m
+    codes = [((r[a + 4 * i] << bits | r[b + 4 * j]) << bits | r[c + 4 * i]) << bits | r[d + 4 * j]
              for i in range(q) for j in range(q)
              for a, b, c, d in ((1, 2, 4, 3), (1, 1, 4, 4), (1, 3, 4, 2), (2, 2, 3, 3))]
-    alphabet = tuple(x[m] for m in range(1, 4 * q + 1))
-    lam = tuple((f"x{m}", f"y{m}") for m in range(1, 4 * q + 1))
-    return make_presentation(alphabet, lam, words)
+    return PolygonalPresentation(alphabet, tuple((x, "y" + x[1:]) for x in alphabet), codes, 4)
 
 
 def family_link_graph(q: int) -> BipartiteGraph:
@@ -537,7 +537,7 @@ def bm_group_data(p: PolygonalPresentation) -> BMGroupData:
             raise NotBMReducible(result.witnesses[0])
         raise NotBMReducible("presentation fails the stable pairs condition",
                              witness=result.witnesses)
-    xs, ys = _rank_columns(sorted(p.standard_forms[0]), 4, p.bits)[:2]
+    xs, ys = _rank_columns([w >> 2 * p.bits for w in sorted(p.standard_forms[0])], 2, p.bits)
     x_star, y_star = xs[0], ys[0]  # the letters of the collapsed word
     up, down = [(x, 1) for x in p.letters], [(x, -1) for x in p.letters]  # shared
     return BMGroupData(tuple(p.letters[x] for x in sorted(set(xs) - {x_star})),
@@ -572,23 +572,35 @@ def product_grading_dims(g: int, max_level: int) -> ProductGradingDims:
     """
     if g < 2:
         raise InvalidRank("product grading needs rank >= 2", witness=g)
-    dims = []
-    for m in range(max_level + 1):
-        if m == 0:
-            dims.append(2 * g * (2 * g - 1))
-        else:
-            dims.append((m - 1) * 2 * g * (2 * g - 1) ** (m - 1) * (2 * g - 2) ** 2
-                        + 4 * g * (2 * g - 1) ** m * (2 * g - 2))
-    return ProductGradingDims(g, tuple(dims))
+    return ProductGradingDims(g, tuple(
+        (m - 1) * 2 * g * (2 * g - 1) ** (m - 1) * (2 * g - 2) ** 2
+        + 4 * g * (2 * g - 1) ** m * (2 * g - 2) if m else 2 * g * (2 * g - 1)
+        for m in range(max_level + 1)))
+
+
+def _product_levels(g: int, n: int) -> list[dict]:
+    """First-letter counts of the rank-g words of lengths 1..n, walked once
+    as sorted packed codes (first letter highest): each length puts every
+    letter before the bisected first-letter runs of its ascending
+    successors.  The word budget is checked at length n before any word."""
+    from .shift import _check_word_budget, full_schottky_sft
+    _check_word_budget(s := full_schottky_sft(g), n)
+    bits, letters = max(1, (2 * g - 1).bit_length()), range(2 * g)
+    codes, levels = list(letters), []
+    for length in range(n):
+        if length:
+            codes = [hi | w for a in letters for hi in (a << bits * length,)
+                     for b in s.succ[a] for w in codes[cuts[b]:cuts[b + 1]]]
+        cuts = [bisect_left(codes, a << bits * length) for a in range(2 * g + 1)]
+        levels.append(dict(zip(letters, map(int.__sub__, cuts[1:], cuts))))
+    return levels
 
 
 def product_word_counts(g: int, length: int) -> dict:
     """Brute-force count of admissible rank-g words of the given length,
-    bucketed by first letter (enumeration, no matrix algebra)."""
-    from .shift import enumerate_words, full_schottky_sft
-    words = enumerate_words(full_schottky_sft(g), length)  # sorted
-    cuts = [bisect_left(words, (a,)) for a in range(2 * g + 1)]
-    return {a: cuts[a + 1] - cuts[a] for a in range(2 * g)}
+    bucketed by first letter: the last level of the packed-word walk of
+    :func:`_product_levels` (enumeration, no matrix algebra)."""
+    return _product_levels(g, length)[-1]
 
 
 def product_dim_table(g: int, max_h: int, max_v: int) -> list[list[int]]:
@@ -596,27 +608,21 @@ def product_dim_table(g: int, max_h: int, max_v: int) -> list[list[int]]:
 
     A pair (u, w) of admissible words is admissible when the corner
     letters are composable, A[u_0][w_0] = 1, so the level-(0,0) count is
-    2g(2g-1) and each extension step multiplies by (2g-1).
+    2g(2g-1) and each extension step multiplies by (2g-1).  The words of
+    every length are walked once, packed (:func:`_product_levels`).
     """
     if g < 2:
         raise InvalidRank("product table needs rank >= 2", witness=g)
     from .graphs import cayley_schottky_matrix
-    succ = cayley_schottky_matrix(g).succ
-    counts = [product_word_counts(g, n) for n in range(1, max(max_h, max_v) + 2)]
-    horizontal, vertical = counts[:max_h + 1], counts[:max_v + 1]
-    table = []
-    for l in range(max_h + 1):
-        row = []
-        for k in range(max_v + 1):
-            row.append(sum(horizontal[l][i] * vertical[k][j]
-                           for i, js in enumerate(succ) for j in js))
-        table.append(row)
-    return table
+    corners = [(i, j) for i, js in enumerate(cayley_schottky_matrix(g).succ) for j in js]
+    counts = _product_levels(g, max(max_h, max_v) + 1)
+    return [[sum(h[i] * v[j] for i, j in corners) for v in counts[:max_v + 1]]
+            for h in counts[:max_h + 1]]
 
 
 def product_grading_dims_oracle(g: int, max_level: int) -> tuple:
-    """dim E_m = sum over l+k = m of the four-term increments of the
-    enumerated table; the independent cross-check for the closed formula."""
+    """dim E_m = sum over l+k = m of the four-term increments of the table
+    enumerated by one packed-word walk; the cross-check for the closed form."""
     table = product_dim_table(g, max_level, max_level)
     return tuple(sum(_increment(table, l, m - l) for l in range(m + 1))
                  for m in range(max_level + 1))
@@ -643,14 +649,8 @@ def inclusion_exclusion_check(max_h: int, max_v: int, table) -> bool:
                 raise InvalidTable("table not monotone in the second index",
                                    witness=(l, k))
 
-    total = 0
-    for l in range(max_h + 1):
-        for k in range(max_v + 1):
-            inc = _increment(table, l, k)
-            if inc < 0:
-                return False
-            total += inc
-    return total == table[max_h][max_v]
+    incs = [_increment(table, l, k) for l in range(max_h + 1) for k in range(max_v + 1)]
+    return all(inc >= 0 for inc in incs) and sum(incs) == table[max_h][max_v]
 
 
 def tau_lhs(weights, x: float) -> float:

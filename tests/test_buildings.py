@@ -1,12 +1,13 @@
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphspectra import buildings
+from graphspectra import buildings, shift
 from graphspectra.buildings import (
     BipartiteGraph,
     bm_group_data,
@@ -30,6 +31,7 @@ from graphspectra.cli import main
 from graphspectra.graphs import bipartite_isomorphic
 from graphspectra.errors import (
     DegenerateEuclidean,
+    EnumerationBudgetExceeded,
     InvalidParameter,
     InvalidPolygon,
     InvalidRank,
@@ -58,6 +60,21 @@ def test_family_word_limit():
     with pytest.raises(InvalidParameter) as err:
         family_presentation(257)
     assert err.value.witness == 257
+
+
+@pytest.mark.parametrize("q", range(1, 9))
+def test_family_packs_the_spelled_out_words(q):
+    """The family packed from letter ranks equals make_presentation of
+    its words spelled out as letter tuples."""
+    x = {m: f"x{m}" for m in range(1, 4 * q + 1)}
+    words = [(x[a + 4 * i], x[b + 4 * j], x[c + 4 * i], x[d + 4 * j])
+             for i in range(q) for j in range(q)
+             for a, b, c, d in ((1, 2, 4, 3), (1, 1, 4, 4), (1, 3, 4, 2), (2, 2, 3, 3))]
+    spelled = make_presentation(tuple(x.values()),
+                                tuple((f"x{m}", f"y{m}") for m in x), words)
+    packed = family_presentation(q)
+    for field in ("codes", "letters", "bits", "alphabet", "lam"):
+        assert getattr(packed, field) == getattr(spelled, field)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
@@ -533,15 +550,49 @@ def test_product_oracle_exceeds_formula_at_higher_levels():
 
 
 def test_product_oracle_enumerates_each_length_once(monkeypatch):
-    lengths = []
-    count = buildings.product_word_counts
-    monkeypatch.setattr(buildings, "product_word_counts",
-                        lambda g, n: lengths.append(n) or count(g, n))
+    """One walk serves every length: one word-budget check, at the top
+    length m + 1, and no call to shift.enumerate_words."""
+    checks = []
+    check = shift._check_word_budget
+    monkeypatch.setattr(shift, "_check_word_budget",
+                        lambda s, n: checks.append(n) or check(s, n))
+    monkeypatch.setattr(shift, "enumerate_words",
+                        lambda s, n: pytest.fail("the oracle enumerated words"))
     assert product_grading_dims_oracle(2, 8) == product_grading_dims(2, 8).dims
-    assert lengths == list(range(1, 10))
-    lengths.clear()
+    assert checks == [9]
+    checks.clear()
     product_dim_table(2, 1, 3)
-    assert lengths == [1, 2, 3, 4]
+    assert checks == [4]
+
+
+def test_product_walk_buckets_match_enumeration():
+    for g in (2, 3):
+        levels = buildings._product_levels(g, 7)
+        for n, buckets in enumerate(levels, start=1):
+            words = shift.enumerate_words(shift.full_schottky_sft(g), n)
+            assert buckets == dict(Counter(w[0] for w in words))
+        assert buildings.product_word_counts(g, 7) == levels[-1]
+    for g in (2, 3, 4):
+        for m in range(7):
+            assert product_grading_dims_oracle(g, m) == product_grading_dims(g, m).dims
+
+
+@pytest.mark.parametrize("budget, message, witness", [
+    (3, "4 words of length 1 exceed budget 3", 4),
+    (1000, "2916 words of length 7 exceed budget 1000", 2916),
+    (10000, "26244 words of length 9 exceed budget 10000", 26244),
+])
+def test_product_oracle_budget_refuses_before_any_word(monkeypatch, budget, message,
+                                                       witness):
+    """The first length past the budget is refused, as when each length
+    was enumerated on its own, before any length is cut into buckets."""
+    monkeypatch.setenv(shift.BUDGET_ENV_VAR, str(budget))
+    monkeypatch.setattr(buildings, "bisect_left",
+                        lambda *a: pytest.fail("a word was built"))
+    with pytest.raises(EnumerationBudgetExceeded) as err:
+        product_grading_dims_oracle(2, 8)
+    assert str(err.value) == message
+    assert err.value.witness == witness
 
 
 def test_product_table_matches_closed_count():
