@@ -127,6 +127,11 @@ def word_count_vectors(s: SFTData, start=None) -> Iterator[tuple]:
         vec = tuple(step)
 
 
+def word_counts(s: SFTData) -> Iterator[int]:
+    """Yield the numbers of admissible words of lengths 1, 2, ..."""
+    return map(sum, word_count_vectors(s))
+
+
 def count_words(s: SFTData, n: int) -> int:
     """Number of admissible words of length n."""
     if n < 1:
@@ -143,7 +148,7 @@ def _check_word_budget(s: SFTData, n: int) -> list[int]:
         raise InvalidParameter("word length must be >= 1", witness=n)
     cap = word_budget()
     counts = []
-    for length, total in enumerate(map(sum, islice(word_count_vectors(s), n)), start=1):
+    for length, total in enumerate(islice(word_counts(s), n), start=1):
         if total > cap and (length == n or all(s.succ) and all(s.pred)):
             raise EnumerationBudgetExceeded(
                 f"{total} words of length {length} exceed budget {cap}", witness=total)

@@ -36,14 +36,14 @@ times S_i (times (1 - P_0) S_i at n = 0) from E_n to E_{n+1}, each 0
 or a partial isometry.  A block is nonzero exactly when more
 length-(n+2) than length-(n+1) prefixes of the basis start with i, and
 the norm is the largest |lambda_{n+1} - lambda_n| over those levels
-(:func:`commutator_norms`).  Where these counts grow, at levels 0..N-1,
-and which CK classes occur, at level N-1, depend only on the supports
-of the powers of A, so one walk of the path supports serves both
-(:func:`level_certificates`).  The Parry weight ratio mu(iw) / mu(w) =
-l_i / (l_{w_0} lambda) depends on w_0 alone, so every letter has
-stabilization level k_i = 1.  :class:`SpectralTruncation`
-assembles the basis and the operators: the reference both are tested
-against.
+(:func:`commutator_norms`).  Where these counts grow depends only on
+which letters a path of k steps joins to a fork, and each CK entry only
+on the last letter of its class, so both certificates are vector walks
+over the letters, one level held at a time (:func:`level_certificates`).
+The Parry weight ratio mu(iw) / mu(w) = l_i / (l_{w_0} lambda) depends
+on w_0 alone, so every letter has stabilization level k_i = 1.
+:class:`SpectralTruncation` assembles the basis and the operators: the
+reference both are tested against.
 
 Cylinder indicators are normalized to unit vectors; commutator norms
 depend on this normalization choice.
@@ -71,7 +71,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import cached_property
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, islice, pairwise, repeat
 
 from .errors import (
     EnumerationBudgetExceeded,
@@ -87,10 +87,10 @@ from .shift import (
     FiltrationDims,
     PerronData,
     SFTData,
-    _check_word_budget,
     perron_data,
     word_budget,
     word_count_vectors,
+    word_counts,
     word_table,
 )
 
@@ -340,17 +340,29 @@ class SpectralTruncation:
 # The least int that float() refuses: it rounds to 2**1024.
 _FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970
 
+# The largest N (letters + transitions) that spectra steps: each of its
+# walks costs O(letters + transitions) a level, and its count passes hold
+# O(N) values.
+LEVEL_WORK_CAP = 10 ** 8
+
 
 def check_truncation_level(s: SFTData, level: int) -> None:
-    """TruncationTooSmall below level 2, then the budget on the N+1-letter
-    words, then InvalidParameter, the level as witness, if an eigenspace
-    dimension dim V_n - dim V_{n-1} (n <= N) is past float range: the zeta
-    partial sum converts each to float, and at g = 2 lambda^(N+1) leaves
-    float range at the same level."""
+    """TruncationTooSmall below level 2, InvalidInput on a malformed word
+    budget (read only to be checked: no level needs words listed), then
+    InvalidParameter, the level as witness, if N (letters + transitions)
+    passes LEVEL_WORK_CAP, checked before anything is stepped, or if an
+    eigenspace dimension dim V_n - dim V_{n-1} (n <= N) is past float
+    range: the zeta partial sum converts each to float, and at g = 2
+    lambda^(N+1) leaves float range at the same level.  The count pass
+    stops at the first such dimension."""
     if level < 2:
         raise TruncationTooSmall("truncation level must be >= 2", witness=level)
-    dims = _check_word_budget(s, level + 1)  # dim V_n: the words of length n+1
-    if any(b - a >= _FLOAT_OVERFLOW for a, b in zip([0, *dims], dims)):
+    word_budget()  # read only so that a malformed value is an error
+    if level * (s.alphabet_size + sum(map(len, s.succ))) > LEVEL_WORK_CAP:
+        raise InvalidParameter("level times letters and transitions passes the cap",
+                               witness=level)
+    dims = chain([0], islice(word_counts(s), level + 1))  # dim V_n: words of length n+1
+    if any(b - a >= _FLOAT_OVERFLOW for a, b in pairwise(dims)):
         raise InvalidParameter("an eigenspace dimension passes float range", witness=level)
 
 
@@ -422,16 +434,10 @@ def ck_residuals(s: SFTData, level: int, perron: PerronData) -> dict:
     return level_certificates(s, level, perron)[1]
 
 
-def commutator_norms(s: SFTData, level: int, eigenvalues=None) -> list[float]:
-    """Norm of P_{N-1}[D, S_i]P_{N-1} per letter i at level N under this
-    schedule (lambda_n = n by default), by the walk of :func:`_walk`."""
-    return _walk(s, level, eigenvalues)[0]
-
-
 def level_certificates(s: SFTData, level: int, perron: PerronData) -> tuple[list, dict]:
     """The commutator norms (lambda_n = n) and the operator norms of both
-    defining relations at level N, compressed to levels <= N-1, from one
-    walk of the path supports (:func:`_walk`).
+    defining relations at level N, compressed to levels <= N-1, from
+    vector walks over the letters, O(letters + transitions) a level.
 
     With Q = Q_{N-1} (columns the length-N prefixes u, weights g_w on
     their words w), S_j S_j^* is diagonal with entries t_w (row w of S
@@ -439,55 +445,46 @@ def level_certificates(s: SFTData, level: int, perron: PerronData) -> tuple[list
     its row's g-weighted sum).  So both compressed relations are diagonal
     in u, and each norm is the largest modulus of its entries: the unit
     sum's are sum_{w in u} g_w^2 (t_w - 1), and letter i's are c_{iu}^2 -
-    sum_{w in u} g_w^2 t_w where A_{i u_0} = 1 (0 elsewhere).  An entry
-    of S depends on its row's first letter and its column's last two
-    letters, so these depend on (u_0, u_{N-1}) and (i, u_0, u_{N-1})
-    alone: each is computed once, as the assembled rows compute it, for
-    the pairs joined by a path of N-1 steps.  A u whose last letter has
-    no successor is no prefix; its rows are empty.
+    sum_{w in u} g_w^2 t_w where A_{i u_0} = 1 (0 elsewhere).  In the
+    Parry measure ratios that make these, the first letter of u and the
+    level factor lambda^-N cancel, for any positive Perron data: for u
+    ending in t and r the right vector, g_{ub}^2 = r_b / (A r)_t, t_{ub} =
+    (A r)_b / (lambda r_b) and c_{iu}^2 = (A r)_t / (lambda r_t).  So the
+    entries are functions of t alone, q_t - 1 and (A r)_t / (lambda r_t)
+    - q_t with q_t = (A^2 r)_t / (lambda (A r)_t), each computed once.  A
+    u whose last letter has no successor is no prefix; its rows are
+    empty.  The unit sum's norm is the largest |q_t - 1| over the letters
+    t that end a path of N-1 steps (a forward reach vector, stepped
+    until it repeats), and letter
+    i's is M_N(i), where M_0 is the range entry's modulus on the letters
+    with a successor (0 elsewhere) and M_{k+1}(x) the largest M_k(y) over
+    the successors y of x.
     """
     import numpy as np
 
-    n = s.alphabet_size
-    a = s.succ_arrays
-    norms, (source, target) = _walk(s, level)
-    keep = a.degree[target] > 0
-    source, target = source[keep], target[keep]
-
-    def rows(heads, ends):  # entries of S in rows with these first and last letters
-        row = np.repeat(np.arange(len(ends)), a.degree[ends])
-        lasts = a.cols[_ranges(a.first[ends], a.degree[ends])]
-        heads, ends = heads[row], ends[row]
-        return row, lasts, np.sqrt(_measure(perron, level + 1, heads, lasts)
-                                   / _measure(perron, level, heads, ends))
-
-    # the words u b of the prefix classes, b ascending
-    word, lasts, _ = rows(source, target)
-    block = np.searchsorted(word, np.arange(len(target)))
-    mu = _measure(perron, level, source[word], lasts)
-    g = np.sqrt(mu / np.add.reduceat(mu, block)[word])
-    row, _, vals = rows(source[word], lasts)
-    t = np.bincount(row, weights=vals * vals, minlength=len(word))
-    unit = np.add.reduceat(g * g * (t - 1), block)
-    ranges = np.add.reduceat(g * g * t, block)
-
-    # the rows i u: per pair (i, u_0) of A, the prefix classes starting with u_0
-    per_source = np.bincount(source, minlength=n)
-    prefix = _ranges(np.searchsorted(source, a.cols), per_source[a.cols])
-    letter = np.repeat(a.rows, per_source[a.cols])
-    row, _, vals = rows(letter, target[prefix])
-    lifted = np.bincount(row, weights=g[_ranges(block[prefix], a.degree[target[prefix]])]
-                         * vals, minlength=len(prefix))
-    per_letter = np.zeros(n)
-    np.maximum.at(per_letter, letter, np.abs(lifted * lifted - ranges[prefix]))
-    return norms, {"unit_sum": float(np.abs(unit).max(initial=0.0)),
-                   "range_relation": per_letter.tolist()}
+    a, lam = s.succ_arrays, perron.value
+    right = perron.arrays[1]
+    image = a.times(right)
+    prefix = a.degree > 0
+    ratio = np.divide(a.times(image), lam * image, out=np.ones(len(image)), where=prefix)
+    ends = np.ones(len(right), dtype=bool)
+    for _ in range(level - 1):
+        ends, last = s.pred_arrays.times(ends) > 0, ends
+        if np.array_equal(ends, last):
+            break
+    reach = np.where(prefix, np.abs(image / (lam * right) - ratio), 0.0)
+    for _ in range(level):
+        step = np.zeros_like(reach)
+        np.maximum.at(step, a.rows, reach[a.cols])
+        reach = step
+    unit = float(np.abs(ratio[ends] - 1).max(initial=0.0))
+    return commutator_norms(s, level), {"unit_sum": unit, "range_relation": reach.tolist()}
 
 
-def _walk(s: SFTData, level: int, eigenvalues=None) -> tuple:
-    """The commutator norms at level N under this schedule, by the closed
-    form of the module docstring, and the support of level N-1, from one
-    pass over the supports of levels 0..N-1 that holds one at a time.
+def commutator_norms(s: SFTData, level: int, eigenvalues=None) -> list[float]:
+    """Norm of P_{N-1}[D, S_i]P_{N-1} per letter i at level N under this
+    schedule (lambda_n = n by default), by the closed form of the module
+    docstring, from Boolean vector walks over the letters.
 
     Let e_m mark the letters that start a word of length m+1.  A basis
     prefix of length k+1 ending in j extends by as many letters as j has
@@ -495,6 +492,9 @@ def _walk(s: SFTData, level: int, eigenvalues=None) -> tuple:
     prefixes at length k+2 exactly when a path of k steps joins it to a
     fork: a letter with two or more successors in e_{N-k-1}.  The e_m
     shrink and then stay fixed, so only the distinct fork masks are kept.
+    Each is walked backwards, R_{k+1} = (A R_k > 0), one level held at a
+    time, to the steps k that read it: the last mask every k from 0, each
+    other mask only its own k.  An empty R stays empty.
     """
     import numpy as np
 
@@ -507,31 +507,15 @@ def _walk(s: SFTData, level: int, eigenvalues=None) -> tuple:
         if np.array_equal(successors > 0, live):
             break
         live = successors > 0
-    norms, paths = np.zeros(n), _paths(s)
-    for k, (source, target) in zip(range(level - 1), paths):
-        grows = source[forks[min(level - k - 1, len(forks) - 1)][target]]
-        norms[grows] = np.maximum(norms[grows], float(abs(lam[k + 1] - lam[k])))
-    return norms.tolist(), next(paths)
-
-
-def _paths(s: SFTData) -> Iterator[tuple]:
-    """Yield, for k = 0, 1, ..., the sources and targets of the pairs of
-    letters joined by a path of k steps, each pair once, ordered by
-    source, then target: a support stepped over successor lists."""
-    import numpy as np
-
-    n = s.alphabet_size
-    a = s.succ_arrays
-    source = target = np.arange(n)
-    while True:
-        yield source, target
-        sizes = a.degree[target]
-        key = (source * n).repeat(sizes) + a.cols[_ranges(a.first[target], sizes)]
-        key.sort(kind="stable")
-        new = np.empty(len(key), dtype=bool)
-        new[:1] = True
-        np.not_equal(key[1:], key[:-1], out=new[1:])
-        source, target = np.divmod(key[new], n)
+    norms = np.zeros(n)
+    for m, reach in enumerate(forks):  # step k reads mask min(N-k-1, len(forks)-1)
+        for k in range(min(level - m, level - 1)):
+            if not reach.any():
+                break
+            if m == len(forks) - 1 or k == level - 1 - m:
+                norms[reach] = np.maximum(norms[reach], float(abs(lam[k + 1] - lam[k])))
+            reach = a.times(reach) > 0
+    return norms.tolist()
 
 
 class GradingOperator(namedtuple("GradingOperator", "new_dims eigenvalues growth_const "

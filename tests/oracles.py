@@ -12,7 +12,10 @@ from the lists, steps its own frontier of (source, target, count) from
 level 0, and converts the Perron vectors on every measure.
 ``ck_residuals`` weights each class by its path count and returns
 Frobenius norms: an upper bound on the operator norms that
-``triples.ck_residuals`` returns, not their value.
+``triples.ck_residuals`` returns, not their value.  ``level_certificates``
+is the pair walk that came between: the same class entries, computed
+per pair of letters a path of N-1 steps joins, and their largest
+modulus, the value the walks over letters must reproduce to rounding.
 
 ``smith_normal_form`` is the form ``ktheory.smith_normal_form`` had
 before it worked modulo a Bareiss minor: dense elimination over Z that
@@ -20,7 +23,7 @@ pivots on a minimal nonzero absolute value and tracks the unimodular
 transforms U and V, so that U * M * V = diag(invariant factors) can be
 checked against M itself.
 
-Apart from ``ck_residuals``, the library must return exactly what these
+Apart from the CK residuals, the library must return exactly what these
 return.
 """
 
@@ -106,9 +109,12 @@ def commutator_norms(s, level, eigenvalues=None):
     return np.where(counts[1:] > counts[:-1], steps, 0.0).max(axis=0, initial=0.0).tolist()
 
 
-def ck_residuals(s, level, perron):
-    """Both relations' Frobenius norms per class of letters, from a
-    second walk to level N-1."""
+def _class_entries(s, level, perron):
+    """The entries of both compressed relations per class of letters, as
+    the assembled rows compute them, from the pairs a path of N-1 steps
+    joins: the path counts and unit entries per prefix class (u_0,
+    u_{N-1}), and per row class (i, u_0, u_{N-1}) its letter, its prefix
+    class and its range entry."""
     n = s.alphabet_size
     a = _Rows(s.succ)
     source, target, count = next(islice(paths(s), level - 1, None))
@@ -122,6 +128,7 @@ def ck_residuals(s, level, perron):
         return row, lasts, np.sqrt(_measure(perron, level + 1, heads, lasts)
                                    / _measure(perron, level, heads, ends))
 
+    # the words u b of the prefix classes, b ascending
     word, lasts, _ = rows(source, target)
     block = np.searchsorted(word, np.arange(len(target)))
     mu = _measure(perron, level, source[word], lasts)
@@ -131,15 +138,33 @@ def ck_residuals(s, level, perron):
     unit = np.add.reduceat(g * g * (t - 1), block)
     ranges = np.add.reduceat(g * g * t, block)
 
+    # the rows i u: per pair (i, u_0) of A, the prefix classes starting with u_0
     per_source = np.bincount(source, minlength=n)
     prefix = _ranges(np.searchsorted(source, a.cols), per_source[a.cols])
     letter = np.repeat(a.rows, per_source[a.cols])
     row, _, vals = rows(letter, target[prefix])
     lifted = np.bincount(row, weights=g[_ranges(block[prefix], a.degree[target[prefix]])]
                          * vals, minlength=len(prefix))
-    gap = lifted * lifted - ranges[prefix]
+    return count, unit, letter, prefix, lifted * lifted - ranges[prefix]
+
+
+def level_certificates(s, level, perron):
+    """The commutator norms and both relations' operator norms: the
+    largest |entry| over the classes of letters that occur."""
+    _, unit, letter, _, gap = _class_entries(s, level, perron)
+    per_letter = np.zeros(s.alphabet_size)
+    np.maximum.at(per_letter, letter, np.abs(gap))
+    return commutator_norms(s, level), {"unit_sum": float(np.abs(unit).max(initial=0.0)),
+                                        "range_relation": per_letter.tolist()}
+
+
+def ck_residuals(s, level, perron):
+    """Both relations' Frobenius norms per class of letters, from a
+    second walk to level N-1."""
+    count, unit, letter, prefix, gap = _class_entries(s, level, perron)
     gap *= gap
-    per_letter = np.sqrt(np.bincount(letter, weights=count[prefix] * gap, minlength=n))
+    per_letter = np.sqrt(np.bincount(letter, weights=count[prefix] * gap,
+                                     minlength=s.alphabet_size))
     return {"unit_sum": math.sqrt(float(count @ (unit * unit))),
             "range_relation": [float(x) for x in per_letter]}
 

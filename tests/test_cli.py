@@ -749,36 +749,26 @@ def _arrays(nested) -> list:
 ], ids=["genus-2", "theta-edge", "kato3"])
 def test_spectra_derives_each_shift_array_once(monkeypatch, capsysbinary, source, level):
     """One spectra run builds the successor arrays once and the
-    predecessor arrays once, and both level certificates read one
-    frontier walk of N-1 steps (N yields, level 0 needing none).  Every
-    array the run shares through the SFT or the Perron data is
-    read-only."""
+    predecessor arrays once.  Every array the run shares through the SFT
+    or the Perron data is read-only."""
     argv = ["spectra", *source, "--levels", str(level)]
     expected = run_cli(argv, capsysbinary)
-    built, walks, perrons = [], [], []
-    init, paths, perron_data = graphs._Rows.__init__, triples._paths, shift.perron_data
+    built, perrons = [], []
+    init, perron_data = graphs._Rows.__init__, shift.perron_data
 
     def counted_init(rows, lists):
         built.append((rows, lists))
         init(rows, lists)
 
-    def counted_paths(s):
-        walks.append(0)
-        for frontier in paths(s):
-            walks[-1] += 1
-            yield frontier
-
     def kept_perron(s):
         perrons.append(perron_data(s))
         return perrons[-1]
     monkeypatch.setattr(graphs._Rows, "__init__", counted_init)
-    monkeypatch.setattr(triples, "_paths", counted_paths)
     monkeypatch.setattr(shift, "perron_data", kept_perron)
     assert run_cli(argv, capsysbinary) == expected
     assert expected[0] == 0
     s = shift.full_schottky_sft(2) if source[0] == "--genus" else io.load_sft(source[1])
     assert [lists for _, lists in built] == [s.succ, s.pred]
-    assert walks == [level]
     # kato3 has chain letters, so its Perron solves build both contractions
     contracted = [vars(rows).get("_contraction", ()) for rows, _ in built]
     assert [bool(c) for c in contracted] == [source[-1].endswith("kato3.json")] * 2
@@ -789,28 +779,56 @@ def test_spectra_derives_each_shift_array_once(monkeypatch, capsysbinary, source
             array[...] = 0
 
 
-@pytest.mark.parametrize("levels", ["12", "20000", "1000000"])
+@pytest.mark.parametrize("levels, refusal", [
+    ("12", None),
+    ("20000", "float range"),
+    ("1000000", "float range"),
+    ("1000000000", "the cap"),
+], ids=["12", "20000", "1000000", "1000000000"])
 def test_spectra_past_the_word_budget_is_a_documented_error(monkeypatch, capsysbinary,
-                                                            levels):
-    """The witness is the first word count past the budget (length 13):
-    counts of the rank-2 shift never fall, so longer words are not counted."""
+                                                            levels, refusal):
+    """spectra lists no words, so the word budget limits no level: g = 2
+    runs at N = 12 (13-letter words past the default budget).  N = 20,000
+    and 1,000,000 are refused by the float-range check, which stops its
+    count pass at level 646, and N = 10^9 by the cap on N (letters +
+    transitions), before anything is stepped; each with the level as
+    witness."""
     monkeypatch.delenv("GRAPHSPECTRA_WORD_BUDGET", raising=False)
+    counted = []
+    vectors = shift.word_count_vectors
+
+    def counted_vectors(s):
+        for vec in vectors(s):
+            counted.append(vec)
+            yield vec
+    monkeypatch.setattr(shift, "word_count_vectors", counted_vectors)
     code, out = run_cli(["spectra", "--genus", "2", "--levels", levels], capsysbinary)
+    if refusal is None:
+        assert code == 0
+        return
     assert code == 2
-    assert json.loads(out) == {"error": {"code": "EnumerationBudgetExceeded",
-                                         "witness": "2125764"}}
+    assert json.loads(out) == {"error": {"code": "InvalidParameter", "witness": levels}}
+    assert len(counted) == {"float range": 647, "the cap": 0}[refusal]
+
+
+def test_spectra_output_does_not_read_the_word_budget(monkeypatch, capsysbinary):
+    """The same bytes under budgets of 5 and 10^400."""
+    outputs = []
+    for budget in (5, 10 ** 400):
+        monkeypatch.setenv("GRAPHSPECTRA_WORD_BUDGET", str(budget))
+        outputs.append(run_cli(["spectra", "--genus", "2", "--levels", "11"], capsysbinary))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
 
 
 @pytest.mark.parametrize("source, levels", [
     (["--genus", "2"], (30, 200, 645)),
     (["--matrix", str(DATA / "theta_edge.json")], (300, 1022)),
 ], ids=["genus-2", "theta-edge"])
-def test_ck_residuals_stay_at_rounding_at_every_level(monkeypatch, capsysbinary,
-                                                      source, levels):
+def test_ck_residuals_stay_at_rounding_at_every_level(capsysbinary, source, levels):
     """The CK residuals are operator norms of diagonal relations, so they
-    do not grow with the basis: with the word budget past float range,
-    both stay within a few ulp of 0 up to the last level that runs."""
-    monkeypatch.setenv("GRAPHSPECTRA_WORD_BUDGET", str(10 ** 400))
+    do not grow with the basis: both stay within a few ulp of 0 up to the
+    last level that runs."""
     for level in levels:
         code, out = run_cli(["spectra", *source, "--levels", str(level)], capsysbinary)
         assert code == 0
@@ -822,16 +840,14 @@ def test_ck_residuals_stay_at_rounding_at_every_level(monkeypatch, capsysbinary,
     (["--genus", "2"], 645,
      "9e5d4b7d1029a2944ccf0dc0b7c2b5b996848bdcc37df37ec535f100be880946"),
     (["--matrix", str(DATA / "theta_edge.json")], 1022,
-     "5bf3208cdd4d31167b932f08e2fbc7ecac7855e5d2cab3fbe305d32a192e290b"),
+     "b03f027b2d05df7472467a6b7eca795de734d59eecafa28cd89aa053f4635012"),
 ], ids=["genus-2", "theta-edge"])
 def test_spectra_past_float_range_is_a_documented_error(monkeypatch, capsysbinary,
                                                         source, last, sha256):
-    """With the word budget past float range, the last level whose
-    eigenspace dimensions all convert to float runs and prints these
-    bytes; from the next level on, the level is refused as
-    InvalidParameter, with nothing on stderr and before the grading is
-    stepped."""
-    monkeypatch.setenv("GRAPHSPECTRA_WORD_BUDGET", str(10 ** 400))
+    """The last level whose eigenspace dimensions all convert to float
+    runs and prints these bytes; from the next level on, the level is
+    refused as InvalidParameter, with nothing on stderr and before the
+    grading is stepped."""
     code, out = run_cli(["spectra", *source, "--levels", str(last)], capsysbinary)
     assert code == 0
     assert hashlib.sha256(out).hexdigest() == sha256
@@ -1275,8 +1291,9 @@ def test_bad_input_is_a_documented_error(tmp_path, argv, env, witness):
 
 @pytest.mark.parametrize("subcommand", ["spectra", "cohomology"])
 def test_negative_word_budget_is_a_documented_error(tmp_path, subcommand):
-    """A negative budget is refused: by the level check of spectra, and by
-    cohomology on the rank-2 shift, whose dims need no words listed."""
+    """A negative budget is refused by spectra and by cohomology on the
+    rank-2 shift, though neither lists words: each reads the budget only
+    to check it."""
     code, out, stderr, _ = _fresh_run(tmp_path, [subcommand, "--genus", "2", "--levels", "3"],
                                       {"GRAPHSPECTRA_WORD_BUDGET": "-1"})
     assert (code, stderr) == (2, b"")

@@ -370,10 +370,10 @@ def shifts_of_any_density(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(case=shifts_of_any_density(), level=st.integers(2, 8), data=st.data())
 def test_one_walk_equals_the_two_walk_oracles(case, level, data):
-    """The commutator norms of the one support walk equal, bit for bit,
-    those of the count walk they replaced (kept in tests/oracles.py), for
-    the default schedule and a random one; its CK residuals stay under
-    that walk's Frobenius norms and, where the basis holds at most 2,000
+    """The commutator norms of the letter walks equal, bit for bit, those
+    of the count walk (kept in tests/oracles.py), for the default
+    schedule and a random one; the CK residuals stay under that walk's
+    Frobenius norms, up to 1e-14, and, where the basis holds at most 2,000
     words, equal the spectral norms of the assembled relations.  On
     random shifts, reducible or not, with random positive Perron data,
     and on the irreducible ones with their own Perron data too."""
@@ -394,14 +394,52 @@ def test_one_walk_equals_the_two_walk_oracles(case, level, data):
 
 
 def assert_under_the_frobenius_bound(residuals, frobenius):
-    assert all(x <= bound for x, bound in zip(flat(residuals), flat(frobenius), strict=True))
+    """Each operator norm is at most its Frobenius bound, up to 1e-14: the
+    letter walks round each entry once per letter, not once per class as
+    the pair walk does, so a bound the pair walk makes exactly 0 can sit
+    an ulp under the letter walk's value."""
+    assert all(x <= bound + 1e-14
+               for x, bound in zip(flat(residuals), flat(frobenius), strict=True))
+
+
+@pytest.mark.parametrize("s, last", [
+    (full_schottky_sft(3), 440),
+    (from_edge_matrix(directed_edge_matrix(kato_graph(20))), 42924),
+], ids=["genus-3", "kato20"])
+def test_ck_residuals_stay_at_rounding_up_to_float_range(s, last):
+    """Each CK entry is a function of one letter, so the residuals at
+    every level are bounded by the same per-letter values: at g = 3 and
+    on kato_graph(20) they stay at or below 1e-15 up to the last level
+    the float-range check admits."""
+    perron = perron_data(s)
+    for level in (2, 3, 85, 86, last):
+        assert max(flat(triples.level_certificates(s, level, perron)[1])) <= 1e-15
+    triples.check_truncation_level(s, last)
+    with pytest.raises(InvalidParameter):
+        triples.check_truncation_level(s, last + 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=shifts_of_any_density(), level=st.integers(2, 8))
+def test_letter_walks_match_the_pair_walk(case, level):
+    """The CK residuals of the walks over letters against the pair walk
+    they replaced (kept in tests/oracles.py), within 1e-14 absolute, and
+    the commutator norms bit for bit against the count walk: on random
+    shifts, reducible or not, with random positive Perron data, and on
+    the irreducible ones with their own Perron data too."""
+    s, perron = case
+    for p in (perron, perron_data(s)) if s.is_irreducible() else (perron,):
+        norms, residuals = triples.level_certificates(s, level, p)
+        expected_norms, expected = oracles.level_certificates(s, level, p)
+        assert norms == expected_norms == oracles.commutator_norms(s, level)
+        assert flat(residuals) == pytest.approx(flat(expected), rel=0, abs=1e-14)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(case=shifts_of_any_density(), level=st.integers(2, 5), data=st.data())
 def test_ck_class_max_is_the_operator_norm_under_the_frobenius_bound(case, level, data):
     """The class max against the spectral norm of the assembled relations,
-    and under the Frobenius norms of the two-walk oracle, on random
+    and under the Frobenius norms of the two-walk oracle up to 1e-14, on random
     shifts at N <= 5 (lowered while the basis holds more than 2,000
     words): with random positive Perron data, and on the irreducible
     ones also with their own Perron data, each entry scaled by a factor
