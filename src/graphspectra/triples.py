@@ -472,13 +472,13 @@ def level_certificates(s: SFTData, level: int, perron: PerronData) -> tuple[list
         ends, last = s.pred_arrays.times(ends) > 0, ends
         if np.array_equal(ends, last):
             break
-    reach = np.where(prefix, np.abs(image / (lam * right) - ratio), 0.0)
+    worst = np.where(prefix, np.abs(image / (lam * right) - ratio), 0.0)  # M_0
     for _ in range(level):
-        step = np.zeros_like(reach)
-        np.maximum.at(step, a.rows, reach[a.cols])
-        reach = step
+        step = np.zeros_like(worst)
+        np.maximum.at(step, a.rows, worst[a.cols])
+        worst = step
     unit = float(np.abs(ratio[ends] - 1).max(initial=0.0))
-    return commutator_norms(s, level), {"unit_sum": unit, "range_relation": reach.tolist()}
+    return commutator_norms(s, level), {"unit_sum": unit, "range_relation": worst.tolist()}
 
 
 def commutator_norms(s: SFTData, level: int, eigenvalues=None) -> list[float]:
